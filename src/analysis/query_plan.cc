@@ -178,18 +178,18 @@ QueryPlan::compile(const TraceIndex &index,
             switch (query.metric) {
               case QueryMetric::Tlp:
               case QueryMetric::BusyFraction:
-                filter.needTimeline = true;
+                filter.families |= TraceIndex::kTimeline;
                 break;
               case QueryMetric::ContextSwitchRate:
-                filter.needDispatches = true;
+                filter.families |= TraceIndex::kDispatches;
                 break;
               case QueryMetric::DurationHistogram:
-                filter.needBursts = true;
+                filter.families |= TraceIndex::kBursts;
                 break;
               case QueryMetric::WaitFraction:
               case QueryMetric::ReadyLatency:
               case QueryMetric::TopBlocked:
-                filter.needWaits = true;
+                filter.families |= TraceIndex::kWaits;
                 break;
               case QueryMetric::GpuOccupancy:
                 break;
@@ -220,12 +220,15 @@ QueryPlan::compile(const TraceIndex &index,
     for (std::size_t fi = 0; fi < plan.filters_.size(); ++fi) {
         const Filter &filter = plan.filters_[fi];
         QueryPlanPass &pass = plan.explain_.passes[fi];
-        pass.buildsTimeline = filter.needTimeline;
-        pass.buildsDispatches = filter.needDispatches;
-        pass.buildsBursts = filter.needBursts;
-        pass.buildsWaits = filter.needWaits;
-        if (filter.needTimeline || filter.needDispatches ||
-            filter.needBursts || filter.needWaits)
+        pass.buildsTimeline =
+            (filter.families & TraceIndex::kTimeline) != 0;
+        pass.buildsDispatches =
+            (filter.families & TraceIndex::kDispatches) != 0;
+        pass.buildsBursts =
+            (filter.families & TraceIndex::kBursts) != 0;
+        pass.buildsWaits =
+            (filter.families & TraceIndex::kWaits) != 0;
+        if (filter.families != 0)
             ++plan.explain_.columnPasses;
     }
     return plan;
@@ -239,38 +242,28 @@ QueryPlan::run(unsigned threads) const
     const trace::TraceBundle &bundle = index_->bundle();
     unsigned jobs = sim::resolveJobs(threads);
 
-    // Phase A: one fused cswitch pass per distinct filter that needs
-    // columns. The columns are plan-local (not interned in the index)
-    // so concurrent builds never contend on the index mutex.
-    struct FilterColumns
-    {
-        detail::ConcurrencyTimeline timeline;
-        std::vector<SimTime> dispatches;
-        detail::BurstColumns bursts;
-        detail::WaitColumns waits;
-    };
-    std::vector<FilterColumns> columns(filters_.size());
+    // Phase A: the index's columns of every distinct filter that
+    // needs some. A filter the index has not swept for these
+    // families yet costs one fused cswitch pass (different filters
+    // build in parallel, each under its own slot lock); a resident
+    // index answers a repeated batch with no pass at all.
+    using Columns = TraceIndex::CswitchColumns;
+    std::vector<const Columns *> columns(filters_.size(), nullptr);
     sim::parallelFor(jobs, filters_.size(), [&](std::size_t fi) {
-        const Filter &filter = filters_[fi];
-        if (!filter.needTimeline && !filter.needDispatches &&
-            !filter.needBursts && !filter.needWaits)
-            return;
-        obs::Span buildSpan("query.build.columns",
-                            obs::SpanKind::Index,
-                            bundle.cswitches.size());
-        detail::buildConcurrencyTimeline(
-            bundle, filter.spec, columns[fi].timeline,
-            filter.needDispatches ? &columns[fi].dispatches : nullptr,
-            filter.needBursts ? &columns[fi].bursts : nullptr,
-            filter.needWaits ? &columns[fi].waits : nullptr);
+        if (filters_[fi].families != 0)
+            columns[fi] = &index_->filterColumns(filters_[fi].spec,
+                                                 filters_[fi].families);
     });
 
     // Once per trace, not once per query: fold every pass's count
     // through the index's deduplicated warning, in filter order so
     // the emitted count is deterministic.
-    for (const FilterColumns &cols : columns)
-        index_->warnOutOfRangeOnce(cols.timeline.outOfRangeCpuEvents,
-                                   cols.timeline.cutoff);
+    for (const Columns *cols : columns) {
+        if (cols)
+            index_->warnOutOfRangeOnce(
+                cols->timeline.outOfRangeCpuEvents,
+                cols->timeline.cutoff);
+    }
 
     // Phase B: evaluate every task against the shared columns. Each
     // task writes only its own rows; errors are parked per task and
@@ -292,11 +285,12 @@ QueryPlan::run(unsigned threads) const
                     "computeConcurrency: unknown CPU count");
             if (spec.t1 <= spec.t0)
                 deskpar::fatal("computeConcurrency: empty window");
-            const FilterColumns &cols = columns[task.filterIdx];
+            const detail::ConcurrencyTimeline &timeline =
+                columns[task.filterIdx]->timeline;
             ConcurrencyProfile profile;
-            if (cols.timeline.usable) {
+            if (timeline.usable) {
                 profile = detail::queryConcurrencyTimeline(
-                    cols.timeline, spec.t0, spec.t1);
+                    timeline, spec.t0, spec.t1);
             } else {
                 // Poisoned timeline (disordered stream): the direct
                 // sweep, panics and all, warning already deduped.
@@ -325,7 +319,7 @@ QueryPlan::run(unsigned threads) const
           }
           case QueryMetric::ContextSwitchRate: {
             const std::vector<SimTime> &dispatches =
-                columns[task.filterIdx].dispatches;
+                columns[task.filterIdx]->dispatches;
             auto lo = std::lower_bound(dispatches.begin(),
                                        dispatches.end(), spec.t0);
             auto hi = std::lower_bound(dispatches.begin(),
@@ -338,7 +332,7 @@ QueryPlan::run(unsigned threads) const
           }
           case QueryMetric::DurationHistogram: {
             const detail::BurstColumns &bc =
-                columns[task.filterIdx].bursts;
+                columns[task.filterIdx]->bursts;
             QueryRow &row = result.rows[task.firstRow];
             row.histogram.assign(kDurationHistogramBuckets, 0);
             // Bursts intersecting the window begin before t1 and the
@@ -375,7 +369,7 @@ QueryPlan::run(unsigned threads) const
           case QueryMetric::ReadyLatency:
           case QueryMetric::TopBlocked: {
             const detail::WaitColumns &wc =
-                columns[task.filterIdx].waits;
+                columns[task.filterIdx]->waits;
             detail::WaitFold fold;
             // Dispatch latency: switch-ins with end (= dispatch
             // time) in [t0, t1) form one contiguous range of the

@@ -1,24 +1,29 @@
 /**
  * @file
  * The fusing query planner: compile a *batch* of Query values into an
- * execution plan that walks the cswitch stream once per distinct
- * filter, then answers every row of every query from the resulting
+ * execution plan that walks the cswitch stream at most once per
+ * distinct filter, then answers every row of every query from the resulting
  * columns.
  *
  * A naive batch evaluation (legacy::runQueries) pays one full event
  * sweep per row — a 16-query TLP/busy/csrate/dhist batch over the
  * same application re-reads the same cswitch vector dozens of times.
  * The planner deduplicates the per-row event filters (pid set, tid,
- * cpu mask) and builds, per distinct filter, every column any of its
- * rows needs — concurrency timeline, dispatch column, burst columns —
- * in ONE fused buildConcurrencyTimeline pass. Row evaluation is then
+ * cpu mask) and asks the TraceIndex for every column family any of a
+ * filter's rows needs — concurrency timeline, dispatch column, burst
+ * columns, wait columns. The index owns those columns: it builds the
+ * missing families of a filter in ONE fused buildConcurrencyTimeline
+ * pass and keeps them, so a batch against a resident Session sweeps
+ * only the filters and families no earlier batch or index query
+ * needed, and a repeated batch sweeps nothing. Row evaluation is then
  * binary searches and checkpoint diffs. GPU rows are answered from
  * the index's shared packet columns and need no pass of their own.
  *
  * Both phases fan out with sim::parallelFor, and the results are
  * bit-identical at any DESKPAR_JOBS:
  *  - every task writes only its own result rows, reading immutable
- *    shared columns, so values never depend on scheduling;
+ *    index columns, so values never depend on scheduling or on
+ *    whether an earlier batch built them;
  *  - the floating-point fold of each row is the same operation
  *    sequence the reference (legacy::runQuery) performs, via the
  *    shared detail:: fold helpers and the proven timeline/GPU query
@@ -54,7 +59,10 @@ struct QueryPlanPass
     std::vector<std::string> metrics;
     /** Result rows answered from this filter. */
     std::size_t rows = 0;
-    /** Columns the fused pass builds (all false: no pass needed). */
+    /**
+     * Column families the filter needs (all false: no pass needed).
+     * The index builds those it does not hold yet in one pass.
+     */
     bool buildsTimeline = false;
     bool buildsDispatches = false;
     bool buildsBursts = false;
@@ -104,10 +112,8 @@ class QueryPlan
     struct Filter
     {
         detail::TimelineSpec spec;
-        bool needTimeline = false;
-        bool needDispatches = false;
-        bool needBursts = false;
-        bool needWaits = false;
+        /** TraceIndex::CswitchFamily bits; 0 needs no columns. */
+        unsigned families = 0;
     };
 
     /**

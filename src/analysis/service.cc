@@ -112,6 +112,7 @@ Service::analyze(const ServiceTraceRequest &request)
     result.ingest = lease.ingest;
     result.events = lease.session->bundle().totalEvents();
     noteIngest(result, lease);
+    cache_.recharge(lease);
     return result;
 }
 
@@ -133,6 +134,7 @@ Service::query(const ServiceQueryRequest &request)
         result.explainText = plan.explain().str();
     result.results = plan.run(request.trace.jobs);
     noteIngest(result, lease);
+    cache_.recharge(lease);
     return result;
 }
 
@@ -148,6 +150,7 @@ Service::bottlenecks(const ServiceBottlenecksRequest &request)
         lease.session->bottlenecks(pids, request.trace.jobs);
     result.top = request.top;
     noteIngest(result, lease);
+    cache_.recharge(lease);
     return result;
 }
 
@@ -181,6 +184,7 @@ Service::series(const ServiceSeriesRequest &request)
         break;
     }
     noteIngest(result, lease);
+    cache_.recharge(lease);
     return result;
 }
 
@@ -194,6 +198,7 @@ Service::frames(const ServiceFramesRequest &request)
     ServiceFramesResult result;
     result.frames = lease.session->frameStats(pids);
     noteIngest(result, lease);
+    cache_.recharge(lease);
     return result;
 }
 

@@ -1,11 +1,31 @@
 #include "analysis/session.hh"
 
+#include <algorithm>
 #include <utility>
 
 #include "sim/logging.hh"
 #include "trace/filter.hh"
 
 namespace deskpar::analysis {
+
+namespace {
+
+/** Heap bytes of @p report (vector capacities plus names). */
+std::uint64_t
+reportBytes(const blocking::BlockingReport &report)
+{
+    std::uint64_t bytes =
+        sizeof(report) +
+        report.threads.capacity() * sizeof(blocking::ThreadBlocking) +
+        report.edges.capacity() * sizeof(blocking::WakeupEdge) +
+        report.criticalPath.capacity() *
+            sizeof(blocking::CriticalPathHop);
+    for (const blocking::ThreadBlocking &thread : report.threads)
+        bytes += thread.name.capacity();
+    return bytes;
+}
+
+} // namespace
 
 Session::Session(const TraceBundle &bundle) : bundle_(&bundle) {}
 
@@ -156,7 +176,32 @@ Session::bottlenecks(const PidSet &pids, unsigned threads) const
             "Session::bottlenecks: bottleneck analysis is not "
             "supported on a cache-restored Session; reopen the "
             "trace with a cold ingest");
-    return blocking::analyze(index(), pids, threads);
+    std::vector<trace::Pid> key(pids.begin(), pids.end());
+    std::sort(key.begin(), key.end());
+    ReportSlot *slot = nullptr;
+    {
+        std::lock_guard<std::mutex> lock(reportsMutex_);
+        std::unique_ptr<ReportSlot> &entry = reports_[std::move(key)];
+        if (!entry)
+            entry = std::make_unique<ReportSlot>();
+        slot = entry.get();
+    }
+    std::lock_guard<std::mutex> lock(slot->mutex);
+    if (!slot->report) {
+        auto report = std::make_unique<const blocking::BlockingReport>(
+            blocking::analyze(index(), pids, threads));
+        reportBytes_.fetch_add(reportBytes(*report),
+                               std::memory_order_relaxed);
+        slot->report = std::move(report);
+    }
+    return *slot->report;
+}
+
+std::uint64_t
+Session::memoryBytes() const
+{
+    return bundle_->memoryBytes() + index().memoryBytes() +
+           reportBytes_.load(std::memory_order_relaxed);
 }
 
 } // namespace deskpar::analysis

@@ -21,16 +21,26 @@
  * code that ingests-then-analyzes wants. Sessions are immovable —
  * the index holds a reference into the bundle storage.
  *
+ * Resident derived state: the index keeps every column a query
+ * built, and bottlenecks() keeps each pid set's report, so a Session
+ * held by `deskpar serve` answers a repeated request without another
+ * cswitch sweep. memoryBytes() measures all of it for the session
+ * cache's budget.
+ *
  * Thread safety: same as TraceIndex — concurrent queries are fine,
- * column builds serialize internally.
+ * and each column or report is built once, under a lock of its own.
  */
 
 #ifndef DESKPAR_ANALYSIS_SESSION_HH
 #define DESKPAR_ANALYSIS_SESSION_HH
 
+#include <atomic>
+#include <cstdint>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <vector>
 
 #include "analysis/analyzer.hh"
 #include "analysis/blocking.hh"
@@ -147,18 +157,43 @@ class Session
      * Wakeup-chain serialization-bottleneck report (blocking.hh):
      * ready-queue waits, wakeup-edge culprits, and the critical
      * path, bit-identical to blocking::legacy::analyze at any
-     * thread count.
+     * thread count. Memoized per pid set: the first call for a set
+     * runs the sweep, later calls (any @p threads) copy the kept
+     * report. Rendering options such as `top` stay with the caller.
      */
     blocking::BlockingReport bottlenecks(const PidSet &pids,
                                          unsigned threads = 0) const;
 
+    /**
+     * Resident bytes: the bundle estimate, the index columns built
+     * so far, and the memoized bottleneck reports. Grows as queries
+     * build state; never shrinks.
+     */
+    std::uint64_t memoryBytes() const;
+
   private:
+    /** One pid set's memoized report; built once under `mutex`. */
+    struct ReportSlot
+    {
+        std::mutex mutex;
+        std::unique_ptr<const blocking::BlockingReport> report;
+    };
+
     /** Set iff constructed by move (bundle_ points into it). */
     std::unique_ptr<TraceBundle> owned_;
     const TraceBundle *bundle_;
 
     mutable std::once_flag indexOnce_;
     mutable std::unique_ptr<TraceIndex> index_;
+
+    /** Guards the report map (not the reports). */
+    mutable std::mutex reportsMutex_;
+    /** Keyed by the sorted pid list; slots are never erased. */
+    mutable std::map<std::vector<trace::Pid>,
+                     std::unique_ptr<ReportSlot>>
+        reports_;
+    /** Bytes of every memoized report (memoryBytes). */
+    mutable std::atomic<std::uint64_t> reportBytes_{0};
 };
 
 } // namespace deskpar::analysis

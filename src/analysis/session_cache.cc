@@ -16,15 +16,6 @@ namespace deskpar::analysis {
 
 namespace {
 
-/**
- * Flat allowance for the index columns the bundle estimate cannot
- * see. The columns are a constant-factor reshape of the cswitch
- * stream, which dominates memoryBytes() for any trace large enough
- * to matter for eviction, so a small fixed pad keeps the accounting
- * honest without a second estimator.
- */
-constexpr std::uint64_t kIndexAllowanceBytes = 256u << 10;
-
 bool
 hasSuffix(const std::string &path, const char *suffix)
 {
@@ -123,8 +114,7 @@ SessionCache::fill(Slot &slot, const std::string &path,
             std::chrono::steady_clock::now() - start)
             .count();
 
-    slot.bytes =
-        session->bundle().memoryBytes() + kIndexAllowanceBytes;
+    slot.bytes = session->memoryBytes();
     slot.session = std::move(session);
     slot.report = std::move(report);
 }
@@ -211,6 +201,28 @@ SessionCache::acquire(const std::string &path, trace::ParseMode mode)
                 dropLocked(key, *slot, counters_.invalidations);
         }
         // Stale: loop around and ingest the new bytes.
+    }
+}
+
+void
+SessionCache::recharge(const Lease &lease)
+{
+    if (!lease.session)
+        return;
+    std::uint64_t bytes = lease.session->memoryBytes();
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (auto &entry : slots_) {
+        Slot &slot = *entry.second;
+        // A Loading slot's fields belong to its filler thread; only
+        // a resident slot's session is safe to read here.
+        if (!slot.resident || slot.session != lease.session)
+            continue;
+        if (bytes > slot.bytes) {
+            residentBytes_ += bytes - slot.bytes;
+            slot.bytes = bytes;
+            enforceBudgetLocked(&slot);
+        }
+        return;
     }
 }
 

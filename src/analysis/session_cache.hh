@@ -25,13 +25,17 @@
  *    identity (stat + 64 KiB hash). A rewritten trace never serves
  *    stale results: the mismatching entry is dropped and re-ingested.
  *
- *  - **Eviction by bytes.** Entry cost is the bundle's memoryBytes()
- *    estimate plus a fixed index allowance. When the resident total
- *    exceeds maxBytes, least-recently-used Ready entries are dropped
- *    until it fits (in-flight leases keep their Session alive via
- *    shared_ptr; eviction only severs the cache's reference). A
- *    single entry larger than the whole budget is admitted — and
- *    becomes the first eviction victim when anything else arrives.
+ *  - **Eviction by bytes.** Entry cost is Session::memoryBytes():
+ *    the bundle estimate plus the index columns and memoized reports
+ *    the Session has built. Requests grow that state (a query batch
+ *    over a new filter keeps its columns), so the caller re-charges
+ *    the entry with recharge() after a request. When the resident
+ *    total exceeds maxBytes, least-recently-used Ready entries are
+ *    dropped until it fits (in-flight leases keep their Session
+ *    alive via shared_ptr; eviction only severs the cache's
+ *    reference). A single entry larger than the whole budget is
+ *    admitted — and becomes the first eviction victim when anything
+ *    else arrives.
  *
  *  - **Failure is not cached.** An ingest that throws removes the
  *    Loading slot and rethrows to every waiter; the next acquire
@@ -111,6 +115,14 @@ class SessionCache
      * degraded ingest succeeds with lease.report->ok() == false.
      */
     Lease acquire(const std::string &path, trace::ParseMode mode);
+
+    /**
+     * Re-measure @p lease's Session after a request that may have
+     * grown it, charge the growth to the budget, and evict LRU
+     * entries (never this one) while the total exceeds it. No-op
+     * when the entry is no longer resident.
+     */
+    void recharge(const Lease &lease);
 
     /** Drop the entry for @p path (both modes), if resident. */
     void invalidate(const std::string &path);

@@ -17,24 +17,27 @@ using sim::SimDuration;
 using sim::SimTime;
 
 /**
- * Columns derived from the events of one pid set. The cswitch-derived
- * pieces (timeline + dispatch column) are built in one fused sweep
- * (detail::buildConcurrencyTimeline, shared with the query planner);
- * frame statistics sweep a different event vector and build on first
- * use.
+ * The columns of one row filter. `mutex` serializes this filter's
+ * sweeps (and only this filter's) and guards every field below it;
+ * `spec` is fixed at creation. A family's columns are written once,
+ * before its bit is set in `built`, and never again, so readers that
+ * got the reference back from buildFamilies read them lock-free.
  */
-struct TraceIndex::PidColumns
+struct TraceIndex::FilterSlot
 {
-    trace::PidSet pids;
+    detail::TimelineSpec spec;
 
-    bool cswitchBuilt = false;
-    detail::ConcurrencyTimeline timeline;
-    /** Sorted switch-in times of target threads (responsiveness). */
-    std::vector<SimTime> dispatches;
-    /** Ready-wait intervals, end-sorted (the index cache spills
-     *  these so a warm `deskpar serve` reopen keeps them). */
-    detail::WaitColumns waits;
+    std::mutex mutex;
+    /** CswitchFamily bits present in `columns`. */
+    unsigned built = 0;
+    CswitchColumns columns;
 
+    /**
+     * The index's own pid-set queries asked for this (default
+     * filter) slot's cswitch families: serializeColumns writes it.
+     */
+    bool indexSwept = false;
+    /** Frame statistics of the pid set (default-filter slots). */
     bool framesBuilt = false;
     FrameStats frames;
 };
@@ -59,22 +62,55 @@ struct TraceIndex::CpuBusyColumns
 
 namespace {
 
-/**
- * Fused sweep: concurrency timeline + dispatch column, via the
- * shared builder with this pid set's default filter (no tid, all
- * cpus) — the exact historical TraceIndex sweep.
- */
-void
-buildCswitchColumns(const trace::TraceBundle &bundle,
-                    TraceIndex::PidColumns &cols)
+/** The cswitch families the index's own pid-set queries build. */
+constexpr unsigned kIndexFamilies = TraceIndex::kTimeline |
+                                    TraceIndex::kDispatches |
+                                    TraceIndex::kWaits;
+
+template <typename T>
+std::uint64_t
+vectorBytes(const std::vector<T> &v)
 {
-    obs::Span span("index.build.cswitch", obs::SpanKind::Index,
-                   bundle.cswitches.size());
+    return v.capacity() * sizeof(T);
+}
+
+/** Heap bytes of the @p families of @p c. */
+std::uint64_t
+familyBytes(const TraceIndex::CswitchColumns &c, unsigned families)
+{
+    std::uint64_t bytes = 0;
+    if (families & TraceIndex::kTimeline)
+        bytes += vectorBytes(c.timeline.times) +
+                 vectorBytes(c.timeline.levels) +
+                 vectorBytes(c.timeline.cum);
+    if (families & TraceIndex::kDispatches)
+        bytes += vectorBytes(c.dispatches);
+    if (families & TraceIndex::kBursts)
+        bytes += vectorBytes(c.bursts.bursts) +
+                 vectorBytes(c.bursts.maxEnd);
+    if (families & TraceIndex::kWaits)
+        bytes += vectorBytes(c.waits.begin) +
+                 vectorBytes(c.waits.end) +
+                 vectorBytes(c.waits.minBegin);
+    return bytes;
+}
+
+std::uint64_t
+cpuBusyBytes(const TraceIndex::CpuBusyColumns &cb)
+{
+    std::uint64_t bytes = 0;
+    for (const auto &[cpu, intervals] : cb.busy)
+        bytes += vectorBytes(intervals);
+    return bytes;
+}
+
+/** The default filter of @p pids: no tid, every cpu. */
+detail::TimelineSpec
+defaultSpec(const PidSet &pids)
+{
     detail::TimelineSpec spec;
-    spec.pids = cols.pids;
-    detail::buildConcurrencyTimeline(bundle, spec, cols.timeline,
-                                     &cols.dispatches, nullptr,
-                                     &cols.waits);
+    spec.pids = pids;
+    return spec;
 }
 
 // ---- column-blob primitives (index cache serialization) ----
@@ -163,44 +199,87 @@ TraceIndex::TraceIndex(const TraceBundle &bundle) : bundle_(bundle) {}
 
 TraceIndex::~TraceIndex() = default;
 
-const TraceIndex::PidColumns &
-TraceIndex::pidColumns(const PidSet &pids) const
+TraceIndex::FilterKey
+TraceIndex::filterKey(const detail::TimelineSpec &spec)
 {
-    std::vector<trace::Pid> key(pids.begin(), pids.end());
-    std::sort(key.begin(), key.end());
+    std::vector<trace::Pid> pids(spec.pids.begin(), spec.pids.end());
+    std::sort(pids.begin(), pids.end());
+    return FilterKey{std::move(pids), spec.hasTid,
+                     spec.hasTid ? spec.tid : 0, spec.cpuMask};
+}
 
+TraceIndex::FilterSlot &
+TraceIndex::slot(const detail::TimelineSpec &spec) const
+{
+    FilterKey key = filterKey(spec);
     std::lock_guard<std::mutex> lock(mutex_);
-    std::unique_ptr<PidColumns> &slot = perPid_[std::move(key)];
+    std::unique_ptr<FilterSlot> &slot = slots_[std::move(key)];
     if (!slot) {
-        slot = std::make_unique<PidColumns>();
-        slot->pids = pids;
+        slot = std::make_unique<FilterSlot>();
+        slot->spec = spec;
     }
     return *slot;
 }
 
-const TraceIndex::PidColumns &
+void
+TraceIndex::buildFamilies(FilterSlot &slot, unsigned families,
+                          bool indexQuery) const
+{
+    std::lock_guard<std::mutex> lock(slot.mutex);
+    unsigned missing = (families | kTimeline) & ~slot.built;
+    if (missing != 0) {
+        // A restored index has no cswitch stream to sweep — the
+        // cache intentionally drops it. Recomputing here would
+        // silently return empty columns; fail loudly instead.
+        if (restored_)
+            deskpar::fatal(
+                "TraceIndex: pid set not present in the restored "
+                "index cache (reopen the trace with a cold ingest)");
+
+        // One fused sweep fills every missing family. A filter's
+        // later sweeps (families first asked for by a later batch)
+        // rebuild the timeline into scratch: the kept one may be
+        // being read.
+        obs::Span span("index.build.cswitch", obs::SpanKind::Index,
+                       bundle_.cswitches.size());
+        CswitchColumns &c = slot.columns;
+        detail::ConcurrencyTimeline scratch;
+        detail::buildConcurrencyTimeline(
+            bundle_, slot.spec,
+            (missing & kTimeline) ? c.timeline : scratch,
+            (missing & kDispatches) ? &c.dispatches : nullptr,
+            (missing & kBursts) ? &c.bursts : nullptr,
+            (missing & kWaits) ? &c.waits : nullptr);
+        slot.built |= missing;
+        columnBytes_.fetch_add(familyBytes(c, missing),
+                               std::memory_order_relaxed);
+    }
+    slot.indexSwept = slot.indexSwept || indexQuery;
+}
+
+const TraceIndex::CswitchColumns &
+TraceIndex::filterColumns(const detail::TimelineSpec &spec,
+                          unsigned families) const
+{
+    FilterSlot &s = slot(spec);
+    buildFamilies(s, families);
+    return s.columns;
+}
+
+const TraceIndex::FilterSlot &
 TraceIndex::cswitchColumns(const PidSet &pids) const
 {
-    const PidColumns &cols = pidColumns(pids);
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (!cols.cswitchBuilt) {
-            // A restored index has no cswitch stream to sweep — the
-            // cache intentionally drops it. Recomputing here would
-            // silently return empty columns; fail loudly instead.
-            if (restored_)
-                deskpar::fatal(
-                    "TraceIndex: pid set not present in the restored "
-                    "index cache (reopen the trace with a cold "
-                    "ingest)");
-            auto &mutable_cols = const_cast<PidColumns &>(cols);
-            buildCswitchColumns(bundle_, mutable_cols);
-            mutable_cols.cswitchBuilt = true;
-        }
-    }
-    warnOutOfRangeOnce(cols.timeline.outOfRangeCpuEvents,
-                       cols.timeline.cutoff);
-    return cols;
+    FilterSlot &s = slot(defaultSpec(pids));
+    buildFamilies(s, kIndexFamilies, /*indexQuery=*/true);
+    const detail::ConcurrencyTimeline &tl = s.columns.timeline;
+    warnOutOfRangeOnce(tl.outOfRangeCpuEvents, tl.cutoff);
+    return s;
+}
+
+std::uint64_t
+TraceIndex::memoryBytes() const
+{
+    return columnBytes_.load(std::memory_order_relaxed);
 }
 
 void
@@ -234,6 +313,9 @@ TraceIndex::gpuColumns() const
                         : std::max(mx, packets[i].finish);
             gc->maxFinish.push_back(mx);
         }
+        columnBytes_.fetch_add(vectorBytes(gc->starts) +
+                                   vectorBytes(gc->maxFinish),
+                               std::memory_order_relaxed);
         gpu_ = std::move(gc);
     }
     return *gpu_;
@@ -253,6 +335,8 @@ TraceIndex::cpuBusyColumns() const
                        bundle_.cswitches.size());
         auto cb = std::make_unique<CpuBusyColumns>();
         cb->busy = detail::cpuBusyIntervals(bundle_);
+        columnBytes_.fetch_add(cpuBusyBytes(*cb),
+                               std::memory_order_relaxed);
         cpuBusy_ = std::move(cb);
     }
     return *cpuBusy_;
@@ -270,8 +354,9 @@ TraceIndex::concurrency(const PidSet &pids, SimTime t0, SimTime t1,
     if (t1 <= t0)
         deskpar::fatal("computeConcurrency: empty window");
 
-    const PidColumns &cols = cswitchColumns(pids);
-    if (!cols.timeline.usable || cols.timeline.cutoff != resolved) {
+    const detail::ConcurrencyTimeline &timeline =
+        cswitchColumns(pids).columns.timeline;
+    if (!timeline.usable || timeline.cutoff != resolved) {
         if (restored_)
             deskpar::fatal(
                 "TraceIndex: query needs a cswitch sweep the "
@@ -287,7 +372,7 @@ TraceIndex::concurrency(const PidSet &pids, SimTime t0, SimTime t1,
         warnOutOfRangeOnce(profile.outOfRangeCpuEvents, resolved);
         return profile;
     }
-    return detail::queryConcurrencyTimeline(cols.timeline, t0, t1);
+    return detail::queryConcurrencyTimeline(timeline, t0, t1);
 }
 
 ConcurrencyProfile
@@ -333,18 +418,16 @@ FrameStats
 TraceIndex::frameStats(const PidSet &pids) const
 {
     obs::Span span("index.query.frames", obs::SpanKind::Query);
-    const PidColumns &cols = pidColumns(pids);
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (!cols.framesBuilt) {
+    FilterSlot &s = slot(defaultSpec(pids));
+    std::lock_guard<std::mutex> lock(s.mutex);
+    if (!s.framesBuilt) {
         obs::Span buildSpan("index.build.frames",
                             obs::SpanKind::Index,
                             bundle_.frames.size());
-        auto &mutable_cols = const_cast<PidColumns &>(cols);
-        mutable_cols.frames =
-            legacy::computeFrameStats(bundle_, pids);
-        mutable_cols.framesBuilt = true;
+        s.frames = legacy::computeFrameStats(bundle_, pids);
+        s.framesBuilt = true;
     }
-    return cols.frames;
+    return s.frames;
 }
 
 Responsiveness
@@ -352,9 +435,8 @@ TraceIndex::responsiveness(const PidSet &pids) const
 {
     obs::Span span("index.query.responsiveness",
                    obs::SpanKind::Query);
-    const PidColumns &cols = cswitchColumns(pids);
-    return detail::responsivenessFromDispatches(bundle_,
-                                                cols.dispatches);
+    return detail::responsivenessFromDispatches(
+        bundle_, cswitchColumns(pids).columns.dispatches);
 }
 
 PowerEstimate
@@ -383,11 +465,17 @@ TraceIndex::warm(const PidSet &pids) const
 bool
 TraceIndex::hasCswitchColumns(const PidSet &pids) const
 {
-    std::vector<trace::Pid> key(pids.begin(), pids.end());
-    std::sort(key.begin(), key.end());
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = perPid_.find(key);
-    return it != perPid_.end() && it->second->cswitchBuilt;
+    FilterKey key = filterKey(defaultSpec(pids));
+    FilterSlot *s = nullptr;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        auto it = slots_.find(key);
+        if (it == slots_.end())
+            return false;
+        s = it->second.get();
+    }
+    std::lock_guard<std::mutex> lock(s->mutex);
+    return (s->built & kIndexFamilies) == kIndexFamilies;
 }
 
 std::string
@@ -398,11 +486,35 @@ TraceIndex::serializeColumns() const
     const GpuColumns &gc = gpuColumns();
     const CpuBusyColumns &cb = cpuBusyColumns();
 
-    std::lock_guard<std::mutex> lock(mutex_);
     obs::Span span("index.serialize", obs::SpanKind::Index);
 
-    for (const auto &[key, slot] : perPid_) {
-        if (slot->cswitchBuilt && !slot->timeline.usable)
+    // The slots the index's own pid-set queries touched, in key
+    // order (sorted pids, as blob v1 lists them). Flags are read
+    // under each slot's mutex; what they vouch for is immutable.
+    struct Spilled
+    {
+        const std::vector<trace::Pid> *pids;
+        const FilterSlot *slot;
+        bool cswitch;
+        bool frames;
+    };
+    std::vector<Spilled> spilled;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        for (const auto &[key, slot] : slots_) {
+            const auto &[pids, hasTid, tid, mask] = key;
+            if (hasTid || mask != detail::kAllCpus)
+                continue;
+            std::lock_guard<std::mutex> slotLock(slot->mutex);
+            if (!slot->indexSwept && !slot->framesBuilt)
+                continue;
+            spilled.push_back(Spilled{&pids, slot.get(),
+                                      slot->indexSwept,
+                                      slot->framesBuilt});
+        }
+    }
+    for (const Spilled &entry : spilled) {
+        if (entry.cswitch && !entry.slot->columns.timeline.usable)
             return std::string(); // legacy-fallback index: no cache
     }
 
@@ -434,17 +546,17 @@ TraceIndex::serializeColumns() const
         }
     }
 
-    trace::putVarint(out, perPid_.size());
-    for (const auto &[key, slot] : perPid_) {
-        trace::putVarint(out, key.size());
+    trace::putVarint(out, spilled.size());
+    for (const Spilled &entry : spilled) {
+        trace::putVarint(out, entry.pids->size());
         trace::Pid prevPid = 0;
-        for (trace::Pid pid : key) { // key is sorted
+        for (trace::Pid pid : *entry.pids) { // key is sorted
             trace::putVarint(out, pid - prevPid);
             prevPid = pid;
         }
-        const PidColumns &c = *slot;
-        out.push_back(c.cswitchBuilt ? 1 : 0);
-        if (c.cswitchBuilt) {
+        const CswitchColumns &c = entry.slot->columns;
+        out.push_back(entry.cswitch ? 1 : 0);
+        if (entry.cswitch) {
             const detail::ConcurrencyTimeline &tl = c.timeline;
             out.push_back(tl.usable ? 1 : 0);
             trace::putVarint(out, tl.cutoff);
@@ -481,13 +593,14 @@ TraceIndex::serializeColumns() const
             // minBegin is the suffix minimum of the begin column in
             // this order — recomputed on adopt, never stored.
         }
-        out.push_back(c.framesBuilt ? 1 : 0);
-        if (c.framesBuilt) {
-            trace::putVarint(out, c.frames.frames);
-            trace::putVarint(out, c.frames.synthesizedFrames);
-            putDoubleBits(out, c.frames.avgFps);
-            putDoubleBits(out, c.frames.fpsStddev);
-            putDoubleBits(out, c.frames.onePercentLowFps);
+        out.push_back(entry.frames ? 1 : 0);
+        if (entry.frames) {
+            const FrameStats &frames = entry.slot->frames;
+            trace::putVarint(out, frames.frames);
+            trace::putVarint(out, frames.synthesizedFrames);
+            putDoubleBits(out, frames.avgFps);
+            putDoubleBits(out, frames.fpsStddev);
+            putDoubleBits(out, frames.onePercentLowFps);
         }
     }
     return out;
@@ -497,7 +610,7 @@ bool
 TraceIndex::adoptColumns(std::string_view data, std::string *error)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (gpu_ || cpuBusy_ || !perPid_.empty())
+    if (gpu_ || cpuBusy_ || !slots_.empty())
         deskpar::fatal(
             "TraceIndex::adoptColumns: columns already built");
     obs::Span span("index.adopt", obs::SpanKind::Index, data.size());
@@ -507,7 +620,7 @@ TraceIndex::adoptColumns(std::string_view data, std::string *error)
             *error = what;
         gpu_.reset();
         cpuBusy_.reset();
-        perPid_.clear();
+        slots_.clear();
         return false;
     };
 
@@ -581,13 +694,13 @@ TraceIndex::adoptColumns(std::string_view data, std::string *error)
             prevPid += static_cast<trace::Pid>(d);
             key.push_back(prevPid);
         }
-        auto cols = std::make_unique<PidColumns>();
-        cols->pids = PidSet(key.begin(), key.end());
+        auto cols = std::make_unique<FilterSlot>();
+        cols->spec.pids = PidSet(key.begin(), key.end());
 
         if (!getByte(data, pos, flag))
             return fail("truncated cswitch-built flag");
         if (flag) {
-            detail::ConcurrencyTimeline &tl = cols->timeline;
+            detail::ConcurrencyTimeline &tl = cols->columns.timeline;
             if (!getByte(data, pos, flag))
                 return fail("truncated timeline header");
             tl.usable = flag != 0;
@@ -627,18 +740,18 @@ TraceIndex::adoptColumns(std::string_view data, std::string *error)
             }
             if (!getCount(data, pos, n))
                 return fail("corrupt dispatch-column size");
-            cols->dispatches.reserve(static_cast<std::size_t>(n));
+            cols->columns.dispatches.reserve(static_cast<std::size_t>(n));
             prev = 0;
             for (std::uint64_t i = 0; i < n; ++i) {
                 std::uint64_t d = 0;
                 if (!getU64(data, pos, d))
                     return fail("truncated dispatch column");
                 prev += d;
-                cols->dispatches.push_back(prev);
+                cols->columns.dispatches.push_back(prev);
             }
             if (!getCount(data, pos, n))
                 return fail("corrupt wait-column size");
-            detail::WaitColumns &w = cols->waits;
+            detail::WaitColumns &w = cols->columns.waits;
             w.begin.reserve(static_cast<std::size_t>(n));
             w.end.reserve(static_cast<std::size_t>(n));
             w.minBegin.reserve(static_cast<std::size_t>(n));
@@ -668,7 +781,8 @@ TraceIndex::adoptColumns(std::string_view data, std::string *error)
                          : std::min(mn, w.begin[i]);
                 w.minBegin[i] = mn;
             }
-            cols->cswitchBuilt = true;
+            cols->built = kIndexFamilies;
+            cols->indexSwept = true;
         }
 
         if (!getByte(data, pos, flag))
@@ -687,11 +801,17 @@ TraceIndex::adoptColumns(std::string_view data, std::string *error)
                 static_cast<std::size_t>(synth);
             cols->framesBuilt = true;
         }
-        perPid_[std::move(key)] = std::move(cols);
+        slots_[FilterKey{std::move(key), false, 0, detail::kAllCpus}] =
+            std::move(cols);
     }
     if (pos != data.size())
         return fail("trailing bytes in index-columns blob");
 
+    std::uint64_t bytes = vectorBytes(gc->starts) +
+                          vectorBytes(gc->maxFinish) + cpuBusyBytes(*cb);
+    for (const auto &[key, slot] : slots_)
+        bytes += familyBytes(slot->columns, slot->built);
+    columnBytes_.store(bytes, std::memory_order_relaxed);
     gpu_ = std::move(gc);
     cpuBusy_ = std::move(cb);
     restored_ = true;

@@ -23,6 +23,14 @@
  *  - Frames / responsiveness / power columns are built in the same
  *    fused sweeps and cached per pid set.
  *
+ * The index is also the one owner of every cswitch-derived column in
+ * the program. The fused query planner (query_plan.hh) asks it for
+ * the columns of each distinct row filter — pid set, optional tid,
+ * cpu mask — through filterColumns(), so a resident Session sweeps
+ * each filter's stream at most once per column family however many
+ * batches it answers. The index's own pid-set queries read the same
+ * slots with the default filter (no tid, all cpus).
+ *
  * Every query is bit-identical to the legacy single-sweep functions
  * (analysis::legacy::*): the integer time-at-level decomposition is
  * exact, and floating-point folds reuse the legacy operation order.
@@ -31,10 +39,13 @@
  * the header) transparently fall back to the legacy sweep, panics
  * and all.
  *
- * Thread safety: column builds are serialized on an internal mutex;
- * queries after a build only read. The index borrows the bundle — the
- * caller keeps the bundle alive and unmodified for the index's
- * lifetime.
+ * Thread safety: each filter slot has its own build mutex, so two
+ * threads asking for one filter build it once while different
+ * filters build in parallel; the index-wide mutex only guards slot
+ * lookup and the pid-agnostic GPU / per-CPU-busy columns. Built
+ * columns are never modified or freed, so readers hold no lock. The
+ * index borrows the bundle — the caller keeps the bundle alive and
+ * unmodified for the index's lifetime.
  */
 
 #ifndef DESKPAR_ANALYSIS_TRACE_INDEX_HH
@@ -47,8 +58,10 @@
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <vector>
 
+#include "analysis/concurrency_timeline.hh"
 #include "analysis/framerate.hh"
 #include "analysis/gpu_util.hh"
 #include "analysis/power.hh"
@@ -127,14 +140,59 @@ class TraceIndex
                             unsigned num_cpus) const;
 
     /**
-     * Serialize every built column family — GPU and per-CPU-busy
-     * columns (built here if missing), plus each cached pid set's
-     * concurrency checkpoints, dispatch column, wait intervals and
-     * frame statistics — into a portable byte blob for the on-disk
-     * index cache (analysis/index_cache.hh). Returns an empty string
-     * when any built timeline is unusable (disordered stream): such
-     * an index answers queries through the legacy fallback sweep,
-     * which a warm reopen cannot reproduce, so it is not cacheable.
+     * The cswitch-derived columns of one row filter, filled by fused
+     * detail::buildConcurrencyTimeline sweeps.
+     */
+    struct CswitchColumns
+    {
+        detail::ConcurrencyTimeline timeline;
+        /** Sorted switch-in times of target threads. */
+        std::vector<sim::SimTime> dispatches;
+        detail::BurstColumns bursts;
+        /** Ready-wait intervals, end-sorted. */
+        detail::WaitColumns waits;
+    };
+
+    /** Column families of CswitchColumns, as bits. */
+    enum CswitchFamily : unsigned {
+        kTimeline = 1u << 0,
+        kDispatches = 1u << 1,
+        kBursts = 1u << 2,
+        kWaits = 1u << 3,
+    };
+
+    /**
+     * The columns of @p spec with at least @p families built; the
+     * timeline comes with a filter's first sweep whatever else was
+     * asked for. Each family of a filter is swept at most once per
+     * index, and built families are never modified, so the returned
+     * reference can be read without a lock for the index's lifetime.
+     * Fatal on a restored() index when a family is missing. The
+     * caller reports timeline.outOfRangeCpuEvents through
+     * warnOutOfRangeOnce (the planner does, in filter order).
+     */
+    const CswitchColumns &filterColumns(const detail::TimelineSpec &spec,
+                                        unsigned families) const;
+
+    /**
+     * Bytes held by the built columns (vector capacities), for the
+     * session cache's budget. Grows as queries build columns for new
+     * filters or families; never shrinks.
+     */
+    std::uint64_t memoryBytes() const;
+
+    /**
+     * Serialize the index's own columns into a portable byte blob
+     * for the on-disk index cache (analysis/index_cache.hh): the GPU
+     * and per-CPU-busy columns (built here if missing), plus, for
+     * each pid set the index's own queries touched, its concurrency
+     * checkpoints, dispatch column, wait intervals and frame
+     * statistics. Slots and families built only for the query
+     * planner's filters are not written, so the blob does not depend
+     * on which query batches ran first. Returns an empty string when
+     * any written timeline is unusable (disordered stream): such an
+     * index answers queries through the legacy fallback sweep, which
+     * a warm reopen cannot reproduce, so it is not cacheable.
      */
     std::string serializeColumns() const;
 
@@ -161,13 +219,28 @@ class TraceIndex
      * Column layouts; defined in trace_index.cc (opaque to callers,
      * named here so the build/query helpers can take them).
      */
-    struct PidColumns;
     struct GpuColumns;
     struct CpuBusyColumns;
 
   private:
-    const PidColumns &pidColumns(const PidSet &pids) const;
-    const PidColumns &cswitchColumns(const PidSet &pids) const;
+    /** One filter's columns and build lock (trace_index.cc). */
+    struct FilterSlot;
+
+    /** Slot key: sorted pids, hasTid, tid (0 without), cpu mask. */
+    using FilterKey = std::tuple<std::vector<trace::Pid>, bool,
+                                 trace::Tid, detail::CpuMask>;
+
+    static FilterKey filterKey(const detail::TimelineSpec &spec);
+    /** The slot of @p spec, created empty on first use. */
+    FilterSlot &slot(const detail::TimelineSpec &spec) const;
+    /**
+     * Sweep the @p families @p slot lacks, under its own mutex;
+     * @p indexQuery marks the slot for serializeColumns.
+     */
+    void buildFamilies(FilterSlot &slot, unsigned families,
+                       bool indexQuery = false) const;
+    /** The default-filter slot of @p pids, index families built. */
+    const FilterSlot &cswitchColumns(const PidSet &pids) const;
     const GpuColumns &gpuColumns() const;
     const CpuBusyColumns &cpuBusyColumns() const;
 
@@ -179,11 +252,13 @@ class TraceIndex
     /** Columns restored from a cache blob (adoptColumns). */
     mutable bool restored_ = false;
 
+    /** Bytes of every built column (memoryBytes). */
+    mutable std::atomic<std::uint64_t> columnBytes_{0};
+
+    /** Guards the slot map (not the slots) and gpu_ / cpuBusy_. */
     mutable std::mutex mutex_;
-    /** Per-pid-set columns, keyed by the sorted pid list. */
-    mutable std::map<std::vector<trace::Pid>,
-                     std::unique_ptr<PidColumns>>
-        perPid_;
+    /** One slot per filter; slots are never erased once handed out. */
+    mutable std::map<FilterKey, std::unique_ptr<FilterSlot>> slots_;
     mutable std::unique_ptr<GpuColumns> gpu_;
     mutable std::unique_ptr<CpuBusyColumns> cpuBusy_;
 };

@@ -65,6 +65,8 @@ Client::sendLine(const std::string &line, std::string &error)
     while (sent < framed.size()) {
         ssize_t n = ::send(fd_, framed.data() + sent,
                            framed.size() - sent, MSG_NOSIGNAL);
+        if (n < 0 && errno == EINTR)
+            continue;
         if (n <= 0) {
             error = std::string("send: ") + std::strerror(errno);
             return false;
@@ -94,6 +96,8 @@ Client::readLine(std::string &line, std::string &error)
             error = "server closed the connection";
             return false;
         }
+        if (n < 0 && errno == EINTR)
+            continue;
         if (n < 0) {
             error = std::string("recv: ") + std::strerror(errno);
             return false;

@@ -419,8 +419,14 @@ Server::writeLine(Conn &conn, const std::string &line)
     while (sent < framed.size()) {
         ssize_t n = ::send(conn.fd, framed.data() + sent,
                            framed.size() - sent, MSG_NOSIGNAL);
-        if (n <= 0)
-            return; // peer went away; the demux loop will notice
+        if (n < 0 && errno == EINTR)
+            continue; // a signal, not the peer: send the rest
+        if (n <= 0) {
+            // Peer went away: drop the rest of this response and any
+            // later ones; the demux loop will notice the close.
+            conn.open.store(false);
+            return;
+        }
         sent += static_cast<std::size_t>(n);
     }
 }

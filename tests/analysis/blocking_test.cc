@@ -13,12 +13,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/blocking.hh"
 #include "analysis/session.hh"
+#include "obs/obs.hh"
 #include "sim/types.hh"
 #include "trace/diagnostic.hh"
 
@@ -181,6 +184,74 @@ TEST(BlockingDiff, SessionEntryPointMatchesReference)
     EXPECT_EQ(session.bottlenecks({5, 6}, 2),
               blocking::legacy::analyze(bundle, {5, 6}));
 }
+
+/**
+ * Session::bottlenecks memoizes the report per pid set: asked again
+ * (other thread counts, other `top` values at render time, the pid
+ * set in another iteration order) it must still equal the reference
+ * report and render identically.
+ */
+TEST(BlockingResident, MemoizedReportMatchesReferenceAtAnyTop)
+{
+    TraceBundle bundle = randomBundle(17);
+    Session session(bundle);
+    for (const trace::PidSet &pids : pidSets()) {
+        BlockingReport reference =
+            blocking::legacy::analyze(bundle, pids);
+        trace::PidSet reordered;
+        reordered.reserve(8);
+        reordered.insert(pids.begin(), pids.end());
+        for (unsigned threads : {1u, 2u, 7u}) {
+            BlockingReport report =
+                session.bottlenecks(threads == 2 ? reordered : pids,
+                                    threads);
+            EXPECT_EQ(report, reference);
+            for (std::size_t top : {std::size_t{2}, std::size_t{10}}) {
+                EXPECT_EQ(blocking::renderReport(report, top),
+                          blocking::renderReport(reference, top));
+                EXPECT_EQ(blocking::renderReportJson(report, top),
+                          blocking::renderReportJson(reference, top));
+            }
+        }
+    }
+}
+
+#if !defined(DESKPAR_OBS_DISABLED)
+
+/** Spans named @p name in @p snapshot. */
+std::size_t
+spanCount(const deskpar::obs::Snapshot &snapshot, std::string_view name)
+{
+    return static_cast<std::size_t>(std::count_if(
+        snapshot.spans.begin(), snapshot.spans.end(),
+        [&](const deskpar::obs::SpanRecord &span) {
+            return span.name != nullptr && name == span.name;
+        }));
+}
+
+/** A repeated bottlenecks request on one Session runs no sweep. */
+TEST(BlockingResident, SecondRequestRunsNoSweep)
+{
+    TraceBundle bundle = randomBundle(23);
+    const bool wasEnabled = obs::enabled();
+    obs::setEnabled(true);
+    obs::reset();
+
+    Session session(bundle);
+    BlockingReport first = session.bottlenecks({5, 6}, 2);
+    obs::Snapshot cold = obs::collect();
+    BlockingReport second = session.bottlenecks({6, 5}, 3);
+    obs::Snapshot warm = obs::collect();
+    obs::setEnabled(wasEnabled);
+
+    EXPECT_EQ(first, blocking::legacy::analyze(bundle, {5, 6}));
+    EXPECT_EQ(second, first);
+    EXPECT_EQ(spanCount(cold, "blocking.analyze"), 1u);
+    EXPECT_EQ(spanCount(warm, "blocking.analyze"), 0u);
+    EXPECT_EQ(spanCount(warm, "index.build.cswitch"), 0u);
+}
+
+#endif // !DESKPAR_OBS_DISABLED
 
 TEST(BlockingDiff, HeaderlessBundlesMatchReference)
 {

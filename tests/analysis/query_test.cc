@@ -14,23 +14,33 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <thread>
 #include <utility>
 #include <vector>
 
+#include "analysis/index_cache.hh"
 #include "analysis/query.hh"
 #include "analysis/query_plan.hh"
 #include "analysis/session.hh"
 #include "analysis/timeseries.hh"
 #include "analysis/tlp.hh"
+#include "obs/obs.hh"
 #include "sim/logging.hh"
 #include "sim/types.hh"
 #include "trace/corrupt.hh"
 #include "trace/diagnostic.hh"
 #include "trace/etl.hh"
+#include "trace/merge.hh"
 
 namespace {
 
@@ -680,6 +690,178 @@ TEST(QueryCorpus, SurvivorsMatchReference)
         }
     }
     EXPECT_GT(compared, 10u);
+}
+
+// ---- resident Sessions: the index keeps every filter's columns ----
+
+/**
+ * A fixed batch over several filters and every column family: the
+ * default filter of three pid sets, per-thread (tid) filters, and
+ * two cpu masks, with timeline, dispatch, burst and wait metrics.
+ */
+std::vector<Query>
+residentBatch()
+{
+    auto make = [](QueryMetric metric, trace::PidSet pids,
+                   QueryGroupBy groupBy = QueryGroupBy::None) {
+        Query q;
+        q.metric = metric;
+        q.filter.pids = std::move(pids);
+        q.groupBy = groupBy;
+        return q;
+    };
+    std::vector<Query> batch;
+    batch.push_back(make(QueryMetric::Tlp, {5, 6}));
+    batch.push_back(make(QueryMetric::BusyFraction, {5, 6}));
+    batch.push_back(tlpSeriesQuery({5, 6}, sim::msec(1.0)));
+    batch.push_back(make(QueryMetric::ContextSwitchRate, {}));
+    batch.push_back(make(QueryMetric::DurationHistogram, {}));
+    batch.push_back(make(QueryMetric::WaitFraction, {7}));
+    batch.push_back(make(QueryMetric::ReadyLatency, {7}));
+    batch.push_back(
+        make(QueryMetric::Tlp, {5, 6}, QueryGroupBy::Thread));
+    batch.push_back(make(QueryMetric::TopBlocked, {},
+                         QueryGroupBy::Process));
+    Query masked = make(QueryMetric::Tlp, {5});
+    masked.filter.cpuMask = 0x0F;
+    batch.push_back(masked);
+    masked.metric = QueryMetric::DurationHistogram;
+    masked.filter.cpuMask = 0xF0;
+    batch.push_back(masked);
+    batch.push_back(make(QueryMetric::GpuOccupancy, {5},
+                         QueryGroupBy::GpuEngine));
+    return batch;
+}
+
+/**
+ * A second batch on one Session reads the columns the first one
+ * built; its rows must still be bit-identical to a fresh Session and
+ * to the reference, whichever thread count built or reads them.
+ */
+TEST(QueryResident, RepeatedBatchMatchesFreshSessionAndReference)
+{
+    for (std::uint64_t seed = 0; seed < 4; ++seed) {
+        TraceBundle bundle = randomBundle(seed);
+        Rng rng(seed ^ 0xCAFE);
+        std::vector<Query> batch = residentBatch();
+        for (int i = 0; i < 8; ++i)
+            batch.push_back(randomQuery(rng, bundle));
+
+        std::vector<QueryResult> reference =
+            legacy::runQueries(bundle, batch);
+        Session resident(bundle);
+        for (unsigned threads : {1u, 2u, 7u}) {
+            SCOPED_TRACE("seed " + std::to_string(seed) + " threads " +
+                         std::to_string(threads));
+            Session fresh(bundle);
+            expectResultsEqual(fresh.query(batch, threads), reference);
+            expectResultsEqual(resident.query(batch, threads),
+                               reference);
+            expectResultsEqual(resident.query(batch, threads),
+                               reference);
+        }
+    }
+}
+
+#if !defined(DESKPAR_OBS_DISABLED)
+
+/** Spans named @p name in @p snapshot. */
+std::size_t
+spanCount(const obs::Snapshot &snapshot, std::string_view name)
+{
+    return static_cast<std::size_t>(std::count_if(
+        snapshot.spans.begin(), snapshot.spans.end(),
+        [&](const obs::SpanRecord &span) {
+            return span.name != nullptr && name == span.name;
+        }));
+}
+
+/**
+ * Two threads racing one batch on one Session agree with the
+ * reference, and the index sweeps each distinct filter exactly once
+ * between them (a racer waits on the filter's slot instead of
+ * sweeping again). A third run sweeps nothing.
+ */
+TEST(QueryResident, RacingBatchesBuildEachFilterOnce)
+{
+    TraceBundle bundle = randomBundle(5);
+    std::vector<Query> batch = residentBatch();
+    std::vector<QueryResult> reference =
+        legacy::runQueries(bundle, batch);
+
+    const bool wasEnabled = obs::enabled();
+    obs::setEnabled(true);
+    obs::reset();
+
+    Session session(bundle);
+    const std::size_t passes =
+        session.plan(batch).explain().columnPasses;
+    std::vector<QueryResult> first, second;
+    std::thread a([&] { first = session.query(batch, 2); });
+    std::thread b([&] { second = session.query(batch, 3); });
+    a.join();
+    b.join();
+    obs::Snapshot racing = obs::collect();
+    std::vector<QueryResult> third = session.query(batch, 7);
+    obs::Snapshot repeat = obs::collect();
+    obs::setEnabled(wasEnabled);
+
+    expectResultsEqual(first, reference);
+    expectResultsEqual(second, reference);
+    expectResultsEqual(third, reference);
+    EXPECT_GT(passes, 4u);
+    EXPECT_EQ(racing.droppedSpans, 0u);
+    EXPECT_EQ(spanCount(racing, "index.build.cswitch"), passes);
+    EXPECT_EQ(spanCount(repeat, "index.build.cswitch"), 0u);
+    EXPECT_GT(spanCount(repeat, "query.execute"), 0u);
+}
+
+#endif // !DESKPAR_OBS_DISABLED
+
+/** Bytes of the file at @p path ("" when absent). */
+std::string
+slurp(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+/**
+ * The .dpidx spill carries only the index's own columns (blob v1):
+ * the filters and families a query batch added to a Session must
+ * not change a single byte of it.
+ */
+TEST(QueryResident, DpidxBytesUnchangedByQueryBatch)
+{
+    TraceBundle bundle = randomBundle(21);
+    trace::sortBundle(bundle);
+    // Pid-unique: ctest runs test cases as concurrent processes.
+    const std::string path = ::testing::TempDir() +
+                             "/query_resident_dpidx_" +
+                             std::to_string(::getpid()) + ".etl";
+    trace::writeEtl(bundle, path);
+
+    OpenOptions options;
+    options.useCache = false;
+    options.refreshCache = false;
+    auto spill = [&](bool runBatch) {
+        OpenResult opened = openSession(path, options);
+        EXPECT_FALSE(opened.warm);
+        if (runBatch)
+            opened.session->query(residentBatch(), 2);
+        std::filesystem::remove(indexCachePath(path));
+        std::string error;
+        EXPECT_TRUE(saveIndexCache(*opened.session, path, error))
+            << error;
+        return slurp(indexCachePath(path));
+    };
+    std::string without = spill(false);
+    std::string with = spill(true);
+    ASSERT_FALSE(without.empty());
+    EXPECT_TRUE(with == without) << "the query batch changed the spill";
+
+    std::filesystem::remove(indexCachePath(path));
+    std::filesystem::remove(path);
 }
 
 } // namespace

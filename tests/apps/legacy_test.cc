@@ -10,6 +10,21 @@
 #include "apps/harness.hh"
 #include "apps/legacy.hh"
 
+#include <ostream>
+
+namespace deskpar::apps {
+
+// Print a suite entry by its id. Without this, gtest prints the raw
+// bytes of the struct, whose string and function pointers change from
+// process to process, so the listed test names would not be stable.
+void
+PrintTo(const LegacyEntry &entry, std::ostream *os)
+{
+    *os << entry.id;
+}
+
+} // namespace deskpar::apps
+
 namespace {
 
 using namespace deskpar;

@@ -12,8 +12,16 @@
 
 #include <gtest/gtest.h>
 
+#include <signal.h>
+#include <sys/socket.h>
+#include <sys/syscall.h>
+#include <sys/un.h>
 #include <unistd.h>
 
+#include <atomic>
+#include <cerrno>
+#include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <sstream>
 #include <string>
@@ -283,6 +291,124 @@ TEST_F(ServerTest, StatsReportsCacheCountersAndPerOpLatencies)
     EXPECT_EQ(query->numberOr("errors", 1), 0.0);
     EXPECT_GE(query->numberOr("p99_ms", -1),
               query->numberOr("p50_ms", -1));
+}
+
+/** Signals the slow-reader test delivered (its handler's count). */
+std::atomic<unsigned> gSignals{0};
+
+void
+countSignal(int)
+{
+    gSignals.fetch_add(1, std::memory_order_relaxed);
+}
+
+/**
+ * A response far larger than the socket buffer is sent in many
+ * blocking send() calls. A signal landing on the worker during one
+ * of them fails it with EINTR, which must be retried, not taken for
+ * a departed peer. Here a client reads a >= 256 KiB query document
+ * in small chunks with pauses while every thread of the process,
+ * the server's workers included, is showered with a no-op signal
+ * installed without SA_RESTART; the document must arrive whole and
+ * byte-equal to the local Service's.
+ */
+TEST_F(ServerTest, SlowReaderGetsWholeDocumentDespiteSignals)
+{
+    const std::vector<std::string> specs = {
+        "tlp/by=bucket:1us", "busy/by=bucket:1us", "csrate/by=bucket:2us"};
+    analysis::Service local;
+    analysis::ServiceQueryRequest queryRequest;
+    queryRequest.trace.path = tracePath_;
+    queryRequest.specs = specs;
+    std::ostringstream expected;
+    report::writeQueryDocument(expected, local.query(queryRequest));
+    ASSERT_GE(expected.str().size(), 256u << 10);
+
+    std::string line = R"({"op":"query","id":7,"trace":")" +
+                       tracePath_ + R"(","specs":[)";
+    for (std::size_t i = 0; i < specs.size(); ++i)
+        line += (i ? ",\"" : "\"") + specs[i] + "\"";
+    line += "]}\n";
+
+    struct sigaction action {};
+    action.sa_handler = countSignal;
+    sigemptyset(&action.sa_mask);
+    action.sa_flags = 0; // no SA_RESTART: blocking calls see EINTR
+    struct sigaction previous {};
+    ASSERT_EQ(::sigaction(SIGUSR1, &action, &previous), 0);
+
+    int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::memcpy(addr.sun_path, socketPath_.c_str(),
+                socketPath_.size() + 1);
+    int small = 4096;
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &small, sizeof small);
+    // A dropped response must fail the test, not hang it: recv gives
+    // up after 100 ms of silence, and the read loop after 10 s.
+    timeval timeout{0, 100000};
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr *>(&addr),
+                        sizeof addr),
+              0);
+
+    std::atomic<bool> reading{true};
+    std::thread shower([&] {
+        const pid_t self = static_cast<pid_t>(::syscall(SYS_gettid));
+        while (reading.load()) {
+            for (const auto &task :
+                 std::filesystem::directory_iterator("/proc/self/task")) {
+                pid_t tid = static_cast<pid_t>(
+                    std::stol(task.path().filename().string()));
+                if (tid != self)
+                    ::syscall(SYS_tgkill, ::getpid(), tid, SIGUSR1);
+            }
+            std::this_thread::sleep_for(std::chrono::microseconds(200));
+        }
+    });
+
+    std::string response;
+    bool sent = true;
+    for (std::size_t off = 0; off < line.size();) {
+        ssize_t n = ::send(fd, line.data() + off, line.size() - off,
+                           MSG_NOSIGNAL);
+        if (n < 0 && errno == EINTR)
+            continue;
+        if (n <= 0) {
+            sent = false;
+            break;
+        }
+        off += static_cast<std::size_t>(n);
+    }
+    while (sent && (response.empty() || response.back() != '\n') &&
+           std::chrono::steady_clock::now() < deadline) {
+        char chunk[2048];
+        ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
+        if (n < 0 && (errno == EINTR || errno == EAGAIN ||
+                      errno == EWOULDBLOCK))
+            continue; // signalled, or no data yet: until the deadline
+        if (n <= 0)
+            break; // closed: response incomplete
+        response.append(chunk, static_cast<std::size_t>(n));
+        std::this_thread::sleep_for(std::chrono::microseconds(300));
+    }
+    reading.store(false);
+    shower.join();
+    ::close(fd);
+    ::sigaction(SIGUSR1, &previous, nullptr);
+
+    EXPECT_TRUE(sent);
+    EXPECT_GT(gSignals.load(), 0u);
+    ASSERT_FALSE(response.empty());
+    ASSERT_EQ(response.back(), '\n') << "response cut short after "
+                                     << response.size() << " bytes";
+    response.pop_back();
+    std::string document;
+    ASSERT_TRUE(extractResult(response, document));
+    EXPECT_EQ(document, expected.str());
 }
 
 TEST_F(ServerTest, ShutdownOpReleasesWait)

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "analysis/index_cache.hh"
+#include "analysis/service.hh"
 #include "analysis/session_cache.hh"
 #include "trace/etl.hh"
 
@@ -126,6 +127,66 @@ TEST(SessionCache, EvictsLeastRecentlyUsedUnderBytePressure)
         cache.acquire(a, trace::ParseMode::Strict);
     EXPECT_FALSE(again.warm);
     EXPECT_EQ(cache.stats().ingests, 3u);
+}
+
+/**
+ * Columns a query batch builds stay resident, so the entry's charge
+ * must grow with them: the Service re-charges the entry after the
+ * request, and when the growth pushes the cache over its budget the
+ * least recently used other entry is evicted.
+ */
+TEST(SessionCache, QueryBatchGrowthIsChargedAndEvicts)
+{
+    std::string a = writeTrace("sc_grow_a.etl");
+    std::string b = writeTrace("sc_grow_b.etl", 1);
+
+    // Frames over the whole trace read what the ingest pre-warmed;
+    // the query batch sweeps new filters (per thread, a cpu mask)
+    // and a new family (bursts) of the pre-warmed one.
+    auto frames = [](Service &service, const std::string &path) {
+        ServiceFramesRequest request;
+        request.trace.path = path;
+        service.frames(request);
+    };
+    ServiceQueryRequest query;
+    query.trace.path = a;
+    query.specs = {"tlp/app=app-/by=thread", "dhist",
+                   "csrate/cpus=0-3"};
+
+    std::uint64_t before = 0;
+    std::uint64_t after = 0;
+    {
+        Service probe;
+        frames(probe, a);
+        frames(probe, b);
+        before = probe.cacheStats().residentBytes;
+        probe.query(query);
+        after = probe.cacheStats().residentBytes;
+        probe.query(query); // resident columns: no further growth
+        EXPECT_EQ(probe.cacheStats().residentBytes, after);
+    }
+    EXPECT_GT(after, before);
+
+    // Both fresh entries fit; a's grown state does not fit beside b.
+    Service::Options options;
+    options.cache.maxBytes = before + (after - before) / 2;
+    Service service(options);
+    frames(service, a);
+    frames(service, b);
+    EXPECT_EQ(service.cacheStats().entries, 2u);
+    EXPECT_EQ(service.cacheStats().residentBytes, before);
+
+    service.query(query);
+    SessionCacheStats stats = service.cacheStats();
+    EXPECT_EQ(stats.evictions, 1u);
+    EXPECT_EQ(stats.entries, 1u);
+    EXPECT_LE(stats.residentBytes, options.cache.maxBytes);
+
+    // b was the victim; a (just used) stayed resident.
+    frames(service, a);
+    EXPECT_EQ(service.cacheStats().ingests, 2u);
+    frames(service, b);
+    EXPECT_EQ(service.cacheStats().ingests, 3u);
 }
 
 TEST(SessionCache, LiveLeaseSurvivesEviction)

@@ -12,9 +12,13 @@
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -226,6 +230,94 @@ TEST(CliExitCodes, RuntimeFailuresExitOne)
     EXPECT_EQ(deskparExit("bottlenecks /tmp/deskpar_absent.etl"), 1);
     EXPECT_EQ(deskparExit("replay /tmp/deskpar_absent.etl"), 1);
     EXPECT_EQ(deskparExit("client /tmp/deskpar_absent.sock ping"), 1);
+}
+
+/** Run `deskpar ARGS`; returns the exit code and fills @p out. */
+int
+deskparOutput(const std::string &args, std::string &out)
+{
+    std::string command =
+        std::string(DESKPAR_CLI_PATH) + " " + args + " 2>/dev/null";
+    FILE *pipe = ::popen(command.c_str(), "r");
+    EXPECT_NE(pipe, nullptr) << command;
+    if (!pipe)
+        return -1;
+    out.clear();
+    char buf[4096];
+    std::size_t n = 0;
+    while ((n = std::fread(buf, 1, sizeof buf, pipe)) > 0)
+        out.append(buf, n);
+    int status = ::pclose(pipe);
+    EXPECT_TRUE(WIFEXITED(status)) << command;
+    return WEXITSTATUS(status);
+}
+
+/** The whitespace-separated tokens of the first line of @p text
+ *  that starts with @p prefix (empty when none does). */
+std::vector<std::string>
+lineTokens(const std::string &text, const std::string &prefix)
+{
+    std::istringstream lines(text);
+    std::string line;
+    while (std::getline(lines, line)) {
+        if (line.compare(0, prefix.size(), prefix) != 0)
+            continue;
+        std::istringstream words(line);
+        std::vector<std::string> tokens;
+        for (std::string word; words >> word;)
+            tokens.push_back(word);
+        return tokens;
+    }
+    return {};
+}
+
+/**
+ * `deskpar run APP --etl FILE` on a browser: the simulator records
+ * GPU packets as they complete, and the .etl writer refuses streams
+ * not sorted by start, so the trace must be sorted before it is
+ * written (it used to exit 1 and leave an empty file). The saved
+ * trace must replay to the TLP and GPU utilization `run` printed;
+ * with one iteration the run's mean is that trace's value.
+ */
+TEST(CliRunEtl, BrowserTraceSavesAndReplaysToTheSameMetrics)
+{
+    const std::string dir = ::testing::TempDir() + "/cli_run_etl_" +
+                            std::to_string(::getpid());
+    std::filesystem::create_directories(dir);
+    const std::string etl = dir + "/chrome.etl";
+
+    std::string out;
+    ASSERT_EQ(deskparOutput("run chrome --seconds 5 --etl " + etl, out),
+              0)
+        << out;
+    EXPECT_GT(std::filesystem::file_size(etl), 0u);
+    std::string replayed;
+    EXPECT_EQ(deskparOutput("replay " + etl, replayed), 0) << replayed;
+
+    ASSERT_EQ(deskparOutput("run chrome --seconds 5 --iterations 1 "
+                            "--etl " + etl,
+                            out),
+              0)
+        << out;
+    ASSERT_EQ(deskparOutput("replay " + etl, replayed), 0) << replayed;
+    std::vector<std::string> tlp = lineTokens(out, "  TLP");
+    std::vector<std::string> gpu = lineTokens(out, "  GPU util");
+    std::vector<std::string> row = lineTokens(replayed, etl);
+    ASSERT_GE(tlp.size(), 2u) << out;
+    ASSERT_GE(gpu.size(), 3u) << out;
+    // replay row: trace, size, ingest MB/s, TLP, GPU util, ...
+    ASSERT_GE(row.size(), 5u) << replayed;
+    EXPECT_EQ(row[3], tlp[1]);
+    EXPECT_EQ(row[4] + "%", gpu[2]);
+
+    // A failed write exits 1 and leaves no file behind.
+    const std::string unwritable = dir + "/missing/chrome.etl";
+    EXPECT_EQ(deskparOutput("run chrome --seconds 1 --iterations 1 "
+                            "--etl " + unwritable,
+                            out),
+              1);
+    EXPECT_FALSE(std::filesystem::exists(unwritable));
+    std::filesystem::remove_all(dir);
 }
 
 } // namespace
