@@ -341,14 +341,14 @@ ingestEtlSerial()
     return bundle.totalEvents();
 }
 
+/** Mapped span decode (.etl v3 decodes serially). */
 std::size_t
-ingestEtlMapped(unsigned threads)
+ingestEtlMapped()
 {
     trace::io::MappedFile file =
         trace::io::MappedFile::openOrThrow(ingestEtlPath(), "bench");
     trace::ParseOptions popts;
     popts.source = ingestEtlPath();
-    popts.threads = threads;
     trace::IngestReport report;
     auto bundle = trace::decodeEtl(file.span(), popts, report);
     return bundle.totalEvents();
@@ -411,7 +411,9 @@ BM_CsvIngestParallel(benchmark::State &state)
         static_cast<std::int64_t>(state.iterations()) *
         static_cast<std::int64_t>(fileSize(ingestCsvPath())));
 }
-BENCHMARK(BM_CsvIngestParallel);
+// Wall time, not the calling thread's CPU time: the chunk decode runs
+// on worker threads, so CPU-time throughput would overstate it.
+BENCHMARK(BM_CsvIngestParallel)->UseRealTime();
 
 void
 BM_EtlIngestSerial(benchmark::State &state)
@@ -428,7 +430,7 @@ void
 BM_EtlIngestMappedCold(benchmark::State &state)
 {
     for (auto _ : state)
-        benchmark::DoNotOptimize(ingestEtlMapped(1));
+        benchmark::DoNotOptimize(ingestEtlMapped());
     state.SetBytesProcessed(
         static_cast<std::int64_t>(state.iterations()) *
         static_cast<std::int64_t>(fileSize(ingestEtlPath())));
@@ -453,18 +455,6 @@ BM_EtlIngestMappedWarm(benchmark::State &state)
         static_cast<std::int64_t>(file.size()));
 }
 BENCHMARK(BM_EtlIngestMappedWarm);
-
-void
-BM_EtlIngestParallel(benchmark::State &state)
-{
-    unsigned jobs = sim::resolveJobs();
-    for (auto _ : state)
-        benchmark::DoNotOptimize(ingestEtlMapped(jobs));
-    state.SetBytesProcessed(
-        static_cast<std::int64_t>(state.iterations()) *
-        static_cast<std::int64_t>(fileSize(ingestEtlPath())));
-}
-BENCHMARK(BM_EtlIngestParallel);
 
 /* ------------------------------------------------------------------ */
 /*  Observability overhead: span/counter cost, recording off vs on     */
@@ -553,9 +543,7 @@ recordIngestBenches()
     record("micro_ingest_etl_serial", etlReps,
            [] { ingestEtlSerial(); });
     record("micro_ingest_etl_mapped", etlReps,
-           [] { ingestEtlMapped(1); });
-    record("micro_ingest_etl_parallel", etlReps,
-           [jobs] { ingestEtlMapped(jobs); });
+           [] { ingestEtlMapped(); });
 }
 
 /**

@@ -8,9 +8,9 @@
 
 #include "obs/obs.hh"
 #include "sim/logging.hh"
-#include "trace/csv.hh"
 #include "trace/etl.hh"
 #include "trace/etlc.hh"
+#include "trace/ingest.hh"
 #include "trace/io.hh"
 
 namespace deskpar::analysis {
@@ -50,15 +50,6 @@ getU64(std::string_view data, std::size_t &pos, std::uint64_t &value)
             return true;
         shift += 7;
     }
-}
-
-/** Does @p path end with @p suffix? (case-sensitive, like the CLI) */
-bool
-hasSuffix(const std::string &path, const char *suffix)
-{
-    std::size_t n = std::char_traits<char>::length(suffix);
-    return path.size() > n &&
-           path.compare(path.size() - n, n, suffix) == 0;
 }
 
 } // namespace
@@ -298,27 +289,11 @@ openSession(const std::string &tracePath, const OpenOptions &options)
         }
     }
 
-    trace::ParseOptions popts = options.parse;
-    if (popts.source.empty())
-        popts.source = tracePath;
-    trace::TraceBundle bundle;
-    {
-        trace::io::MappedFile file =
-            trace::io::MappedFile::openOrThrow(tracePath,
-                                               "openSession");
-        if (hasSuffix(tracePath, ".csv")) {
-            result.report = trace::decodeCpuUsageCsv(file.span(),
-                                                     bundle, popts);
-        } else if (trace::isEtlcData(file.span())) {
-            bundle = trace::decodeEtlc(file.span(), popts,
-                                       result.report);
-        } else {
-            bundle = trace::decodeEtl(file.span(), popts,
-                                      result.report);
-        }
-    }
-
-    result.session = std::make_unique<Session>(std::move(bundle));
+    trace::DecodedTrace decoded =
+        trace::decodeTraceFile(tracePath, options.parse, "openSession");
+    result.report = std::move(decoded.report);
+    result.ingest = decoded.stats;
+    result.session = std::make_unique<Session>(std::move(decoded.bundle));
     result.session->index().warm(PidSet{});
     for (const std::string &prefix : options.prefixes)
         result.session->index().warm(result.session->pids(prefix));

@@ -122,6 +122,8 @@ struct OpenResult
     std::unique_ptr<Session> session;
     /** Cold ingest report; default-constructed on a warm open. */
     trace::IngestReport report;
+    /** File size and map + decode time of a cold open; zero if warm. */
+    trace::IngestStats ingest;
     /** True when the session came from the cache. */
     bool warm = false;
     /** True when a fresh cache file was written. */
@@ -132,8 +134,8 @@ struct OpenResult
 /**
  * Open @p tracePath for analysis: warm from `<trace>.dpidx` when the
  * cache is valid and covers every requested pid set, else cold —
- * mmap + format-sniffed ingest (.csv suffix, .etlc magic, .etl
- * otherwise), warm the requested sets, and refresh the cache.
+ * trace::decodeTraceFile (mmap + format-sniffed decode, see
+ * trace/ingest.hh), warm the requested sets, and refresh the cache.
  * Throws FatalError when the trace file itself cannot be opened;
  * ingest defects are reported via OpenResult::report (check ok()).
  */

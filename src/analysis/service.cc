@@ -10,32 +10,6 @@ namespace deskpar::analysis {
 namespace {
 
 /**
- * replayJob's pid resolution, verbatim: empty prefix means "the
- * application processes", and a trace with no match is a trace
- * problem (TraceParseError), not a usage problem.
- */
-trace::PidSet
-resolveReplayPids(const Session &session, const std::string &path,
-                  const std::string &appPrefix)
-{
-    trace::PidSet pids =
-        appPrefix.empty()
-            ? trace::allApplicationPids(session.bundle())
-            : trace::pidsWithPrefix(session.bundle(), appPrefix);
-    if (pids.empty()) {
-        trace::ParseError err;
-        err.source = path;
-        err.section = "replay";
-        err.reason = appPrefix.empty()
-                         ? "trace contains no application processes"
-                         : "no process name starts with '" +
-                               appPrefix + "'";
-        throw trace::TraceParseError(std::move(err));
-    }
-    return pids;
-}
-
-/**
  * The system-wide-capable resolution of bottlenecks/series/frames:
  * empty prefix selects everything, a non-matching prefix is a usage
  * error with `deskpar bottlenecks`' message.
@@ -102,8 +76,8 @@ ServiceAnalyzeResult
 Service::analyze(const ServiceTraceRequest &request)
 {
     SessionCache::Lease lease = open(request);
-    trace::PidSet pids = resolveReplayPids(
-        *lease.session, request.path, request.appPrefix);
+    trace::PidSet pids = trace::replayPids(
+        lease.session->bundle(), request.path, request.appPrefix);
 
     ServiceAnalyzeResult result;
     result.path = request.path;

@@ -7,22 +7,10 @@
 
 #include "obs/obs.hh"
 #include "sim/logging.hh"
-#include "trace/csv.hh"
-#include "trace/etl.hh"
-#include "trace/etlc.hh"
-#include "trace/io.hh"
 
 namespace deskpar::analysis {
 
 namespace {
-
-bool
-hasSuffix(const std::string &path, const char *suffix)
-{
-    std::size_t n = std::char_traits<char>::length(suffix);
-    return path.size() > n &&
-           path.compare(path.size() - n, n, suffix) == 0;
-}
 
 std::string
 slotKey(const std::string &path, trace::ParseMode mode)
@@ -73,50 +61,35 @@ SessionCache::fill(Slot &slot, const std::string &path,
     if (!probeTraceIdentity(path, slot.identity, error))
         fatal(error);
 
-    trace::ParseOptions popts;
-    popts.mode = mode;
-    popts.source = path;
-
-    auto report = std::make_shared<trace::IngestReport>();
-    trace::TraceBundle bundle;
+    // The cold open warms the whole-trace columns before the Session
+    // is published: every later reader then takes the lock-free fast
+    // path, and the build cost lands on the cold request that caused
+    // the ingest, where the latency is expected.
+    OpenOptions options;
+    options.parse.mode = mode;
+    options.useCache = false;
+    options.refreshCache = false;
     auto start = std::chrono::steady_clock::now();
-    {
-        trace::io::MappedFile file =
-            trace::io::MappedFile::openOrThrow(path, "SessionCache");
-        slot.ingest.bytes = file.span().size();
-        if (hasSuffix(path, ".csv")) {
-            *report =
-                trace::decodeCpuUsageCsv(file.span(), bundle, popts);
-        } else if (trace::isEtlcData(file.span())) {
-            bundle = trace::decodeEtlc(file.span(), popts, *report);
-        } else {
-            bundle = trace::decodeEtl(file.span(), popts, *report);
-        }
-    }
-    if (mode == trace::ParseMode::Strict && !report->ok()) {
-        if (!report->errors.empty())
-            throw trace::TraceParseError(report->errors.front());
+    OpenResult opened = openSession(path, options);
+    if (mode == trace::ParseMode::Strict && !opened.report.ok()) {
+        if (!opened.report.errors.empty())
+            throw trace::TraceParseError(opened.report.errors.front());
         trace::ParseError generic;
         generic.source = path;
         generic.section = "ingest";
-        generic.reason = report->summary();
+        generic.reason = opened.report.summary();
         throw trace::TraceParseError(std::move(generic));
     }
-
-    auto session = std::make_shared<Session>(std::move(bundle));
-    // Materialize the shared column state before the Session is
-    // published: every later reader then takes the lock-free fast
-    // path, and the build cost lands on the cold request that caused
-    // the ingest, where the latency is expected.
-    session->index().warm(PidSet{});
+    slot.ingest.bytes = opened.ingest.bytes;
     slot.ingest.seconds =
         std::chrono::duration<double>(
             std::chrono::steady_clock::now() - start)
             .count();
 
-    slot.bytes = session->memoryBytes();
-    slot.session = std::move(session);
-    slot.report = std::move(report);
+    slot.bytes = opened.session->memoryBytes();
+    slot.session = std::move(opened.session);
+    slot.report = std::make_shared<const trace::IngestReport>(
+        std::move(opened.report));
 }
 
 SessionCache::Lease

@@ -108,8 +108,9 @@ class SessionCache
 
     /**
      * Open @p path resident: return the cached Session when the file
-     * identity still matches, else ingest (format-sniffed: .csv
-     * suffix, .etlc magic, .etl otherwise), index, and cache it.
+     * identity still matches, else cold-open it with openSession (no
+     * .dpidx read or write; trace::decodeTraceFile picks the format),
+     * and cache it.
      * Throws TraceParseError on a strict-mode parse failure and
      * FatalError when the file cannot be opened; a lenient-mode
      * degraded ingest succeeds with lease.report->ok() == false.
@@ -132,7 +133,7 @@ class SessionCache
   private:
     struct Slot;
 
-    /** Ingest + index + pre-warm shared lookup state. Throws. */
+    /** Cold openSession + strict-mode rejection. Throws. */
     static void fill(Slot &slot, const std::string &path,
                      trace::ParseMode mode);
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -13,12 +12,9 @@
 #include "obs/obs.hh"
 #include "sim/logging.hh"
 #include "sim/parallel.hh"
-#include "trace/csv.hh"
 #include "trace/diagnostic.hh"
-#include "trace/etl.hh"
-#include "trace/etlc.hh"
 #include "trace/filter.hh"
-#include "trace/io.hh"
+#include "trace/ingest.hh"
 
 namespace deskpar::apps {
 namespace {
@@ -118,27 +114,10 @@ replayJob(const std::string &path, const RunOptions &options,
             trace::ParseOptions popts;
             popts.mode = mode;
             popts.source = path;
-            trace::IngestReport report;
-            trace::TraceBundle bundle;
-            auto begin = std::chrono::steady_clock::now();
-            trace::io::MappedFile file =
-                trace::io::MappedFile::openOrThrow(path, "replay");
-            if (path.size() > 4 &&
-                path.compare(path.size() - 4, 4, ".csv") == 0) {
-                report = trace::decodeCpuUsageCsv(file.span(), bundle,
-                                                  popts);
-            } else if (trace::isEtlcData(file.span())) {
-                bundle =
-                    trace::decodeEtlc(file.span(), popts, report);
-            } else {
-                bundle = trace::decodeEtl(file.span(), popts, report);
-            }
-            shared->stats.bytes = file.size();
-            shared->stats.seconds =
-                std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - begin)
-                    .count();
-            file.close();
+            trace::DecodedTrace decoded =
+                trace::decodeTraceFile(path, popts, "replay");
+            const trace::IngestReport &report = decoded.report;
+            shared->stats = decoded.stats;
             if (!report.ok()) {
                 // Strict: the file is rejected outright; the
                 // structured error fails this job (recoverable at
@@ -158,23 +137,10 @@ replayJob(const std::string &path, const RunOptions &options,
                 trace::emitDiagnostic(degraded);
             }
             trace::PidSet pids =
-                appPrefix.empty()
-                    ? trace::allApplicationPids(bundle)
-                    : trace::pidsWithPrefix(bundle, appPrefix);
-            if (pids.empty()) {
-                trace::ParseError err;
-                err.source = path;
-                err.section = "replay";
-                err.reason = appPrefix.empty()
-                                 ? "trace contains no application "
-                                   "processes"
-                                 : "no process name starts with '" +
-                                       appPrefix + "'";
-                throw trace::TraceParseError(std::move(err));
-            }
-            analysis::Session session(bundle);
+                trace::replayPids(decoded.bundle, path, appPrefix);
+            analysis::Session session(decoded.bundle);
             shared->metrics = session.app(pids);
-            shared->bundle = std::move(bundle);
+            shared->bundle = std::move(decoded.bundle);
             shared->pids = std::move(pids);
             // Only a fully successful ingest publishes; a throwing
             // iteration leaves ready unset so retries (or sibling

@@ -6,7 +6,7 @@
  * PR 1 introduced a lock-based work-stealing pool inside
  * apps::SuiteRunner; this header extracts it as a generic
  * parallelFor() so lower layers (chunk-parallel CSV decode,
- * section-parallel .etl decode) can fan out without depending on the
+ * block-parallel .etlc decode) can fan out without depending on the
  * apps library. Tasks are identified by index; the caller's functor
  * must only touch per-index state (or synchronize itself).
  *

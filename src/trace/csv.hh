@@ -77,19 +77,6 @@ IngestReport decodeGpuUtilCsv(io::ByteSpan data, TraceBundle &bundle,
                               const ParseOptions &options);
 
 /**
- * Map @p path (io::MappedFile) and decode it with the span readers.
- * Throws FatalError only for I/O failure (cannot open/read); content
- * defects go through the report. An empty ParseOptions::source is
- * replaced by @p path in diagnostics.
- */
-IngestReport readCpuUsageCsvFile(const std::string &path,
-                                 TraceBundle &bundle,
-                                 const ParseOptions &options);
-IngestReport readGpuUtilCsvFile(const std::string &path,
-                                TraceBundle &bundle,
-                                const ParseOptions &options);
-
-/**
  * Legacy strict readers: throw TraceParseError (a FatalError) on the
  * first malformed record.
  */

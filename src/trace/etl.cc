@@ -1,13 +1,11 @@
 #include "trace/etl.hh"
 
 #include <algorithm>
-#include <array>
 #include <cstring>
 #include <fstream>
 
 #include "obs/obs.hh"
 #include "sim/logging.hh"
-#include "sim/parallel.hh"
 
 namespace deskpar::trace {
 
@@ -123,9 +121,7 @@ getBoundedString(io::ByteSpan data, std::size_t &pos,
  * Shared decoding state of one section stream: the body span (file
  * bytes past the magic), the report under construction, and the
  * options. Body offsets are rebased past the magic in every
- * diagnostic. The serial reader walks one EtlReader across the whole
- * body; the section-parallel path gives every section frame its own
- * reader and report, merged in file order afterwards.
+ * diagnostic. One EtlReader walks the whole body.
  */
 struct EtlReader
 {
@@ -197,9 +193,7 @@ decodeRecords(EtlReader &r, const char *section, std::uint64_t count,
  * trailing-bytes check — with r.pos at the count varint and @p limit
  * at the frame end. Returns false when the section is defective (the
  * diagnostic is already noted and any cleanly decoded record prefix
- * is kept); the caller decides strict-fail vs lenient-hop. Shared
- * verbatim by the serial frame loop and the section-parallel path so
- * their per-section byte semantics cannot drift apart.
+ * is kept); the caller decides strict-fail vs lenient-hop.
  */
 bool
 decodeSectionBody(EtlReader &r, Section tag, const char *name,
@@ -489,129 +483,10 @@ decodeSectionBody(EtlReader &r, Section tag, const char *name,
     return true;
 }
 
-/** Splice the containers of @p part onto @p bundle, in order. */
-void
-appendBundle(TraceBundle &bundle, TraceBundle &part)
-{
-    bundle.cswitches.insert(bundle.cswitches.end(),
-                            part.cswitches.begin(),
-                            part.cswitches.end());
-    bundle.gpuPackets.insert(bundle.gpuPackets.end(),
-                             part.gpuPackets.begin(),
-                             part.gpuPackets.end());
-    bundle.frames.insert(bundle.frames.end(), part.frames.begin(),
-                         part.frames.end());
-    bundle.threadEvents.insert(bundle.threadEvents.end(),
-                               part.threadEvents.begin(),
-                               part.threadEvents.end());
-    bundle.processEvents.insert(bundle.processEvents.end(),
-                                part.processEvents.begin(),
-                                part.processEvents.end());
-    bundle.markers.insert(bundle.markers.end(),
-                          part.markers.begin(), part.markers.end());
-    for (auto &[pid, name] : part.processNames)
-        bundle.processNames[pid] = std::move(name);
-}
-
-/** One section frame located by the parallel pre-scan. */
-struct FrameInfo
-{
-    Section tag;
-    const char *name;
-    std::size_t tagPos;  // body position of the tag byte
-    std::size_t bodyPos; // body position of the count varint
-    std::size_t limit;   // body position one past the payload
-};
-
-/** Span inputs below this decode serially unless threads is forced. */
-constexpr std::size_t kMinParallelBytes = 1 << 16;
-
-/**
- * Section-parallel decode: a serial pre-scan walks the length-framed
- * section headers only; if the framing is perfectly regular (known
- * tags, no duplicates, in-bounds lengths, End present) the section
- * payloads decode concurrently into per-section bundles and reports,
- * merged in file order. Returns false — leaving r.pos and the report
- * untouched — when the framing is irregular in any way; the caller's
- * serial loop then reproduces the legacy diagnostics exactly.
- */
-bool
-tryDecodeSectionsParallel(EtlReader &r, unsigned jobs,
-                          TraceBundle &bundle)
-{
-    std::vector<FrameInfo> frames;
-    std::array<bool, 256> seen{};
-    std::size_t pos = r.pos;
-    bool sawEnd = false;
-    while (pos < r.data.size()) {
-        std::size_t tagPos = pos;
-        auto tag = static_cast<Section>(
-            static_cast<std::uint8_t>(r.data[pos++]));
-        if (tag == Section::End) {
-            sawEnd = true;
-            break;
-        }
-        const char *name = sectionName(tag);
-        if (std::strcmp(name, "Unknown") == 0)
-            return false;
-        auto tagByte = static_cast<std::uint8_t>(tag);
-        if (seen[tagByte])
-            return false; // duplicate sections share containers
-        seen[tagByte] = true;
-        ParseError ferr;
-        std::uint64_t length = 0;
-        if (!getBounded(r.data, pos, r.data.size(), length, ferr))
-            return false;
-        if (length > r.data.size() - pos)
-            return false;
-        frames.push_back({tag, name, tagPos, pos,
-                          pos + static_cast<std::size_t>(length)});
-        pos = frames.back().limit;
-    }
-    if (!sawEnd)
-        return false;
-
-    std::vector<TraceBundle> parts(frames.size());
-    std::vector<IngestReport> reports(frames.size());
-    std::vector<char> clean(frames.size(), 0);
-    sim::parallelFor(jobs, frames.size(), [&](std::size_t i) {
-        obs::Span sectionSpan("ingest.etl.section",
-                              obs::SpanKind::Ingest,
-                              frames[i].limit - frames[i].bodyPos);
-        reports[i].source = r.report.source;
-        reports[i].mode = r.options.mode;
-        EtlReader section{r.data, r.options, reports[i],
-                          frames[i].bodyPos};
-        clean[i] = decodeSectionBody(section, frames[i].tag,
-                                     frames[i].name, frames[i].tagPos,
-                                     frames[i].limit, parts[i])
-                       ? 1
-                       : 0;
-    });
-
-    // Deterministic merge in file order. In strict mode the serial
-    // reader stops at the first defective section, so later sections
-    // are discarded unread.
-    bool lenient = r.options.mode == ParseMode::Lenient;
-    for (std::size_t i = 0; i < frames.size(); ++i) {
-        appendBundle(bundle, parts[i]);
-        r.report.absorb(std::move(reports[i]),
-                        r.options.maxStoredErrors);
-        if (!clean[i] && !lenient)
-            break;
-    }
-    return true;
-}
-
-/**
- * Decode a version-3 body (the bytes past the magic) into a bundle.
- * @p allowParallel selects the section-parallel fast path; the legacy
- * istream entry points pass false and stay the serial differential
- * reference.
- */
+/** Decode a version-3 body (the bytes past the magic) into a bundle. */
 TraceBundle
 decodeEtlBody(io::ByteSpan data, const ParseOptions &options,
-              IngestReport &report, bool allowParallel)
+              IngestReport &report)
 {
     obs::Span ingestSpan("ingest.etl", obs::SpanKind::Ingest,
                          data.size());
@@ -652,18 +527,7 @@ decodeEtlBody(io::ByteSpan data, const ParseOptions &options,
 
     bool lenient = options.mode == ParseMode::Lenient;
 
-    if (allowParallel) {
-        unsigned jobs = options.threads;
-        if (jobs == 0) {
-            jobs = data.size() >= kMinParallelBytes
-                       ? sim::resolveJobs()
-                       : 1;
-        }
-        if (jobs > 1 && tryDecodeSectionsParallel(r, jobs, bundle))
-            return bundle;
-    }
-
-    // Section frames, serially. A defect inside a frame fails only
+    // Section frames, in file order. A defect inside a frame fails only
     // that frame: lenient mode hops to the next frame via the length
     // prefix.
     while (true) {
@@ -895,8 +759,7 @@ decodeEtl(io::ByteSpan data, const ParseOptions &options,
         report.note(std::move(err), options.maxStoredErrors);
         return TraceBundle{};
     }
-    return decodeEtlBody(data.substr(sizeof(kMagic)), options, report,
-                         /*allowParallel=*/true);
+    return decodeEtlBody(data.substr(sizeof(kMagic)), options, report);
 }
 
 TraceBundle
@@ -937,8 +800,7 @@ readEtl(std::istream &in, const ParseOptions &options,
     while (in.read(buf, sizeof(buf)) || in.gcount() > 0)
         data.append(buf, static_cast<std::size_t>(in.gcount()));
 
-    return decodeEtlBody(data, options, report,
-                         /*allowParallel=*/false);
+    return decodeEtlBody(data, options, report);
 }
 
 TraceBundle

@@ -17,14 +17,13 @@
  * monotonicity (the delta encoding is unsigned) and reports the
  * offending record index as a structured TraceParseError.
  *
- * The production readers — decodeEtl(ByteSpan) and the path entry
- * points, which memory-map the file — decode well-framed sections in
- * parallel: a serial pre-scan walks the length framing, then the
- * section payloads decode concurrently and merge in file order. Any
- * framing irregularity falls back to the serial decoder, so bundles,
- * reports, and error payloads are byte-identical to the legacy
- * istream readers (which stay serial as the differential reference)
- * at every thread count. See DESIGN.md section 11.
+ * The production reader is decodeEtl(ByteSpan) over a memory-mapped
+ * file (the path entry points map it). It decodes the sections
+ * serially and ignores ParseOptions::threads: the CSwitch section
+ * holds most of the bytes, so a section fan-out is one long task plus
+ * a merge that copies every event again, and it measured slower than
+ * one thread. The istream readers run the same body decoder over a
+ * slurped copy. See DESIGN.md section 11.
  */
 
 #ifndef DESKPAR_TRACE_ETL_HH
@@ -71,8 +70,8 @@ TraceBundle readEtl(const std::string &path,
 
 /**
  * Decode a whole .etl image held in memory (usually a MappedFile's
- * bytes), section-parallel when the framing allows. Same recoverable
- * contract as readEtl(istream) and byte-identical output.
+ * bytes), serially. Same recoverable contract as readEtl(istream)
+ * and byte-identical output.
  */
 TraceBundle decodeEtl(io::ByteSpan data, const ParseOptions &options,
                       IngestReport &report);

@@ -1,5 +1,9 @@
 #include "trace/filter.hh"
 
+#include <utility>
+
+#include "trace/parse.hh"
+
 namespace deskpar::trace {
 
 PidSet
@@ -31,6 +35,25 @@ allApplicationPids(const TraceBundle &bundle)
         add(e.pid);
     for (const auto &e : bundle.processEvents)
         add(e.pid);
+    return pids;
+}
+
+PidSet
+replayPids(const TraceBundle &bundle, const std::string &path,
+           const std::string &appPrefix)
+{
+    PidSet pids = appPrefix.empty() ? allApplicationPids(bundle)
+                                    : pidsWithPrefix(bundle, appPrefix);
+    if (pids.empty()) {
+        ParseError err;
+        err.source = path;
+        err.section = "replay";
+        err.reason = appPrefix.empty()
+                         ? "trace contains no application processes"
+                         : "no process name starts with '" +
+                               appPrefix + "'";
+        throw TraceParseError(std::move(err));
+    }
     return pids;
 }
 

@@ -40,6 +40,15 @@ PidSet pidsWithPrefix(const TraceBundle &bundle,
 PidSet allApplicationPids(const TraceBundle &bundle);
 
 /**
+ * The pids a replay analyzes: allApplicationPids when @p appPrefix is
+ * empty, else pidsWithPrefix. An empty result is a trace problem, not
+ * a usage problem: throws TraceParseError (section "replay", source
+ * @p path). Shared by replay jobs and analysis::Service::analyze.
+ */
+PidSet replayPids(const TraceBundle &bundle, const std::string &path,
+                  const std::string &appPrefix);
+
+/**
  * Return a copy of @p bundle containing only events attributable to
  * @p pids:
  *  - cswitches where either side belongs to the set (switches to

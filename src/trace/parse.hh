@@ -136,12 +136,13 @@ struct ParseOptions
     /** Cap on errors *stored* in the report (all are counted). */
     std::size_t maxStoredErrors = 64;
     /**
-     * Decode worker threads for the zero-copy span readers: 0 resolves
+     * Decode worker threads for the chunk-parallel span readers,
+     * decodeCpuUsageCsv/decodeGpuUtilCsv and decodeEtlc: 0 resolves
      * via DESKPAR_JOBS / hardware concurrency (with a minimum input
      * size before fanning out); an explicit value forces that many
-     * chunks even for tiny inputs (tests). The legacy istream readers
-     * are always serial and ignore this. Bundles, reports, and error
-     * payloads are byte-identical at every thread count.
+     * chunks even for tiny inputs (tests). decodeEtl (.etl v3) and
+     * the istream readers are serial and ignore it. Bundles, reports,
+     * and error payloads are byte-identical at every thread count.
      */
     unsigned threads = 0;
 };

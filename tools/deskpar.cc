@@ -158,6 +158,7 @@
 #include "trace/diagnostic.hh"
 #include "trace/etl.hh"
 #include "trace/etlc.hh"
+#include "trace/ingest.hh"
 #include "trace/io.hh"
 #include "trace/merge.hh"
 
@@ -939,31 +940,6 @@ printQueryResult(const analysis::QueryResult &result)
     }
 }
 
-/**
- * Map @p path and decode it by format sniff: a .csv suffix selects
- * the CPU-Usage reader, the .etlc magic the block-compressed
- * columnar reader, anything else the .etl v3 reader. @p who names
- * the command in open-failure diagnostics.
- */
-trace::TraceBundle
-ingestTraceFile(const std::string &path,
-                const trace::ParseOptions &popts,
-                trace::IngestReport &report, const char *who)
-{
-    trace::TraceBundle bundle;
-    trace::io::MappedFile file =
-        trace::io::MappedFile::openOrThrow(path, who);
-    if (path.size() > 4 &&
-        path.compare(path.size() - 4, 4, ".csv") == 0) {
-        report = trace::decodeCpuUsageCsv(file.span(), bundle, popts);
-    } else if (trace::isEtlcData(file.span())) {
-        bundle = trace::decodeEtlc(file.span(), popts, report);
-    } else {
-        bundle = trace::decodeEtl(file.span(), popts, report);
-    }
-    return bundle;
-}
-
 int
 cmdQuery(int argc, char **argv, int first)
 {
@@ -1095,9 +1071,10 @@ cmdPack(int argc, char **argv, int first)
                          : trace::ParseMode::Strict;
     popts.source = path;
     popts.threads = jobs;
-    trace::IngestReport report;
-    trace::TraceBundle bundle =
-        ingestTraceFile(path, popts, report, "pack");
+    trace::DecodedTrace decoded =
+        trace::decodeTraceFile(path, popts, "pack");
+    const trace::IngestReport &report = decoded.report;
+    trace::TraceBundle &bundle = decoded.bundle;
     // A degraded lenient ingest still packs what survived, but the
     // run exits nonzero: the output is not a faithful conversion.
     int status = 0;
