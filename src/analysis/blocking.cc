@@ -434,25 +434,6 @@ threadLabel(const ThreadBlocking &t)
     return t.name + "/tid" + std::to_string(t.tid);
 }
 
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof buf, "\\u%04x", c);
-            out += buf;
-            continue;
-        }
-        out += c;
-    }
-    return out;
-}
-
 const ThreadBlocking *
 findThread(const BlockingReport &report, Pid pid, Tid tid)
 {
@@ -585,70 +566,6 @@ renderReport(const BlockingReport &report, std::size_t top)
                    "\n";
         }
     }
-    return out;
-}
-
-std::string
-renderReportJson(const BlockingReport &report, std::size_t top)
-{
-    std::string out = "{\n";
-    out += "  \"window_s\": " + fmt3(report.windowSeconds()) + ",\n";
-    out += "  \"num_cpus\": " + std::to_string(report.numCpus) +
-           ",\n";
-    out += "  \"dispatches\": " + std::to_string(report.dispatches) +
-           ",\n";
-    out += "  \"run_ms\": " + fmtMs(report.totalRunNs) + ",\n";
-    out += "  \"wait_ms\": " + fmtMs(report.totalWaitNs) + ",\n";
-    out += "  \"wait_tlp\": " + fmt3(report.waitTlp()) + ",\n";
-    out += "  \"critical_path_ms\": " + fmtMs(report.criticalPathNs) +
-           ",\n";
-    out += "  \"critical_path_switches\": " +
-           std::to_string(report.criticalPathSwitches) + ",\n";
-    out += "  \"serial_fraction\": " + fmt3(report.serialFraction()) +
-           ",\n";
-    out += "  \"classification\": \"" +
-           std::string(report.classification()) + "\",\n";
-
-    out += "  \"threads\": [\n";
-    std::size_t count = std::min(top, report.threads.size());
-    for (std::size_t i = 0; i < count; ++i) {
-        const ThreadBlocking &t = report.threads[i];
-        out += "    {\"pid\": " + std::to_string(t.pid) +
-               ", \"tid\": " + std::to_string(t.tid) +
-               ", \"name\": \"" + jsonEscape(t.name) +
-               "\", \"run_ms\": " + fmtMs(t.runNs) +
-               ", \"wait_ms\": " + fmtMs(t.waitNs) +
-               ", \"max_wait_ms\": " + fmtMs(t.maxWaitNs) +
-               ", \"blocked_behind_ms\": " + fmtMs(t.blockedNs) +
-               ", \"dispatches\": " + std::to_string(t.dispatches) +
-               "}";
-        out += i + 1 < count ? ",\n" : "\n";
-    }
-    out += "  ],\n";
-
-    out += "  \"edges\": [\n";
-    count = std::min(top, report.edges.size());
-    for (std::size_t i = 0; i < count; ++i) {
-        const WakeupEdge &e = report.edges[i];
-        out += "    {\"from_pid\": " + std::to_string(e.fromPid) +
-               ", \"from_tid\": " + std::to_string(e.fromTid) +
-               ", \"to_pid\": " + std::to_string(e.toPid) +
-               ", \"to_tid\": " + std::to_string(e.toTid) +
-               ", \"count\": " + std::to_string(e.count) +
-               ", \"wait_ms\": " + fmtMs(e.waitNs) + "}";
-        out += i + 1 < count ? ",\n" : "\n";
-    }
-    out += "  ],\n";
-
-    out += "  \"critical_path\": [";
-    for (std::size_t i = 0; i < report.criticalPath.size(); ++i) {
-        const CriticalPathHop &hop = report.criticalPath[i];
-        out += i == 0 ? "" : ", ";
-        out += "{\"pid\": " + std::to_string(hop.pid) +
-               ", \"tid\": " + std::to_string(hop.tid) + "}";
-    }
-    out += "]\n";
-    out += "}\n";
     return out;
 }
 

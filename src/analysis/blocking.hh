@@ -194,10 +194,6 @@ BlockingReport analyze(const Session &session,
 std::string renderReport(const BlockingReport &report,
                          std::size_t top = 10);
 
-/** Render as a JSON object (for `deskpar bottlenecks --json`). */
-std::string renderReportJson(const BlockingReport &report,
-                             std::size_t top = 10);
-
 } // namespace blocking
 
 } // namespace deskpar::analysis

@@ -182,17 +182,27 @@ ConcurrencyProfile
 queryConcurrencyTimeline(const ConcurrencyTimeline &tl, SimTime t0,
                          SimTime t1)
 {
+    ConcurrencyProfile profile;
+    std::vector<SimDuration> timeAt;
+    queryConcurrencyTimeline(tl, t0, t1, profile, timeAt);
+    return profile;
+}
+
+void
+queryConcurrencyTimeline(const ConcurrencyTimeline &tl, SimTime t0,
+                         SimTime t1, ConcurrencyProfile &profile,
+                         std::vector<SimDuration> &timeAt)
+{
     constexpr std::size_t kStride = ConcurrencyTimeline::kStride;
     const unsigned num_cpus = tl.cutoff;
     const std::size_t L = num_cpus + 1;
 
-    ConcurrencyProfile profile;
     profile.numCpus = num_cpus;
     profile.window = t1 - t0;
-    profile.c.assign(L, 0.0);
+    profile.c.resize(L);
     profile.outOfRangeCpuEvents = tl.outOfRangeCpuEvents;
 
-    std::vector<SimDuration> timeAt(L, 0);
+    timeAt.assign(L, 0);
     const std::vector<SimTime> &times = tl.times;
     const std::size_t n = times.size();
     auto clampLvl = [num_cpus](int level) {
@@ -252,7 +262,6 @@ queryConcurrencyTimeline(const ConcurrencyTimeline &tl, SimTime t0,
     double window = static_cast<double>(profile.window);
     for (std::size_t i = 0; i < L; ++i)
         profile.c[i] = static_cast<double>(timeAt[i]) / window;
-    return profile;
 }
 
 ConcurrencyProfile

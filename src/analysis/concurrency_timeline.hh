@@ -164,6 +164,16 @@ ConcurrencyProfile queryConcurrencyTimeline(
     sim::SimTime t1);
 
 /**
+ * The same query into @p profile, reusing its `c` vector and the
+ * per-level @p timeAt scratch: no allocation once both have grown,
+ * for callers that answer many windows (planner rows, series).
+ */
+void queryConcurrencyTimeline(const ConcurrencyTimeline &timeline,
+                              sim::SimTime t0, sim::SimTime t1,
+                              ConcurrencyProfile &profile,
+                              std::vector<sim::SimDuration> &timeAt);
+
+/**
  * The direct single-sweep concurrency histogram, generalized over
  * TimelineSpec. With the default spec this is exactly the
  * analysis::legacy::computeConcurrency body (which now wraps it);

@@ -27,6 +27,8 @@
 #ifndef DESKPAR_ANALYSIS_QUERY_HH
 #define DESKPAR_ANALYSIS_QUERY_HH
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -244,16 +246,17 @@ struct QueryRowSpec
 std::vector<QueryRowSpec> expandQueryRows(
     const trace::TraceBundle &bundle, const Query &query);
 
-/** Log2 bucket index of duration @p d (ns), capped at the top. */
+/**
+ * Log2 bucket index of duration @p d (ns), capped at the top:
+ * floor(log2 d) for d >= 2, else 0, in O(1).
+ */
 inline unsigned
 durationHistogramBucket(sim::SimDuration d)
 {
-    unsigned bucket = 0;
-    while (d > 1 && bucket + 1 < kDurationHistogramBuckets) {
-        d >>= 1;
-        ++bucket;
-    }
-    return bucket;
+    if (d <= 1)
+        return 0;
+    return std::min(static_cast<unsigned>(std::bit_width(d)) - 1,
+                    kDurationHistogramBuckets - 1);
 }
 
 /** The final value fold of the concurrency-profile metrics. */

@@ -18,6 +18,13 @@ using trace::Pid;
 
 namespace {
 
+/**
+ * Rows per phase-B parallelFor task. Large enough that a chunk's
+ * dispatch and span cost nothing next to its rows, small enough
+ * that a 5,000-row batch still spreads over every worker.
+ */
+constexpr std::size_t kTasksPerChunk = 64;
+
 /** Human description of a filter, for --explain. */
 std::string
 describeFilter(const detail::TimelineSpec &spec)
@@ -145,9 +152,9 @@ QueryPlan::compile(const TraceIndex &index,
         std::vector<detail::QueryRowSpec> specs =
             detail::expandQueryRows(bundle, query);
         result.rows.reserve(specs.size());
-        for (const detail::QueryRowSpec &spec : specs) {
+        for (detail::QueryRowSpec &spec : specs) {
             QueryRow row;
-            row.key = spec.key;
+            row.key = std::move(spec.key);
             row.t0 = spec.t0;
             row.t1 = spec.t1;
             row.pid = spec.pidLabel;
@@ -155,60 +162,88 @@ QueryPlan::compile(const TraceIndex &index,
             result.rows.push_back(std::move(row));
         }
 
-        auto addTask = [&](std::size_t firstRow, std::size_t rowCount,
-                           const detail::QueryRowSpec &spec) {
-            Task task;
-            task.queryIdx = qi;
-            task.firstRow = firstRow;
-            task.rowCount = rowCount;
-            task.metric = query.metric;
-            task.spec = spec;
-            // GPU rows read the index's shared packet columns; the
-            // interned filter only records sharing for --explain (no
-            // column needs). The cswitch metrics intern the exact
-            // event filter their sweep would use.
-            bool gpu = query.metric == QueryMetric::GpuOccupancy;
-            task.filterIdx = internFilter(
+        // GPU rows read the index's shared packet columns; the
+        // interned filter only records sharing for --explain (no
+        // column needs). The cswitch metrics intern the exact event
+        // filter their sweep would use.
+        const bool gpu = query.metric == QueryMetric::GpuOccupancy;
+        unsigned families = 0;
+        switch (query.metric) {
+          case QueryMetric::Tlp:
+          case QueryMetric::BusyFraction:
+            families = TraceIndex::kTimeline;
+            break;
+          case QueryMetric::ContextSwitchRate:
+            families = TraceIndex::kDispatches;
+            break;
+          case QueryMetric::DurationHistogram:
+            families = TraceIndex::kBursts;
+            break;
+          case QueryMetric::WaitFraction:
+          case QueryMetric::ReadyLatency:
+          case QueryMetric::TopBlocked:
+            families = TraceIndex::kWaits;
+            break;
+          case QueryMetric::GpuOccupancy:
+            break;
+        }
+        const char *metricName = queryMetricName(query.metric);
+
+        // Intern the filter of @p spec and charge @p rows to it.
+        auto useFilter = [&](const detail::QueryRowSpec &spec,
+                             std::size_t rows) {
+            std::size_t fi = internFilter(
                 spec.pids, !gpu && spec.hasTid,
                 !gpu && spec.hasTid ? spec.tid : 0,
                 gpu ? detail::kAllCpus : query.filter.cpuMask);
-            Filter &filter = plan.filters_[task.filterIdx];
-            QueryPlanPass &pass =
-                plan.explain_.passes[task.filterIdx];
-            switch (query.metric) {
-              case QueryMetric::Tlp:
-              case QueryMetric::BusyFraction:
-                filter.families |= TraceIndex::kTimeline;
-                break;
-              case QueryMetric::ContextSwitchRate:
-                filter.families |= TraceIndex::kDispatches;
-                break;
-              case QueryMetric::DurationHistogram:
-                filter.families |= TraceIndex::kBursts;
-                break;
-              case QueryMetric::WaitFraction:
-              case QueryMetric::ReadyLatency:
-              case QueryMetric::TopBlocked:
-                filter.families |= TraceIndex::kWaits;
-                break;
-              case QueryMetric::GpuOccupancy:
-                break;
-            }
-            const char *metricName = queryMetricName(query.metric);
+            plan.filters_[fi].families |= families;
+            QueryPlanPass &pass = plan.explain_.passes[fi];
             if (std::find(pass.metrics.begin(), pass.metrics.end(),
                           metricName) == pass.metrics.end())
                 pass.metrics.push_back(metricName);
-            pass.rows += rowCount;
-            plan.tasks_.push_back(std::move(task));
+            pass.rows += rows;
+            return fi;
         };
 
-        if (query.groupBy == QueryGroupBy::GpuEngine &&
-            !specs.empty()) {
-            // The five engine rows share one packet fold.
-            addTask(0, specs.size(), specs[0]);
-        } else {
-            for (std::size_t ri = 0; ri < specs.size(); ++ri)
-                addTask(ri, 1, specs[ri]);
+        auto addTask = [&](std::size_t filterIdx, std::size_t firstRow,
+                           std::size_t rowCount,
+                           const detail::QueryRowSpec &spec) {
+            Task task;
+            task.queryIdx = qi;
+            task.filterIdx = filterIdx;
+            task.firstRow = firstRow;
+            task.rowCount = rowCount;
+            task.metric = query.metric;
+            task.t0 = spec.t0;
+            task.t1 = spec.t1;
+            task.engine = spec.engine;
+            plan.tasks_.push_back(task);
+        };
+
+        if (!specs.empty()) {
+            switch (query.groupBy) {
+              case QueryGroupBy::GpuEngine:
+                // The five engine rows share one packet fold.
+                addTask(useFilter(specs[0], specs.size()), 0,
+                        specs.size(), specs[0]);
+                break;
+              case QueryGroupBy::None:
+              case QueryGroupBy::Phase:
+              case QueryGroupBy::TimeBucket: {
+                // Every row of these groups carries the query's own
+                // resolved filter: intern it once per query.
+                std::size_t fi = useFilter(specs[0], specs.size());
+                for (std::size_t ri = 0; ri < specs.size(); ++ri)
+                    addTask(fi, ri, 1, specs[ri]);
+                break;
+              }
+              case QueryGroupBy::Process:
+              case QueryGroupBy::Thread:
+                for (std::size_t ri = 0; ri < specs.size(); ++ri)
+                    addTask(useFilter(specs[ri], 1), ri, 1,
+                            specs[ri]);
+                break;
+            }
         }
 
         plan.explain_.rows += result.rows.size();
@@ -265,53 +300,68 @@ QueryPlan::run(unsigned threads) const
                 cols->timeline.cutoff);
     }
 
-    // Phase B: evaluate every task against the shared columns. Each
-    // task writes only its own rows; errors are parked per task and
-    // the lowest-index one rethrown, so failures are the ones the
-    // serial reference hits first, at any thread count.
+    // Phase B: evaluate every task against the shared columns, in
+    // fixed contiguous chunks of kTasksPerChunk. Each task writes
+    // only its own rows. A chunk stops at its first error, and the
+    // error of the lowest chunk is rethrown: that is the
+    // lowest-index failing task, the one the serial reference hits
+    // first, at any thread count.
     std::vector<QueryResult> results = skeleton_;
-    std::vector<std::exception_ptr> errors(tasks_.size());
+    TraceIndex::GpuWindows gpu;
+    if (std::any_of(tasks_.begin(), tasks_.end(), [](const Task &t) {
+            return t.metric == QueryMetric::GpuOccupancy;
+        }))
+        gpu = index_->gpuWindows();
+    const std::size_t chunks =
+        (tasks_.size() + kTasksPerChunk - 1) / kTasksPerChunk;
+    std::vector<std::exception_ptr> errors(chunks);
 
-    auto evalTask = [&](std::size_t ti) {
-        const Task &task = tasks_[ti];
-        obs::Span rowSpan("query.row", obs::SpanKind::Query, ti);
+    // One chunk's reusable concurrency buffers: a row allocates
+    // nothing but its own histogram.
+    struct Scratch
+    {
+        ConcurrencyProfile profile;
+        std::vector<sim::SimDuration> timeAt;
+    };
+
+    auto evalTask = [&](const Task &task, Scratch &scratch) {
         QueryResult &result = results[task.queryIdx];
-        const detail::QueryRowSpec &spec = task.spec;
         switch (task.metric) {
           case QueryMetric::Tlp:
           case QueryMetric::BusyFraction: {
             if (bundle.numLogicalCpus == 0)
                 deskpar::fatal(
                     "computeConcurrency: unknown CPU count");
-            if (spec.t1 <= spec.t0)
+            if (task.t1 <= task.t0)
                 deskpar::fatal("computeConcurrency: empty window");
             const detail::ConcurrencyTimeline &timeline =
                 columns[task.filterIdx]->timeline;
-            ConcurrencyProfile profile;
             if (timeline.usable) {
-                profile = detail::queryConcurrencyTimeline(
-                    timeline, spec.t0, spec.t1);
+                detail::queryConcurrencyTimeline(timeline, task.t0,
+                                                 task.t1,
+                                                 scratch.profile,
+                                                 scratch.timeAt);
             } else {
                 // Poisoned timeline (disordered stream): the direct
                 // sweep, panics and all, warning already deduped.
-                profile = detail::sweepConcurrency(
-                    bundle, filters_[task.filterIdx].spec, spec.t0,
-                    spec.t1, bundle.numLogicalCpus,
+                scratch.profile = detail::sweepConcurrency(
+                    bundle, filters_[task.filterIdx].spec, task.t0,
+                    task.t1, bundle.numLogicalCpus,
                     /*emit_warning=*/false);
             }
             result.rows[task.firstRow].value =
-                detail::metricFromProfile(task.metric, profile);
+                detail::metricFromProfile(task.metric, scratch.profile);
             break;
           }
           case QueryMetric::GpuOccupancy: {
-            GpuUtilization util =
-                index_->gpuUtil(spec.pids, spec.t0, spec.t1);
+            GpuUtilization util = gpu.fold(
+                filters_[task.filterIdx].spec.pids, task.t0, task.t1);
             for (std::size_t k = 0; k < task.rowCount; ++k) {
                 // Engine-group rows are emitted in engine order, so
                 // row k of the task reads engine k.
                 int engine = task.rowCount > 1
                                  ? static_cast<int>(k)
-                                 : spec.engine;
+                                 : task.engine;
                 result.rows[task.firstRow + k].value =
                     detail::engineOccupancyPercent(util, engine);
             }
@@ -321,13 +371,13 @@ QueryPlan::run(unsigned threads) const
             const std::vector<SimTime> &dispatches =
                 columns[task.filterIdx]->dispatches;
             auto lo = std::lower_bound(dispatches.begin(),
-                                       dispatches.end(), spec.t0);
+                                       dispatches.end(), task.t0);
             auto hi = std::lower_bound(dispatches.begin(),
-                                       dispatches.end(), spec.t1);
+                                       dispatches.end(), task.t1);
             result.rows[task.firstRow].value =
                 detail::contextSwitchRate(
                     static_cast<std::uint64_t>(hi - lo),
-                    spec.t1 - spec.t0);
+                    task.t1 - task.t0);
             break;
           }
           case QueryMetric::DurationHistogram: {
@@ -340,7 +390,7 @@ QueryPlan::run(unsigned threads) const
             // reach — the GPU packet candidate-range trick.
             std::size_t last = static_cast<std::size_t>(
                 std::lower_bound(
-                    bc.bursts.begin(), bc.bursts.end(), spec.t1,
+                    bc.bursts.begin(), bc.bursts.end(), task.t1,
                     [](const Interval &iv, SimTime t) {
                         return iv.begin < t;
                     }) -
@@ -350,12 +400,12 @@ QueryPlan::run(unsigned threads) const
                     bc.maxEnd.begin(),
                     bc.maxEnd.begin() +
                         static_cast<std::ptrdiff_t>(last),
-                    spec.t0) -
+                    task.t0) -
                 bc.maxEnd.begin());
             std::uint64_t count = 0;
             for (std::size_t i = first; i < last; ++i) {
                 Interval iv =
-                    bc.bursts[i].clampTo(spec.t0, spec.t1);
+                    bc.bursts[i].clampTo(task.t0, task.t1);
                 if (iv.empty())
                     continue;
                 ++count;
@@ -375,9 +425,9 @@ QueryPlan::run(unsigned threads) const
             // time) in [t0, t1) form one contiguous range of the
             // end-sorted column.
             auto lo = std::lower_bound(wc.end.begin(), wc.end.end(),
-                                       spec.t0);
+                                       task.t0);
             auto hi = std::lower_bound(wc.end.begin(), wc.end.end(),
-                                       spec.t1);
+                                       task.t1);
             for (auto it = lo; it != hi; ++it) {
                 auto i = static_cast<std::size_t>(
                     it - wc.end.begin());
@@ -389,30 +439,36 @@ QueryPlan::run(unsigned threads) const
             // must run before nothing can reach back to t1.
             auto i0 = static_cast<std::size_t>(
                 std::upper_bound(wc.end.begin(), wc.end.end(),
-                                 spec.t0) -
+                                 task.t0) -
                 wc.end.begin());
             for (std::size_t i = i0; i < wc.end.size(); ++i) {
-                if (wc.minBegin[i] >= spec.t1)
+                if (wc.minBegin[i] >= task.t1)
                     break;
-                if (wc.begin[i] >= spec.t1)
+                if (wc.begin[i] >= task.t1)
                     continue;
-                SimTime wlo = std::max(wc.begin[i], spec.t0);
-                SimTime whi = std::min(wc.end[i], spec.t1);
+                SimTime wlo = std::max(wc.begin[i], task.t0);
+                SimTime whi = std::min(wc.end[i], task.t1);
                 fold.overlapNs += whi - wlo;
             }
             result.rows[task.firstRow].value =
                 detail::waitMetricValue(task.metric, fold,
-                                        spec.t1 - spec.t0);
+                                        task.t1 - task.t0);
             break;
           }
         }
     };
 
-    sim::parallelFor(jobs, tasks_.size(), [&](std::size_t ti) {
-        try {
-            evalTask(ti);
-        } catch (...) {
-            errors[ti] = std::current_exception();
+    sim::parallelFor(jobs, chunks, [&](std::size_t chunk) {
+        const std::size_t end =
+            std::min(tasks_.size(), (chunk + 1) * kTasksPerChunk);
+        Scratch scratch;
+        for (std::size_t ti = chunk * kTasksPerChunk; ti < end; ++ti) {
+            try {
+                evalTask(tasks_[ti], scratch);
+            } catch (...) {
+                errors[chunk] = std::current_exception();
+                return;
+            }
         }
     });
     for (const std::exception_ptr &error : errors) {

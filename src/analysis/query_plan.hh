@@ -19,7 +19,9 @@
  * binary searches and checkpoint diffs. GPU rows are answered from
  * the index's shared packet columns and need no pass of their own.
  *
- * Both phases fan out with sim::parallelFor, and the results are
+ * Both phases fan out with sim::parallelFor — phase B in fixed
+ * contiguous chunks of rows, so a row costs a few binary searches and
+ * no span or allocation of its own — and the results are
  * bit-identical at any DESKPAR_JOBS:
  *  - every task writes only its own result rows, reading immutable
  *    index columns, so values never depend on scheduling or on
@@ -118,8 +120,10 @@ class QueryPlan
 
     /**
      * One evaluation unit: fills rows [firstRow, firstRow+rowCount)
-     * of results[queryIdx]. rowCount > 1 only for a GpuEngine group,
-     * whose five rows share one packet fold (row k = engine k).
+     * of results[queryIdx] over the window [t0, t1). rowCount > 1
+     * only for a GpuEngine group, whose five rows share one packet
+     * fold (row k = engine k). The row's event filter is
+     * filters_[filterIdx].spec (GPU rows read its pid set).
      */
     struct Task
     {
@@ -128,7 +132,10 @@ class QueryPlan
         std::size_t firstRow = 0;
         std::size_t rowCount = 1;
         QueryMetric metric = QueryMetric::Tlp;
-        detail::QueryRowSpec spec;
+        sim::SimTime t0 = 0;
+        sim::SimTime t1 = 0;
+        /** >= 0: a single row reading perEngine[engine]. */
+        int engine = -1;
     };
 
     const TraceIndex *index_ = nullptr;

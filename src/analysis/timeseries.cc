@@ -6,6 +6,7 @@
 #include "analysis/tlp.hh"
 #include "analysis/session.hh"
 #include "analysis/trace_index.hh"
+#include "obs/obs.hh"
 #include "sim/logging.hh"
 
 namespace deskpar::analysis {
@@ -52,17 +53,48 @@ buildSeries(const TraceBundle &bundle, sim::SimDuration window,
     return series;
 }
 
+/**
+ * One concurrency series: the pid set's timeline is resolved at the
+ * first window and each window is answered from it with no lock, no
+ * span and no allocation. An unusable timeline (disordered stream, no
+ * CPU count) falls back to TraceIndex::concurrency per window.
+ */
+template <typename Value>
+TimeSeries
+concurrencyValueSeries(const TraceIndex &index, const PidSet &pids,
+                       sim::SimDuration window, std::string name,
+                       Value value)
+{
+    obs::Span span("index.series.concurrency", obs::SpanKind::Query);
+    bool resolved = false;
+    const detail::ConcurrencyTimeline *timeline = nullptr;
+    ConcurrencyProfile profile;
+    std::vector<sim::SimDuration> timeAt;
+    return buildSeries(
+        index.bundle(), window, std::move(name),
+        [&](sim::SimTime t0, sim::SimTime t1) {
+            if (!resolved) {
+                timeline = index.concurrencyTimeline(pids);
+                resolved = true;
+            }
+            if (timeline)
+                detail::queryConcurrencyTimeline(*timeline, t0, t1,
+                                                 profile, timeAt);
+            else
+                profile = index.concurrency(pids, t0, t1);
+            return value(profile);
+        });
+}
+
 } // namespace
 
 TimeSeries
 tlpSeries(const TraceIndex &index, const PidSet &pids,
           sim::SimDuration window)
 {
-    return buildSeries(
-        index.bundle(), window, "TLP",
-        [&](sim::SimTime t0, sim::SimTime t1) {
-            return index.concurrency(pids, t0, t1).tlp();
-        });
+    return concurrencyValueSeries(
+        index, pids, window, "TLP",
+        [](const ConcurrencyProfile &p) { return p.tlp(); });
 }
 
 TimeSeries
@@ -76,11 +108,9 @@ TimeSeries
 concurrencySeries(const TraceIndex &index, const PidSet &pids,
                   sim::SimDuration window)
 {
-    return buildSeries(
-        index.bundle(), window, "Concurrency",
-        [&](sim::SimTime t0, sim::SimTime t1) {
-            return index.concurrency(pids, t0, t1).utilization();
-        });
+    return concurrencyValueSeries(
+        index, pids, window, "Concurrency",
+        [](const ConcurrencyProfile &p) { return p.utilization(); });
 }
 
 TimeSeries
@@ -94,10 +124,17 @@ TimeSeries
 gpuUtilSeries(const TraceIndex &index, const PidSet &pids,
               sim::SimDuration window)
 {
+    obs::Span span("index.series.gpu", obs::SpanKind::Query);
+    bool resolved = false;
+    TraceIndex::GpuWindows gpu;
     return buildSeries(
         index.bundle(), window, "GPU Utilization (%)",
         [&](sim::SimTime t0, sim::SimTime t1) {
-            return index.gpuUtil(pids, t0, t1).utilizationPercent();
+            if (!resolved) {
+                gpu = index.gpuWindows();
+                resolved = true;
+            }
+            return gpu.fold(pids, t0, t1).utilizationPercent();
         });
 }
 

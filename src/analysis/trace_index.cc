@@ -381,16 +381,44 @@ TraceIndex::concurrency(const PidSet &pids) const
     return concurrency(pids, bundle_.startTime, bundle_.stopTime);
 }
 
+const detail::ConcurrencyTimeline *
+TraceIndex::concurrencyTimeline(const PidSet &pids) const
+{
+    if (bundle_.numLogicalCpus == 0)
+        return nullptr;
+    const detail::ConcurrencyTimeline &timeline =
+        cswitchColumns(pids).columns.timeline;
+    if (!timeline.usable || timeline.cutoff != bundle_.numLogicalCpus)
+        return nullptr;
+    return &timeline;
+}
+
+TraceIndex::GpuWindows
+TraceIndex::gpuWindows() const
+{
+    GpuWindows windows;
+    windows.bundle_ = &bundle_;
+    windows.columns_ = &gpuColumns();
+    return windows;
+}
+
 GpuUtilization
 TraceIndex::gpuUtil(const PidSet &pids, SimTime t0, SimTime t1) const
 {
     obs::Span span("index.query.gpu", obs::SpanKind::Query);
+    return gpuWindows().fold(pids, t0, t1);
+}
+
+GpuUtilization
+TraceIndex::GpuWindows::fold(const PidSet &pids, SimTime t0,
+                             SimTime t1) const
+{
     if (t1 <= t0)
         deskpar::fatal("computeGpuUtil: empty window");
 
-    const GpuColumns &gc = gpuColumns();
+    const GpuColumns &gc = *columns_;
     std::size_t first = 0;
-    std::size_t last = bundle_.gpuPackets.size();
+    std::size_t last = bundle_->gpuPackets.size();
     if (gc.sortedByStart) {
         // Packets intersecting [t0, t1) start before t1 and have not
         // finished by t0; the running-max finish column is monotone,
@@ -405,7 +433,7 @@ TraceIndex::gpuUtil(const PidSet &pids, SimTime t0, SimTime t1) const
                              t0) -
             gc.maxFinish.begin());
     }
-    return detail::foldGpuPackets(bundle_, pids, t0, t1, first, last);
+    return detail::foldGpuPackets(*bundle_, pids, t0, t1, first, last);
 }
 
 GpuUtilization

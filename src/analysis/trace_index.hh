@@ -98,6 +98,18 @@ class TraceIndex
     /** Whole-bundle window. */
     ConcurrencyProfile concurrency(const PidSet &pids) const;
 
+    /**
+     * The concurrency timeline of @p pids when it answers windowed
+     * queries by itself: the bundle header names a CPU count and the
+     * timeline is usable at it. Then concurrency(pids, t0, t1) is
+     * exactly detail::queryConcurrencyTimeline(*timeline, t0, t1),
+     * which a series evaluates per window with no lock and no span.
+     * nullptr otherwise: the caller falls back to concurrency() per
+     * window (its sweep, or its fatal error).
+     */
+    const detail::ConcurrencyTimeline *
+    concurrencyTimeline(const PidSet &pids) const;
+
     /** GPU utilization over [@p t0, @p t1), as computeGpuUtil. */
     GpuUtilization gpuUtil(const PidSet &pids, sim::SimTime t0,
                            sim::SimTime t1) const;
@@ -221,6 +233,28 @@ class TraceIndex
      */
     struct GpuColumns;
     struct CpuBusyColumns;
+
+    /**
+     * The GPU packet columns, looked up once for many windowed
+     * folds. fold(pids, t0, t1) is gpuUtil(pids, t0, t1) bit for
+     * bit: two binary searches plus the window's candidate packets,
+     * with no lock and no span (gpuUtil opens one per call). Valid
+     * for the index's lifetime.
+     */
+    class GpuWindows
+    {
+      public:
+        GpuUtilization fold(const PidSet &pids, sim::SimTime t0,
+                            sim::SimTime t1) const;
+
+      private:
+        friend class TraceIndex;
+        const TraceBundle *bundle_ = nullptr;
+        const GpuColumns *columns_ = nullptr;
+    };
+
+    /** Build the GPU columns if missing; see GpuWindows. */
+    GpuWindows gpuWindows() const;
 
   private:
     /** One filter's columns and build lock (trace_index.cc). */

@@ -137,9 +137,9 @@ writeBottlenecksDocument(std::ostream &out,
     JsonWriter json(out);
     beginDocument(json, "bottlenecks");
     ingestFlags(json, r.degraded, r.degradedSummary);
-    // Field names and 3-decimal formatting of renderReportJson, so
-    // scrapers of the old multi-line document only need to tolerate
-    // the one-line envelope.
+    // Field names and 3-decimal formatting of the pre-unification
+    // multi-line report, so its scrapers only need to tolerate the
+    // one-line envelope.
     json.key("window_s").valueFixed(report.windowSeconds(), 3);
     json.field("num_cpus", std::uint64_t(report.numCpus))
         .field("dispatches", report.dispatches);

@@ -53,8 +53,8 @@ void writeAnalyzeFailureDocument(std::ostream &out,
 void writeQueryDocument(std::ostream &out,
                         const analysis::ServiceQueryResult &r);
 
-/** `{"schema":1,"command":"bottlenecks",...}` (renderReportJson's
- *  field names, one line). */
+/** `{"schema":1,"command":"bottlenecks",...}` (the pre-unification
+ *  report's field names, one line). */
 void
 writeBottlenecksDocument(std::ostream &out,
                          const analysis::ServiceBottlenecksResult &r);

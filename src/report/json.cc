@@ -1,19 +1,23 @@
 #include "report/json.hh"
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <ostream>
+#include <system_error>
 
 #include "sim/logging.hh"
 #include "obs/obs.hh"
 
 namespace deskpar::report {
 
-std::string
-JsonWriter::escape(const std::string &s)
+namespace {
+
+/** Append @p s to @p out, escaped per RFC 8259. */
+void
+appendEscaped(std::string &out, std::string_view s)
 {
-    std::string out;
-    out.reserve(s.size());
+    static constexpr char kHex[] = "0123456789abcdef";
     for (char c : s) {
         switch (c) {
           case '"':
@@ -33,15 +37,63 @@ JsonWriter::escape(const std::string &s)
             break;
           default:
             if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(c));
-                out += buf;
+                const auto u = static_cast<unsigned char>(c);
+                const char code[] = {'\\', 'u', '0', '0',
+                                     kHex[u >> 4], kHex[u & 0xf]};
+                out.append(code, sizeof code);
             } else {
                 out += c;
             }
         }
     }
+}
+
+/**
+ * Append std::to_chars(v, format, precision): printf's "%.*g" or
+ * "%.*f" text. A 64-byte stack buffer holds the %g text of every
+ * precision up to 50 and the %.3f text of every |v| below 1e58;
+ * longer text retries in a buffer sized for DBL_MAX's 309 integer
+ * digits plus the precision.
+ */
+void
+appendDouble(std::string &out, double v, std::chars_format format,
+             int precision)
+{
+    char buf[64];
+    std::to_chars_result r =
+        std::to_chars(buf, buf + sizeof buf, v, format, precision);
+    if (r.ec == std::errc()) {
+        out.append(buf, r.ptr);
+        return;
+    }
+    std::string big(
+        330 + static_cast<std::size_t>(std::max(precision, 0)), '\0');
+    r = std::to_chars(big.data(), big.data() + big.size(), v, format,
+                      precision);
+    out.append(big.data(), r.ptr);
+}
+
+} // namespace
+
+JsonWriter::~JsonWriter()
+{
+    if (buf_.empty())
+        return;
+    try {
+        out_.write(buf_.data(),
+                   static_cast<std::streamsize>(buf_.size()));
+    } catch (...) {
+        // A stream that throws on failure set its error state first;
+        // that state is the caller's record of the lost text.
+    }
+}
+
+std::string
+JsonWriter::escape(std::string_view s)
+{
+    std::string out;
+    out.reserve(s.size());
+    appendEscaped(out, s);
     return out;
 }
 
@@ -50,9 +102,19 @@ JsonWriter::separator()
 {
     if (!hasElement_.empty()) {
         if (hasElement_.back() == '1')
-            out_ << ',';
+            buf_ += ',';
         else
             hasElement_.back() = '1';
+    }
+}
+
+void
+JsonWriter::flushIfClosed()
+{
+    if (hasElement_.empty()) {
+        out_.write(buf_.data(),
+                   static_cast<std::streamsize>(buf_.size()));
+        buf_.clear();
     }
 }
 
@@ -60,7 +122,7 @@ JsonWriter &
 JsonWriter::beginObject()
 {
     separator();
-    out_ << '{';
+    buf_ += '{';
     hasElement_.push_back('0');
     return *this;
 }
@@ -71,19 +133,20 @@ JsonWriter::endObject()
     if (hasElement_.empty())
         panic("JsonWriter::endObject: nothing open");
     hasElement_.pop_back();
-    out_ << '}';
+    buf_ += '}';
+    flushIfClosed();
     return *this;
 }
 
 JsonWriter &
-JsonWriter::beginArray(const std::string &name)
+JsonWriter::beginArray(std::string_view name)
 {
     if (!name.empty())
         key(name);
     // Mark the array itself as the parent level's element (after a
     // key the flag is '0' so this adds no comma).
     separator();
-    out_ << '[';
+    buf_ += '[';
     hasElement_.push_back('0');
     return *this;
 }
@@ -94,15 +157,18 @@ JsonWriter::endArray()
     if (hasElement_.empty())
         panic("JsonWriter::endArray: nothing open");
     hasElement_.pop_back();
-    out_ << ']';
+    buf_ += ']';
+    flushIfClosed();
     return *this;
 }
 
 JsonWriter &
-JsonWriter::key(const std::string &name)
+JsonWriter::key(std::string_view name)
 {
     separator();
-    out_ << '"' << escape(name) << "\":";
+    buf_ += '"';
+    appendEscaped(buf_, name);
+    buf_ += "\":";
     // The upcoming value must not emit another separator.
     if (!hasElement_.empty())
         hasElement_.back() = '0';
@@ -110,10 +176,13 @@ JsonWriter::key(const std::string &name)
 }
 
 JsonWriter &
-JsonWriter::value(const std::string &v)
+JsonWriter::value(std::string_view v)
 {
     separator();
-    out_ << '"' << escape(v) << '"';
+    buf_ += '"';
+    appendEscaped(buf_, v);
+    buf_ += '"';
+    flushIfClosed();
     return *this;
 }
 
@@ -127,13 +196,11 @@ JsonWriter &
 JsonWriter::value(double v, int digits)
 {
     separator();
-    if (std::isfinite(v)) {
-        char buf[40];
-        std::snprintf(buf, sizeof(buf), "%.*g", digits, v);
-        out_ << buf;
-    } else {
-        out_ << "null";
-    }
+    if (std::isfinite(v))
+        appendDouble(buf_, v, std::chars_format::general, digits);
+    else
+        buf_ += "null";
+    flushIfClosed();
     return *this;
 }
 
@@ -141,13 +208,11 @@ JsonWriter &
 JsonWriter::valueFixed(double v, int decimals)
 {
     separator();
-    if (std::isfinite(v)) {
-        char buf[48];
-        std::snprintf(buf, sizeof(buf), "%.*f", decimals, v);
-        out_ << buf;
-    } else {
-        out_ << "null";
-    }
+    if (std::isfinite(v))
+        appendDouble(buf_, v, std::chars_format::fixed, decimals);
+    else
+        buf_ += "null";
+    flushIfClosed();
     return *this;
 }
 
@@ -155,7 +220,9 @@ JsonWriter &
 JsonWriter::value(std::uint64_t v)
 {
     separator();
-    out_ << v;
+    char text[20];
+    buf_.append(text, std::to_chars(text, text + sizeof text, v).ptr);
+    flushIfClosed();
     return *this;
 }
 
@@ -163,7 +230,8 @@ JsonWriter &
 JsonWriter::value(bool v)
 {
     separator();
-    out_ << (v ? "true" : "false");
+    buf_ += v ? "true" : "false";
+    flushIfClosed();
     return *this;
 }
 

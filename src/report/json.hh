@@ -9,8 +9,10 @@
 #ifndef DESKPAR_REPORT_JSON_HH
 #define DESKPAR_REPORT_JSON_HH
 
+#include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "analysis/analyzer.hh"
 
@@ -19,6 +21,15 @@ namespace deskpar::report {
 /**
  * Minimal streaming JSON writer. Call the begin/end pairs in
  * document order; keys and values are escaped.
+ *
+ * The text is built in one string and written to the stream when the
+ * outermost container closes (or a top-level scalar is written), and
+ * by the destructor if a container is still open. Anything the caller
+ * streams after the outermost end therefore lands after the document.
+ *
+ * Numbers render through std::to_chars, which the standard defines as
+ * printf in the C locale: value(double, p) is byte-identical to
+ * "%.*g", valueFixed to "%.*f", and value(uint64_t) to "%llu".
  */
 class JsonWriter
 {
@@ -26,14 +37,18 @@ class JsonWriter
     explicit JsonWriter(std::ostream &out)
         : out_(out)
     {}
+    ~JsonWriter();
+
+    JsonWriter(const JsonWriter &) = delete;
+    JsonWriter &operator=(const JsonWriter &) = delete;
 
     JsonWriter &beginObject();
     JsonWriter &endObject();
-    JsonWriter &beginArray(const std::string &key = {});
+    JsonWriter &beginArray(std::string_view key = {});
     JsonWriter &endArray();
 
-    JsonWriter &key(const std::string &name);
-    JsonWriter &value(const std::string &v);
+    JsonWriter &key(std::string_view name);
+    JsonWriter &value(std::string_view v);
     JsonWriter &value(double v);
     /**
      * Double with an explicit %g significant-digit count: the
@@ -44,7 +59,7 @@ class JsonWriter
     JsonWriter &value(double v, int digits);
     /**
      * Double with a fixed decimal count (%.*f) — the bottleneck
-     * documents keep renderReportJson's 3-decimal ms/ratio text.
+     * documents render milliseconds and ratios at 3 decimals.
      */
     JsonWriter &valueFixed(double v, int decimals);
     JsonWriter &value(std::uint64_t v);
@@ -53,19 +68,23 @@ class JsonWriter
     /** key + value in one call. */
     template <typename T>
     JsonWriter &
-    field(const std::string &name, const T &v)
+    field(std::string_view name, const T &v)
     {
         key(name);
         return value(v);
     }
 
     /** Escape @p s per RFC 8259 (quotes not included). */
-    static std::string escape(const std::string &s);
+    static std::string escape(std::string_view s);
 
   private:
     void separator();
+    /** Write the buffered text once no container is open. */
+    void flushIfClosed();
 
     std::ostream &out_;
+    /** The rendered text not yet written to out_. */
+    std::string buf_;
     /** Whether the current nesting level already has an element. */
     std::string hasElement_; // stack of 0/1 flags
 };

@@ -763,6 +763,43 @@ TEST(QueryResident, RepeatedBatchMatchesFreshSessionAndReference)
     }
 }
 
+/**
+ * The log2 duration bucket as a shift loop, one bit per iteration:
+ * the oracle for the O(1) detail::durationHistogramBucket.
+ */
+unsigned
+shiftLoopDurationBucket(sim::SimDuration d)
+{
+    unsigned bucket = 0;
+    while (d > 1 && bucket + 1 < kDurationHistogramBuckets) {
+        d >>= 1;
+        ++bucket;
+    }
+    return bucket;
+}
+
+TEST(QueryKernel, DurationBucketMatchesShiftLoop)
+{
+    std::uint64_t mismatches = 0;
+    for (sim::SimDuration d = 0; d < (sim::SimDuration{1} << 20); ++d)
+        mismatches += detail::durationHistogramBucket(d) !=
+                      shiftLoopDurationBucket(d);
+    EXPECT_EQ(mismatches, 0u);
+
+    for (unsigned k = 0; k < 64; ++k) {
+        const sim::SimDuration p = sim::SimDuration{1} << k;
+        for (sim::SimDuration d : {p - 1, p, p + 1})
+            EXPECT_EQ(detail::durationHistogramBucket(d),
+                      shiftLoopDurationBucket(d))
+                << "d = " << d;
+    }
+    const sim::SimDuration top = ~sim::SimDuration{0};
+    EXPECT_EQ(detail::durationHistogramBucket(top),
+              shiftLoopDurationBucket(top));
+    EXPECT_EQ(detail::durationHistogramBucket(top),
+              kDurationHistogramBuckets - 1);
+}
+
 #if !defined(DESKPAR_OBS_DISABLED)
 
 /** Spans named @p name in @p snapshot. */
@@ -814,6 +851,57 @@ TEST(QueryResident, RacingBatchesBuildEachFilterOnce)
     EXPECT_EQ(spanCount(racing, "index.build.cswitch"), passes);
     EXPECT_EQ(spanCount(repeat, "index.build.cswitch"), 0u);
     EXPECT_GT(spanCount(repeat, "query.execute"), 0u);
+}
+
+/**
+ * Spans are per batch and per series, never per row or window: a
+ * 5,000-row batch and a 5,000-window series each stay far below one
+ * span per row, and neither opens a query.row or a per-window
+ * index.query.* span.
+ */
+TEST(QueryObs, RowHeavyBatchesAndSeriesOpenNoPerRowSpans)
+{
+    TraceBundle bundle = randomBundle(9);
+    const sim::SimDuration window = kTraceLen / 5000;
+    std::vector<Query> batch = {
+        tlpSeriesQuery({}, window),
+        gpuUtilSeriesQuery({5, 6}, window),
+    };
+    Query hist;
+    hist.metric = QueryMetric::DurationHistogram;
+    hist.groupBy = QueryGroupBy::TimeBucket;
+    hist.bucket = window;
+    batch.push_back(hist);
+    std::vector<QueryResult> reference =
+        legacy::runQueries(bundle, batch);
+
+    const bool wasEnabled = obs::enabled();
+    obs::setEnabled(true);
+    for (unsigned threads : {1u, 2u}) {
+        SCOPED_TRACE("threads " + std::to_string(threads));
+        Session session(bundle);
+        obs::reset();
+        std::vector<QueryResult> fused = session.query(batch, threads);
+        TimeSeries tlp = session.tlpSeries({}, window);
+        TimeSeries gpu = session.gpuUtilSeries({5, 6}, window);
+        obs::Snapshot snapshot = obs::collect();
+
+        expectResultsEqual(fused, reference);
+        ASSERT_EQ(tlp.points.size(), reference[0].rows.size());
+        for (std::size_t i = 0; i < tlp.points.size(); ++i) {
+            EXPECT_EQ(tlp.points[i].value, reference[0].rows[i].value);
+            EXPECT_EQ(gpu.points[i].value, reference[1].rows[i].value);
+        }
+        EXPECT_EQ(snapshot.droppedSpans, 0u);
+        EXPECT_EQ(spanCount(snapshot, "query.row"), 0u);
+        EXPECT_EQ(spanCount(snapshot, "index.query.concurrency"), 0u);
+        EXPECT_EQ(spanCount(snapshot, "index.query.gpu"), 0u);
+        EXPECT_EQ(spanCount(snapshot, "query.execute"), 1u);
+        EXPECT_EQ(spanCount(snapshot, "index.series.concurrency"), 1u);
+        EXPECT_EQ(spanCount(snapshot, "index.series.gpu"), 1u);
+        EXPECT_LT(snapshot.spans.size(), 3 * 5000 / 16);
+    }
+    obs::setEnabled(wasEnabled);
 }
 
 #endif // !DESKPAR_OBS_DISABLED

@@ -537,6 +537,50 @@ TEST(TraceIndexDiff, DisorderedCswitchStreamFallsBackIdentically)
 }
 
 /**
+ * A series resolves its timeline once; on a disordered stream the
+ * timeline is unusable and every window falls back to the direct
+ * sweep. Either way each point must equal the legacy window sweep,
+ * or fail the same way.
+ */
+TEST(TraceIndexDiff, TimeSeriesOnDisorderedStreamMatchesLegacyWindows)
+{
+    BundleSpec spec;
+    spec.shuffleCswitches = true;
+    const sim::SimDuration window = sim::msec(1);
+    auto exact = [](double v) {
+        std::ostringstream os;
+        os << std::hexfloat << v << ',';
+        return os.str();
+    };
+    for (std::uint64_t seed = 0; seed < 4; ++seed) {
+        TraceBundle bundle = randomBundle(seed, spec);
+        TraceIndex index(bundle);
+        for (const auto &pids : pidSets()) {
+            std::string series = outcome([&] {
+                std::string out;
+                for (const TimePoint &p :
+                     tlpSeries(index, pids, window).points)
+                    out += exact(p.value);
+                return out;
+            });
+            std::string windows = outcome([&] {
+                std::string out;
+                for (sim::SimTime t0 = bundle.startTime;
+                     t0 < bundle.stopTime; t0 += window) {
+                    sim::SimTime t1 =
+                        std::min(t0 + window, bundle.stopTime);
+                    out += exact(legacy::computeConcurrency(
+                                     bundle, pids, t0, t1)
+                                     .tlp());
+                }
+                return out;
+            });
+            EXPECT_EQ(series, windows) << "seed " << seed;
+        }
+    }
+}
+
+/**
  * Lenient-mode survivors of the fault-injection corpus are exactly
  * the hostile inputs the index must not diverge on: disordered
  * streams, wild cpu ids, truncated windows. For every survivor the

@@ -5,7 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <limits>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "report/json.hh"
 
@@ -99,6 +106,161 @@ TEST(Json, AggregateSerialization)
               std::string::npos);
     EXPECT_NE(text.find("\"iterations\":1"), std::string::npos);
     EXPECT_NE(text.find("\"tlp_mean\":1"), std::string::npos);
+}
+
+/** printf's rendering of @p v under @p format, in the C locale. */
+template <typename T>
+std::string
+printfText(const char *format, int precision, T v)
+{
+    char buf[512];
+    std::snprintf(buf, sizeof buf, format, precision, v);
+    return buf;
+}
+
+/** One value through a fresh writer, top-level. */
+template <typename Write>
+std::string
+rendered(Write write)
+{
+    std::ostringstream out;
+    JsonWriter json(out);
+    write(json);
+    return out.str();
+}
+
+/**
+ * The writer renders numbers with std::to_chars; the standard defines
+ * that as printf in the C locale, and the documents' bytes depend on
+ * it. Check it value by value against snprintf on the edge cases and
+ * a spread of ordinary values.
+ */
+TEST(Json, NumbersMatchPrintfByteForByte)
+{
+    std::vector<double> values = {
+        0.0,
+        -0.0,
+        std::numeric_limits<double>::denorm_min(),
+        -std::numeric_limits<double>::denorm_min(),
+        DBL_MIN,
+        DBL_MAX,
+        -DBL_MAX,
+        1e-7,
+        9007199254740991.0, // 2^53 - 1
+        9007199254740992.0, // 2^53
+        9007199254740993.0, // 2^53 + 1 (rounds to 2^53)
+        -9007199254740991.0,
+        0.5,
+        1.0 / 3.0,
+        2.0 / 3.0,
+        123456789.123456789,
+        -1.5e-300,
+        999999.5,
+        0.0005,
+        0.00049999999999999,
+        1e15,
+        1e16,
+        1e17,
+    };
+    for (int k = -50; k <= 50; ++k)
+        values.push_back(0.1 * k);
+    // A deterministic spread over magnitudes: xorshift mantissas
+    // scaled by powers of ten from 1e-12 to 1e12.
+    std::uint64_t state = 88172645463325252ull;
+    for (int i = 0; i < 2000; ++i) {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        double mantissa =
+            static_cast<double>(state >> 11) / 9007199254740992.0;
+        values.push_back((i % 2 ? -1 : 1) * mantissa *
+                         std::pow(10.0, i % 25 - 12));
+    }
+
+    for (double v : values) {
+        for (int digits : {6, 9, 17})
+            EXPECT_EQ(rendered([&](JsonWriter &j) { j.value(v, digits); }),
+                      printfText("%.*g", digits, v))
+                << std::hexfloat << v << " at " << digits;
+        EXPECT_EQ(rendered([&](JsonWriter &j) { j.value(v); }),
+                  printfText("%.*g", 6, v))
+            << std::hexfloat << v;
+        EXPECT_EQ(rendered([&](JsonWriter &j) { j.valueFixed(v, 3); }),
+                  printfText("%.*f", 3, v))
+            << std::hexfloat << v;
+    }
+
+    for (std::uint64_t v :
+         {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{9},
+          std::uint64_t{10}, std::uint64_t{4294967296},
+          std::uint64_t{9007199254740993},
+          std::numeric_limits<std::uint64_t>::max()})
+        EXPECT_EQ(rendered([&](JsonWriter &j) { j.value(v); }),
+                  printfText("%.*llu", 1,
+                             static_cast<unsigned long long>(v)));
+}
+
+TEST(Json, NonFiniteRendersAsNullInEveryNumberForm)
+{
+    for (double v : {std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity(),
+                     std::numeric_limits<double>::quiet_NaN()}) {
+        EXPECT_EQ(rendered([&](JsonWriter &j) { j.value(v); }), "null");
+        EXPECT_EQ(rendered([&](JsonWriter &j) { j.value(v, 17); }),
+                  "null");
+        EXPECT_EQ(rendered([&](JsonWriter &j) { j.valueFixed(v, 3); }),
+                  "null");
+    }
+}
+
+/** Text streamed after the outermost end lands after the document. */
+TEST(Json, TextAfterOutermostEndFollowsTheDocument)
+{
+    std::ostringstream out;
+    {
+        JsonWriter json(out);
+        json.beginObject().field("a", std::uint64_t(1));
+        json.beginArray("b").value(true).endArray();
+        json.endObject();
+        out << '\n';
+        json.beginArray().value(std::string("x")).endArray();
+        out << "tail";
+    }
+    EXPECT_EQ(out.str(), "{\"a\":1,\"b\":[true]}\n[\"x\"]tail");
+
+    analysis::AppMetrics metrics;
+    metrics.concurrency.c = {1.0};
+    std::ostringstream doc;
+    writeJson(doc, metrics);
+    EXPECT_EQ(doc.str().find('\n'), doc.str().size() - 1);
+    EXPECT_EQ(doc.str()[doc.str().size() - 2], '}');
+}
+
+/** A writer destroyed with containers still open flushes its text. */
+TEST(Json, DestroyedWithOpenContainersStillFlushes)
+{
+    std::ostringstream out;
+    {
+        JsonWriter json(out);
+        json.beginObject().field("k", std::string("v"));
+        json.beginArray("xs").value(1.5);
+        EXPECT_EQ(out.str(), "");
+    }
+    EXPECT_EQ(out.str(), "{\"k\":\"v\",\"xs\":[1.5");
+}
+
+/** Keys and strings escape in place, control bytes as u00XX escapes. */
+TEST(Json, KeysAndStringsEscapeInPlace)
+{
+    std::string raw = std::string("q\"b\\n\nr\rt\t") +
+                      std::string("\x00\x1f\x7f", 3);
+    std::string expected = JsonWriter::escape(raw);
+    EXPECT_EQ(expected,
+              "q\\\"b\\\\n\\nr\\rt\\t\\u0000\\u001f\x7f");
+    EXPECT_EQ(rendered([&](JsonWriter &j) {
+                  j.beginObject().field(raw, raw).endObject();
+              }),
+              "{\"" + expected + "\":\"" + expected + "\"}");
 }
 
 } // namespace

@@ -25,11 +25,13 @@
 #include <filesystem>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "analysis/index_cache.hh"
 #include "analysis/service.hh"
+#include "obs/obs.hh"
 #include "report/documents.hh"
 #include "serve/client.hh"
 #include "serve/json_value.hh"
@@ -292,6 +294,57 @@ TEST_F(ServerTest, StatsReportsCacheCountersAndPerOpLatencies)
     EXPECT_GE(query->numberOr("p99_ms", -1),
               query->numberOr("p50_ms", -1));
 }
+
+#if !defined(DESKPAR_OBS_DISABLED)
+
+/**
+ * The daemon records its own spans into fixed per-thread rings (the
+ * default 65,536 spans each) for the stats op. Spans are per request,
+ * per batch and per series, never per row or window, so a run of
+ * row-heavy queries and fine-grained series keeps every serve.request
+ * span and drops nothing. The batch is the 16-spec serve batch with
+ * its bucket widths scaled to this 2 ms trace (about 3,750 rows).
+ */
+TEST_F(ServerTest, RowHeavyTrafficKeepsEveryRequestSpan)
+{
+    const std::string a = "/app=app-";
+    const std::vector<std::string> specs = {
+        "tlp" + a, "busy" + a, "tlp" + a + "/by=bucket:2us",
+        "tlp" + a + "/by=bucket:1us", "busy" + a + "/by=bucket:8us",
+        "csrate" + a, "csrate" + a + "/by=bucket:4us", "dhist" + a,
+        "tlp" + a + "/by=phase", "gpu" + a, "gpu" + a + "/by=engine",
+        "tlp", "busy", "csrate", "dhist", "tlp" + a + "/cpus=0-3"};
+    std::string query = R"({"op":"query","trace":")" + tracePath_ +
+                        R"(","specs":[)";
+    for (std::size_t i = 0; i < specs.size(); ++i)
+        query += (i ? ",\"" : "\"") + specs[i] + "\"";
+    query += "]";
+    const char *const kinds[] = {"tlp", "concurrency", "gpu_util"};
+
+    obs::reset();
+    constexpr unsigned kRequests = 50;
+    for (unsigned i = 0; i < kRequests; ++i) {
+        JsonValue q = envelope(query + R"(,"id":)" +
+                               std::to_string(i) + "}");
+        ASSERT_TRUE(q.boolOr("ok", false)) << i;
+        JsonValue s = envelope(
+            R"({"op":"series","id":1,"trace":")" + tracePath_ +
+            R"(","kind":")" + kinds[i % 3] + R"(","window_ns":1000})");
+        ASSERT_TRUE(s.boolOr("ok", false)) << i;
+    }
+    // Join the workers so every request span has closed.
+    server_->stop();
+    obs::Snapshot snapshot = obs::collect();
+
+    EXPECT_EQ(snapshot.droppedSpans, 0u);
+    std::size_t requests = 0;
+    for (const obs::SpanRecord &span : snapshot.spans)
+        requests += span.name != nullptr &&
+                    std::string_view(span.name) == "serve.request";
+    EXPECT_EQ(requests, 2 * kRequests);
+}
+
+#endif // !DESKPAR_OBS_DISABLED
 
 /** Signals the slow-reader test delivered (its handler's count). */
 std::atomic<unsigned> gSignals{0};
