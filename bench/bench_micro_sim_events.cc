@@ -3,7 +3,7 @@
  * Event-queue microbenchmark: simulated-events/sec of the 4-ary
  * implicit-heap EventQueue (sim/event_queue.hh) A/B against the
  * preserved binary-heap + std::function implementation
- * (sim/event_queue_legacy.hh).
+ * (tests/reference/event_queue_legacy.hh).
  *
  * The churn is the simulator's real steady-state pattern: a fixed
  * population of self-rescheduling events with pseudo-random delays
@@ -28,8 +28,8 @@
 #include <vector>
 
 #include "bench_util.hh"
+#include "reference/event_queue_legacy.hh"
 #include "sim/event_queue.hh"
-#include "sim/event_queue_legacy.hh"
 
 using namespace deskpar;
 

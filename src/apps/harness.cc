@@ -39,6 +39,19 @@ runIteration(WorkloadModel &model, const RunOptions &options,
     machine.run(duration);
     machine.session().stop(machine.now());
 
+    // The queue counts on its hot path; publish once per iteration.
+    const sim::EventQueue::Stats &events = machine.queue().stats();
+    auto publish = [](const char *name, std::uint64_t value) {
+        obs::counterAdd(name, static_cast<std::int64_t>(value));
+    };
+    publish("sim.events.scheduled", events.scheduled);
+    publish("sim.events.rescheduled", events.rescheduled);
+    publish("sim.events.cancelled", events.cancelled);
+    publish("sim.events.fired", events.fired);
+    publish("sim.events.peak_heap", events.peakHeap);
+    publish("sim.cswitches",
+            machine.scheduler().stats().contextSwitches);
+
     IterationOutput out;
     out.bundle = machine.session().takeBundle();
     out.pids =

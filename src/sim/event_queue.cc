@@ -42,6 +42,7 @@ EventQueue::acquireNode()
         panic("EventQueue: node pool exceeds ticket index space");
     pool_.emplace_back();
     tickets_.push_back(kFreeBit | kNoFree);
+    positions_.push_back(0);
     return static_cast<std::uint32_t>(pool_.size() - 1);
 }
 
@@ -53,97 +54,8 @@ EventQueue::releaseNode(std::uint32_t index)
     freeHead_ = index;
 }
 
-void
-EventQueue::siftUp(std::size_t pos, Entry moving)
-{
-    Entry *data = heap_.data();
-    while (pos > 0) {
-        std::size_t parent = (pos - 1) / 4;
-        if (!earlier(moving, data[parent]))
-            break;
-        data[pos] = data[parent];
-        pos = parent;
-    }
-    data[pos] = moving;
-}
-
-/**
- * Re-place the displaced back element after a pop, bottom-up: walk
- * the min-child path all the way to a leaf moving children up, then
- * bubble the element up from the leaf hole. The element came from
- * the bottom of the heap, so it nearly always belongs near a leaf —
- * descending first saves the per-level "is it earlier than the
- * moving element?" compare a top-down sift pays, and the four-way
- * child minimum is two rounds of conditional moves, not a
- * data-dependent branch.
- */
-void
-EventQueue::siftDown(Entry moving)
-{
-    Entry *data = heap_.data();
-    const std::size_t size = heap_.size();
-    std::size_t pos = 0;
-
-    for (;;) {
-        std::size_t first = pos * 4 + 1;
-        if (first + 3 < size) {
-            // The next level's candidates — the children of all four
-            // children — are 16 contiguous entries (4 lines);
-            // prefetching them hides the load latency the
-            // data-dependent descent can't otherwise overlap.
-            std::size_t grand = first * 4 + 1;
-            if (grand < size) {
-                __builtin_prefetch(data + grand);
-                __builtin_prefetch(data + grand + 4);
-                __builtin_prefetch(data + grand + 8);
-                __builtin_prefetch(data + grand + 12);
-            }
-            // Full group: one cache line, branchless min of four.
-            std::size_t a =
-                first + (earlier(data[first + 1], data[first]) ? 1
-                                                               : 0);
-            std::size_t b =
-                first + 2 +
-                (earlier(data[first + 3], data[first + 2]) ? 1 : 0);
-            std::size_t best = earlier(data[b], data[a]) ? b : a;
-            data[pos] = data[best];
-            pos = best;
-        } else if (first < size) {
-            // Partial trailing group (at most once per descent).
-            std::size_t best = first;
-            for (std::size_t child = first + 1; child < size;
-                 ++child) {
-                if (earlier(data[child], data[best]))
-                    best = child;
-            }
-            data[pos] = data[best];
-            pos = best;
-        } else {
-            break;
-        }
-    }
-
-    while (pos > 0) {
-        std::size_t parent = (pos - 1) / 4;
-        if (!earlier(moving, data[parent]))
-            break;
-        data[pos] = data[parent];
-        pos = parent;
-    }
-    data[pos] = moving;
-}
-
-void
-EventQueue::heapPop()
-{
-    Entry displaced = heap_.back();
-    heap_.pop_back();
-    if (!heap_.empty())
-        siftDown(displaced);
-}
-
-EventQueue::Handle
-EventQueue::schedule(SimTime when, Callback cb)
+inline void
+EventQueue::checkSchedule(SimTime when, const Callback &cb) const
 {
     if (when < now_)
         panic("EventQueue::schedule: event in the past");
@@ -152,69 +64,206 @@ EventQueue::schedule(SimTime when, Callback cb)
     // 63, not 64: live tickets must stay below kFreeBit.
     if (nextSeq_ >> (63 - kIndexBits))
         panic("EventQueue::schedule: sequence space exhausted");
+}
 
-    std::uint32_t index = acquireNode();
+inline std::uint64_t
+EventQueue::arm(std::uint32_t index, Callback &&cb)
+{
     std::uint64_t ticket = (nextSeq_++ << kIndexBits) | index;
     tickets_[index] = ticket;
     pool_[index].callback = std::move(cb);
+    return ticket;
+}
 
-    Entry entry;
-    entry.when = when;
-    entry.ticket = ticket;
+void
+EventQueue::siftUp(std::size_t pos, Entry moving)
+{
+    Entry *data = heap_.data();
+    while (pos > 0) {
+        std::size_t parent = (pos - 1) / 4;
+        if (!earlier(moving, data[parent]))
+            break;
+        place(pos, data[parent]);
+        pos = parent;
+    }
+    place(pos, moving);
+}
+
+/**
+ * Earliest of the children starting at @p first (first < size). A
+ * full group is one cache line and its minimum is two rounds of
+ * conditional moves, not a data-dependent branch; the partial
+ * trailing group occurs at most once per descent.
+ */
+inline std::size_t
+EventQueue::minChild(const Entry *data, std::size_t first,
+                     std::size_t size)
+{
+    if (first + 3 < size) {
+        std::size_t a =
+            first + (earlier(data[first + 1], data[first]) ? 1 : 0);
+        std::size_t b =
+            first + 2 +
+            (earlier(data[first + 3], data[first + 2]) ? 1 : 0);
+        // Arithmetic select, not a ternary: with the result feeding
+        // both the move and the next level, GCC compiles `? b : a`
+        // to a branch, which mispredicts half the time on random
+        // keys.
+        std::size_t takeB =
+            std::size_t{0} - (earlier(data[b], data[a]) ? 1 : 0);
+        return a ^ ((a ^ b) & takeB);
+    }
+    std::size_t best = first;
+    for (std::size_t child = first + 1; child < size; ++child) {
+        if (earlier(data[child], data[best]))
+            best = child;
+    }
+    return best;
+}
+
+/**
+ * Top-down sift from hole @p pos: move the earliest child up while
+ * it precedes @p moving. Used where the moving element is a
+ * rescheduled or displaced entry that rarely travels far, so the
+ * early exit beats the bottom-up descent that popRoot() uses.
+ */
+void
+EventQueue::siftDownFrom(std::size_t pos, Entry moving)
+{
+    const Entry *data = heap_.data();
+    const std::size_t size = heap_.size();
+    for (;;) {
+        std::size_t first = pos * 4 + 1;
+        if (first >= size)
+            break;
+        std::size_t best = minChild(data, first, size);
+        if (!earlier(data[best], moving))
+            break;
+        place(pos, data[best]);
+        pos = best;
+    }
+    place(pos, moving);
+}
+
+/**
+ * Remove the root and re-place the displaced back element,
+ * bottom-up: walk the min-child path all the way to a leaf moving
+ * children up, then bubble the element up from the leaf hole. The
+ * element came from the bottom of the heap, so it nearly always
+ * belongs near a leaf — descending first saves the per-level "is it
+ * earlier than the moving element?" compare a top-down sift pays.
+ */
+void
+EventQueue::popRoot()
+{
+    Entry displaced = heap_.back();
+    heap_.pop_back();
+    const Entry *data = heap_.data();
+    const std::size_t size = heap_.size();
+    if (size == 0)
+        return;
+    std::size_t pos = 0;
+    for (;;) {
+        std::size_t first = pos * 4 + 1;
+        if (first >= size)
+            break;
+        // The next level's candidates — the children of all four
+        // children — are 16 contiguous entries (4 lines);
+        // prefetching them hides the load latency the
+        // data-dependent descent can't otherwise overlap.
+        std::size_t grand = first * 4 + 1;
+        if (grand < size) {
+            __builtin_prefetch(data + grand);
+            __builtin_prefetch(data + grand + 4);
+            __builtin_prefetch(data + grand + 8);
+            __builtin_prefetch(data + grand + 12);
+        }
+        std::size_t best = minChild(data, first, size);
+        place(pos, data[best]);
+        pos = best;
+    }
+    siftUp(pos, displaced);
+}
+
+void
+EventQueue::repair(std::size_t pos, Entry moving)
+{
+    if (pos > 0 && earlier(moving, heap_.data()[(pos - 1) / 4]))
+        siftUp(pos, moving);
+    else
+        siftDownFrom(pos, moving);
+}
+
+EventQueue::Handle
+EventQueue::schedule(SimTime when, Callback cb)
+{
+    checkSchedule(when, cb);
+    std::uint64_t ticket = arm(acquireNode(), std::move(cb));
     heap_.extend();
-    siftUp(heap_.size() - 1, entry);
-    ++liveCount_;
+    siftUp(heap_.size() - 1, Entry{when, ticket});
+    ++stats_.scheduled;
+    if (heap_.size() > stats_.peakHeap)
+        stats_.peakHeap = heap_.size();
     return Handle(this, ticket);
+}
+
+void
+EventQueue::reschedule(Handle &handle, SimTime when, Callback cb)
+{
+    if (handle.queue_ != this || !live(handle.ticket_)) {
+        handle = schedule(when, std::move(cb));
+        return;
+    }
+    checkSchedule(when, cb);
+    auto index =
+        static_cast<std::uint32_t>(handle.ticket_ & kIndexMask);
+    // The fresh ticket is exactly the one cancel + schedule would
+    // have issued: the freed node would be the freelist head that
+    // schedule() takes back, and the sequence number is the next.
+    handle.ticket_ = arm(index, std::move(cb));
+    repair(positions_[index], Entry{when, handle.ticket_});
+    ++stats_.rescheduled;
 }
 
 void
 EventQueue::cancel(Handle &handle)
 {
     if (handle.queue_ == this && live(handle.ticket_)) {
-        releaseNode(
-            static_cast<std::uint32_t>(handle.ticket_ & kIndexMask));
-        --liveCount_;
+        auto index =
+            static_cast<std::uint32_t>(handle.ticket_ & kIndexMask);
+        std::size_t pos = positions_[index];
+        Entry displaced = heap_.back();
+        heap_.pop_back();
+        if (pos < heap_.size())
+            repair(pos, displaced);
+        releaseNode(index);
+        ++stats_.cancelled;
     }
     handle = Handle();
-}
-
-const EventQueue::Entry *
-EventQueue::peekLive()
-{
-    while (!heap_.empty()) {
-        const Entry &top = heap_.front();
-        if (live(top.ticket)) {
-            // fireTop touches this entry's node only after the
-            // sift-down; start the (random-index) node fetch now so
-            // it overlaps the heap work.
-            __builtin_prefetch(&pool_[top.ticket & kIndexMask]);
-            return &top;
-        }
-        heapPop();
-    }
-    return nullptr;
 }
 
 void
 EventQueue::fireTop()
 {
     Entry entry = heap_.front();
-    heapPop();
+    auto index = static_cast<std::uint32_t>(entry.ticket & kIndexMask);
+    // The callback is read only after the sift; start the
+    // (random-index) node fetch now so it overlaps the heap work.
+    __builtin_prefetch(&pool_[index]);
+    popRoot();
     now_ = entry.when;
     // Release before running: the callback may reschedule (reusing
     // this node) and the handle must already read as not pending.
-    std::uint32_t index =
-        static_cast<std::uint32_t>(entry.ticket & kIndexMask);
     Callback cb = std::move(pool_[index].callback);
     releaseNode(index);
-    --liveCount_;
+    ++stats_.fired;
     cb();
 }
 
 bool
 EventQueue::runOne()
 {
-    if (!peekLive())
+    if (heap_.empty())
         return false;
     fireTop();
     return true;
@@ -223,11 +272,8 @@ EventQueue::runOne()
 void
 EventQueue::runUntil(SimTime until)
 {
-    while (const Entry *top = peekLive()) {
-        if (top->when > until)
-            break;
+    while (!heap_.empty() && heap_.front().when <= until)
         fireTop();
-    }
     if (now_ < until)
         now_ = until;
 }
@@ -252,6 +298,7 @@ EventQueue::reserve(std::size_t events)
     std::size_t first = pool_.size();
     pool_.resize(events);
     tickets_.resize(events);
+    positions_.resize(events);
     for (std::size_t i = first; i < events; ++i) {
         tickets_[i] = kFreeBit | freeHead_;
         freeHead_ = static_cast<std::uint32_t>(i);

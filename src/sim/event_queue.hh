@@ -4,20 +4,21 @@
  *
  * Components schedule callbacks at future simulated times; the queue
  * executes them in time order (FIFO among equal timestamps). Scheduled
- * events can be cancelled through their Handle. Cancellation is lazy:
- * cancelled heap entries stay in the heap until popped, but their
- * nodes return to the freelist immediately.
+ * events can be cancelled or moved through their Handle. Both are
+ * eager: the heap holds exactly the pending events, never a dead
+ * entry, so a cancel-heavy workload (the scheduler moves every
+ * running CPU's completion on each context switch) costs no extra
+ * pops.
  *
  * Nodes live in a freelist-backed pool owned by the queue; a Handle
  * is a packed (sequence, node-index) ticket, so scheduling an event
  * allocates nothing once the pool is warm. A recycled node gets the
  * next scheduling's fresh sequence number, which invalidates stale
- * handles and stale heap entries without any per-event heap
- * allocation.
+ * handles without any per-event heap allocation.
  *
- * The priority queue is a hand-rolled 4-ary implicit heap tuned for
- * the pop path, which dominates simulation cost at realistic heap
- * depths (hundreds to thousands of pending events):
+ * The priority queue is a hand-rolled indexed 4-ary implicit heap
+ * tuned for the pop path, which dominates simulation cost at
+ * realistic heap depths (hundreds to thousands of pending events):
  *
  *  - entries are 16 bytes — the timestamp plus one packed word
  *    carrying (sequence << 20 | node index), which is simultaneously
@@ -26,6 +27,9 @@
  *  - the entry array is offset inside a 64-byte-aligned buffer so
  *    every child group starts on a line boundary (children of i at
  *    4i+1; element 1 is 64-byte-aligned);
+ *  - a dense node -> heap-position array, kept current on every sift
+ *    move, lets cancel() and reschedule() find an event's entry in
+ *    O(1) and repair the heap around it in place;
  *  - sift-down walks half the levels of a binary heap and picks the
  *    earliest of four children with branchless conditional moves,
  *    where std::priority_queue's per-level two-way branch
@@ -35,10 +39,10 @@
  *    the per-level compare against the moving element.
  *
  * Pop order is differential-tested against the preserved
- * binary-heap implementation (sim/event_queue_legacy.hh). Callbacks
- * are InlineCallback, not std::function, so capture-heavy events
- * (input delivery captures a label string) schedule without touching
- * malloc.
+ * binary-heap implementation (tests/reference/event_queue_legacy.hh).
+ * Callbacks are InlineCallback, not std::function, so capture-heavy
+ * events (input delivery captures a label string) schedule without
+ * touching malloc.
  */
 
 #ifndef DESKPAR_SIM_EVENT_QUEUE_HH
@@ -61,6 +65,23 @@ class EventQueue
 {
   public:
     using Callback = InlineCallback;
+
+    /**
+     * Event counts since construction. Plain fields bumped on the
+     * hot path; publish them once per run, not per event. Every
+     * scheduled event ends fired, cancelled or still pending, so
+     * scheduled == fired + cancelled + pendingCount() always holds;
+     * a reschedule() of a pending event counts as rescheduled only.
+     */
+    struct Stats
+    {
+        std::uint64_t scheduled = 0;
+        std::uint64_t rescheduled = 0;
+        std::uint64_t cancelled = 0;
+        std::uint64_t fired = 0;
+        /** High-water mark of the heap's size (= pending events). */
+        std::uint64_t peakHeap = 0;
+    };
 
     /**
      * Opaque reference to a scheduled event; valid until the event
@@ -115,6 +136,16 @@ class EventQueue
     void cancel(Handle &handle);
 
     /**
+     * Move the event behind @p handle to @p when with callback @p cb,
+     * updating @p handle. Observably identical to cancel() followed
+     * by schedule() — the event takes a fresh sequence number, so it
+     * runs after every event already scheduled for @p when — but a
+     * pending event keeps its node and its heap entry is repaired in
+     * place. A fired, cancelled or default handle is just schedule().
+     */
+    void reschedule(Handle &handle, SimTime when, Callback cb);
+
+    /**
      * Pop and execute the earliest pending event.
      * @return false if the queue held no live events.
      */
@@ -130,11 +161,14 @@ class EventQueue
     /** Run until the queue is empty. */
     void runAll();
 
-    /** Number of live (non-cancelled) pending events. */
-    std::size_t pendingCount() const { return liveCount_; }
+    /** Number of pending events (the heap holds no others). */
+    std::size_t pendingCount() const { return heap_.size(); }
 
-    /** True if no live events remain. */
-    bool empty() const { return liveCount_ == 0; }
+    /** True if no events remain. */
+    bool empty() const { return heap_.empty(); }
+
+    /** Event counts since construction. */
+    const Stats &stats() const { return stats_; }
 
     /**
      * Pre-size the node pool and heap for @p events concurrent
@@ -161,12 +195,11 @@ class EventQueue
 
     /**
      * Pooled event storage, addressed by the ticket's index bits.
-     * Exactly one cache line: the node's current ticket and its
-     * freelist link both live in the dense tickets_ side array, so
-     * liveness probes (every pop, every Handle::pending) and
-     * freelist walks read an 8-byte-per-node array that stays
-     * cache-resident, and firing an event touches a single
-     * line-aligned node.
+     * Exactly one cache line: the node's current ticket, its
+     * freelist link and its heap position live in dense side arrays,
+     * so liveness probes (every cancel, every Handle::pending),
+     * freelist walks and sift moves stay cache-resident, and firing
+     * an event touches a single line-aligned node.
      */
     struct alignas(64) Node
     {
@@ -179,9 +212,7 @@ class EventQueue
      * (sequence << kIndexBits) | node index; sequences are unique
      * and monotone, so comparing tickets compares sequences — the
      * FIFO tie-break among equal timestamps — and the same word
-     * names the pool node for liveness checks. Entries whose ticket
-     * no longer matches their node are dead (cancelled or fired) and
-     * are skipped on pop.
+     * names the pool node, whose position the sifts keep current.
      */
     struct Entry
     {
@@ -281,29 +312,43 @@ class EventQueue
     /** Return a node to the freelist, invalidating its ticket. */
     void releaseNode(std::uint32_t index);
 
+    /** Panic unless (@p when, @p cb) may be scheduled now. */
+    void checkSchedule(SimTime when, const Callback &cb) const;
+
+    /** Give node @p index a fresh ticket and callback @p cb. */
+    std::uint64_t arm(std::uint32_t index, Callback &&cb);
+
     /** @{ 4-ary implicit heap: children of i at 4i+1..4i+4. */
+    /** Store @p entry at @p pos and record the position. */
+    void
+    place(std::size_t pos, const Entry &entry)
+    {
+        heap_.data()[pos] = entry;
+        positions_[entry.ticket & kIndexMask] =
+            static_cast<std::uint32_t>(pos);
+    }
+    static std::size_t minChild(const Entry *data, std::size_t first,
+                                std::size_t size);
     void siftUp(std::size_t pos, Entry moving);
-    void siftDown(Entry moving);
-    void heapPop();
+    void siftDownFrom(std::size_t pos, Entry moving);
+    void popRoot();
+    /** Re-place @p moving at hole @p pos, up or down as needed. */
+    void repair(std::size_t pos, Entry moving);
     /** @} */
 
-    /**
-     * Drop dead entries from the heap top.
-     * @return the earliest live entry, or nullptr if none remain.
-     */
-    const Entry *peekLive();
-
-    /** Pop the (live) top entry and execute its callback. */
+    /** Pop the top entry and execute its callback. */
     void fireTop();
 
     SimTime now_ = 0;
     std::uint64_t nextSeq_ = 0;
-    std::size_t liveCount_ = 0;
     std::vector<Node> pool_;
     /** pool_[i]'s current ticket, or kFreeBit|next while free. */
     std::vector<std::uint64_t> tickets_;
+    /** Heap position of pool_[i]'s entry while it is pending. */
+    std::vector<std::uint32_t> positions_;
     std::uint32_t freeHead_ = kNoFree;
     EntryHeap heap_;
+    Stats stats_;
 };
 
 } // namespace deskpar::sim

@@ -109,10 +109,10 @@ OsScheduler::runningFootprintMiB() const
 }
 
 double
-OsScheduler::rateFor(const SimThread &thread, CpuId cpu) const
+OsScheduler::rateFor(const SimThread &thread, CpuId cpu, double clock,
+                     double llcFactor) const
 {
     // Work units are cycles, so units/ns == GHz numerically.
-    double clock = currentClockGhz();
     double factor = 1.0;
     if (siblingBusy(cpu)) {
         const SimThread *sibling =
@@ -123,10 +123,7 @@ OsScheduler::rateFor(const SimThread &thread, CpuId cpu) const
                           sibling->process().smtFriendliness());
         factor = 0.5 + 0.5 * f;
     }
-    if (llcModel_) {
-        factor *=
-            llcModel_->throughputFactor(runningFootprintMiB());
-    }
+    factor *= llcFactor; // exactly 1.0 without an LLC model
     return clock * factor;
 }
 
@@ -165,20 +162,25 @@ void
 OsScheduler::refreshRates()
 {
     SimTime now = queue_.now();
+    // Occupancy is fixed for the whole loop (accrue only deducts
+    // work), so the package-wide rate terms are computed once.
+    double clock = currentClockGhz();
+    double llcFactor =
+        llcModel_ ? llcModel_->throughputFactor(runningFootprintMiB())
+                  : 1.0;
     for (CpuId cpu = 0; cpu < cpus_.size(); ++cpu) {
         CpuState &state = cpus_[cpu];
         if (!state.running)
             continue;
         accrue(cpu);
-        state.rate = rateFor(*state.running, cpu);
-        queue_.cancel(state.completionEvent);
+        state.rate = rateFor(*state.running, cpu, clock, llcFactor);
         WorkUnits remaining = state.running->remainingWork();
         auto delay = static_cast<SimDuration>(
             std::ceil(remaining / state.rate));
         if (delay == 0)
             delay = 1;
-        state.completionEvent = queue_.schedule(
-            now + delay, [this, cpu] { onComputeComplete(cpu); });
+        queue_.reschedule(state.completionEvent, now + delay,
+                          [this, cpu] { onComputeComplete(cpu); });
     }
 }
 

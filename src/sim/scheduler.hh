@@ -134,15 +134,25 @@ class OsScheduler
     /** True if the SMT sibling of @p cpu hosts a running thread. */
     bool siblingBusy(CpuId cpu) const;
 
-    /** Rate (units/ns) for @p thread on @p cpu at current occupancy. */
-    double rateFor(const SimThread &thread, CpuId cpu) const;
+    /**
+     * Rate (units/ns) for @p thread on @p cpu at current occupancy,
+     * given the package-wide terms: clock (currentClockGhz()) and
+     * LLC throughput factor (1.0 without an LLC model).
+     */
+    double rateFor(const SimThread &thread, CpuId cpu, double clock,
+                   double llcFactor) const;
 
     /** Aggregate LLC footprint of processes with running threads. */
     double runningFootprintMiB() const;
 
     /**
-     * Recompute every running thread's rate and reschedule its
-     * completion event. Called after any occupancy change.
+     * Recompute every running thread's rate and move its completion
+     * event in place (EventQueue::reschedule). Called after any
+     * occupancy change, i.e. on every context switch. The clock and
+     * LLC terms depend only on occupancy, so they are computed once
+     * per call rather than once per running CPU; the per-CPU
+     * expression order is unchanged, so every rate is bitwise the
+     * same as computing them per CPU.
      */
     void refreshRates();
 

@@ -6,7 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+
 #include "apps/harness.hh"
+#include "obs/obs.hh"
 #include "sim/logging.hh"
 
 namespace {
@@ -88,5 +92,51 @@ TEST(Harness, DurationOverridesModelDefault)
     AppRunResult result = runWorkload("word", options);
     EXPECT_EQ(result.lastBundle.duration(), sim::sec(1.5));
 }
+
+#if !defined(DESKPAR_OBS_DISABLED)
+
+/**
+ * runIteration publishes the event queue's and the scheduler's
+ * counts once per iteration; the totals sum over iterations.
+ */
+TEST(Harness, PublishesSimulatorCounters)
+{
+    const bool wasEnabled = obs::enabled();
+    obs::setEnabled(true);
+    obs::reset();
+    RunOptions options;
+    options.iterations = 2;
+    options.duration = sim::sec(1.0);
+    AppRunResult result = runWorkload("handbrake", options);
+    obs::setEnabled(wasEnabled);
+    obs::Snapshot snapshot = obs::collect();
+
+    auto total = [&](const char *name) -> std::int64_t {
+        for (const obs::CounterTotal &counter : snapshot.counters) {
+            if (!std::strcmp(counter.name, name))
+                return counter.total;
+        }
+        return -1;
+    };
+    std::uint64_t cswitches = 0;
+    for (const IterationResult &iteration : result.iterations)
+        cswitches += iteration.sched.contextSwitches;
+    EXPECT_GT(cswitches, 0u);
+    EXPECT_EQ(total("sim.cswitches"),
+              static_cast<std::int64_t>(cswitches));
+
+    std::int64_t scheduled = total("sim.events.scheduled");
+    std::int64_t fired = total("sim.events.fired");
+    std::int64_t cancelled = total("sim.events.cancelled");
+    EXPECT_GT(fired, 0);
+    EXPECT_GE(cancelled, 0);
+    // The remainder is what was still pending at each iteration end.
+    EXPECT_GE(scheduled, fired + cancelled);
+    // Every context switch moves the running CPUs' completions.
+    EXPECT_GT(total("sim.events.rescheduled"), 0);
+    EXPECT_GT(total("sim.events.peak_heap"), 0);
+}
+
+#endif // !DESKPAR_OBS_DISABLED
 
 } // namespace

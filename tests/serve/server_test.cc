@@ -451,6 +451,14 @@ TEST_F(ServerTest, SlowReaderGetsWholeDocumentDespiteSignals)
     reading.store(false);
     shower.join();
     ::close(fd);
+    // A SIGUSR1 sent with tgkill can still be pending on a thread
+    // that has it blocked; restoring SIG_DFL first would let it kill
+    // the process on delivery. Setting SIG_IGN discards every
+    // pending instance (POSIX), then the previous action returns.
+    struct sigaction ignore {};
+    ignore.sa_handler = SIG_IGN;
+    sigemptyset(&ignore.sa_mask);
+    ::sigaction(SIGUSR1, &ignore, nullptr);
     ::sigaction(SIGUSR1, &previous, nullptr);
 
     EXPECT_TRUE(sent);

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -173,6 +175,156 @@ TEST(EventQueue, PoolReuseKeepsFifoAndCancellation)
     }
     EXPECT_EQ(fired, 100);
     EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueue, RescheduleFollowsFreshSequenceAmongEqualTimes)
+{
+    EventQueue q;
+    std::vector<int> order;
+    auto a = q.schedule(5, [&] { order.push_back(1); });
+    q.schedule(5, [&] { order.push_back(2); });
+    auto c = q.schedule(5, [&] { order.push_back(3); });
+    q.schedule(5, [&] { order.push_back(4); });
+    // Same time, fresh sequence: a now runs after every event
+    // already scheduled for 5, as cancel + schedule would order it.
+    q.reschedule(a, 5, [&] { order.push_back(1); });
+    // Earlier time: c moves to the front.
+    q.reschedule(c, 3, [&] { order.push_back(3); });
+    EXPECT_EQ(q.pendingCount(), 4u);
+    q.runAll();
+    EXPECT_EQ(order, (std::vector<int>{3, 2, 4, 1}));
+}
+
+TEST(EventQueue, RescheduleMovesPendingEventLater)
+{
+    EventQueue q;
+    std::vector<int> order;
+    auto a = q.schedule(5, [&] { order.push_back(1); });
+    q.schedule(10, [&] { order.push_back(2); });
+    q.reschedule(a, 20, [&] { order.push_back(10); });
+    EXPECT_TRUE(a.pending());
+    q.runUntil(10);
+    EXPECT_EQ(order, (std::vector<int>{2}));
+    EXPECT_TRUE(a.pending());
+    q.runAll();
+    EXPECT_EQ(order, (std::vector<int>{2, 10}));
+    EXPECT_EQ(q.now(), 20u);
+    EXPECT_FALSE(a.pending());
+}
+
+TEST(EventQueue, RescheduleOfFiredHandleSchedulesAnew)
+{
+    EventQueue q;
+    int runs = 0;
+    auto handle = q.schedule(5, [&] { ++runs; });
+    q.runAll();
+    ASSERT_FALSE(handle.pending());
+    q.reschedule(handle, 8, [&] { runs += 10; });
+    EXPECT_TRUE(handle.pending());
+    EXPECT_EQ(q.pendingCount(), 1u);
+    q.runAll();
+    EXPECT_EQ(runs, 11);
+    EXPECT_EQ(q.now(), 8u);
+    EXPECT_EQ(q.stats().scheduled, 2u);
+    EXPECT_EQ(q.stats().rescheduled, 0u);
+}
+
+TEST(EventQueue, RescheduleOfCancelledOrDefaultHandleSchedules)
+{
+    EventQueue q;
+    int runs = 0;
+    EventQueue::Handle fresh;
+    q.reschedule(fresh, 4, [&] { ++runs; });
+    EXPECT_TRUE(fresh.pending());
+    auto cancelled = q.schedule(2, [&] { runs += 100; });
+    q.cancel(cancelled);
+    q.reschedule(cancelled, 6, [&] { ++runs; });
+    EXPECT_TRUE(cancelled.pending());
+    EXPECT_EQ(q.pendingCount(), 2u);
+    q.runAll();
+    EXPECT_EQ(runs, 2);
+}
+
+TEST(EventQueue, RescheduleInvalidatesCopiesOfTheOldHandle)
+{
+    EventQueue q;
+    bool ran = false;
+    auto handle = q.schedule(10, [] {});
+    auto stale = handle;
+    q.reschedule(handle, 12, [&] { ran = true; });
+    EXPECT_TRUE(handle.pending());
+    EXPECT_FALSE(stale.pending());
+    q.cancel(stale); // old ticket: must not cancel the moved event
+    EXPECT_TRUE(handle.pending());
+    q.runAll();
+    EXPECT_TRUE(ran);
+}
+
+TEST(EventQueue, RescheduleIntoThePastPanics)
+{
+    EventQueue q;
+    q.schedule(10, [] {}); // the clock reaches 10
+    auto handle = q.schedule(20, [] {});
+    q.runOne();
+    EXPECT_THROW(q.reschedule(handle, 5, [] {}), PanicError);
+    EXPECT_TRUE(handle.pending());
+}
+
+TEST(EventQueue, StatsCountEveryOutcome)
+{
+    EventQueue q;
+    auto a = q.schedule(10, [] {});
+    auto b = q.schedule(20, [] {});
+    q.schedule(30, [] {});
+    q.reschedule(a, 25, [] {});
+    q.cancel(b);
+    q.runOne();
+    const EventQueue::Stats &stats = q.stats();
+    EXPECT_EQ(stats.scheduled, 3u);
+    EXPECT_EQ(stats.rescheduled, 1u);
+    EXPECT_EQ(stats.cancelled, 1u);
+    EXPECT_EQ(stats.fired, 1u);
+    EXPECT_EQ(stats.peakHeap, 3u);
+    EXPECT_EQ(stats.scheduled,
+              stats.fired + stats.cancelled + q.pendingCount());
+}
+
+/**
+ * A cancel-and-move workload (the scheduler's pattern) keeps the
+ * heap at exactly the pending set: peakHeap never exceeds the
+ * largest pendingCount() observed after any call.
+ */
+TEST(EventQueue, HeapHoldsNoDeadEntries)
+{
+    EventQueue q;
+    std::vector<EventQueue::Handle> handles(16);
+    std::size_t maxPending = 0;
+    std::uint64_t lcg = 12345;
+    auto draw = [&] {
+        lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
+        return lcg >> 33;
+    };
+    for (int step = 0; step < 4000; ++step) {
+        auto &handle = handles[draw() % handles.size()];
+        switch (draw() % 4) {
+        case 0:
+            q.cancel(handle);
+            break;
+        case 1:
+            q.runOne();
+            break;
+        default:
+            q.reschedule(handle, q.now() + draw() % 40, [] {});
+            break;
+        }
+        maxPending = std::max(maxPending, q.pendingCount());
+        const EventQueue::Stats &stats = q.stats();
+        ASSERT_EQ(stats.scheduled,
+                  stats.fired + stats.cancelled + q.pendingCount());
+    }
+    EXPECT_EQ(q.stats().peakHeap, maxPending);
+    EXPECT_LE(maxPending, handles.size());
+    EXPECT_GT(q.stats().rescheduled, 0u);
 }
 
 TEST(EventQueue, ManyEventsStressOrdering)
