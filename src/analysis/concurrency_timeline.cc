@@ -68,28 +68,34 @@ buildConcurrencyTimeline(const trace::TraceBundle &bundle,
         }
         cpuBusy[e.cpu] = now_busy;
     }
-    if (dispatches)
+    // An ordered stream pushed both columns in order already: a sort
+    // (stable or not) of an ordered sequence is the identity, so only
+    // a disordered stream pays for one.
+    if (dispatches && !sorted)
         std::sort(dispatches->begin(), dispatches->end());
     if (waits) {
-        // Sort by end (already the stream order for a sorted bundle;
-        // a stable sort keeps equal-end rows paired) and compute the
-        // suffix-minimum begin column.
+        // Sort by end (a stable sort keeps equal-end rows paired) and
+        // compute the suffix-minimum begin column.
         const std::size_t n = waits->end.size();
-        std::vector<std::pair<SimTime, SimTime>> rows;
-        rows.reserve(n);
-        for (std::size_t i = 0; i < n; ++i)
-            rows.emplace_back(waits->end[i], waits->begin[i]);
-        std::stable_sort(rows.begin(), rows.end(),
-                         [](const auto &a, const auto &b) {
-                             return a.first < b.first;
-                         });
-        waits->minBegin.assign(n, 0);
+        if (!sorted) {
+            std::vector<std::pair<SimTime, SimTime>> rows;
+            rows.reserve(n);
+            for (std::size_t i = 0; i < n; ++i)
+                rows.emplace_back(waits->end[i], waits->begin[i]);
+            std::stable_sort(rows.begin(), rows.end(),
+                             [](const auto &a, const auto &b) {
+                                 return a.first < b.first;
+                             });
+            for (std::size_t i = 0; i < n; ++i) {
+                waits->end[i] = rows[i].first;
+                waits->begin[i] = rows[i].second;
+            }
+        }
+        waits->minBegin.resize(n);
         SimTime mn = 0;
         for (std::size_t i = n; i-- > 0;) {
-            waits->end[i] = rows[i].first;
-            waits->begin[i] = rows[i].second;
-            mn = i + 1 == n ? rows[i].second
-                            : std::min(mn, rows[i].second);
+            mn = i + 1 == n ? waits->begin[i]
+                            : std::min(mn, waits->begin[i]);
             waits->minBegin[i] = mn;
         }
     }

@@ -169,16 +169,19 @@ labelColumn(const Fields &fields, std::size_t labelIndex,
     return true;
 }
 
+/** A bundle's pid -> process-name table. */
+using NameTable = decltype(TraceBundle::processNames);
+
 /**
  * processNames[pid] = name without allocating when the entry already
  * holds that name (replays assign the same few names per row).
  */
 void
-assignName(TraceBundle &bundle, Pid pid, std::string_view name)
+assignName(NameTable &names, Pid pid, std::string_view name)
 {
-    auto it = bundle.processNames.find(pid);
-    if (it == bundle.processNames.end())
-        bundle.processNames.emplace(pid, std::string(name));
+    auto it = names.find(pid);
+    if (it == names.end())
+        names.emplace(pid, std::string(name));
     else if (it->second != name)
         it->second.assign(name);
 }
@@ -189,17 +192,17 @@ constexpr std::uint64_t kU32Max =
     std::numeric_limits<std::uint32_t>::max();
 
 /**
- * Decode one "CPU Usage (Precise)" row into @p bundle. Shared by the
- * legacy istream reader (Fields = vector<string>) and the zero-copy
- * span reader (Fields = vector<string_view>).
+ * Decode one "CPU Usage (Precise)" row into @p e (a fresh event) and,
+ * when the row is good, its two process names into @p names. Shared
+ * by the legacy istream reader (Fields = vector<string>) and the
+ * zero-copy span reader (Fields = vector<string_view>).
  */
 template <typename Fields>
 bool
-parseCpuRow(const Fields &fields, TraceBundle &bundle,
+parseCpuRow(const Fields &fields, CSwitchEvent &e, NameTable &names,
             const std::string &source, std::uint64_t line,
             ParseMode mode, bool &clamped, ParseError &err)
 {
-    CSwitchEvent e;
     std::string_view newName, oldName;
     Pid newPid = 0, oldPid = 0;
     std::uint64_t v = 0;
@@ -242,20 +245,18 @@ parseCpuRow(const Fields &fields, TraceBundle &bundle,
         return false;
     e.oldTid = static_cast<Tid>(v);
 
-    assignName(bundle, e.newPid, newName);
-    assignName(bundle, e.oldPid, oldName);
-    bundle.cswitches.push_back(e);
+    assignName(names, e.newPid, newName);
+    assignName(names, e.oldPid, oldName);
     return true;
 }
 
-/** Decode one "GPU Utilization" row into @p bundle. */
+/** Decode one "GPU Utilization" row into @p e and @p names. */
 template <typename Fields>
 bool
-parseGpuRow(const Fields &fields, TraceBundle &bundle,
+parseGpuRow(const Fields &fields, GpuPacketEvent &e, NameTable &names,
             const std::string &source, std::uint64_t line,
             ParseError &err)
 {
-    GpuPacketEvent e;
     std::string_view name;
     Pid pid = 0;
     std::uint64_t v = 0;
@@ -294,8 +295,7 @@ parseGpuRow(const Fields &fields, TraceBundle &bundle,
                        source, line, err))
         return false;
 
-    assignName(bundle, e.pid, name);
-    bundle.gpuPackets.push_back(e);
+    assignName(names, e.pid, name);
     return true;
 }
 
@@ -446,17 +446,46 @@ splitAtNewlines(io::ByteSpan body, unsigned want)
 }
 
 /**
- * Parse the rows of one chunk into @p part with absolute line
- * numbers starting at @p startLine. Mirrors the legacy readCsv row
- * loop exactly; the fields/scratch buffers are reused across rows so
- * steady-state rows allocate nothing.
+ * One chunk's share of the output: the rows it keeps are written to
+ * slots[0..kept), never past capacity, and the names it assigns to
+ * its own table (merged in file order afterwards).
  */
-template <typename RowFn>
+template <typename Event>
+struct ChunkSlice
+{
+    Event *slots = nullptr;
+    std::size_t capacity = 0;
+    std::size_t kept = 0;
+    NameTable names;
+};
+
+/**
+ * Hard upper bound on the good rows of a chunk of @p bytes and
+ * @p lines: one per line, and a good row spends at least one byte on
+ * each of its @p fieldCount fields plus a separator or terminator
+ * after each. The byte term keeps a hostile file of empty or tiny
+ * lines from sizing the output past about twice its own bytes.
+ */
+std::size_t
+maxRows(std::size_t bytes, std::uint64_t lines, std::size_t fieldCount)
+{
+    return static_cast<std::size_t>(std::min<std::uint64_t>(
+        lines, (bytes + 1) / (2 * fieldCount)));
+}
+
+/**
+ * Parse the rows of one chunk into @p out with absolute line numbers
+ * starting at @p startLine. Mirrors the legacy readCsv row loop
+ * exactly; the fields/scratch buffers are reused across rows so
+ * steady-state rows allocate nothing, and each good row is written
+ * once, straight into its slot.
+ */
+template <typename Event, typename RowFn>
 IngestReport
 parseCsvChunk(io::ByteSpan chunk, std::uint64_t startLine,
               const ParseOptions &options, const std::string &source,
               std::size_t fieldCount, RowFn &&parseRow,
-              TraceBundle &part)
+              ChunkSlice<Event> &out)
 {
     IngestReport report;
     report.source = source;
@@ -476,6 +505,7 @@ parseCsvChunk(io::ByteSpan chunk, std::uint64_t startLine,
         ParseError err;
         bool good = false;
         bool clamped = false;
+        Event e;
         if (!splitCsvFieldsView(line, fields, scratch, err)) {
             err.source = source;
             err.section = "row";
@@ -487,11 +517,14 @@ parseCsvChunk(io::ByteSpan chunk, std::uint64_t startLine,
                                ", want " +
                                std::to_string(fieldCount) + ")");
         } else {
-            good = parseRow(fields, part, source, lineNo, clamped,
-                            err);
+            good = parseRow(fields, e, out.names, source, lineNo,
+                            clamped, err);
         }
 
         if (good) {
+            if (out.kept == out.capacity)
+                panic("parseCsvChunk: row past the chunk's bound");
+            out.slots[out.kept++] = e;
             ++report.recordsParsed;
             if (clamped)
                 report.noteRepair(std::move(err),
@@ -506,37 +539,26 @@ parseCsvChunk(io::ByteSpan chunk, std::uint64_t startLine,
     return report;
 }
 
-/** Splice one chunk's decoded events into the output bundle. */
-void
-appendPart(TraceBundle &bundle, TraceBundle &part)
-{
-    bundle.cswitches.insert(bundle.cswitches.end(),
-                            part.cswitches.begin(),
-                            part.cswitches.end());
-    bundle.gpuPackets.insert(bundle.gpuPackets.end(),
-                             part.gpuPackets.begin(),
-                             part.gpuPackets.end());
-    // Later chunks overwrite earlier names, matching the serial
-    // reader's per-row assignment order (keys are unique per part).
-    for (auto &[pid, name] : part.processNames)
-        bundle.processNames[pid] = std::move(name);
-}
-
 /** Span inputs below this parse serially unless threads is forced. */
 constexpr std::size_t kMinParallelBytes = 1 << 16;
 
 /**
  * The zero-copy CSV reader: header check, chunk split, parallel
- * decode, deterministic merge. Byte-identical to readCsv(istream)
- * over the same bytes: bundle contents, report counters, and every
- * error payload.
+ * decode straight into @p out, deterministic merge. Byte-identical
+ * to readCsv(istream) over the same bytes: events, names, report
+ * counters, and every error payload.
+ *
+ * @p out grows once, by the summed row bounds of the chunks, and
+ * each chunk writes its rows into its own slice; the slices are
+ * compacted in file order only where a chunk kept fewer rows than
+ * its bound, and the tail is trimmed.
  */
-template <typename RowFn>
+template <typename Event, typename RowFn>
 IngestReport
-readCsvSpan(io::ByteSpan data, TraceBundle &bundle,
-            const ParseOptions &options, const char *headerPrefix,
-            std::size_t fieldCount, std::size_t bytesPerRow,
-            std::size_t reserved, RowFn &&parseRow)
+readCsvSpan(io::ByteSpan data, std::vector<Event> &out,
+            NameTable &names, const ParseOptions &options,
+            const char *headerPrefix, std::size_t fieldCount,
+            RowFn &&parseRow)
 {
     obs::Span ingestSpan("ingest.csv", obs::SpanKind::Ingest,
                          data.size());
@@ -590,69 +612,62 @@ readCsvSpan(io::ByteSpan data, TraceBundle &bundle,
     if (jobs > 1 && body.find('"') != std::string_view::npos)
         jobs = 1;
 
-    // Reserve estimate: the bytes-per-row divisor alone over-reserves
-    // badly on traces with long process names (a 300-byte row is
-    // still one event), holding ~2x peak memory through the parallel
-    // merge. One event needs one line, so the newline pre-scan count
-    // is a hard upper bound — take the smaller of the two.
-    if (jobs <= 1) {
-        auto rows = std::min<std::uint64_t>(
-            body.size() / bytesPerRow + 1, lineCount(body));
-        if (reserved == 0)
-            bundle.cswitches.reserve(bundle.cswitches.size() + rows);
-        else
-            bundle.gpuPackets.reserve(bundle.gpuPackets.size() + rows);
-        return parseCsvChunk(body, 2, options, source, fieldCount,
-                             parseRow, bundle);
-    }
-
     std::vector<io::ByteSpan> chunks = splitAtNewlines(body, jobs);
     std::vector<std::uint64_t> startLines(chunks.size());
-    std::vector<std::uint64_t> chunkLines(chunks.size());
+    std::vector<std::size_t> offsets(chunks.size());
+    std::vector<ChunkSlice<Event>> slices(chunks.size());
     std::uint64_t nextLine = 2; // line 1 is the header
+    const std::size_t base = out.size();
+    std::size_t end = base;
     for (std::size_t i = 0; i < chunks.size(); ++i) {
+        std::uint64_t lines = lineCount(chunks[i]);
         startLines[i] = nextLine;
-        chunkLines[i] = lineCount(chunks[i]);
-        nextLine += chunkLines[i];
+        nextLine += lines;
+        offsets[i] = end;
+        slices[i].capacity =
+            maxRows(chunks[i].size(), lines, fieldCount);
+        end += slices[i].capacity;
     }
+    out.resize(end);
+    for (std::size_t i = 0; i < chunks.size(); ++i)
+        slices[i].slots = out.data() + offsets[i];
 
-    std::vector<TraceBundle> parts(chunks.size());
     std::vector<IngestReport> reports(chunks.size());
     sim::parallelFor(jobs, chunks.size(), [&](std::size_t i) {
         obs::Span chunkSpan("ingest.csv.chunk", obs::SpanKind::Ingest,
                             chunks[i].size());
-        auto rows = std::min<std::uint64_t>(
-            chunks[i].size() / bytesPerRow + 1, chunkLines[i]);
-        if (reserved == 0)
-            parts[i].cswitches.reserve(rows);
-        else
-            parts[i].gpuPackets.reserve(rows);
         reports[i] =
             parseCsvChunk(chunks[i], startLines[i], options, source,
-                          fieldCount, parseRow, parts[i]);
+                          fieldCount, parseRow, slices[i]);
     });
 
     // Deterministic merge in chunk (= file) order. In strict mode the
     // serial reader stops at the first defective row, so everything
-    // past the first defective chunk is discarded unread.
+    // past the first defective chunk is discarded unread. Later
+    // chunks overwrite earlier names, matching the serial reader's
+    // per-row assignment order (keys are unique per chunk).
     IngestReport report;
     report.source = source;
     report.mode = options.mode;
+    std::size_t kept = base;
     for (std::size_t i = 0; i < chunks.size(); ++i) {
         bool stop = options.mode == ParseMode::Strict &&
                     reports[i].errorCount > 0;
-        appendPart(bundle, parts[i]);
+        const ChunkSlice<Event> &slice = slices[i];
+        if (kept != offsets[i])
+            std::move(slice.slots, slice.slots + slice.kept,
+                      out.data() + kept);
+        kept += slice.kept;
+        for (auto &[pid, name] : slices[i].names)
+            names[pid] = std::move(name);
         report.absorb(std::move(reports[i]),
                       options.maxStoredErrors);
         if (stop)
             break;
     }
+    out.resize(kept);
     return report;
 }
-
-/** Observed wpaexporter row widths, for the reserve() estimate. */
-constexpr std::size_t kCpuCsvBytesPerRow = 64;
-constexpr std::size_t kGpuCsvBytesPerRow = 48;
 
 } // namespace
 
@@ -665,6 +680,9 @@ parseCsvU64(std::string_view field)
         return e;
     }
     std::uint64_t value = 0;
+    // Up to 19 digits cannot overflow: only longer fields pay for the
+    // overflow test, and it sees the same digits in the same order.
+    const bool canOverflow = field.size() > 19;
     for (char c : field) {
         if (c < '0' || c > '9') {
             ParseError e;
@@ -674,7 +692,7 @@ parseCsvU64(std::string_view field)
             return e;
         }
         auto digit = static_cast<std::uint64_t>(c - '0');
-        if (value > (kU64Max - digit) / 10) {
+        if (canOverflow && value > (kU64Max - digit) / 10) {
             ParseError e;
             e.reason = "field '" + str(field) + "' overflows 64 bits";
             return e;
@@ -922,8 +940,12 @@ readCpuUsageCsv(std::istream &in, TraceBundle &bundle,
     auto row = [&](const std::vector<std::string> &fields,
                    std::uint64_t line, bool &clamped,
                    ParseError &err) {
-        return parseCpuRow(fields, bundle, source, line,
-                           options.mode, clamped, err);
+        CSwitchEvent e;
+        if (!parseCpuRow(fields, e, bundle.processNames, source, line,
+                         options.mode, clamped, err))
+            return false;
+        bundle.cswitches.push_back(e);
+        return true;
     };
     return readCsv(in, options, "New Process,", 9, row);
 }
@@ -935,7 +957,12 @@ readGpuUtilCsv(std::istream &in, TraceBundle &bundle,
     std::string source = sourceLabel(options);
     auto row = [&](const std::vector<std::string> &fields,
                    std::uint64_t line, bool &, ParseError &err) {
-        return parseGpuRow(fields, bundle, source, line, err);
+        GpuPacketEvent e;
+        if (!parseGpuRow(fields, e, bundle.processNames, source, line,
+                         err))
+            return false;
+        bundle.gpuPackets.push_back(e);
+        return true;
     };
     return readCsv(in, options, "Process,", 7, row);
 }
@@ -945,13 +972,14 @@ decodeCpuUsageCsv(io::ByteSpan data, TraceBundle &bundle,
                   const ParseOptions &options)
 {
     return readCsvSpan(
-        data, bundle, options, "New Process,", 9,
-        kCpuCsvBytesPerRow, 0,
+        data, bundle.cswitches, bundle.processNames, options,
+        "New Process,", 9,
         [mode = options.mode](
             const std::vector<std::string_view> &fields,
-            TraceBundle &part, const std::string &source,
-            std::uint64_t line, bool &clamped, ParseError &err) {
-            return parseCpuRow(fields, part, source, line, mode,
+            CSwitchEvent &e, NameTable &names,
+            const std::string &source, std::uint64_t line,
+            bool &clamped, ParseError &err) {
+            return parseCpuRow(fields, e, names, source, line, mode,
                                clamped, err);
         });
 }
@@ -961,11 +989,13 @@ decodeGpuUtilCsv(io::ByteSpan data, TraceBundle &bundle,
                  const ParseOptions &options)
 {
     return readCsvSpan(
-        data, bundle, options, "Process,", 7, kGpuCsvBytesPerRow, 1,
+        data, bundle.gpuPackets, bundle.processNames, options,
+        "Process,", 7,
         [](const std::vector<std::string_view> &fields,
-           TraceBundle &part, const std::string &source,
-           std::uint64_t line, bool &, ParseError &err) {
-            return parseGpuRow(fields, part, source, line, err);
+           GpuPacketEvent &e, NameTable &names,
+           const std::string &source, std::uint64_t line, bool &,
+           ParseError &err) {
+            return parseGpuRow(fields, e, names, source, line, err);
         });
 }
 

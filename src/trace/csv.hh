@@ -22,7 +22,8 @@
  *    Zero-copy — fields are std::string_view slices of the mapped
  *    buffer — and chunk-parallel: the body splits at newline
  *    boundaries into ParseOptions::threads chunks decoded on worker
- *    threads and merged in file order. Bundle contents, report
+ *    threads, each straight into its own slice of one presized
+ *    output, and merged in file order. Bundle contents, report
  *    counters, and every error payload are byte-identical to the
  *    serial readers at any thread count.
  *  - read*Csv(istream): the legacy serial readers, kept as the

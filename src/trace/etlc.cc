@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cstring>
 #include <fstream>
 #include <unordered_map>
@@ -512,12 +513,12 @@ readBlockFrame(io::ByteSpan data, std::size_t &pos, std::size_t limit,
 
 /**
  * Per-block sorted-unique dictionary column decode: the inverse of
- * putDictColumn. @p n values land in @p vals.
+ * putDictColumn. The @p n values go to store(i, value) in order.
  */
+template <typename Store>
 bool
 getDictColumn(io::ByteSpan raw, std::size_t &p, std::size_t lim,
-              std::uint64_t n, std::vector<std::uint64_t> &vals,
-              ParseError &e)
+              std::uint64_t n, Store &&store, ParseError &e)
 {
     std::uint64_t dn = 0;
     if (!getBounded(raw, p, lim, dn, e))
@@ -540,7 +541,6 @@ getDictColumn(io::ByteSpan raw, std::size_t &p, std::size_t lim,
         prev += d;
         dict[static_cast<std::size_t>(j)] = prev;
     }
-    vals.resize(static_cast<std::size_t>(n));
     for (std::uint64_t i = 0; i < n; ++i) {
         std::uint64_t idx = 0;
         if (!getBounded(raw, p, lim, idx, e))
@@ -551,19 +551,23 @@ getDictColumn(io::ByteSpan raw, std::size_t &p, std::size_t lim,
                        std::to_string(dn) + ")";
             return false;
         }
-        vals[static_cast<std::size_t>(i)] =
-            dict[static_cast<std::size_t>(idx)];
+        store(static_cast<std::size_t>(i),
+              dict[static_cast<std::size_t>(idx)]);
     }
     return true;
 }
 
+/**
+ * The columnar block decoders write the block's @p n events straight
+ * into out[0..n), column by column. On a defect they return false
+ * with out[] partly written; the caller discards the slice.
+ */
 bool
-decodeCSwitchColumns(io::ByteSpan raw, std::uint64_t n,
-                     TraceBundle &part, ParseError &e)
+decodeInto(io::ByteSpan raw, std::uint64_t n, CSwitchEvent *out,
+           ParseError &e)
 {
     std::size_t p = 0;
     const std::size_t lim = raw.size();
-    std::vector<SimTime> ts(static_cast<std::size_t>(n));
     SimTime prev = 0;
     for (std::uint64_t i = 0; i < n; ++i) {
         std::uint64_t d = 0;
@@ -574,14 +578,13 @@ decodeCSwitchColumns(io::ByteSpan raw, std::uint64_t n,
             return false;
         }
         prev += d;
-        ts[static_cast<std::size_t>(i)] = prev;
+        out[i].timestamp = prev;
     }
-    std::vector<SimTime> ready(static_cast<std::size_t>(n));
     for (std::uint64_t i = 0; i < n; ++i) {
         std::uint64_t w = 0;
         if (!getBounded(raw, p, lim, w, e))
             return false;
-        SimTime t = ts[static_cast<std::size_t>(i)];
+        SimTime t = out[i].timestamp;
         if (w > t) {
             // A wait longer than the switch-in time would place the
             // ready time before time zero — only corruption can
@@ -592,8 +595,10 @@ decodeCSwitchColumns(io::ByteSpan raw, std::uint64_t n,
                        std::to_string(t);
             return false;
         }
-        ready[static_cast<std::size_t>(i)] = t - w;
+        out[i].readyTime = t - w;
     }
+    // The chain predictor keys on the full decoded cpu value, so the
+    // column is kept wide until the prediction pass.
     std::vector<std::uint64_t> cpu(static_cast<std::size_t>(n));
     for (std::uint64_t i = 0; i < n; ++i) {
         if (!getBounded(raw, p, lim, cpu[static_cast<std::size_t>(i)],
@@ -629,28 +634,38 @@ decodeCSwitchColumns(io::ByteSpan raw, std::uint64_t n,
         idx = k == 0 ? gap : idx + gap;
         missIdx[static_cast<std::size_t>(k)] = idx;
     }
-    std::vector<std::uint64_t> oldPidMiss, oldTidMiss, newPid,
-        newTid;
-    if (!getDictColumn(raw, p, lim, nMiss, oldPidMiss, e) ||
-        !getDictColumn(raw, p, lim, nMiss, oldTidMiss, e) ||
-        !getDictColumn(raw, p, lim, n, newPid, e) ||
-        !getDictColumn(raw, p, lim, n, newTid, e))
+    std::vector<std::uint64_t> oldPidMiss(
+        static_cast<std::size_t>(nMiss));
+    std::vector<std::uint64_t> oldTidMiss(
+        static_cast<std::size_t>(nMiss));
+    if (!getDictColumn(
+            raw, p, lim, nMiss,
+            [&](std::size_t i, std::uint64_t v) { oldPidMiss[i] = v; },
+            e) ||
+        !getDictColumn(
+            raw, p, lim, nMiss,
+            [&](std::size_t i, std::uint64_t v) { oldTidMiss[i] = v; },
+            e) ||
+        !getDictColumn(raw, p, lim, n,
+                       [&](std::size_t i, std::uint64_t v) {
+                           out[i].newPid = static_cast<Pid>(v);
+                       },
+                       e) ||
+        !getDictColumn(raw, p, lim, n,
+                       [&](std::size_t i, std::uint64_t v) {
+                           out[i].newTid = static_cast<Tid>(v);
+                       },
+                       e))
         return false;
     if (p != lim) {
         e.reason = std::to_string(lim - p) +
                    " trailing bytes in block";
         return false;
     }
-    const std::size_t startSize = part.cswitches.size();
-    part.cswitches.reserve(startSize + static_cast<std::size_t>(n));
-    std::unordered_map<std::uint64_t,
-                       std::pair<std::uint64_t, std::uint64_t>>
-        lastNew;
+    std::unordered_map<std::uint64_t, const CSwitchEvent *> lastNew;
     std::size_t m = 0;
     for (std::size_t i = 0; i < static_cast<std::size_t>(n); ++i) {
-        CSwitchEvent ev;
-        ev.timestamp = ts[i];
-        ev.readyTime = ready[i];
+        CSwitchEvent &ev = out[i];
         ev.cpu = static_cast<CpuId>(cpu[i]);
         if (m < missIdx.size() && missIdx[m] == i) {
             ev.oldPid = static_cast<Pid>(oldPidMiss[m]);
@@ -664,27 +679,22 @@ decodeCSwitchColumns(io::ByteSpan raw, std::uint64_t n,
                 e.reason = "predicted old thread on cpu " +
                            std::to_string(cpu[i]) +
                            " has no predecessor in the block";
-                part.cswitches.resize(startSize);
                 return false;
             }
-            ev.oldPid = static_cast<Pid>(it->second.first);
-            ev.oldTid = static_cast<Tid>(it->second.second);
+            ev.oldPid = it->second->newPid;
+            ev.oldTid = it->second->newTid;
         }
-        lastNew[cpu[i]] = {newPid[i], newTid[i]};
-        ev.newPid = static_cast<Pid>(newPid[i]);
-        ev.newTid = static_cast<Tid>(newTid[i]);
-        part.cswitches.push_back(ev);
+        lastNew[cpu[i]] = &ev;
     }
     return true;
 }
 
 bool
-decodeGpuColumns(io::ByteSpan raw, std::uint64_t n, TraceBundle &part,
-                 ParseError &e)
+decodeInto(io::ByteSpan raw, std::uint64_t n, GpuPacketEvent *out,
+           ParseError &e)
 {
     std::size_t p = 0;
     const std::size_t lim = raw.size();
-    std::vector<SimTime> start(static_cast<std::size_t>(n));
     SimTime prev = 0;
     for (std::uint64_t i = 0; i < n; ++i) {
         std::uint64_t d = 0;
@@ -695,37 +705,37 @@ decodeGpuColumns(io::ByteSpan raw, std::uint64_t n, TraceBundle &part,
             return false;
         }
         prev += d;
-        start[static_cast<std::size_t>(i)] = prev;
+        out[i].start = prev;
     }
-    std::vector<SimTime> queued(static_cast<std::size_t>(n));
     for (std::uint64_t i = 0; i < n; ++i) {
         std::uint64_t d = 0;
         if (!getBounded(raw, p, lim, d, e))
             return false;
-        SimTime s = start[static_cast<std::size_t>(i)];
+        SimTime s = out[i].start;
         if (d > s) {
             e.reason = "queue delta " + std::to_string(d) +
                        " precedes time zero";
             return false;
         }
-        queued[static_cast<std::size_t>(i)] = s - d;
+        out[i].queued = s - d;
     }
-    std::vector<SimTime> finish(static_cast<std::size_t>(n));
     for (std::uint64_t i = 0; i < n; ++i) {
         std::uint64_t d = 0;
         if (!getBounded(raw, p, lim, d, e))
             return false;
-        SimTime s = start[static_cast<std::size_t>(i)];
+        SimTime s = out[i].start;
         if (d > sim::kNoTime - s) {
             e.reason = "finish delta overflows 64 bits";
             return false;
         }
-        finish[static_cast<std::size_t>(i)] = s + d;
+        out[i].finish = s + d;
     }
-    std::vector<std::uint64_t> pid;
-    if (!getDictColumn(raw, p, lim, n, pid, e))
+    if (!getDictColumn(raw, p, lim, n,
+                       [&](std::size_t i, std::uint64_t v) {
+                           out[i].pid = static_cast<Pid>(v);
+                       },
+                       e))
         return false;
-    std::vector<std::uint64_t> engine(static_cast<std::size_t>(n));
     for (std::uint64_t i = 0; i < n; ++i) {
         std::uint64_t v = 0;
         if (!getBounded(raw, p, lim, v, e))
@@ -734,48 +744,34 @@ decodeGpuColumns(io::ByteSpan raw, std::uint64_t n, TraceBundle &part,
             e.reason = "unknown GPU engine id " + std::to_string(v);
             return false;
         }
-        engine[static_cast<std::size_t>(i)] = v;
+        out[i].engine = static_cast<GpuEngineId>(v);
     }
-    std::vector<std::uint64_t> packetId(static_cast<std::size_t>(n));
     for (std::uint64_t i = 0; i < n; ++i) {
-        if (!getBounded(raw, p, lim,
-                        packetId[static_cast<std::size_t>(i)], e))
+        std::uint64_t v = 0;
+        if (!getBounded(raw, p, lim, v, e))
             return false;
+        out[i].packetId = static_cast<std::uint32_t>(v);
     }
-    std::vector<std::uint64_t> queueSlot(static_cast<std::size_t>(n));
     for (std::uint64_t i = 0; i < n; ++i) {
-        if (!getBounded(raw, p, lim,
-                        queueSlot[static_cast<std::size_t>(i)], e))
+        std::uint64_t v = 0;
+        if (!getBounded(raw, p, lim, v, e))
             return false;
+        out[i].queueSlot = static_cast<std::uint8_t>(v);
     }
     if (p != lim) {
         e.reason = std::to_string(lim - p) +
                    " trailing bytes in block";
         return false;
     }
-    part.gpuPackets.reserve(part.gpuPackets.size() +
-                            static_cast<std::size_t>(n));
-    for (std::size_t i = 0; i < static_cast<std::size_t>(n); ++i) {
-        GpuPacketEvent ev;
-        ev.start = start[i];
-        ev.queued = queued[i];
-        ev.finish = finish[i];
-        ev.pid = static_cast<Pid>(pid[i]);
-        ev.engine = static_cast<GpuEngineId>(engine[i]);
-        ev.packetId = static_cast<std::uint32_t>(packetId[i]);
-        ev.queueSlot = static_cast<std::uint8_t>(queueSlot[i]);
-        part.gpuPackets.push_back(ev);
-    }
     return true;
 }
 
 bool
-decodeFrameColumns(io::ByteSpan raw, std::uint64_t n,
-                   TraceBundle &part, ParseError &e)
+decodeInto(io::ByteSpan raw, std::uint64_t n, FrameEvent *out,
+           ParseError &e)
 {
     std::size_t p = 0;
     const std::size_t lim = raw.size();
-    std::vector<SimTime> ts(static_cast<std::size_t>(n));
     SimTime prev = 0;
     for (std::uint64_t i = 0; i < n; ++i) {
         std::uint64_t d = 0;
@@ -786,45 +782,38 @@ decodeFrameColumns(io::ByteSpan raw, std::uint64_t n,
             return false;
         }
         prev += d;
-        ts[static_cast<std::size_t>(i)] = prev;
+        out[i].timestamp = prev;
     }
-    std::vector<std::uint64_t> pid;
-    if (!getDictColumn(raw, p, lim, n, pid, e))
+    if (!getDictColumn(raw, p, lim, n,
+                       [&](std::size_t i, std::uint64_t v) {
+                           out[i].pid = static_cast<Pid>(v);
+                       },
+                       e))
         return false;
-    std::vector<std::uint64_t> frameId(static_cast<std::size_t>(n));
     for (std::uint64_t i = 0; i < n; ++i) {
-        if (!getBounded(raw, p, lim,
-                        frameId[static_cast<std::size_t>(i)], e))
+        std::uint64_t v = 0;
+        if (!getBounded(raw, p, lim, v, e))
             return false;
+        out[i].frameId = static_cast<std::uint32_t>(v);
     }
-    std::vector<std::uint64_t> synth(static_cast<std::size_t>(n));
     for (std::uint64_t i = 0; i < n; ++i) {
-        if (!getBounded(raw, p, lim,
-                        synth[static_cast<std::size_t>(i)], e))
+        std::uint64_t v = 0;
+        if (!getBounded(raw, p, lim, v, e))
             return false;
+        out[i].synthesized = v != 0;
     }
     if (p != lim) {
         e.reason = std::to_string(lim - p) +
                    " trailing bytes in block";
         return false;
     }
-    part.frames.reserve(part.frames.size() +
-                        static_cast<std::size_t>(n));
-    for (std::size_t i = 0; i < static_cast<std::size_t>(n); ++i) {
-        FrameEvent ev;
-        ev.timestamp = ts[i];
-        ev.pid = static_cast<Pid>(pid[i]);
-        ev.frameId = static_cast<std::uint32_t>(frameId[i]);
-        ev.synthesized = synth[i] != 0;
-        part.frames.push_back(ev);
-    }
     return true;
 }
 
 /**
- * Record-major block decode for the string-bearing sections. A
- * defect anywhere rejects the block; nothing partial is kept (the
- * caller splices @p part only on success).
+ * Record-major block decode for the string-bearing sections, appended
+ * to @p part. A defect anywhere rejects the block; the caller decodes
+ * into a fresh part and splices it only on success.
  */
 bool
 decodeRecordColumns(Section tag, io::ByteSpan raw, std::uint64_t n,
@@ -897,34 +886,36 @@ decodeRecordColumns(Section tag, io::ByteSpan raw, std::uint64_t n,
     return true;
 }
 
+/** CSwitch, GpuPackets and Frames: the sections decoded in place. */
+constexpr Section kColumnar[] = {Section::CSwitch, Section::GpuPackets,
+                                 Section::Frames};
+
 bool
-decodeColumnsFor(Section tag, io::ByteSpan raw, std::uint64_t n,
-                 TraceBundle &part, ParseError &e)
+isColumnar(Section tag)
+{
+    return tag == Section::CSwitch || tag == Section::GpuPackets ||
+           tag == Section::Frames;
+}
+
+/** fn(events) on the event vector of columnar section @p tag. */
+template <typename Fn>
+decltype(auto)
+withColumn(TraceBundle &bundle, Section tag, Fn &&fn)
 {
     switch (tag) {
       case Section::CSwitch:
-        return decodeCSwitchColumns(raw, n, part, e);
+        return fn(bundle.cswitches);
       case Section::GpuPackets:
-        return decodeGpuColumns(raw, n, part, e);
-      case Section::Frames:
-        return decodeFrameColumns(raw, n, part, e);
+        return fn(bundle.gpuPackets);
       default:
-        return decodeRecordColumns(tag, raw, n, part, e);
+        return fn(bundle.frames);
     }
 }
 
-/** Splice the containers of @p part onto @p bundle, in order. */
+/** Splice the record-major containers of @p part onto @p bundle. */
 void
-appendBundle(TraceBundle &bundle, TraceBundle &part)
+appendRecords(TraceBundle &bundle, TraceBundle &part)
 {
-    bundle.cswitches.insert(bundle.cswitches.end(),
-                            part.cswitches.begin(),
-                            part.cswitches.end());
-    bundle.gpuPackets.insert(bundle.gpuPackets.end(),
-                             part.gpuPackets.begin(),
-                             part.gpuPackets.end());
-    bundle.frames.insert(bundle.frames.end(), part.frames.begin(),
-                         part.frames.end());
     bundle.threadEvents.insert(bundle.threadEvents.end(),
                                part.threadEvents.begin(),
                                part.threadEvents.end());
@@ -938,52 +929,75 @@ appendBundle(TraceBundle &bundle, TraceBundle &part)
 }
 
 /**
- * Decode one block's content (checksum, decompression, columns) into
- * @p part. On a defect, notes one located diagnostic — anchored at
- * the block frame offset and the block's first record index — and
- * returns false with @p part untouched by the defective block.
+ * Checksum and, if compressed, inflate one block. @p raw then views
+ * the block's column bytes (the stored bytes or @p rawBuf); on a
+ * defect @p err holds the reason.
  */
 bool
-decodeBlockContent(EtlcReader &r, Section tag, const char *name,
-                   const BlockFrame &f, std::size_t framePos,
-                   std::uint64_t firstRecord, TraceBundle &part)
+openBlock(io::ByteSpan data, const BlockFrame &f, std::string &rawBuf,
+          io::ByteSpan &raw, ParseError &err)
 {
-    io::ByteSpan stored = r.data.substr(f.dataPos, f.dataLen);
-    ParseError err;
-    bool ok = true;
-    std::string rawBuf;
-    io::ByteSpan raw = stored;
-
-    std::uint32_t crc = crc32c(stored);
+    raw = data.substr(f.dataPos, f.dataLen);
+    std::uint32_t crc = crc32c(raw);
     if (crc != f.crc) {
         err.reason = "block checksum mismatch (stored 0x" +
                      hex32(f.crc) + ", computed 0x" + hex32(crc) +
                      ")";
-        ok = false;
-    } else if (f.compLen != 0) {
-        std::string reason;
-        if (!etlcDecompress(stored,
-                            static_cast<std::size_t>(f.rawLen),
-                            rawBuf, reason)) {
-            err.reason = "corrupt compressed block: " + reason;
-            ok = false;
-        } else if (rawBuf.size() != f.rawLen) {
-            err.reason = "block uncompressed length " +
-                         std::to_string(f.rawLen) +
-                         " does not match decoded length " +
-                         std::to_string(rawBuf.size());
-            ok = false;
-        } else {
-            raw = rawBuf;
-        }
+        return false;
     }
-    if (ok) {
-        TraceBundle scratch;
-        if (decodeColumnsFor(tag, raw, f.records, scratch, err)) {
-            appendBundle(part, scratch);
-            return true;
+    if (f.compLen == 0)
+        return true;
+    std::string reason;
+    if (!etlcDecompress(raw, static_cast<std::size_t>(f.rawLen),
+                        rawBuf, reason)) {
+        err.reason = "corrupt compressed block: " + reason;
+        return false;
+    }
+    if (rawBuf.size() != f.rawLen) {
+        err.reason = "block uncompressed length " +
+                     std::to_string(f.rawLen) +
+                     " does not match decoded length " +
+                     std::to_string(rawBuf.size());
+        return false;
+    }
+    raw = rawBuf;
+    return true;
+}
+
+/**
+ * Serially decode one block (checksum, decompression, columns) onto
+ * the end of @p bundle. On a defect, notes one located diagnostic —
+ * anchored at the block frame offset and the block's first record
+ * index — and returns false with @p bundle as it was.
+ */
+bool
+decodeBlockContent(EtlcReader &r, Section tag, const char *name,
+                   const BlockFrame &f, std::size_t framePos,
+                   std::uint64_t firstRecord, TraceBundle &bundle)
+{
+    ParseError err;
+    std::string rawBuf;
+    io::ByteSpan raw;
+    if (openBlock(r.data, f, rawBuf, raw, err)) {
+        auto n = static_cast<std::size_t>(f.records);
+        bool ok;
+        if (isColumnar(tag)) {
+            ok = withColumn(bundle, tag, [&](auto &events) {
+                std::size_t at = events.size();
+                events.resize(at + n);
+                if (decodeInto(raw, n, events.data() + at, err))
+                    return true;
+                events.resize(at);
+                return false;
+            });
+        } else {
+            TraceBundle part;
+            ok = decodeRecordColumns(tag, raw, n, part, err);
+            if (ok)
+                appendRecords(bundle, part);
         }
-        ok = false;
+        if (ok)
+            return true;
     }
     err.offset = framePos;
     r.note(r.located(std::move(err), name, firstRecord));
@@ -1067,37 +1081,46 @@ decodeEtlcSectionBody(EtlcReader &r, Section tag, const char *name,
     return true;
 }
 
-/** One block located by the parallel pre-scan. */
+/** One block located by the in-place pre-scan. */
 struct BlockTask
 {
     Section tag;
-    const char *name;
     BlockFrame frame;
-    std::size_t framePos;
     /** Index of the block's first record within its section. */
     std::uint64_t firstRecord;
-    /** The section's declared record total (strict-skip account). */
-    std::uint64_t total;
 };
 
-/** Span inputs below this decode serially unless threads is forced. */
+/** Span inputs below this decode on one thread unless forced. */
 constexpr std::size_t kMinParallelBytes = 1 << 16;
 
 /**
- * Block-parallel decode: a serial pre-scan walks the section and
- * block framing only; if every frame is perfectly regular the blocks
- * of all sections decode concurrently into per-block bundles and
- * reports, merged in file order — byte-identical to the serial
- * decode. Any framing irregularity returns false with r.pos and the
- * report untouched, and the serial loop reproduces the exact
- * diagnostics.
+ * Cap on the bytes the in-place decode presizes, per byte of the
+ * .etlc body. Real traces presize 6 to 8 bytes of events per body
+ * byte. Declared totals come from untrusted frames (an LZ block can
+ * expand about 255x), so a file claiming more than this takes the
+ * serial path, whose allocations follow the bytes that actually
+ * decompress.
+ */
+constexpr std::uint64_t kMaxPresizePerByte = 64;
+
+/**
+ * The production decode, in place: a serial pre-scan walks the
+ * section and block framing only; if every frame is perfectly
+ * regular and the declared totals fit the presize bound, the
+ * columnar containers are sized once and the blocks of all sections
+ * decode concurrently, each columnar block straight into its own
+ * slice of the output (record-major blocks into small per-block
+ * parts, spliced in file order). Returns false with @p bundle's
+ * containers empty, r.pos and the report untouched on any framing
+ * irregularity or defective block: the serial loop then reproduces
+ * the exact diagnostics.
  */
 bool
-tryDecodeBlocksParallel(EtlcReader &r, unsigned jobs,
-                        TraceBundle &bundle)
+tryDecodeInPlace(EtlcReader &r, unsigned jobs, TraceBundle &bundle)
 {
     std::vector<BlockTask> tasks;
     std::array<bool, 256> seen{};
+    std::array<std::uint64_t, 256> totals{};
     std::size_t pos = r.pos;
     bool sawEnd = false;
     while (pos < r.data.size()) {
@@ -1107,8 +1130,7 @@ tryDecodeBlocksParallel(EtlcReader &r, unsigned jobs,
             sawEnd = true;
             break;
         }
-        const char *name = sectionName(tag);
-        if (std::strcmp(name, "Unknown") == 0)
+        if (std::strcmp(sectionName(tag), "Unknown") == 0)
             return false;
         auto tagByte = static_cast<std::uint8_t>(tag);
         if (seen[tagByte])
@@ -1128,53 +1150,71 @@ tryDecodeBlocksParallel(EtlcReader &r, unsigned jobs,
             return false;
         std::uint64_t running = 0;
         for (std::uint64_t b = 0; b < blockCount; ++b) {
-            std::size_t framePos = pos;
             BlockFrame f;
             if (!readBlockFrame(r.data, pos, limit, f, ferr))
                 return false;
-            tasks.push_back(
-                {tag, name, f, framePos, running, total});
+            tasks.push_back({tag, f, running});
             running += f.records;
         }
         if (running != total || pos != limit)
             return false;
+        totals[tagByte] = total;
     }
     if (!sawEnd)
         return false;
 
-    std::vector<TraceBundle> parts(tasks.size());
-    std::vector<IngestReport> reports(tasks.size());
-    std::vector<char> clean(tasks.size(), 0);
-    sim::parallelFor(jobs, tasks.size(), [&](std::size_t i) {
-        obs::Span blockSpan("ingest.etlc.block",
-                            obs::SpanKind::Ingest,
-                            tasks[i].frame.dataLen);
-        reports[i].source = r.report.source;
-        reports[i].mode = r.options.mode;
-        EtlcReader sub{r.data, r.options, reports[i], 0};
-        const BlockTask &t = tasks[i];
-        if (decodeBlockContent(sub, t.tag, t.name, t.frame,
-                               t.framePos, t.firstRecord,
-                               parts[i])) {
-            reports[i].recordsParsed += t.frame.records;
-            clean[i] = 1;
-        } else if (r.options.mode == ParseMode::Strict) {
-            reports[i].recordsSkipped += t.total - t.firstRecord;
-        } else {
-            reports[i].recordsSkipped += t.frame.records;
-        }
-    });
+    std::uint64_t budget = kMaxPresizePerByte * r.data.size();
+    for (Section tag : kColumnar) {
+        bool fits = withColumn(bundle, tag, [&](auto &events) {
+            std::uint64_t n = totals[static_cast<std::uint8_t>(tag)];
+            if (n > budget / sizeof(events[0]))
+                return false;
+            budget -= n * sizeof(events[0]);
+            return true;
+        });
+        if (!fits)
+            return false;
+    }
+    for (Section tag : kColumnar) {
+        withColumn(bundle, tag, [&](auto &events) {
+            events.resize(totals[static_cast<std::uint8_t>(tag)]);
+        });
+    }
 
-    // Deterministic merge in file order. In strict mode the serial
-    // reader stops at the first defective block, so later blocks are
-    // discarded unread.
-    bool lenient = r.options.mode == ParseMode::Lenient;
+    std::vector<TraceBundle> parts(tasks.size());
+    std::atomic<bool> clean{true};
+    sim::parallelFor(jobs, tasks.size(), [&](std::size_t i) {
+        const BlockTask &t = tasks[i];
+        if (!clean.load(std::memory_order_relaxed))
+            return;
+        obs::Span blockSpan("ingest.etlc.block",
+                            obs::SpanKind::Ingest, t.frame.dataLen);
+        ParseError err;
+        std::string rawBuf;
+        io::ByteSpan raw;
+        bool ok = openBlock(r.data, t.frame, rawBuf, raw, err);
+        if (ok && isColumnar(t.tag)) {
+            ok = withColumn(bundle, t.tag, [&](auto &events) {
+                return decodeInto(raw, t.frame.records,
+                                  events.data() + t.firstRecord, err);
+            });
+        } else if (ok) {
+            ok = decodeRecordColumns(t.tag, raw, t.frame.records,
+                                     parts[i], err);
+        }
+        if (!ok)
+            clean.store(false, std::memory_order_relaxed);
+    });
+    if (!clean.load()) {
+        for (Section tag : kColumnar)
+            withColumn(bundle, tag, [](auto &events) { events.clear(); });
+        return false;
+    }
+
     for (std::size_t i = 0; i < tasks.size(); ++i) {
-        appendBundle(bundle, parts[i]);
-        r.report.absorb(std::move(reports[i]),
-                        r.options.maxStoredErrors);
-        if (!clean[i] && !lenient)
-            break;
+        if (!isColumnar(tasks[i].tag))
+            appendRecords(bundle, parts[i]);
+        r.report.recordsParsed += tasks[i].frame.records;
     }
     return true;
 }
@@ -1225,7 +1265,9 @@ decodeEtlcBody(io::ByteSpan data, const ParseOptions &options,
         jobs = data.size() >= kMinParallelBytes ? sim::resolveJobs()
                                                 : 1;
     }
-    if (jobs > 1 && tryDecodeBlocksParallel(r, jobs, bundle))
+    bool inPlace = tryDecodeInPlace(r, jobs, bundle);
+    obs::counterAdd("ingest.etlc.serial_redecode", inPlace ? 0 : 1);
+    if (inPlace)
         return bundle;
 
     // Section frames, serially. A defect inside a frame fails only

@@ -26,12 +26,14 @@
  *
  * Because every block carries its own base timestamp, record count,
  * lengths, and checksum, blocks decode independently: the production
- * reader fans all blocks of all sections out on sim/parallel.hh and
- * merges in file order, byte-identically to the serial decode at any
- * DESKPAR_JOBS (the PR 4 discipline). A corrupt block is rejected in
- * strict mode and skipped — with a structured Diagnostic and exact
- * skip accounting — in lenient mode, reusing the v3 section-skip
- * recovery model at block granularity.
+ * reader sizes the event vectors once from the section totals and
+ * fans all blocks of all sections out on sim/parallel.hh, each block
+ * writing its events straight into its own slice. Any defect sends
+ * the whole body through the serial reader instead, so output and
+ * diagnostics are byte-identical at any DESKPAR_JOBS. A corrupt
+ * block is rejected in strict mode and skipped — with a structured
+ * Diagnostic and exact skip accounting — in lenient mode, reusing the
+ * v3 section-skip recovery model at block granularity.
  */
 
 #ifndef DESKPAR_TRACE_ETLC_HH
@@ -76,7 +78,8 @@ void writeEtlc(const TraceBundle &bundle, const std::string &path);
 
 /**
  * Decode a whole .etlc image held in memory (usually a MappedFile's
- * bytes), block-parallel when the framing allows. Recoverable per
+ * bytes), in place and block-parallel when the framing is regular and
+ * its declared totals fit the file's size. Recoverable per
  * @p options: strict mode stops at the first defective block; lenient
  * mode skips defective blocks (later blocks still decode — each block
  * restarts its timestamp base) and defective section frames, counting

@@ -24,9 +24,9 @@
 #define DESKPAR_TRACE_PARSE_HH
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "sim/logging.hh"
@@ -97,34 +97,37 @@ template <typename T>
 class ParseResult
 {
   public:
-    ParseResult(T value) : value_(std::move(value)) {}
-    ParseResult(ParseError error) : error_(std::move(error)) {}
+    ParseResult(T value) : state_(std::in_place_index<0>, std::move(value))
+    {}
+    ParseResult(ParseError error)
+        : state_(std::in_place_index<1>, std::move(error))
+    {}
 
-    bool ok() const { return value_.has_value(); }
+    bool ok() const { return state_.index() == 0; }
     explicit operator bool() const { return ok(); }
 
     /** Valid only when ok(). */
-    const T &value() const { return *value_; }
-    T &value() { return *value_; }
-    const T &operator*() const { return *value_; }
-    T &operator*() { return *value_; }
-    const T *operator->() const { return &*value_; }
-    T *operator->() { return &*value_; }
+    const T &value() const { return *std::get_if<0>(&state_); }
+    T &value() { return *std::get_if<0>(&state_); }
+    const T &operator*() const { return value(); }
+    T &operator*() { return value(); }
+    const T *operator->() const { return &value(); }
+    T *operator->() { return &value(); }
 
     /** Valid only when !ok(). */
-    const ParseError &error() const { return error_; }
+    const ParseError &error() const { return *std::get_if<1>(&state_); }
 
     /** Return the value or throw the error as TraceParseError. */
     T &&take()
     {
         if (!ok())
-            throw TraceParseError(error_);
-        return std::move(*value_);
+            throw TraceParseError(error());
+        return std::move(value());
     }
 
   private:
-    std::optional<T> value_;
-    ParseError error_;
+    /** The value or the error, never both: a success builds no error. */
+    std::variant<T, ParseError> state_;
 };
 
 /** Reader configuration shared by the CSV and .etl entry points. */

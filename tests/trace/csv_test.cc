@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
+#include <string>
 
 #include "sim/logging.hh"
 #include "trace/csv.hh"
@@ -165,6 +167,80 @@ TEST(Csv, EventReserveIsClampedByTheLineCount)
         ASSERT_EQ(out.cswitches.size(), 10u);
         EXPECT_LE(out.cswitches.capacity(), 32u)
             << "pre-size estimate ignored the line count";
+    }
+}
+
+/** parseCsvU64 as written before its 19-digit fast path. */
+ParseResult<std::uint64_t>
+referenceU64(std::string_view field)
+{
+    const std::uint64_t max = ~std::uint64_t(0);
+    if (field.empty()) {
+        ParseError e;
+        e.reason = "empty numeric field";
+        return e;
+    }
+    std::uint64_t value = 0;
+    for (char c : field) {
+        if (c < '0' || c > '9') {
+            ParseError e;
+            e.reason = "non-numeric character '" + std::string(1, c) +
+                       "' in field '" + std::string(field) + "'";
+            return e;
+        }
+        auto digit = static_cast<std::uint64_t>(c - '0');
+        if (value > (max - digit) / 10) {
+            ParseError e;
+            e.reason = "field '" + std::string(field) +
+                       "' overflows 64 bits";
+            return e;
+        }
+        value = value * 10 + digit;
+    }
+    return value;
+}
+
+void
+expectSameAsReference(const std::string &field)
+{
+    SCOPED_TRACE("field '" + field + "'");
+    ParseResult<std::uint64_t> got = parseCsvU64(field);
+    ParseResult<std::uint64_t> want = referenceU64(field);
+    ASSERT_EQ(got.ok(), want.ok());
+    if (got.ok())
+        EXPECT_EQ(*got, *want);
+    else
+        EXPECT_EQ(got.error().reason, want.error().reason);
+}
+
+TEST(Csv, NumberParseMatchesTheCheckedLoopAtEveryLength)
+{
+    for (const char *field :
+         {"", "0", "7", "9999999999999999999", "18446744073709551615",
+          "18446744073709551616", "99999999999999999999",
+          "000000000000000000000000001", "99999999999999999999x",
+          "1844674407370955161x", "12a", "-1", " 1"})
+        expectSameAsReference(field);
+    // Every length from 1 to 24, mostly digits with the odd junk
+    // byte, so both sides of the 19-digit boundary are covered.
+    std::uint64_t state = 0x2545f4914f6cdd1dull;
+    auto next = [&state] {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        return state;
+    };
+    for (std::size_t len = 1; len <= 24; ++len) {
+        for (int k = 0; k < 200; ++k) {
+            std::string field;
+            for (std::size_t i = 0; i < len; ++i) {
+                std::uint64_t r = next() % 40;
+                field += r < 38 ? char('0' + r % 10) : (r == 38 ? 'x' : ' ');
+            }
+            if (k % 4 == 0)
+                field[0] = '1';
+            expectSameAsReference(field);
+        }
     }
 }
 

@@ -13,10 +13,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "obs/obs.hh"
 #include "trace/corrupt.hh"
 #include "trace/etl.hh"
 #include "trace/etlc.hh"
@@ -25,6 +27,7 @@
 namespace {
 
 using namespace deskpar::trace;
+namespace obs = deskpar::obs;
 
 /**
  * A deterministic bundle large enough that the CSwitch section spans
@@ -465,6 +468,126 @@ TEST(EtlcCorruption, SerialAndParallelAgreeOnCorruptInputs)
             EXPECT_EQ(a.frames.size(), b.frames.size());
             EXPECT_EQ(a.processNames, b.processNames);
         }
+    }
+}
+
+/**
+ * A CRC-valid .etlc whose CSwitch section is @p blocks blocks, each
+ * declaring the most records its raw length allows (one per byte)
+ * over 1 MiB of zeros that LZ-compresses to a few KiB: declared
+ * totals hundreds of times larger than the file.
+ */
+std::string
+inflatedTotalsImage(unsigned blocks)
+{
+    const std::size_t rawLen = std::size_t(1) << 20;
+    std::string comp = etlcCompress(std::string(rawLen, '\0'));
+    std::uint32_t crc = crc32c(comp);
+    std::string payload;
+    putVarint(payload, std::uint64_t(blocks) * rawLen);
+    putVarint(payload, blocks);
+    for (unsigned b = 0; b < blocks; ++b) {
+        putVarint(payload, rawLen); // records
+        putVarint(payload, rawLen);
+        putVarint(payload, comp.size());
+        for (int i = 0; i < 4; ++i)
+            payload.push_back(static_cast<char>((crc >> (8 * i)) & 0xff));
+        payload.append(comp);
+    }
+    std::string bytes = etlcBytes(TraceBundle{}).substr(0, 8);
+    putVarint(bytes, kEtlcVersion);
+    putVarint(bytes, 0);    // startTime
+    putVarint(bytes, 1000); // stopTime
+    putVarint(bytes, 4);    // numLogicalCpus
+    bytes.push_back('\x02'); // CSwitch
+    putVarint(bytes, payload.size());
+    bytes.append(payload);
+    bytes.push_back('\xff'); // End
+    return bytes;
+}
+
+TEST(EtlcCorruption, InflatedTotalsCannotBalloonThePresize)
+{
+    const unsigned kBlocks = 8;
+    std::string bytes = inflatedTotalsImage(kBlocks);
+    // Presizing the declared totals would take 8 Mi events (over
+    // 300 MiB) for a file of well under 100 KiB.
+    ASSERT_LT(bytes.size(), 100u * 1024);
+    for (ParseMode mode : {ParseMode::Strict, ParseMode::Lenient}) {
+        SCOPED_TRACE(mode == ParseMode::Strict ? "strict" : "lenient");
+        IngestReport first;
+        for (unsigned threads : {1u, 2u, 7u}) {
+            SCOPED_TRACE("threads " + std::to_string(threads));
+            IngestReport report;
+            TraceBundle decoded;
+            obs::setEnabled(true);
+            obs::reset();
+            ASSERT_NO_THROW(decoded = decode(bytes, mode, threads, report));
+            obs::setEnabled(false);
+            // The in-place path refused the presize before decoding a
+            // block (its block spans never opened).
+            for (const obs::SpanRecord &span : obs::collect().spans)
+                EXPECT_STRNE(span.name, "ingest.etlc.block");
+            EXPECT_TRUE(decoded.cswitches.empty());
+            // Every block holds a clean timestamp column and nothing
+            // else: the serial path rejects each one on its own.
+            EXPECT_EQ(report.recordsParsed, 0u);
+            EXPECT_EQ(report.recordsSkipped, kBlocks * (1ull << 20));
+            EXPECT_EQ(report.errorCount,
+                      mode == ParseMode::Strict ? 1u : kBlocks);
+            ASSERT_FALSE(report.errors.empty());
+            EXPECT_EQ(report.errors[0].section, "CSwitch");
+            EXPECT_EQ(report.errors[0].record, 0u);
+            EXPECT_EQ(report.errors[0].reason, "truncated varint");
+            if (threads == 1) {
+                first = report;
+                continue;
+            }
+            ASSERT_EQ(report.errors.size(), first.errors.size());
+            for (std::size_t e = 0; e < report.errors.size(); ++e)
+                EXPECT_EQ(report.errors[e].str(),
+                          first.errors[e].str());
+        }
+    }
+}
+
+/**
+ * The ingest.etlc.serial_redecode total of one lenient decode of
+ * @p bytes, or -1 when the decode did not publish the counter.
+ */
+std::int64_t
+serialRedecodes(const std::string &bytes, unsigned threads)
+{
+    obs::setEnabled(true);
+    obs::reset();
+    IngestReport report;
+    decode(bytes, ParseMode::Lenient, threads, report);
+    obs::setEnabled(false);
+    for (const obs::CounterTotal &counter : obs::collect().counters) {
+        if (std::strcmp(counter.name, "ingest.etlc.serial_redecode") ==
+            0)
+            return counter.total;
+    }
+    return -1;
+}
+
+TEST(EtlcObservability, SerialRedecodeCountsInPlaceGiveUps)
+{
+    obs::setEnabled(true);
+    bool recording = obs::enabled();
+    obs::setEnabled(false);
+    if (!recording)
+        GTEST_SKIP() << "observability compiled out";
+
+    std::string clean = etlcBytes(bigBundle());
+    std::string flipped = clean;
+    std::vector<EtlcBlockRef> blocks = cswitchBlocks(flipped);
+    ASSERT_GE(blocks.size(), 2u);
+    flipped[blocks[1].crcPos] ^= '\x01';
+    for (unsigned threads : {1u, 2u, 7u}) {
+        SCOPED_TRACE("threads " + std::to_string(threads));
+        EXPECT_EQ(serialRedecodes(clean, threads), 0);
+        EXPECT_EQ(serialRedecodes(flipped, threads), 1);
     }
 }
 

@@ -317,6 +317,17 @@ cpuRow(unsigned i)
            std::to_string(5001 + 10 * i) + ",Idle,0,0";
 }
 
+/** A CPU CSV row that decodes cleanly (cpuRow's label has no pid). */
+std::string
+goodRow(unsigned i)
+{
+    std::string pid = std::to_string(100 + i % 5);
+    return "app-" + pid + " (" + pid + ")," + pid + "," +
+           std::to_string(1000 + i) + "," + std::to_string(i % 12) +
+           "," + std::to_string(5000 + 10 * i) + "," +
+           std::to_string(5001 + 10 * i) + ",Idle (0),0,0";
+}
+
 TEST(ParallelIngest, CrlfLinesAcrossChunks)
 {
     std::string text = std::string(kCpuHeader) + "\r\n";
@@ -408,6 +419,79 @@ TEST(ParallelIngest, ErrorStorageCapIsChunkInvariant)
     for (unsigned i = 0; i < 100; ++i)
         text += "only," + std::to_string(i) + ",fields\n";
     cpuCsvDifferential(text);
+}
+
+TEST(ParallelIngest, BlankLinesAndDefectsInsideAndAcrossChunks)
+{
+    // Each chunk writes its good rows straight into its slice of the
+    // output, sized for one row per line; blank lines and rejected
+    // rows leave holes that the merge compacts in file order. Put
+    // both everywhere: first and last lines, runs of blank lines,
+    // defects on either side of every possible chunk boundary.
+    std::string text = std::string(kCpuHeader) + "\n\n";
+    text += "app,1x2,3,4,5,6,Idle,0,0\n";
+    for (unsigned i = 0; i < 160; ++i) {
+        if (i % 13 == 4)
+            text += "\n\n\n";
+        if (i % 17 == 8)
+            text += "short,row\n";
+        if (i % 19 == 11)
+            text += "\r\n"; // not blank: one empty field
+        if (i % 23 == 7)
+            text += goodRow(i) + ",extra\n";
+        text += goodRow(i) + "\n";
+    }
+    text += "trailing,bad\n\n";
+    cpuCsvDifferential(text);
+}
+
+TEST(ParallelIngest, DecodeAppendsOntoANonEmptyBundle)
+{
+    // The output slices start past the events already in the bundle.
+    std::string text = std::string(kCpuHeader) + "\n";
+    for (unsigned i = 0; i < 40; ++i)
+        text += (i % 9 == 2 ? std::string("bad\n") : goodRow(i) + "\n");
+    TraceBundle seed = makeBundle(25);
+    for (unsigned threads : kThreadCounts) {
+        SCOPED_TRACE("threads " + std::to_string(threads));
+        ParseOptions options;
+        options.mode = ParseMode::Lenient;
+        options.threads = threads;
+        TraceBundle serial = seed;
+        std::istringstream in(text);
+        IngestReport a = readCpuUsageCsv(in, serial, options);
+        TraceBundle chunked = seed;
+        IngestReport b = decodeCpuUsageCsv(text, chunked, options);
+        expectSameReports(a, b);
+        expectSameCSwitches(serial.cswitches, chunked.cswitches);
+        expectSameNames(serial, chunked);
+    }
+}
+
+TEST(ParallelIngest, TinyLinesCannotBalloonTheOutput)
+{
+    // One slot per line would be 40 bytes of events per byte of a
+    // file of empty lines. A good CPU row needs at least 18 bytes, so
+    // the output is sized to at most one slot per 18 bytes.
+    for (const std::string line : {"\n", "x\n", ",,,,,,,,\n"}) {
+        std::string text = std::string(kCpuHeader) + "\n";
+        for (unsigned i = 0; i < 20000; ++i)
+            text += line;
+        text += goodRow(1) + "\n";
+        for (unsigned threads : kThreadCounts) {
+            SCOPED_TRACE("threads " + std::to_string(threads));
+            ParseOptions options;
+            options.mode = ParseMode::Lenient;
+            options.threads = threads;
+            TraceBundle bundle;
+            IngestReport report =
+                decodeCpuUsageCsv(text, bundle, options);
+            EXPECT_EQ(report.recordsParsed, 1u);
+            ASSERT_EQ(bundle.cswitches.size(), 1u);
+            EXPECT_LE(bundle.cswitches.capacity(),
+                      text.size() / 18 + threads);
+        }
+    }
 }
 
 TEST(ParallelIngest, CpuCsvDifferentialGeneratedBundle)
