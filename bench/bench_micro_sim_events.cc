@@ -16,8 +16,10 @@
  * implementation cost.
  *
  * Records micro_sim_events / micro_sim_events_legacy bench records
- * and fails unless the new queue is at least
- * DESKPAR_SIM_EVENTS_MIN_SPEEDUP (default 2.0) times faster.
+ * and prints the speedup. It fails only when the two executions
+ * diverge; the ratio itself is not gated (it varies with the host,
+ * and the simulator's end-to-end speed is measured by perfbench's
+ * `suite` workload).
  */
 
 #include <cstdint>
@@ -195,19 +197,5 @@ main()
 
     bench::appendBenchRecord("micro_sim_events_legacy", wallLegacy);
     bench::appendBenchRecord("micro_sim_events", wallNew);
-
-    double minSpeedup = 2.0;
-    if (const char *env =
-            std::getenv("DESKPAR_SIM_EVENTS_MIN_SPEEDUP"))
-        minSpeedup = std::strtod(env, nullptr);
-    if (speedup < minSpeedup) {
-        std::fprintf(stderr,
-                     "FAIL: event-queue speedup %.2fx is below the "
-                     "%.2fx floor\n",
-                     speedup, minSpeedup);
-        return 1;
-    }
-    std::printf("PASS: event-queue speedup %.2fx >= %.2fx floor\n",
-                speedup, minSpeedup);
     return 0;
 }

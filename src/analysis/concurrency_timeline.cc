@@ -112,13 +112,31 @@ buildConcurrencyTimeline(const trace::TraceBundle &bundle,
                   [](const Interval &a, const Interval &b) {
                       return a.begin < b.begin;
                   });
-        bursts->maxEnd.reserve(bursts->bursts.size());
+        // The running-max end column and the histogram checkpoint
+        // rows, in one pass: row k is the bucket counts of the first
+        // k*kStride bursts.
+        constexpr std::size_t kStride = ConcurrencyTimeline::kStride;
+        constexpr std::size_t B = kDurationHistogramBuckets;
+        const std::size_t nb = bursts->bursts.size();
+        bursts->maxEnd.reserve(nb);
+        bursts->bucketCum.resize((nb / kStride + 1) * B);
+        std::uint32_t acc[B] = {};
         SimTime mx = 0;
-        for (std::size_t i = 0; i < bursts->bursts.size(); ++i) {
-            mx = i == 0 ? bursts->bursts[i].end
-                        : std::max(mx, bursts->bursts[i].end);
+        for (std::size_t i = 0; i < nb; ++i) {
+            if (i % kStride == 0)
+                std::copy(acc, acc + B,
+                          bursts->bucketCum.begin() +
+                              static_cast<std::ptrdiff_t>(
+                                  i / kStride * B));
+            const Interval &iv = bursts->bursts[i];
+            mx = i == 0 ? iv.end : std::max(mx, iv.end);
             bursts->maxEnd.push_back(mx);
+            ++acc[durationHistogramBucket(iv.length())];
         }
+        if (nb % kStride == 0)
+            std::copy(acc, acc + B,
+                      bursts->bucketCum.end() -
+                          static_cast<std::ptrdiff_t>(B));
     }
 
     if (cutoff == 0)
@@ -182,6 +200,76 @@ buildConcurrencyTimeline(const trace::TraceBundle &bundle,
             acc[lvl] += tl.times[j + 1] - tl.times[j];
         }
     }
+}
+
+std::uint64_t
+burstHistogram(const BurstColumns &bc, SimTime t0, SimTime t1,
+               std::uint64_t *histogram)
+{
+    constexpr std::size_t kStride = ConcurrencyTimeline::kStride;
+    constexpr std::size_t B = kDurationHistogramBuckets;
+    const std::vector<Interval> &bursts = bc.bursts;
+    auto beginBefore = [](const Interval &iv, SimTime t) {
+        return iv.begin < t;
+    };
+    auto at = [](std::size_t i) { return static_cast<std::ptrdiff_t>(i); };
+
+    // Candidates [first, last): bursts intersecting the window begin
+    // before t1, and the running-max end column bounds how far back
+    // they reach — the GPU packet candidate-range trick.
+    std::size_t last = static_cast<std::size_t>(
+        std::lower_bound(bursts.begin(), bursts.end(), t1,
+                         beginBefore) -
+        bursts.begin());
+    std::size_t first = static_cast<std::size_t>(
+        std::upper_bound(bc.maxEnd.begin(),
+                         bc.maxEnd.begin() + at(last), t0) -
+        bc.maxEnd.begin());
+    // Interior [b0, k): begin >= t0 (sorted begins) and end <=
+    // maxEnd <= t1, so each of these bursts lies wholly inside the
+    // window and keeps its full length. first <= b0 <= k <= last.
+    std::size_t b0 = static_cast<std::size_t>(
+        std::lower_bound(bursts.begin() + at(first),
+                         bursts.begin() + at(last), t0, beginBefore) -
+        bursts.begin());
+    std::size_t k = static_cast<std::size_t>(
+        std::upper_bound(bc.maxEnd.begin() + at(b0),
+                         bc.maxEnd.begin() + at(last), t1) -
+        bc.maxEnd.begin());
+
+    std::uint64_t count = 0;
+    auto clampRange = [&](std::size_t from, std::size_t to) {
+        for (std::size_t i = from; i < to; ++i) {
+            Interval iv = bursts[i].clampTo(t0, t1);
+            if (iv.empty())
+                continue;
+            ++count;
+            ++histogram[durationHistogramBucket(iv.length())];
+        }
+    };
+    auto wholeRange = [&](std::size_t from, std::size_t to) {
+        for (std::size_t i = from; i < to; ++i)
+            ++histogram[durationHistogramBucket(bursts[i].length())];
+    };
+
+    clampRange(first, b0);
+    // Whole checkpoint rows [rowA, rowB) of the interior, plus the
+    // partial strides on either side.
+    const std::size_t rowA = (b0 + kStride - 1) / kStride;
+    const std::size_t rowB = k / kStride;
+    if (rowA <= rowB) {
+        wholeRange(b0, rowA * kStride);
+        const std::uint32_t *a = &bc.bucketCum[rowA * B];
+        const std::uint32_t *b = &bc.bucketCum[rowB * B];
+        for (std::size_t l = 0; l < B; ++l)
+            histogram[l] += b[l] - a[l];
+        wholeRange(rowB * kStride, k);
+    } else {
+        wholeRange(b0, k);
+    }
+    count += k - b0;
+    clampRange(k, last);
+    return count;
 }
 
 ConcurrencyProfile

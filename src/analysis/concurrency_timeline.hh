@@ -23,6 +23,8 @@
 #ifndef DESKPAR_ANALYSIS_CONCURRENCY_TIMELINE_HH
 #define DESKPAR_ANALYSIS_CONCURRENCY_TIMELINE_HH
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -31,7 +33,27 @@
 #include "trace/filter.hh"
 #include "trace/session.hh"
 
+namespace deskpar::analysis {
+
+/** Log2-spaced duration buckets: bucket i covers [2^i, 2^{i+1}) ns. */
+inline constexpr unsigned kDurationHistogramBuckets = 32;
+
+} // namespace deskpar::analysis
+
 namespace deskpar::analysis::detail {
+
+/**
+ * Log2 bucket index of duration @p d (ns), capped at the top:
+ * floor(log2 d) for d >= 2, else 0, in O(1).
+ */
+inline unsigned
+durationHistogramBucket(sim::SimDuration d)
+{
+    if (d <= 1)
+        return 0;
+    return std::min(static_cast<unsigned>(std::bit_width(d)) - 1,
+                    kDurationHistogramBuckets - 1);
+}
 
 /**
  * CPU selection mask for a query filter. Bit i selects logical CPU i;
@@ -116,11 +138,18 @@ struct ConcurrencyTimeline
  * maximum of bursts[0..i].end, so the bursts that can intersect a
  * window are a binary-searchable candidate range, exactly like the
  * GPU packet columns.
+ *
+ * bucketCum holds strided checkpoint rows of the duration histogram,
+ * with the timeline's kStride: bucketCum[k*kDurationHistogramBuckets
+ * + b] counts the bursts of bursts[0, k*kStride) whose whole length
+ * falls in bucket b, for k = 0 .. bursts.size()/kStride (uint32
+ * counts: 4 bytes per burst).
  */
 struct BurstColumns
 {
     std::vector<Interval> bursts;
     std::vector<sim::SimTime> maxEnd;
+    std::vector<std::uint32_t> bucketCum;
 };
 
 /**
@@ -152,6 +181,20 @@ void buildConcurrencyTimeline(const trace::TraceBundle &bundle,
                               std::vector<sim::SimTime> *dispatches,
                               BurstColumns *bursts,
                               WaitColumns *waits = nullptr);
+
+/**
+ * Add the duration histogram of the bursts clamped to [@p t0, @p t1)
+ * into @p histogram (kDurationHistogramBuckets entries) and return
+ * the number of non-empty clamped bursts: exactly what clamping every
+ * burst and bucketing its length would give. Bursts wholly inside
+ * the window form one index range — begin >= t0 and maxEnd <= t1 —
+ * answered from checkpoint-row differences plus at most
+ * 2*(ConcurrencyTimeline::kStride-1) burst reads; only the
+ * candidates straddling an edge are clamped one by one.
+ */
+std::uint64_t burstHistogram(const BurstColumns &columns,
+                             sim::SimTime t0, sim::SimTime t1,
+                             std::uint64_t *histogram);
 
 /**
  * Windowed histogram from a usable timeline. Bit-identical to the

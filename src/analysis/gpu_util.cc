@@ -1,5 +1,7 @@
 #include "analysis/gpu_util.hh"
 
+#include <algorithm>
+
 #include "analysis/intervals.hh"
 #include "analysis/session.hh"
 #include "analysis/trace_index.hh"
@@ -12,12 +14,19 @@ namespace detail {
 GpuUtilization
 foldGpuPackets(const TraceBundle &bundle, const PidSet &pids,
                sim::SimTime t0, sim::SimTime t1, std::size_t first,
-               std::size_t last)
+               std::size_t last, bool startSorted)
 {
     GpuUtilization out;
     double window = static_cast<double>(t1 - t0);
 
+    // Start-sorted packets clamp to non-decreasing begins, so their
+    // union merges as a running [runBegin, runEnd) in the same pass;
+    // otherwise collect, sort and merge.
     std::vector<Interval> busy;
+    sim::SimDuration busyNs = 0;
+    sim::SimTime runBegin = 0;
+    sim::SimTime runEnd = 0;
+    bool running = false;
     for (std::size_t i = first; i < last; ++i) {
         const auto &e = bundle.gpuPackets[i];
         if (!pids.empty() && pids.count(e.pid) == 0)
@@ -29,11 +38,24 @@ foldGpuPackets(const TraceBundle &bundle, const PidSet &pids,
         double share = static_cast<double>(iv.length()) / window;
         out.aggregateRatio += share;
         out.perEngine[static_cast<unsigned>(e.engine)] += share;
-        busy.push_back(iv);
+        if (!startSorted) {
+            busy.push_back(iv);
+        } else if (running && iv.begin <= runEnd) {
+            runEnd = std::max(runEnd, iv.end);
+        } else {
+            if (running)
+                busyNs += runEnd - runBegin;
+            runBegin = iv.begin;
+            runEnd = iv.end;
+            running = true;
+        }
     }
+    if (!startSorted)
+        busyNs = unionLengthInPlace(busy);
+    else if (running)
+        busyNs += runEnd - runBegin;
 
-    out.busyRatio =
-        static_cast<double>(unionLengthInPlace(busy)) / window;
+    out.busyRatio = static_cast<double>(busyNs) / window;
     out.overlapped = out.aggregateRatio > out.busyRatio + 1e-9;
     return out;
 }
@@ -49,7 +71,8 @@ computeGpuUtil(const TraceBundle &bundle, const PidSet &pids,
     if (t1 <= t0)
         deskpar::fatal("computeGpuUtil: empty window");
     return detail::foldGpuPackets(bundle, pids, t0, t1, 0,
-                                  bundle.gpuPackets.size());
+                                  bundle.gpuPackets.size(),
+                                  /*startSorted=*/false);
 }
 
 GpuUtilization

@@ -98,11 +98,17 @@ namespace detail {
  * (first=0, last=size) and the index's candidate-range query, so the
  * floating-point accumulation order — and hence the result — is the
  * same in both: packets clamped to nothing contribute no terms.
+ *
+ * @p startSorted promises the range is sorted by start: the busy
+ * union then merges in the same pass, with no interval vector and no
+ * sort. Otherwise (and always in the legacy scan) the clamped
+ * intervals are collected, sorted and merged. The union is an
+ * integer length either way, so busyRatio is the same bits.
  */
 GpuUtilization foldGpuPackets(const TraceBundle &bundle,
                               const PidSet &pids, sim::SimTime t0,
                               sim::SimTime t1, std::size_t first,
-                              std::size_t last);
+                              std::size_t last, bool startSorted);
 
 } // namespace detail
 

@@ -453,7 +453,7 @@ resolveQueryFilter(const trace::TraceBundle &bundle,
     return out;
 }
 
-std::vector<QueryRowSpec>
+QueryRows
 expandQueryRows(const trace::TraceBundle &bundle, const Query &query)
 {
     if (query.groupBy == QueryGroupBy::GpuEngine &&
@@ -468,14 +468,15 @@ expandQueryRows(const trace::TraceBundle &bundle, const Query &query)
         query.bucket == 0)
         deskpar::fatal("query: bucket group-by requires a width");
 
-    ResolvedFilter f = resolveQueryFilter(bundle, query.filter);
-    std::vector<QueryRowSpec> rows;
+    QueryRows out;
+    out.filter = resolveQueryFilter(bundle, query.filter);
+    const ResolvedFilter &f = out.filter;
+    std::vector<QueryRowSpec> &rows = out.rows;
 
     auto baseRow = [&f]() {
         QueryRowSpec row;
         row.t0 = f.t0;
         row.t1 = f.t1;
-        row.pids = f.pids;
         return row;
     };
 
@@ -496,7 +497,6 @@ expandQueryRows(const trace::TraceBundle &bundle, const Query &query)
         for (Pid pid : pids) {
             QueryRowSpec row = baseRow();
             row.key = processKey(bundle, pid);
-            row.pids = trace::PidSet{pid};
             row.pidLabel = pid;
             rows.push_back(std::move(row));
         }
@@ -522,9 +522,6 @@ expandQueryRows(const trace::TraceBundle &bundle, const Query &query)
             QueryRowSpec row = baseRow();
             row.key =
                 processKey(bundle, pid) + "/tid" + std::to_string(tid);
-            row.pids = trace::PidSet{pid};
-            row.hasTid = true;
-            row.tid = tid;
             row.pidLabel = pid;
             row.tidLabel = tid;
             rows.push_back(std::move(row));
@@ -583,7 +580,28 @@ expandQueryRows(const trace::TraceBundle &bundle, const Query &query)
         break;
       }
     }
-    return rows;
+    return out;
+}
+
+TimelineSpec
+rowFilter(QueryGroupBy groupBy, const ResolvedFilter &filter,
+          const QueryRowSpec &row)
+{
+    TimelineSpec spec;
+    spec.cpuMask = filter.cpuMask;
+    switch (groupBy) {
+      case QueryGroupBy::Thread:
+        spec.hasTid = true;
+        spec.tid = row.tidLabel;
+        [[fallthrough]];
+      case QueryGroupBy::Process:
+        spec.pids = trace::PidSet{row.pidLabel};
+        break;
+      default:
+        spec.pids = filter.pids;
+        break;
+    }
+    return spec;
 }
 
 std::vector<Interval>
@@ -685,16 +703,15 @@ runQuery(const trace::TraceBundle &bundle, const Query &query)
     if (out.query.label.empty())
         out.query.label = querySpecString(query);
 
-    std::vector<detail::QueryRowSpec> specs =
-        detail::expandQueryRows(bundle, query);
-    out.rows.reserve(specs.size());
+    detail::QueryRows expanded = detail::expandQueryRows(bundle, query);
+    out.rows.reserve(expanded.rows.size());
 
     // The engine rows of one query share a window; one fold fills all
     // five, like the planner's engine task.
     GpuUtilization engineUtil;
     bool engineFolded = false;
 
-    for (const detail::QueryRowSpec &spec : specs) {
+    for (const detail::QueryRowSpec &spec : expanded.rows) {
         QueryRow row;
         row.key = spec.key;
         row.t0 = spec.t0;
@@ -702,11 +719,8 @@ runQuery(const trace::TraceBundle &bundle, const Query &query)
         row.pid = spec.pidLabel;
         row.tid = spec.tidLabel;
 
-        detail::TimelineSpec ts;
-        ts.pids = spec.pids;
-        ts.hasTid = spec.hasTid;
-        ts.tid = spec.tid;
-        ts.cpuMask = query.filter.cpuMask;
+        detail::TimelineSpec ts =
+            detail::rowFilter(query.groupBy, expanded.filter, spec);
 
         switch (query.metric) {
           case QueryMetric::Tlp:
@@ -720,7 +734,7 @@ runQuery(const trace::TraceBundle &bundle, const Query &query)
           case QueryMetric::GpuOccupancy: {
             if (spec.engine >= 0) {
                 if (!engineFolded) {
-                    engineUtil = computeGpuUtil(bundle, spec.pids,
+                    engineUtil = computeGpuUtil(bundle, ts.pids,
                                                 spec.t0, spec.t1);
                     engineFolded = true;
                 }
@@ -728,7 +742,7 @@ runQuery(const trace::TraceBundle &bundle, const Query &query)
                     engineUtil, spec.engine);
             } else {
                 row.value = detail::engineOccupancyPercent(
-                    computeGpuUtil(bundle, spec.pids, spec.t0,
+                    computeGpuUtil(bundle, ts.pids, spec.t0,
                                    spec.t1),
                     -1);
             }

@@ -27,8 +27,6 @@
 #ifndef DESKPAR_ANALYSIS_QUERY_HH
 #define DESKPAR_ANALYSIS_QUERY_HH
 
-#include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -87,9 +85,6 @@ const char *queryMetricName(QueryMetric metric);
 
 /** Spec-syntax name of a group-by ("process", "bucket", ...). */
 const char *queryGroupByName(QueryGroupBy groupBy);
-
-/** Log2-spaced duration buckets: bucket i covers [2^i, 2^{i+1}) ns. */
-inline constexpr unsigned kDurationHistogramBuckets = 32;
 
 /**
  * Event selection. An empty pid set with an empty prefix means
@@ -218,22 +213,26 @@ ResolvedFilter resolveQueryFilter(const trace::TraceBundle &bundle,
                                   const QueryFilter &filter);
 
 /**
- * One expanded row before evaluation: its window, its (narrowed)
- * event filter, and its display identity.
+ * One expanded row before evaluation: its window and its display
+ * identity. Its event filter is derived, not stored (rowFilter).
  */
 struct QueryRowSpec
 {
     std::string key;
     sim::SimTime t0 = 0;
     sim::SimTime t1 = 0;
-    trace::PidSet pids;
-    bool hasTid = false;
-    trace::Tid tid = 0;
     /** Display identity for Process/Thread rows. */
     trace::Pid pidLabel = 0;
     trace::Tid tidLabel = 0;
     /** >= 0: this row reads perEngine[engine] (GpuEngine group). */
     int engine = -1;
+};
+
+/** The rows of one query and the filter they were resolved from. */
+struct QueryRows
+{
+    ResolvedFilter filter;
+    std::vector<QueryRowSpec> rows;
 };
 
 /**
@@ -243,21 +242,19 @@ struct QueryRowSpec
  * invalid metric/group combinations (GPU occupancy per thread,
  * non-GPU metric per engine, TimeBucket without a width).
  */
-std::vector<QueryRowSpec> expandQueryRows(
-    const trace::TraceBundle &bundle, const Query &query);
+QueryRows expandQueryRows(const trace::TraceBundle &bundle,
+                          const Query &query);
 
 /**
- * Log2 bucket index of duration @p d (ns), capped at the top:
- * floor(log2 d) for d >= 2, else 0, in O(1).
+ * The event filter of @p row of a @p groupBy query resolved to
+ * @p filter: Process rows select {pidLabel}, Thread rows also their
+ * tid, and every other group the resolved pid set; all take the
+ * resolved cpu mask. The reference derives it per row; the planner
+ * once per query, except for Process and Thread rows.
  */
-inline unsigned
-durationHistogramBucket(sim::SimDuration d)
-{
-    if (d <= 1)
-        return 0;
-    return std::min(static_cast<unsigned>(std::bit_width(d)) - 1,
-                    kDurationHistogramBuckets - 1);
-}
+TimelineSpec rowFilter(QueryGroupBy groupBy,
+                       const ResolvedFilter &filter,
+                       const QueryRowSpec &row);
 
 /** The final value fold of the concurrency-profile metrics. */
 inline double

@@ -120,27 +120,31 @@ QueryPlan::compile(const TraceIndex &index,
         std::tuple<std::vector<Pid>, bool, trace::Tid, detail::CpuMask>;
     std::map<FilterKey, std::size_t> filterIds;
 
-    auto internFilter = [&](const trace::PidSet &pids, bool hasTid,
-                            trace::Tid tid, detail::CpuMask mask) {
-        std::vector<Pid> sorted(pids.begin(), pids.end());
+    auto internFilter = [&](detail::TimelineSpec &&spec) {
+        std::vector<Pid> sorted(spec.pids.begin(), spec.pids.end());
         std::sort(sorted.begin(), sorted.end());
-        FilterKey key{std::move(sorted), hasTid, tid, mask};
+        FilterKey key{std::move(sorted), spec.hasTid,
+                      spec.hasTid ? spec.tid : 0, spec.cpuMask};
         auto [it, inserted] =
             filterIds.emplace(std::move(key), plan.filters_.size());
         if (inserted) {
-            Filter filter;
-            filter.spec.pids = pids;
-            filter.spec.hasTid = hasTid;
-            filter.spec.tid = tid;
-            filter.spec.cpuMask = mask;
-            plan.filters_.push_back(std::move(filter));
-            plan.explain_.passes.push_back(
-                QueryPlanPass{describeFilter(
-                                  plan.filters_.back().spec),
-                              {}, 0, false, false, false});
+            plan.explain_.passes.push_back(QueryPlanPass{
+                describeFilter(spec), {}, 0, false, false, false});
+            plan.filters_.push_back(Filter{std::move(spec), 0});
         }
         return it->second;
     };
+
+    // Expand every query first (in order, so the first invalid query
+    // is the one reported) and size the task list once.
+    std::vector<detail::QueryRows> expanded;
+    expanded.reserve(queries.size());
+    std::size_t totalRows = 0;
+    for (const Query &query : queries) {
+        expanded.push_back(detail::expandQueryRows(bundle, query));
+        totalRows += expanded.back().rows.size();
+    }
+    plan.tasks_.reserve(totalRows);
 
     for (std::size_t qi = 0; qi < queries.size(); ++qi) {
         const Query &query = queries[qi];
@@ -149,8 +153,7 @@ QueryPlan::compile(const TraceIndex &index,
         if (result.query.label.empty())
             result.query.label = querySpecString(query);
 
-        std::vector<detail::QueryRowSpec> specs =
-            detail::expandQueryRows(bundle, query);
+        std::vector<detail::QueryRowSpec> &specs = expanded[qi].rows;
         result.rows.reserve(specs.size());
         for (detail::QueryRowSpec &spec : specs) {
             QueryRow row;
@@ -189,13 +192,14 @@ QueryPlan::compile(const TraceIndex &index,
         }
         const char *metricName = queryMetricName(query.metric);
 
-        // Intern the filter of @p spec and charge @p rows to it.
-        auto useFilter = [&](const detail::QueryRowSpec &spec,
-                             std::size_t rows) {
-            std::size_t fi = internFilter(
-                spec.pids, !gpu && spec.hasTid,
-                !gpu && spec.hasTid ? spec.tid : 0,
-                gpu ? detail::kAllCpus : query.filter.cpuMask);
+        // Intern the filter of row @p ri (derived, as the reference
+        // derives it) and charge @p rows to it.
+        auto useFilter = [&](std::size_t ri, std::size_t rows) {
+            detail::TimelineSpec spec = detail::rowFilter(
+                query.groupBy, expanded[qi].filter, specs[ri]);
+            if (gpu)
+                spec.cpuMask = detail::kAllCpus; // packets carry no cpu
+            std::size_t fi = internFilter(std::move(spec));
             plan.filters_[fi].families |= families;
             QueryPlanPass &pass = plan.explain_.passes[fi];
             if (std::find(pass.metrics.begin(), pass.metrics.end(),
@@ -206,8 +210,8 @@ QueryPlan::compile(const TraceIndex &index,
         };
 
         auto addTask = [&](std::size_t filterIdx, std::size_t firstRow,
-                           std::size_t rowCount,
-                           const detail::QueryRowSpec &spec) {
+                           std::size_t rowCount) {
+            const detail::QueryRowSpec &spec = specs[firstRow];
             Task task;
             task.queryIdx = qi;
             task.filterIdx = filterIdx;
@@ -224,24 +228,22 @@ QueryPlan::compile(const TraceIndex &index,
             switch (query.groupBy) {
               case QueryGroupBy::GpuEngine:
                 // The five engine rows share one packet fold.
-                addTask(useFilter(specs[0], specs.size()), 0,
-                        specs.size(), specs[0]);
+                addTask(useFilter(0, specs.size()), 0, specs.size());
                 break;
               case QueryGroupBy::None:
               case QueryGroupBy::Phase:
               case QueryGroupBy::TimeBucket: {
-                // Every row of these groups carries the query's own
+                // Every row of these groups selects the query's own
                 // resolved filter: intern it once per query.
-                std::size_t fi = useFilter(specs[0], specs.size());
+                std::size_t fi = useFilter(0, specs.size());
                 for (std::size_t ri = 0; ri < specs.size(); ++ri)
-                    addTask(fi, ri, 1, specs[ri]);
+                    addTask(fi, ri, 1);
                 break;
               }
               case QueryGroupBy::Process:
               case QueryGroupBy::Thread:
                 for (std::size_t ri = 0; ri < specs.size(); ++ri)
-                    addTask(useFilter(specs[ri], 1), ri, 1,
-                            specs[ri]);
+                    addTask(useFilter(ri, 1), ri, 1);
                 break;
             }
         }
@@ -270,8 +272,25 @@ QueryPlan::compile(const TraceIndex &index,
 }
 
 std::vector<QueryResult>
-QueryPlan::run(unsigned threads) const
+QueryPlan::run(unsigned threads) const &
 {
+    return execute(skeleton_, threads);
+}
+
+std::vector<QueryResult>
+QueryPlan::run(unsigned threads) &&
+{
+    return execute(std::move(skeleton_), threads);
+}
+
+std::vector<QueryResult>
+QueryPlan::execute(std::vector<QueryResult> results,
+                   unsigned threads) const
+{
+    // A plan whose rows were handed over (run() &&) has none left.
+    if (results.size() != explain_.queries)
+        deskpar::panic("QueryPlan::run: the plan was already run as "
+                       "an rvalue");
     obs::Span span("query.execute", obs::SpanKind::Plan,
                    tasks_.size());
     const trace::TraceBundle &bundle = index_->bundle();
@@ -306,7 +325,6 @@ QueryPlan::run(unsigned threads) const
     // error of the lowest chunk is rethrown: that is the
     // lowest-index failing task, the one the serial reference hits
     // first, at any thread count.
-    std::vector<QueryResult> results = skeleton_;
     TraceIndex::GpuWindows gpu;
     if (std::any_of(tasks_.begin(), tasks_.end(), [](const Task &t) {
             return t.metric == QueryMetric::GpuOccupancy;
@@ -385,34 +403,8 @@ QueryPlan::run(unsigned threads) const
                 columns[task.filterIdx]->bursts;
             QueryRow &row = result.rows[task.firstRow];
             row.histogram.assign(kDurationHistogramBuckets, 0);
-            // Bursts intersecting the window begin before t1 and the
-            // running-max end column bounds how far back candidates
-            // reach — the GPU packet candidate-range trick.
-            std::size_t last = static_cast<std::size_t>(
-                std::lower_bound(
-                    bc.bursts.begin(), bc.bursts.end(), task.t1,
-                    [](const Interval &iv, SimTime t) {
-                        return iv.begin < t;
-                    }) -
-                bc.bursts.begin());
-            std::size_t first = static_cast<std::size_t>(
-                std::upper_bound(
-                    bc.maxEnd.begin(),
-                    bc.maxEnd.begin() +
-                        static_cast<std::ptrdiff_t>(last),
-                    task.t0) -
-                bc.maxEnd.begin());
-            std::uint64_t count = 0;
-            for (std::size_t i = first; i < last; ++i) {
-                Interval iv =
-                    bc.bursts[i].clampTo(task.t0, task.t1);
-                if (iv.empty())
-                    continue;
-                ++count;
-                ++row.histogram[detail::durationHistogramBucket(
-                    iv.length())];
-            }
-            row.value = static_cast<double>(count);
+            row.value = static_cast<double>(detail::burstHistogram(
+                bc, task.t0, task.t1, row.histogram.data()));
             break;
           }
           case QueryMetric::WaitFraction:

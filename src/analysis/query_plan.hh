@@ -103,12 +103,23 @@ class QueryPlan
                              const std::vector<Query> &queries);
 
     /** Execute: one QueryResult per compiled query, in order. */
-    std::vector<QueryResult> run(unsigned threads = 0) const;
+    std::vector<QueryResult> run(unsigned threads = 0) const &;
+
+    /**
+     * Execute a plan that is run once: its pre-shaped result rows
+     * are handed over instead of copied. The plan keeps its explain
+     * text; running it again panics.
+     */
+    std::vector<QueryResult> run(unsigned threads = 0) &&;
 
     const QueryPlanExplain &explain() const { return explain_; }
 
   private:
     QueryPlan() = default;
+
+    /** Fill @p results (a copy of skeleton_, or skeleton_ itself). */
+    std::vector<QueryResult> execute(std::vector<QueryResult> results,
+                                     unsigned threads) const;
 
     /** One distinct row filter and the columns its rows need. */
     struct Filter
@@ -123,7 +134,8 @@ class QueryPlan
      * of results[queryIdx] over the window [t0, t1). rowCount > 1
      * only for a GpuEngine group, whose five rows share one packet
      * fold (row k = engine k). The row's event filter is
-     * filters_[filterIdx].spec (GPU rows read its pid set).
+     * filters_[filterIdx].spec (GPU rows read its pid set), derived
+     * by detail::rowFilter at compile time.
      */
     struct Task
     {

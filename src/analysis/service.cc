@@ -106,7 +106,7 @@ Service::query(const ServiceQueryRequest &request)
     ServiceQueryResult result;
     if (request.explain)
         result.explainText = plan.explain().str();
-    result.results = plan.run(request.trace.jobs);
+    result.results = std::move(plan).run(request.trace.jobs);
     noteIngest(result, lease);
     cache_.recharge(lease);
     return result;

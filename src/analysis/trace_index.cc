@@ -87,7 +87,8 @@ familyBytes(const TraceIndex::CswitchColumns &c, unsigned families)
         bytes += vectorBytes(c.dispatches);
     if (families & TraceIndex::kBursts)
         bytes += vectorBytes(c.bursts.bursts) +
-                 vectorBytes(c.bursts.maxEnd);
+                 vectorBytes(c.bursts.maxEnd) +
+                 vectorBytes(c.bursts.bucketCum);
     if (families & TraceIndex::kWaits)
         bytes += vectorBytes(c.waits.begin) +
                  vectorBytes(c.waits.end) +
@@ -433,7 +434,8 @@ TraceIndex::GpuWindows::fold(const PidSet &pids, SimTime t0,
                              t0) -
             gc.maxFinish.begin());
     }
-    return detail::foldGpuPackets(*bundle_, pids, t0, t1, first, last);
+    return detail::foldGpuPackets(*bundle_, pids, t0, t1, first, last,
+                                  gc.sortedByStart);
 }
 
 GpuUtilization

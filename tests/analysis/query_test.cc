@@ -34,6 +34,7 @@
 #include "analysis/session.hh"
 #include "analysis/timeseries.hh"
 #include "analysis/tlp.hh"
+#include "analysis/trace_index.hh"
 #include "obs/obs.hh"
 #include "sim/logging.hh"
 #include "sim/types.hh"
@@ -265,6 +266,8 @@ fingerprintResults(const std::vector<QueryResult> &results)
     return os.str();
 }
 
+std::vector<Query> residentBatch();
+
 template <typename Fn>
 std::string
 outcome(Fn &&fn)
@@ -479,6 +482,27 @@ TEST(QueryPlanTest, FusesSharedFiltersIntoOnePass)
     expectResultsEqual(session.query(batch, 2), first);
 
     EXPECT_TRUE(session.query({}).empty());
+}
+
+/**
+ * A plan run as an rvalue hands its pre-shaped rows over: the rows
+ * equal a copying run's, the explain text survives, and a second
+ * run panics instead of reading rows that are gone.
+ */
+TEST(QueryPlanTest, RvalueRunHandsOverItsRows)
+{
+    TraceBundle bundle = randomBundle(3);
+    Session session(bundle);
+    std::vector<Query> batch = residentBatch();
+    const QueryPlan reused = session.plan(batch);
+    std::vector<QueryResult> copied = reused.run(2);
+    expectResultsEqual(copied, legacy::runQueries(bundle, batch));
+
+    QueryPlan plan = session.plan(batch);
+    const std::string explain = plan.explain().str();
+    expectResultsEqual(std::move(plan).run(2), copied);
+    EXPECT_EQ(plan.explain().str(), explain);
+    EXPECT_THROW(plan.run(2), PanicError);
 }
 
 TEST(QuerySpec, RoundTripsCanonically)
@@ -761,6 +785,43 @@ TEST(QueryResident, RepeatedBatchMatchesFreshSessionAndReference)
                                reference);
         }
     }
+}
+
+/**
+ * A dhist query on a filter whose timeline is already built adds
+ * exactly its burst family to TraceIndex::memoryBytes — the bursts,
+ * the running-max end column and the histogram checkpoint rows — so
+ * the session cache's budget sees the checkpoint column.
+ */
+TEST(QueryResident, DhistChargesItsCheckpointColumn)
+{
+    TraceBundle bundle = randomBundle(13, BundleSpec{8, 4000});
+    Session session(bundle);
+    const TraceIndex &index = session.index();
+    detail::TimelineSpec spec;
+    spec.pids = {5, 6};
+    index.filterColumns(spec, TraceIndex::kTimeline);
+    const std::uint64_t before = index.memoryBytes();
+
+    Query q;
+    q.metric = QueryMetric::DurationHistogram;
+    q.filter.pids = spec.pids;
+    session.query({q}, 2);
+    const std::uint64_t after = index.memoryBytes();
+
+    const detail::BurstColumns &bc =
+        index.filterColumns(spec, TraceIndex::kBursts).bursts;
+    const std::uint64_t checkpointBytes =
+        bc.bucketCum.capacity() * sizeof(std::uint32_t);
+    ASSERT_GE(bc.bursts.size(), 10 * detail::ConcurrencyTimeline::kStride);
+    EXPECT_EQ(checkpointBytes,
+              (bc.bursts.size() / detail::ConcurrencyTimeline::kStride +
+               1) * kDurationHistogramBuckets * sizeof(std::uint32_t));
+    EXPECT_EQ(after - before,
+              bc.bursts.capacity() * sizeof(Interval) +
+                  bc.maxEnd.capacity() * sizeof(sim::SimTime) +
+                  checkpointBytes);
+    EXPECT_EQ(index.memoryBytes(), after); // nothing rebuilt
 }
 
 /**
