@@ -21,7 +21,7 @@
 #include <cstdio>
 #include <iostream>
 
-#include "analysis/responsiveness.hh"
+#include "analysis/session.hh"
 #include "apps/registry.hh"
 #include "apps/standard.hh"
 #include "apps/video.hh"
@@ -143,9 +143,10 @@ ablationQuantum()
             trace::TraceBundle bundle =
                 machine.session().takeBundle();
 
-            auto response = analysis::computeResponsiveness(
-                bundle, trace::pidsWithPrefix(bundle, "word"));
-            auto hb = analysis::analyzeApp(bundle, "handbrake");
+            analysis::Session session(bundle);
+            auto response = session.responsiveness(
+                trace::pidsWithPrefix(bundle, "word"));
+            auto hb = session.app("handbrake");
             table.row()
                 .cell(quantum_ms, 0)
                 .cell(std::string(elevated ? "elevated"
@@ -211,7 +212,7 @@ ablationLlc()
             trace::TraceBundle bundle =
                 machine.session().takeBundle();
             auto metrics =
-                analysis::analyzeApp(bundle, "handbrake");
+                analysis::Session(bundle).app("handbrake");
             return metrics.frames.avgFps; // all copies' frames
         };
         double solo = run(1);

@@ -4,11 +4,11 @@
  * serialization table. Part one times blocking::analyze two ways
  * over one recorded oversubscribed trace (the GPU-less miner, whose
  * ready queue is always deep) — the sequential reference
- * (blocking::legacy::analyze) and the fused path (per-thread folds
- * fanned out) — verifies the reports are EXPECT_EQ-identical at
- * 1/2/7 worker threads, and records both wall times as
- * micro_blocking_* bench records for the bench_compare gate. Part
- * two runs all 30 applications and classifies each as
+ * (blocking::legacy::analyze, from tests/reference/) and the fused
+ * path (per-thread folds fanned out) — verifies the reports are
+ * EXPECT_EQ-identical at 1/2/7 worker threads, and records both
+ * wall times as micro_blocking_* bench records for the bench_compare
+ * gate. Part two runs all 30 applications and classifies each as
  * bottleneck-limited (runnable threads denied CPUs, wait-TLP >= 0.5)
  * or structurally serial — the GAPP-style answer to *why* a low-TLP
  * app is low.
@@ -24,6 +24,7 @@
 
 #include "analysis/blocking.hh"
 #include "bench_util.hh"
+#include "reference/analysis_legacy.hh"
 
 using namespace deskpar;
 

@@ -11,8 +11,7 @@
 #include <cstdio>
 #include <iostream>
 
-#include "analysis/analyzer.hh"
-#include "analysis/trace_index.hh"
+#include "analysis/session.hh"
 #include "apps/registry.hh"
 #include "bench_util.hh"
 
@@ -35,11 +34,11 @@ main()
         apps::AppRunResult result =
             apps::runWorkload("photoshop", options);
 
-        // Both views analyze the same trace: share one index so the
-        // GPU columns are built once for the two sweeps.
-        analysis::TraceIndex index(result.lastBundle);
-        auto app = analysis::analyzeApp(index, result.lastPids);
-        auto system = analysis::analyzeApp(index, trace::PidSet{});
+        // Both views analyze the same trace: share one Session so
+        // the GPU columns are built once for the two sweeps.
+        analysis::Session session(result.lastBundle);
+        auto app = session.app(result.lastPids);
+        auto system = session.app(trace::PidSet{});
 
         char label[32];
         std::snprintf(label, sizeof(label), "%.1fx", noise);

@@ -16,6 +16,7 @@
 #include <iostream>
 
 #include "analysis/analyzer.hh"
+#include "analysis/session.hh"
 #include "apps/registry.hh"
 #include "bench_util.hh"
 #include "input/driver.hh"
@@ -55,11 +56,12 @@ run(bool with_photoshop)
     machine.session().stop(machine.now());
     trace::TraceBundle bundle = machine.session().takeBundle();
 
+    analysis::Session session(bundle);
     CoRun out;
-    out.handbrake = analysis::analyzeApp(bundle, "handbrake");
+    out.handbrake = session.app("handbrake");
     if (with_photoshop)
-        out.photoshop = analysis::analyzeApp(bundle, "photoshop");
-    out.system = analysis::analyzeApp(bundle, trace::PidSet{});
+        out.photoshop = session.app("photoshop");
+    out.system = session.app(trace::PidSet{});
     out.handbrakeFps = out.handbrake.frames.avgFps;
     return out;
 }

@@ -17,6 +17,7 @@
 #include <iostream>
 
 #include "analysis/power.hh"
+#include "analysis/session.hh"
 #include "apps/video.hh"
 #include "bench_util.hh"
 
@@ -28,9 +29,8 @@ analysis::PowerEstimate
 powerOf(const apps::AppRunResult &result,
         const apps::RunOptions &options)
 {
-    return analysis::estimatePower(result.lastBundle,
-                                   options.config.cpu,
-                                   options.config.gpu);
+    return analysis::Session(result.lastBundle)
+        .power(options.config.cpu, options.config.gpu);
 }
 
 } // namespace

@@ -14,7 +14,7 @@
 #include <cstdio>
 #include <iostream>
 
-#include "analysis/responsiveness.hh"
+#include "analysis/session.hh"
 #include "apps/blocks.hh"
 #include "apps/registry.hh"
 #include "bench_util.hh"
@@ -62,9 +62,9 @@ main()
         trace::TraceBundle bundle = machine.session().takeBundle();
 
         auto pids = trace::pidsWithPrefix(bundle, "word");
-        auto metrics = analysis::analyzeApp(bundle, pids);
-        auto response =
-            analysis::computeResponsiveness(bundle, pids);
+        analysis::Session session(bundle);
+        auto metrics = session.app(pids);
+        auto response = session.responsiveness(pids);
 
         table.row()
             .cell(std::uint64_t(cores))

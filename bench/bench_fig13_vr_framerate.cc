@@ -11,7 +11,7 @@
 #include <cstdio>
 #include <iostream>
 
-#include "analysis/framerate.hh"
+#include "analysis/session.hh"
 #include "apps/vr.hh"
 #include "bench_util.hh"
 
@@ -29,7 +29,7 @@ realFrameSeries(const trace::TraceBundle &bundle,
         return f.synthesized ||
                (!pids.empty() && pids.count(f.pid) == 0);
     });
-    return analysis::frameRateSeries(real, pids, window);
+    return analysis::Session(real).frameRateSeries(pids, window);
 }
 
 } // namespace

@@ -23,12 +23,7 @@
 #include <functional>
 #include <sstream>
 
-#include "analysis/analyzer.hh"
-#include "analysis/framerate.hh"
-#include "analysis/gpu_util.hh"
-#include "analysis/timeseries.hh"
-#include "analysis/tlp.hh"
-#include "analysis/trace_index.hh"
+#include "analysis/session.hh"
 #include "apps/harness.hh"
 #include "apps/registry.hh"
 #include "bench_util.hh"
@@ -83,8 +78,9 @@ BM_ComputeTlp(benchmark::State &state)
 {
     const auto &bundle = sampleBundle();
     const auto &pids = samplePids();
+    // One fresh Session per iteration: the cost of a one-off metric.
     for (auto _ : state) {
-        auto profile = analysis::computeConcurrency(bundle, pids);
+        auto profile = analysis::Session(bundle).concurrency(pids);
         benchmark::DoNotOptimize(profile.tlp());
     }
     state.SetItemsProcessed(state.iterations() *
@@ -98,7 +94,7 @@ BM_ComputeGpuUtil(benchmark::State &state)
     const auto &bundle = sampleBundle();
     const auto &pids = samplePids();
     for (auto _ : state) {
-        auto util = analysis::computeGpuUtil(bundle, pids);
+        auto util = analysis::Session(bundle).gpuUtil(pids);
         benchmark::DoNotOptimize(util.aggregateRatio);
     }
 }
@@ -110,29 +106,29 @@ BM_TlpTimeSeries(benchmark::State &state)
     const auto &bundle = sampleBundle();
     const auto &pids = samplePids();
     for (auto _ : state) {
-        auto series =
-            analysis::tlpSeries(bundle, pids, sim::msec(250));
+        auto series = analysis::Session(bundle).tlpSeries(
+            pids, sim::msec(250));
         benchmark::DoNotOptimize(series.maxValue());
     }
 }
 BENCHMARK(BM_TlpTimeSeries);
 
-/** Warm static index over the sample bundle (shared across benches). */
-const analysis::TraceIndex &
-sampleIndex()
+/** Warm static Session over the sample bundle (shared across benches). */
+const analysis::Session &
+sampleSession()
 {
-    static analysis::TraceIndex index(sampleBundle());
+    static const analysis::Session session(sampleBundle());
     static const bool warmed =
-        (index.warm(samplePids()), true);
+        (session.index().warm(samplePids()), true);
     (void)warmed;
-    return index;
+    return session;
 }
 
 void
 BM_IndexBuild(benchmark::State &state)
 {
-    // Cold build plus one whole-window query: what one-shot callers
-    // (the computeConcurrency wrapper) pay per bundle.
+    // Cold build plus one whole-window query: what a one-off
+    // Session query pays per bundle.
     const auto &bundle = sampleBundle();
     const auto &pids = samplePids();
     for (auto _ : state) {
@@ -149,45 +145,27 @@ void
 BM_IndexWindowQuery(benchmark::State &state)
 {
     // Warm windowed query: the timeline figures' per-window cost.
-    const auto &index = sampleIndex();
+    const auto &session = sampleSession();
     const auto &bundle = sampleBundle();
     const auto &pids = samplePids();
     sim::SimTime t0 = bundle.startTime;
     sim::SimTime t1 = std::min(t0 + sim::msec(250), bundle.stopTime);
     for (auto _ : state) {
-        auto profile = index.concurrency(pids, t0, t1);
+        auto profile = session.concurrency(pids, t0, t1);
         benchmark::DoNotOptimize(profile.tlp());
     }
 }
 BENCHMARK(BM_IndexWindowQuery);
 
 void
-BM_LegacyWindowSweep(benchmark::State &state)
-{
-    // The same 250 ms window via the legacy full sweep, for the
-    // speedup ratio against BM_IndexWindowQuery.
-    const auto &bundle = sampleBundle();
-    const auto &pids = samplePids();
-    sim::SimTime t0 = bundle.startTime;
-    sim::SimTime t1 = std::min(t0 + sim::msec(250), bundle.stopTime);
-    for (auto _ : state) {
-        auto profile =
-            analysis::legacy::computeConcurrency(bundle, pids, t0, t1);
-        benchmark::DoNotOptimize(profile.tlp());
-    }
-}
-BENCHMARK(BM_LegacyWindowSweep);
-
-void
 BM_IndexTlpTimeSeries(benchmark::State &state)
 {
-    // Full 250 ms-window TLP series on a warm index; compare against
-    // BM_TlpTimeSeries (which builds its index per call).
-    const auto &index = sampleIndex();
+    // Full 250 ms-window TLP series on a warm Session; compare
+    // against BM_TlpTimeSeries (which builds its index per call).
+    const auto &session = sampleSession();
     const auto &pids = samplePids();
     for (auto _ : state) {
-        auto series =
-            analysis::tlpSeries(index, pids, sim::msec(250));
+        auto series = session.tlpSeries(pids, sim::msec(250));
         benchmark::DoNotOptimize(series.maxValue());
     }
 }
@@ -196,32 +174,14 @@ BENCHMARK(BM_IndexTlpTimeSeries);
 void
 BM_AnalyzeAppFused(benchmark::State &state)
 {
-    const auto &index = sampleIndex();
+    const auto &session = sampleSession();
     const auto &pids = samplePids();
     for (auto _ : state) {
-        auto metrics = analysis::analyzeApp(index, pids);
+        auto metrics = session.app(pids);
         benchmark::DoNotOptimize(metrics.tlp());
     }
 }
 BENCHMARK(BM_AnalyzeAppFused);
-
-void
-BM_AnalyzeAppLegacy(benchmark::State &state)
-{
-    // The pre-index composition: three independent full sweeps.
-    const auto &bundle = sampleBundle();
-    const auto &pids = samplePids();
-    for (auto _ : state) {
-        analysis::AppMetrics metrics;
-        metrics.concurrency =
-            analysis::legacy::computeConcurrency(bundle, pids);
-        metrics.gpu = analysis::legacy::computeGpuUtil(bundle, pids);
-        metrics.frames =
-            analysis::legacy::computeFrameStats(bundle, pids);
-        benchmark::DoNotOptimize(metrics.tlp());
-    }
-}
-BENCHMARK(BM_AnalyzeAppLegacy);
 
 void
 BM_EtlWrite(benchmark::State &state)

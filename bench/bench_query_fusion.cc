@@ -2,25 +2,24 @@
  * @file
  * Query-fusion microbenchmark: a 16-query batch over one recorded
  * HandBrake trace, evaluated two ways — the straight-line reference
- * (analysis::legacy::runQueries, one independent full-trace sweep
- * per row) and the fusing planner (Session::query, one cswitch pass
- * per distinct filter, timed cold on a fresh Session per batch).
- * Verifies the two produce bit-identical rows (also across 1/2/7
- * worker threads), records both wall times as micro_query_* bench
- * records, and fails unless the fused path is at least
- * DESKPAR_QUERY_MIN_SPEEDUP (default 2.0) times faster. A third
- * record, micro_query_resident, times the batch on a Session that
- * already holds its columns; it is reported, not gated.
+ * (analysis::legacy::runQueries from tests/reference/, one
+ * independent full-trace sweep per row) and the fusing planner
+ * (Session::query, one cswitch pass per distinct filter, timed cold
+ * on a fresh Session per batch). Fails unless the two produce
+ * bit-identical rows (also across 1/2/7 worker threads); prints the
+ * speedup and records both wall times as micro_query_* bench
+ * records. A third record, micro_query_resident, times the batch on
+ * a Session that already holds its columns.
  */
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <utility>
 #include <vector>
 
 #include "bench_util.hh"
+#include "reference/analysis_legacy.hh"
 
 using namespace deskpar;
 
@@ -188,7 +187,7 @@ main()
         bestFused = std::min(bestFused, wall.count());
     }
 
-    // The resident case, recorded apart so the speedup floor keeps
+    // The resident case, recorded apart so the speedup keeps
     // comparing cold builds: the batch again on a Session that
     // already holds every column it needs (what `deskpar serve`
     // answers a repeated request from). Row evaluation alone is
@@ -230,18 +229,5 @@ main()
     bench::appendBenchRecord("micro_query_sequential", bestSeq);
     bench::appendBenchRecord("micro_query_fused", bestFused);
     bench::appendBenchRecord("micro_query_resident", bestWarm);
-
-    double minSpeedup = 2.0;
-    if (const char *env = std::getenv("DESKPAR_QUERY_MIN_SPEEDUP"))
-        minSpeedup = std::strtod(env, nullptr);
-    if (speedup < minSpeedup) {
-        std::fprintf(stderr,
-                     "FAIL: fused speedup %.2fx is below the %.2fx "
-                     "floor\n",
-                     speedup, minSpeedup);
-        return 1;
-    }
-    std::printf("PASS: fused speedup %.2fx >= %.2fx floor\n", speedup,
-                minSpeedup);
     return 0;
 }

@@ -11,7 +11,7 @@
 #include <fstream>
 #include <sstream>
 
-#include "analysis/analyzer.hh"
+#include "analysis/session.hh"
 #include "apps/harness.hh"
 #include "trace/csv.hh"
 #include "trace/etl.hh"
@@ -65,9 +65,9 @@ main()
     }
 
     analysis::AppMetrics offline =
-        analysis::analyzeApp(parsed, "winx");
+        analysis::Session(parsed).app("winx");
     analysis::AppMetrics live =
-        analysis::analyzeApp(run.lastBundle, "winx");
+        analysis::Session(run.lastBundle).app("winx");
 
     std::printf("\n%-22s %10s %10s\n", "metric", "live", "offline");
     std::printf("%-22s %10.3f %10.3f\n", "TLP", live.tlp(),

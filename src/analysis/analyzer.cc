@@ -1,46 +1,6 @@
 #include "analysis/analyzer.hh"
 
-#include "analysis/session.hh"
-#include "analysis/trace_index.hh"
-#include "sim/logging.hh"
-
 namespace deskpar::analysis {
-
-AppMetrics
-analyzeApp(const TraceIndex &index, const std::string &process_prefix)
-{
-    PidSet pids;
-    if (!process_prefix.empty()) {
-        pids = trace::pidsWithPrefix(index.bundle(), process_prefix);
-        if (pids.empty()) {
-            deskpar::fatal("analyzeApp: no process named " +
-                           process_prefix);
-        }
-    }
-    return analyzeApp(index, pids);
-}
-
-AppMetrics
-analyzeApp(const TraceIndex &index, const PidSet &pids)
-{
-    AppMetrics metrics;
-    metrics.concurrency = index.concurrency(pids);
-    metrics.gpu = index.gpuUtil(pids);
-    metrics.frames = index.frameStats(pids);
-    return metrics;
-}
-
-AppMetrics
-analyzeApp(const TraceBundle &bundle, const std::string &process_prefix)
-{
-    return Session(bundle).app(process_prefix);
-}
-
-AppMetrics
-analyzeApp(const TraceBundle &bundle, const PidSet &pids)
-{
-    return Session(bundle).app(pids);
-}
 
 void
 IterationAggregate::add(const AppMetrics &metrics)

@@ -1,9 +1,9 @@
 /**
  * @file
- * High-level analysis entry points: summarize one trace into the
- * paper's per-application metrics, and aggregate repeated iterations
- * into mean / standard deviation rows (Table II reports avg and sigma
- * of 3 iterations).
+ * The paper's per-application metrics of one trace (Session::app
+ * fills them), and their aggregate over repeated iterations into
+ * mean / standard deviation rows (Table II reports avg and sigma of
+ * 3 iterations).
  */
 
 #ifndef DESKPAR_ANALYSIS_ANALYZER_HH
@@ -19,8 +19,6 @@
 
 namespace deskpar::analysis {
 
-class TraceIndex;
-
 /**
  * Metrics of one application in one trace (one iteration).
  */
@@ -33,36 +31,6 @@ struct AppMetrics
     double tlp() const { return concurrency.tlp(); }
     double gpuUtilPercent() const { return gpu.utilizationPercent(); }
 };
-
-/**
- * Analyze @p bundle for the application consisting of processes whose
- * names start with @p process_prefix (empty = system-wide).
- *
- * The bundle overloads build one TraceIndex internally and run the
- * fused sweep; callers analyzing the same bundle repeatedly (e.g.
- * multiple iterations or app + system views) should build the index
- * once and use the index overloads.
- *
- * @deprecated Thin shim over a throwaway analysis::Session; callers
- * issuing more than one query per bundle should hold a Session
- * (analysis/session.hh).
- */
-AppMetrics analyzeApp(const TraceBundle &bundle,
-                      const std::string &process_prefix);
-
-/** Analyze with an explicit pid set. */
-AppMetrics analyzeApp(const TraceBundle &bundle, const PidSet &pids);
-
-/**
- * Index-backed fused analysis: one cswitch sweep, one frame sweep and
- * one GPU column build fill every AppMetrics field (columns are
- * reused when already cached on the index).
- */
-AppMetrics analyzeApp(const TraceIndex &index,
-                      const std::string &process_prefix);
-
-/** Index-backed variant with an explicit pid set. */
-AppMetrics analyzeApp(const TraceIndex &index, const PidSet &pids);
 
 /**
  * Aggregate of N iterations of one application: the Table II row.

@@ -7,7 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "analysis/session.hh"
 #include "analysis/trace_index.hh"
 #include "obs/obs.hh"
 #include "sim/parallel.hh"
@@ -17,59 +16,31 @@ namespace deskpar::analysis::blocking {
 using sim::SimTime;
 using trace::Pid;
 using trace::Tid;
+using detail::Key;
+using detail::SweepResult;
 
 namespace {
 
-using Key = std::pair<Pid, Tid>;
-
-struct EdgeAgg
+std::string
+threadName(const trace::TraceBundle &bundle, Pid pid)
 {
-    std::uint64_t count = 0;
-    std::uint64_t waitNs = 0;
-};
+    auto it = bundle.processNames.find(pid);
+    if (it != bundle.processNames.end() && !it->second.empty())
+        return it->second;
+    return "pid" + std::to_string(pid);
+}
 
-struct ChainState
+std::uint64_t
+lookupNs(const std::map<Key, std::uint64_t> &map, Key key)
 {
-    std::uint64_t chainNs = 0;
-    std::uint64_t links = 0;
-    Key prev{0, 0};
-    bool hasPrev = false;
-};
+    auto it = map.find(key);
+    return it == map.end() ? 0 : it->second;
+}
 
-/**
- * Everything one deterministic pass over the cswitch stream yields.
- * The per-thread wait/run folds are *not* done here — the wait
- * samples stay a flat stream-ordered vector so the two analyze()
- * flavors can fold them differently (inline maps vs parallelFor)
- * and still land on identical integer sums.
- */
-struct SweepResult
-{
-    std::map<Key, std::uint64_t> runNs;
-    std::map<Key, std::uint64_t> blockedNs;
-    std::map<std::pair<Key, Key>, EdgeAgg> edges;
-    std::map<Key, ChainState> chains;
-    /** (thread, wait ns) per target switch-in, stream order. */
-    std::vector<std::pair<Key, std::uint64_t>> waitSamples;
-    std::uint64_t totalRunNs = 0;
-    std::uint64_t totalWaitNs = 0;
-    /**
-     * Observed stream extent and CPU population — the fallback
-     * window when the bundle header is empty (bare CPU-Usage CSVs
-     * carry no startTime/stopTime/numLogicalCpus).
-     */
-    SimTime minTs = 0;
-    SimTime maxTs = 0;
-    std::size_t cpusSeen = 0;
-    bool sawEvents = false;
-};
+} // namespace
 
-/**
- * The chain sweep: a per-CPU running-thread state machine over the
- * cswitch stream. Both analyze() flavors run this exact sequential
- * code — the serialization chain is a DP whose order matters, so it
- * cannot fan out; only the per-thread folds afterwards can.
- */
+namespace detail {
+
 void
 sweep(const trace::TraceBundle &bundle, const trace::PidSet &pids,
       SweepResult &r)
@@ -162,19 +133,6 @@ sweep(const trace::TraceBundle &bundle, const trace::PidSet &pids,
     r.cpusSeen = cpus.size();
 }
 
-std::string
-threadName(const trace::TraceBundle &bundle, Pid pid)
-{
-    auto it = bundle.processNames.find(pid);
-    if (it != bundle.processNames.end() && !it->second.empty())
-        return it->second;
-    return "pid" + std::to_string(pid);
-}
-
-/**
- * Sorting, totals, edge flattening, and critical-path extraction —
- * identical in both flavors, and pure integer/string work.
- */
 void
 finalize(const trace::TraceBundle &bundle, SweepResult &r,
          std::vector<ThreadBlocking> rows, BlockingReport &report)
@@ -259,14 +217,6 @@ finalize(const trace::TraceBundle &bundle, SweepResult &r,
     }
 }
 
-std::uint64_t
-lookupNs(const std::map<Key, std::uint64_t> &map, Key key)
-{
-    auto it = map.find(key);
-    return it == map.end() ? 0 : it->second;
-}
-
-/** Sorted distinct thread keys the report must have rows for. */
 std::vector<Key>
 threadKeys(const SweepResult &r)
 {
@@ -282,7 +232,7 @@ threadKeys(const SweepResult &r)
     return keys;
 }
 
-} // namespace
+} // namespace detail
 
 double
 BlockingReport::windowSeconds() const
@@ -312,52 +262,6 @@ BlockingReport::classification() const
                                : "structurally serial";
 }
 
-namespace legacy {
-
-BlockingReport
-analyze(const trace::TraceBundle &bundle, const trace::PidSet &pids)
-{
-    SweepResult r;
-    sweep(bundle, pids, r);
-
-    // Inline sequential fold: one ordered map, stream-order adds.
-    struct WaitAgg
-    {
-        std::uint64_t waitNs = 0;
-        std::uint64_t maxWaitNs = 0;
-        std::uint64_t dispatches = 0;
-    };
-    std::map<Key, WaitAgg> waits;
-    for (const auto &[key, wait] : r.waitSamples) {
-        WaitAgg &agg = waits[key];
-        agg.waitNs += wait;
-        agg.maxWaitNs = std::max(agg.maxWaitNs, wait);
-        ++agg.dispatches;
-    }
-
-    std::vector<ThreadBlocking> rows;
-    for (Key key : threadKeys(r)) {
-        ThreadBlocking row;
-        row.pid = key.first;
-        row.tid = key.second;
-        row.runNs = lookupNs(r.runNs, key);
-        row.blockedNs = lookupNs(r.blockedNs, key);
-        auto it = waits.find(key);
-        if (it != waits.end()) {
-            row.waitNs = it->second.waitNs;
-            row.maxWaitNs = it->second.maxWaitNs;
-            row.dispatches = it->second.dispatches;
-        }
-        rows.push_back(std::move(row));
-    }
-
-    BlockingReport report;
-    finalize(bundle, r, std::move(rows), report);
-    return report;
-}
-
-} // namespace legacy
-
 BlockingReport
 analyze(const TraceIndex &index, const trace::PidSet &pids,
         unsigned threads)
@@ -367,14 +271,14 @@ analyze(const TraceIndex &index, const trace::PidSet &pids,
                    bundle.cswitches.size());
 
     SweepResult r;
-    sweep(bundle, pids, r);
+    detail::sweep(bundle, pids, r);
 
     // Bucket the stream-ordered wait samples per thread (sequential,
     // cheap), then fold every thread's bucket concurrently. Each
     // task owns its row outright, and the per-thread sample order is
-    // the stream order legacy folds in — integer sums, so any
+    // the stream order the reference folds in — integer sums, so any
     // DESKPAR_JOBS lands on the identical report.
-    std::vector<Key> keys = threadKeys(r);
+    std::vector<Key> keys = detail::threadKeys(r);
     std::map<Key, std::size_t> indexOf;
     for (std::size_t i = 0; i < keys.size(); ++i)
         indexOf.emplace(keys[i], i);
@@ -398,15 +302,8 @@ analyze(const TraceIndex &index, const trace::PidSet &pids,
     });
 
     BlockingReport report;
-    finalize(bundle, r, std::move(rows), report);
+    detail::finalize(bundle, r, std::move(rows), report);
     return report;
-}
-
-BlockingReport
-analyze(const Session &session, const trace::PidSet &pids,
-        unsigned threads)
-{
-    return analyze(session.index(), pids, threads);
 }
 
 namespace {

@@ -360,9 +360,9 @@ queryConcurrencyTimeline(const ConcurrencyTimeline &tl, SimTime t0,
 
 ConcurrencyProfile
 sweepConcurrency(const trace::TraceBundle &bundle,
-                 const TimelineSpec &spec, SimTime t0, SimTime t1,
-                 unsigned num_cpus, bool emit_warning)
+                 const TimelineSpec &spec, SimTime t0, SimTime t1)
 {
+    const unsigned num_cpus = bundle.numLogicalCpus;
     // Sweep the per-CPU run timelines into +1/-1 deltas at the times
     // a target thread starts/stops occupying a CPU. A flat sorted
     // vector replaces the old std::map: one O(n log n) sort instead
@@ -430,9 +430,6 @@ sweepConcurrency(const trace::TraceBundle &bundle,
             std::clamp(level, 0, static_cast<int>(num_cpus)));
         timeAt[lvl] += t1 - prev;
     }
-
-    if (out_of_range > 0 && emit_warning)
-        detail::warnOutOfRangeCpus(out_of_range, num_cpus);
 
     double window = static_cast<double>(profile.window);
     for (unsigned i = 0; i <= num_cpus; ++i)

@@ -9,7 +9,8 @@
  * and query algorithms live here, parameterized by a TimelineSpec.
  * With the default spec (no tid, all cpus) the builder reproduces the
  * original TraceIndex sweep event for event, which is what keeps the
- * index-backed queries bit-identical to analysis::legacy.
+ * index-backed queries bit-identical to the reference sweeps in
+ * tests/reference/.
  *
  * The builder can additionally collect, in the same single pass:
  *  - the sorted switch-in (dispatch) column, used by responsiveness
@@ -115,7 +116,7 @@ isTargetSwitch(const TimelineSpec &spec, trace::Pid pid, trace::Tid tid)
  *
  * usable is false when the stream cannot be represented faithfully:
  * the header reports zero CPUs, or disorder produced a negative
- * cumulative level (whether the legacy sweep panics on such a trace
+ * cumulative level (whether the direct sweep panics on such a trace
  * depends on the queried window, so those queries take the sweep
  * path verbatim).
  */
@@ -217,20 +218,18 @@ void queryConcurrencyTimeline(const ConcurrencyTimeline &timeline,
                               std::vector<sim::SimDuration> &timeAt);
 
 /**
- * The direct single-sweep concurrency histogram, generalized over
- * TimelineSpec. With the default spec this is exactly the
- * analysis::legacy::computeConcurrency body (which now wraps it);
- * @p emit_warning false suppresses the out-of-range-cpu Diagnostic so
- * batch callers can dedupe it per trace (the count still lands in
- * ConcurrencyProfile::outOfRangeCpuEvents). @p num_cpus must be
- * resolved (nonzero) and the window non-empty; callers keep the
- * legacy fatal checks.
+ * The direct single-sweep concurrency histogram over
+ * [@p t0, @p t1), generalized over TimelineSpec, with the header's
+ * CPU count (bundle.numLogicalCpus) as n. The answer for timelines
+ * that are not usable, and with the default spec the reference the
+ * timeline queries are tested against. Emits no warning: the count
+ * lands in ConcurrencyProfile::outOfRangeCpuEvents and callers
+ * report it (TraceIndex::warnOutOfRangeOnce). The CPU count must be
+ * nonzero and the window non-empty; callers keep the fatal checks.
  */
 ConcurrencyProfile sweepConcurrency(const trace::TraceBundle &bundle,
                                     const TimelineSpec &spec,
-                                    sim::SimTime t0, sim::SimTime t1,
-                                    unsigned num_cpus,
-                                    bool emit_warning);
+                                    sim::SimTime t0, sim::SimTime t1);
 
 } // namespace deskpar::analysis::detail
 

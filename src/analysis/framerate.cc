@@ -4,15 +4,13 @@
 #include <vector>
 
 #include "analysis/stats.hh"
-#include "analysis/session.hh"
-#include "analysis/trace_index.hh"
 
 namespace deskpar::analysis {
 
-namespace legacy {
+namespace detail {
 
 FrameStats
-computeFrameStats(const TraceBundle &bundle, const PidSet &pids)
+frameStats(const TraceBundle &bundle, const PidSet &pids)
 {
     FrameStats stats;
     std::vector<sim::SimTime> times;
@@ -59,12 +57,6 @@ computeFrameStats(const TraceBundle &bundle, const PidSet &pids)
     return stats;
 }
 
-} // namespace legacy
-
-FrameStats
-computeFrameStats(const TraceBundle &bundle, const PidSet &pids)
-{
-    return Session(bundle).frameStats(pids);
-}
+} // namespace detail
 
 } // namespace deskpar::analysis

@@ -38,28 +38,15 @@ struct FrameStats
     }
 };
 
-/**
- * Compute frame statistics for @p pids (empty = all). A thin wrapper
- * over TraceIndex (trace_index.hh), which caches the result per pid
- * set.
- *
- * @deprecated Thin shim over a throwaway analysis::Session; callers
- * issuing more than one query per bundle should hold a Session
- * (analysis/session.hh).
- */
-FrameStats computeFrameStats(const TraceBundle &bundle,
-                             const PidSet &pids);
-
-namespace legacy {
+namespace detail {
 
 /**
- * The direct single-sweep implementation — the bit-identical
- * reference for (and backing store of) the index-cached path.
+ * Frame statistics of @p pids (empty = all) in one sweep over
+ * bundle.frames: the fold TraceIndex::frameStats caches per pid set.
  */
-FrameStats computeFrameStats(const TraceBundle &bundle,
-                             const PidSet &pids);
+FrameStats frameStats(const TraceBundle &bundle, const PidSet &pids);
 
-} // namespace legacy
+} // namespace detail
 
 } // namespace deskpar::analysis
 

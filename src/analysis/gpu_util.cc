@@ -3,9 +3,6 @@
 #include <algorithm>
 
 #include "analysis/intervals.hh"
-#include "analysis/session.hh"
-#include "analysis/trace_index.hh"
-#include "sim/logging.hh"
 
 namespace deskpar::analysis {
 
@@ -61,41 +58,5 @@ foldGpuPackets(const TraceBundle &bundle, const PidSet &pids,
 }
 
 } // namespace detail
-
-namespace legacy {
-
-GpuUtilization
-computeGpuUtil(const TraceBundle &bundle, const PidSet &pids,
-               sim::SimTime t0, sim::SimTime t1)
-{
-    if (t1 <= t0)
-        deskpar::fatal("computeGpuUtil: empty window");
-    return detail::foldGpuPackets(bundle, pids, t0, t1, 0,
-                                  bundle.gpuPackets.size(),
-                                  /*startSorted=*/false);
-}
-
-GpuUtilization
-computeGpuUtil(const TraceBundle &bundle, const PidSet &pids)
-{
-    return computeGpuUtil(bundle, pids, bundle.startTime,
-                          bundle.stopTime);
-}
-
-} // namespace legacy
-
-GpuUtilization
-computeGpuUtil(const TraceBundle &bundle, const PidSet &pids,
-               sim::SimTime t0, sim::SimTime t1)
-{
-    return Session(bundle).gpuUtil(pids, t0, t1);
-}
-
-GpuUtilization
-computeGpuUtil(const TraceBundle &bundle, const PidSet &pids)
-{
-    return computeGpuUtil(bundle, pids, bundle.startTime,
-                          bundle.stopTime);
-}
 
 } // namespace deskpar::analysis

@@ -55,53 +55,19 @@ struct GpuUtilization
     }
 };
 
-/**
- * Compute GPU utilization over [@p t0, @p t1) for processes in
- * @p pids (empty set = all processes).
- *
- * A thin wrapper over TraceIndex (trace_index.hh); callers issuing
- * many windowed queries should build the index once instead.
- *
- * @deprecated Thin shim over a throwaway analysis::Session; callers
- * issuing more than one query per bundle should hold a Session
- * (analysis/session.hh).
- */
-GpuUtilization computeGpuUtil(const TraceBundle &bundle,
-                              const PidSet &pids, sim::SimTime t0,
-                              sim::SimTime t1);
-
-/** Convenience: whole-bundle window. */
-GpuUtilization computeGpuUtil(const TraceBundle &bundle,
-                              const PidSet &pids);
-
-namespace legacy {
-
-/**
- * The direct full-scan implementation — the bit-identical reference
- * for the index-backed path. Same contract as computeGpuUtil.
- */
-GpuUtilization computeGpuUtil(const TraceBundle &bundle,
-                              const PidSet &pids, sim::SimTime t0,
-                              sim::SimTime t1);
-
-/** Convenience: whole-bundle window. */
-GpuUtilization computeGpuUtil(const TraceBundle &bundle,
-                              const PidSet &pids);
-
-} // namespace legacy
-
 namespace detail {
 
 /**
  * Fold gpuPackets[first, last) into a GpuUtilization over
- * [@p t0, @p t1), in stream order. Shared by the legacy scan
- * (first=0, last=size) and the index's candidate-range query, so the
- * floating-point accumulation order — and hence the result — is the
- * same in both: packets clamped to nothing contribute no terms.
+ * [@p t0, @p t1), in stream order. Shared by the index's
+ * candidate-range query and the full-scan reference in tests/
+ * (first=0, last=size), so the floating-point accumulation order —
+ * and hence the result — is the same in both: packets clamped to
+ * nothing contribute no terms.
  *
  * @p startSorted promises the range is sorted by start: the busy
  * union then merges in the same pass, with no interval vector and no
- * sort. Otherwise (and always in the legacy scan) the clamped
+ * sort. Otherwise (and always in the full scan) the clamped
  * intervals are collected, sorted and merged. The union is an
  * integer length either way, so busyRatio is the same bits.
  */

@@ -3,10 +3,7 @@
 #include <map>
 #include <vector>
 
-#include "analysis/gpu_util.hh"
 #include "analysis/intervals.hh"
-#include "analysis/session.hh"
-#include "analysis/trace_index.hh"
 
 namespace deskpar::analysis {
 
@@ -87,32 +84,5 @@ powerFromBusyIntervals(
 }
 
 } // namespace detail
-
-namespace legacy {
-
-PowerEstimate
-estimatePower(const trace::TraceBundle &bundle,
-              const sim::CpuSpec &cpu, const sim::GpuSpec &gpu)
-{
-    PowerEstimate out;
-    out.seconds = sim::toSeconds(bundle.duration());
-    if (bundle.duration() == 0)
-        return out;
-
-    GpuUtilization util =
-        legacy::computeGpuUtil(bundle, trace::PidSet{});
-    return detail::powerFromBusyIntervals(
-        detail::cpuBusyIntervals(bundle), out.seconds,
-        util.busyRatio, cpu, gpu);
-}
-
-} // namespace legacy
-
-PowerEstimate
-estimatePower(const trace::TraceBundle &bundle,
-              const sim::CpuSpec &cpu, const sim::GpuSpec &gpu)
-{
-    return Session(bundle).power(cpu, gpu);
-}
 
 } // namespace deskpar::analysis

@@ -51,46 +51,20 @@ struct PowerEstimate
     }
 };
 
-/**
- * Estimate average power over the whole bundle window. All processes
- * contribute (power is a machine-level quantity).
- *
- * A thin wrapper over TraceIndex (trace_index.hh), which caches the
- * per-CPU busy intervals and GPU columns.
- *
- * @deprecated Thin shim over a throwaway analysis::Session; callers
- * issuing more than one query per bundle should hold a Session
- * (analysis/session.hh).
- */
-PowerEstimate estimatePower(const trace::TraceBundle &bundle,
-                            const sim::CpuSpec &cpu,
-                            const sim::GpuSpec &gpu);
-
-namespace legacy {
-
-/**
- * The direct implementation — the bit-identical reference for the
- * index-backed path.
- */
-PowerEstimate estimatePower(const trace::TraceBundle &bundle,
-                            const sim::CpuSpec &cpu,
-                            const sim::GpuSpec &gpu);
-
-} // namespace legacy
-
 namespace detail {
 
 /**
  * Per-logical-CPU busy intervals reconstructed from the context-
  * switch stream (any non-idle pid counts; power is machine-level).
- * Shared by the legacy estimator and the index's cached column.
+ * The index caches them; the reference in tests/ rebuilds them.
  */
 std::map<trace::CpuId, std::vector<Interval>>
 cpuBusyIntervals(const trace::TraceBundle &bundle);
 
 /**
- * The spec-model half of estimatePower over prebuilt busy intervals
- * and a GPU busy ratio. @p seconds must be the nonzero window length.
+ * The spec model over prebuilt busy intervals and a GPU busy ratio
+ * (TraceIndex::power estimates the whole bundle window with it; all
+ * processes contribute). @p seconds must be the nonzero window length.
  */
 PowerEstimate powerFromBusyIntervals(
     const std::map<trace::CpuId, std::vector<Interval>> &intervals,

@@ -18,10 +18,10 @@
  * Queries are data, not code: they can be parsed from the CLI's
  * compact text syntax (parseQuerySpec), batched, and compiled by the
  * fusing planner (query_plan.hh) into one pass per distinct filter.
- * analysis::legacy::runQuery is the straight-line reference the
- * planner is proven bit-identical against — each row evaluated with
- * an independent full sweep, exactly what a caller would have
- * hand-written before this layer existed.
+ * The differential tests hold a straight-line reference runner
+ * (tests/reference/) the planner is proven bit-identical against —
+ * each row evaluated with an independent full sweep, exactly what a
+ * caller would have hand-written before this layer existed.
  */
 
 #ifndef DESKPAR_ANALYSIS_QUERY_HH
@@ -172,26 +172,6 @@ Query gpuUtilSeriesQuery(trace::PidSet pids,
                          sim::SimDuration window);
 /** @} */
 
-namespace legacy {
-
-/**
- * The straight-line reference: evaluate @p query with one
- * independent full-trace sweep per row — computeConcurrency /
- * computeGpuUtil / direct event scans, nothing shared, warnings
- * emitted per sweep as the legacy functions always did. This is what
- * the fused planner (query_plan.hh) is differentially tested
- * against, and the "sequential per-metric calls" baseline of
- * bench_query_fusion.
- */
-QueryResult runQuery(const trace::TraceBundle &bundle,
-                     const Query &query);
-
-/** runQuery over a batch, in order. */
-std::vector<QueryResult> runQueries(const trace::TraceBundle &bundle,
-                                    const std::vector<Query> &queries);
-
-} // namespace legacy
-
 namespace detail {
 
 /** A query filter after name/window resolution. */
@@ -282,26 +262,6 @@ contextSwitchRate(std::uint64_t count, sim::SimDuration window)
 }
 
 /**
- * Busy bursts of @p spec in stream order (unsorted, inverted bursts
- * dropped): the reference implementation the planner's sorted burst
- * columns are tested against.
- */
-std::vector<Interval> collectBursts(const trace::TraceBundle &bundle,
-                                    const TimelineSpec &spec);
-
-/**
- * Ready-wait intervals of @p spec in stream order: one
- * [readyTime, timestamp) interval per target switch-in, zero-length
- * waits included (the latency mean counts every dispatch). Inverted
- * ready times are clamped to the timestamp, mirroring the lenient
- * readers, so a hand-built bundle cannot wrap the wait. The
- * reference the planner's end-sorted wait columns are tested
- * against.
- */
-std::vector<Interval> collectWaits(const trace::TraceBundle &bundle,
-                                   const TimelineSpec &spec);
-
-/**
  * Integer fold of the ready-wait metrics over one window: wait time
  * overlapping [t0, t1), plus the full latency and count of the
  * dispatches whose switch-in lands inside it. All sums are integer
@@ -314,10 +274,6 @@ struct WaitFold
     std::uint64_t latencyNs = 0;
     std::uint64_t dispatches = 0;
 };
-
-/** Accumulate @p waits (as collectWaits emits them) over a window. */
-WaitFold foldWaits(const std::vector<Interval> &waits, sim::SimTime t0,
-                   sim::SimTime t1);
 
 /** The final value fold of the ready-wait metrics. */
 inline double
@@ -336,16 +292,6 @@ waitMetricValue(QueryMetric metric, const WaitFold &fold,
         return sim::toSeconds(fold.overlapNs);
     }
 }
-
-/**
- * Reference concurrency profile for an arbitrary filter: the legacy
- * fatal checks plus one direct sweep (warning emitted, as legacy
- * always did). With a default-shaped spec this is exactly
- * legacy::computeConcurrency.
- */
-ConcurrencyProfile referenceConcurrency(
-    const trace::TraceBundle &bundle, const TimelineSpec &spec,
-    sim::SimTime t0, sim::SimTime t1);
 
 } // namespace detail
 

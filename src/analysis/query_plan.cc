@@ -364,8 +364,7 @@ QueryPlan::execute(std::vector<QueryResult> results,
                 // sweep, panics and all, warning already deduped.
                 scratch.profile = detail::sweepConcurrency(
                     bundle, filters_[task.filterIdx].spec, task.t0,
-                    task.t1, bundle.numLogicalCpus,
-                    /*emit_warning=*/false);
+                    task.t1);
             }
             result.rows[task.firstRow].value =
                 detail::metricFromProfile(task.metric, scratch.profile);

@@ -5,7 +5,8 @@
  * distinct filter, then answers every row of every query from the resulting
  * columns.
  *
- * A naive batch evaluation (legacy::runQueries) pays one full event
+ * A naive batch evaluation (one independent sweep per row, as the
+ * reference runner in tests/reference/ does) pays one full event
  * sweep per row — a 16-query TLP/busy/csrate/dhist batch over the
  * same application re-reads the same cswitch vector dozens of times.
  * The planner deduplicates the per-row event filters (pid set, tid,
@@ -27,7 +28,7 @@
  *    index columns, so values never depend on scheduling or on
  *    whether an earlier batch built them;
  *  - the floating-point fold of each row is the same operation
- *    sequence the reference (legacy::runQuery) performs, via the
+ *    sequence the reference runner performs, via the
  *    shared detail:: fold helpers and the proven timeline/GPU query
  *    paths;
  *  - errors are captured per task and the lowest-index one is

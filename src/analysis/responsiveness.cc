@@ -4,9 +4,6 @@
 #include <cstring>
 #include <vector>
 
-#include "analysis/session.hh"
-#include "analysis/trace_index.hh"
-
 namespace deskpar::analysis {
 
 namespace detail {
@@ -39,34 +36,5 @@ responsivenessFromDispatches(
 }
 
 } // namespace detail
-
-namespace legacy {
-
-Responsiveness
-computeResponsiveness(const trace::TraceBundle &bundle,
-                      const trace::PidSet &pids)
-{
-    // Dispatch times of the application's threads, sorted (cswitch
-    // streams are time-ordered already, but be defensive).
-    std::vector<sim::SimTime> dispatches;
-    for (const auto &e : bundle.cswitches) {
-        bool is_app = e.newPid != 0 &&
-                      (pids.empty() || pids.count(e.newPid) != 0);
-        if (is_app)
-            dispatches.push_back(e.timestamp);
-    }
-    std::sort(dispatches.begin(), dispatches.end());
-
-    return detail::responsivenessFromDispatches(bundle, dispatches);
-}
-
-} // namespace legacy
-
-Responsiveness
-computeResponsiveness(const trace::TraceBundle &bundle,
-                      const trace::PidSet &pids)
-{
-    return Session(bundle).responsiveness(pids);
-}
 
 } // namespace deskpar::analysis

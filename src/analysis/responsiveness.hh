@@ -41,39 +41,13 @@ struct Responsiveness
     double maxLatencyMs() const { return latency.max() * 1e-6; }
 };
 
-/**
- * Compute responsiveness for the application consisting of @p pids
- * (empty = any non-idle process): for each input marker, the time
- * until the next context switch that puts one of the application's
- * threads on a CPU.
- *
- * A thin wrapper over TraceIndex (trace_index.hh), which caches the
- * sorted dispatch column per pid set.
- *
- * @deprecated Thin shim over a throwaway analysis::Session; callers
- * issuing more than one query per bundle should hold a Session
- * (analysis/session.hh).
- */
-Responsiveness computeResponsiveness(const trace::TraceBundle &bundle,
-                                     const trace::PidSet &pids);
-
-namespace legacy {
-
-/**
- * The direct implementation — the bit-identical reference for the
- * index-backed path.
- */
-Responsiveness computeResponsiveness(const trace::TraceBundle &bundle,
-                                     const trace::PidSet &pids);
-
-} // namespace legacy
-
 namespace detail {
 
 /**
- * The marker-matching half of computeResponsiveness, over a sorted
- * dispatch column. Shared by the legacy path (which collects the
- * column per call) and the index (which caches it per pid set).
+ * Responsiveness of the application whose sorted switch-in times are
+ * @p dispatches: for each input marker, the time until the next
+ * dispatch. The index caches the column per pid set (empty = any
+ * non-idle process); the reference in tests/ collects it per call.
  */
 Responsiveness
 responsivenessFromDispatches(const trace::TraceBundle &bundle,

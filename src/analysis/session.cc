@@ -67,20 +67,33 @@ Session::pids(const std::string &prefix) const
 AppMetrics
 Session::app(const PidSet &pids) const
 {
-    return analyzeApp(index(), pids);
+    const TraceIndex &idx = index();
+    AppMetrics metrics;
+    metrics.concurrency = idx.concurrency(pids);
+    metrics.gpu = idx.gpuUtil(pids);
+    metrics.frames = idx.frameStats(pids);
+    return metrics;
 }
 
 AppMetrics
 Session::app(const std::string &prefix) const
 {
-    return analyzeApp(index(), prefix);
+    // An empty prefix is the system-wide set here, not pids("")'s
+    // every-application set.
+    PidSet pids;
+    if (!prefix.empty()) {
+        pids = trace::pidsWithPrefix(*bundle_, prefix);
+        if (pids.empty())
+            deskpar::fatal("analyzeApp: no process named " + prefix);
+    }
+    return app(pids);
 }
 
 ConcurrencyProfile
 Session::concurrency(const PidSet &pids, sim::SimTime t0,
-                     sim::SimTime t1, unsigned num_cpus) const
+                     sim::SimTime t1) const
 {
-    return index().concurrency(pids, t0, t1, num_cpus);
+    return index().concurrency(pids, t0, t1);
 }
 
 ConcurrencyProfile
@@ -118,33 +131,6 @@ PowerEstimate
 Session::power(const sim::CpuSpec &cpu, const sim::GpuSpec &gpu) const
 {
     return index().power(cpu, gpu);
-}
-
-TimeSeries
-Session::tlpSeries(const PidSet &pids, sim::SimDuration window) const
-{
-    return analysis::tlpSeries(index(), pids, window);
-}
-
-TimeSeries
-Session::concurrencySeries(const PidSet &pids,
-                           sim::SimDuration window) const
-{
-    return analysis::concurrencySeries(index(), pids, window);
-}
-
-TimeSeries
-Session::gpuUtilSeries(const PidSet &pids,
-                       sim::SimDuration window) const
-{
-    return analysis::gpuUtilSeries(index(), pids, window);
-}
-
-TimeSeries
-Session::frameRateSeries(const PidSet &pids,
-                         sim::SimDuration window) const
-{
-    return analysis::frameRateSeries(index(), pids, window);
 }
 
 QueryPlan

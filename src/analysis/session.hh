@@ -4,16 +4,13 @@
  * one TraceBundle plus its lazily-built TraceIndex and answers every
  * metric query the toolkit knows.
  *
- * Before this facade existed the API surface was four analyzeApp
- * overloads plus seven free functions (computeConcurrency,
- * computeGpuUtil, computeFrameStats, computeResponsiveness,
- * estimatePower, *Series), each of which silently rebuilt a fresh
- * TraceIndex when handed a bare bundle — so a caller computing three
- * metrics paid three full cswitch sweeps. A Session builds the index
- * once, on first query, and every subsequent query of any metric
- * reuses the cached columns. The old free functions survive as thin
- * shims over a throwaway Session (see their @deprecated notes) so
- * existing callers and the differential tests keep compiling.
+ * A Session builds the index once, on first query, and every later
+ * query of any metric reuses the cached columns, so a caller
+ * computing three metrics pays one cswitch sweep, not three. There
+ * is no other analysis entry point: a one-off metric is a Session
+ * that borrows the bundle for one call. The single-sweep reference
+ * implementations the differential tests compare against live in
+ * tests/reference/, outside the library.
  *
  * Lifetime: the borrowing constructor aliases the caller's bundle,
  * which must outlive the Session (the same contract TraceIndex had);
@@ -90,16 +87,24 @@ class Session
      */
     PidSet pids(const std::string &prefix) const;
 
-    /** Fused per-app metrics (concurrency + GPU + frames). */
+    /**
+     * Fused per-app metrics (concurrency + GPU + frames): one
+     * cswitch sweep, one frame sweep and one GPU column build.
+     */
     AppMetrics app(const PidSet &pids) const;
 
-    /** As above; fatals when @p prefix matches no process. */
+    /**
+     * As above for the processes whose names start with @p prefix
+     * (empty = system-wide); fatal when @p prefix matches no process.
+     */
     AppMetrics app(const std::string &prefix) const;
 
-    /** Windowed concurrency histogram (Equation 1 inputs). */
+    /**
+     * Windowed concurrency histogram (Equation 1 inputs) over the
+     * header's logical CPUs; fatal when the header has none.
+     */
     ConcurrencyProfile concurrency(const PidSet &pids, sim::SimTime t0,
-                                   sim::SimTime t1,
-                                   unsigned num_cpus = 0) const;
+                                   sim::SimTime t1) const;
 
     /** Whole-bundle window. */
     ConcurrencyProfile concurrency(const PidSet &pids) const;
@@ -121,21 +126,32 @@ class Session
     PowerEstimate power(const sim::CpuSpec &cpu,
                         const sim::GpuSpec &gpu) const;
 
-    /** Per-window TLP curve. */
+    /**
+     * @{ Time series over windows of length @p window tiling the
+     * bundle (timeseries.hh; defined in timeseries.cc). The
+     * concurrency series resolve the pid set's timeline once and
+     * answer every window with two binary searches.
+     */
+
+    /** Per-window TLP (Eq. 1 per window; 0 for fully idle ones). */
     TimeSeries tlpSeries(const PidSet &pids,
                          sim::SimDuration window) const;
 
-    /** Per-window average concurrency (Figures 5-7). */
+    /**
+     * Per-window average concurrency including idle time: the
+     * "instantaneous TLP" curve of Figures 5-7.
+     */
     TimeSeries concurrencySeries(const PidSet &pids,
                                  sim::SimDuration window) const;
 
-    /** Per-window GPU utilization percent. */
+    /** Per-window GPU utilization percent (aggregate, capped at 100). */
     TimeSeries gpuUtilSeries(const PidSet &pids,
                              sim::SimDuration window) const;
 
-    /** Per-window presented FPS. */
+    /** Per-window presented FPS, synthesized frames included. */
     TimeSeries frameRateSeries(const PidSet &pids,
                                sim::SimDuration window) const;
+    /** @} */
 
     /**
      * Compile a query batch into a fused plan (query_plan.hh): one
@@ -147,8 +163,9 @@ class Session
 
     /**
      * Compile and run a query batch; results are bit-identical to
-     * legacy::runQueries at any thread count (@p threads 0 means
-     * DESKPAR_JOBS / hardware concurrency).
+     * the one-sweep-per-row reference (tests/reference/) at any
+     * thread count (@p threads 0 means DESKPAR_JOBS / hardware
+     * concurrency).
      */
     std::vector<QueryResult> query(const std::vector<Query> &queries,
                                    unsigned threads = 0) const;
@@ -156,10 +173,11 @@ class Session
     /**
      * Wakeup-chain serialization-bottleneck report (blocking.hh):
      * ready-queue waits, wakeup-edge culprits, and the critical
-     * path, bit-identical to blocking::legacy::analyze at any
-     * thread count. Memoized per pid set: the first call for a set
-     * runs the sweep, later calls (any @p threads) copy the kept
-     * report. Rendering options such as `top` stay with the caller.
+     * path, bit-identical to the sequential reference
+     * (tests/reference/) at any thread count. Memoized per pid set:
+     * the first call for a set runs the sweep, later calls (any
+     * @p threads) copy the kept report. Rendering options such as
+     * `top` stay with the caller.
      */
     blocking::BlockingReport bottlenecks(const PidSet &pids,
                                          unsigned threads = 0) const;

@@ -86,68 +86,10 @@ concurrencyValueSeries(const TraceIndex &index, const PidSet &pids,
         });
 }
 
-} // namespace
-
+/** Per-window presented FPS of @p pids (one linear frame scan). */
 TimeSeries
-tlpSeries(const TraceIndex &index, const PidSet &pids,
-          sim::SimDuration window)
-{
-    return concurrencyValueSeries(
-        index, pids, window, "TLP",
-        [](const ConcurrencyProfile &p) { return p.tlp(); });
-}
-
-TimeSeries
-tlpSeries(const TraceBundle &bundle, const PidSet &pids,
-          sim::SimDuration window)
-{
-    return Session(bundle).tlpSeries(pids, window);
-}
-
-TimeSeries
-concurrencySeries(const TraceIndex &index, const PidSet &pids,
-                  sim::SimDuration window)
-{
-    return concurrencyValueSeries(
-        index, pids, window, "Concurrency",
-        [](const ConcurrencyProfile &p) { return p.utilization(); });
-}
-
-TimeSeries
-concurrencySeries(const TraceBundle &bundle, const PidSet &pids,
-                  sim::SimDuration window)
-{
-    return Session(bundle).concurrencySeries(pids, window);
-}
-
-TimeSeries
-gpuUtilSeries(const TraceIndex &index, const PidSet &pids,
-              sim::SimDuration window)
-{
-    obs::Span span("index.series.gpu", obs::SpanKind::Query);
-    bool resolved = false;
-    TraceIndex::GpuWindows gpu;
-    return buildSeries(
-        index.bundle(), window, "GPU Utilization (%)",
-        [&](sim::SimTime t0, sim::SimTime t1) {
-            if (!resolved) {
-                gpu = index.gpuWindows();
-                resolved = true;
-            }
-            return gpu.fold(pids, t0, t1).utilizationPercent();
-        });
-}
-
-TimeSeries
-gpuUtilSeries(const TraceBundle &bundle, const PidSet &pids,
-              sim::SimDuration window)
-{
-    return Session(bundle).gpuUtilSeries(pids, window);
-}
-
-TimeSeries
-frameRateSeries(const TraceBundle &bundle, const PidSet &pids,
-                sim::SimDuration window)
+presentedFpsSeries(const TraceBundle &bundle, const PidSet &pids,
+                   sim::SimDuration window)
 {
     TimeSeries series = buildSeries(
         bundle, window, "Frame Rate (FPS)",
@@ -178,11 +120,52 @@ frameRateSeries(const TraceBundle &bundle, const PidSet &pids,
     return series;
 }
 
+} // namespace
+
+// The Session's series methods live here, beside their window
+// machinery (session.hh declares them).
+
 TimeSeries
-frameRateSeries(const TraceIndex &index, const PidSet &pids,
-                sim::SimDuration window)
+Session::tlpSeries(const PidSet &pids, sim::SimDuration window) const
 {
-    return frameRateSeries(index.bundle(), pids, window);
+    return concurrencyValueSeries(
+        index(), pids, window, "TLP",
+        [](const ConcurrencyProfile &p) { return p.tlp(); });
+}
+
+TimeSeries
+Session::concurrencySeries(const PidSet &pids,
+                           sim::SimDuration window) const
+{
+    return concurrencyValueSeries(
+        index(), pids, window, "Concurrency",
+        [](const ConcurrencyProfile &p) { return p.utilization(); });
+}
+
+TimeSeries
+Session::gpuUtilSeries(const PidSet &pids,
+                       sim::SimDuration window) const
+{
+    obs::Span span("index.series.gpu", obs::SpanKind::Query);
+    const TraceIndex &idx = index();
+    bool resolved = false;
+    TraceIndex::GpuWindows gpu;
+    return buildSeries(
+        idx.bundle(), window, "GPU Utilization (%)",
+        [&](sim::SimTime t0, sim::SimTime t1) {
+            if (!resolved) {
+                gpu = idx.gpuWindows();
+                resolved = true;
+            }
+            return gpu.fold(pids, t0, t1).utilizationPercent();
+        });
+}
+
+TimeSeries
+Session::frameRateSeries(const PidSet &pids,
+                         sim::SimDuration window) const
+{
+    return presentedFpsSeries(*bundle_, pids, window);
 }
 
 } // namespace deskpar::analysis

@@ -3,7 +3,9 @@
  * Windowed time series over a trace: instantaneous TLP, concurrency,
  * GPU utilization and frame rate. These back the paper's Figures 5-7
  * (TLP/GPU over time under core scaling) and Figure 13 (instantaneous
- * VR frame rate per headset).
+ * VR frame rate per headset). Session's *Series methods build them
+ * (session.hh; defined in timeseries.cc): windows of the given length
+ * tile [bundle.startTime, bundle.stopTime), the last one clipped.
  */
 
 #ifndef DESKPAR_ANALYSIS_TIMESERIES_HH
@@ -15,8 +17,6 @@
 #include "trace/session.hh"
 
 namespace deskpar::analysis {
-
-class TraceIndex;
 
 using trace::PidSet;
 using trace::TraceBundle;
@@ -38,60 +38,6 @@ struct TimeSeries
     double maxValue() const;
     double meanValue() const;
 };
-
-/**
- * Per-window TLP (Eq. 1 within each window; 0 for fully idle
- * windows). Windows of length @p window tile [bundle.startTime,
- * bundle.stopTime).
- *
- * The bundle overloads build one TraceIndex internally; callers
- * producing several series from one bundle (e.g. the timeline
- * figures) should build the index themselves and use the index
- * overloads so the windowed queries share columns.
- *
- * @deprecated Thin shim over a throwaway analysis::Session; callers
- * issuing more than one query per bundle should hold a Session
- * (analysis/session.hh).
- */
-TimeSeries tlpSeries(const TraceBundle &bundle, const PidSet &pids,
-                     sim::SimDuration window);
-
-/** Index-backed variant: every window is two binary searches. */
-TimeSeries tlpSeries(const TraceIndex &index, const PidSet &pids,
-                     sim::SimDuration window);
-
-/**
- * Per-window average concurrency including idle time — the
- * "instantaneous TLP" curve of Figures 5-7.
- */
-TimeSeries concurrencySeries(const TraceBundle &bundle,
-                             const PidSet &pids,
-                             sim::SimDuration window);
-
-/** Index-backed variant. */
-TimeSeries concurrencySeries(const TraceIndex &index,
-                             const PidSet &pids,
-                             sim::SimDuration window);
-
-/** Per-window GPU utilization percent (aggregate, capped at 100). */
-TimeSeries gpuUtilSeries(const TraceBundle &bundle, const PidSet &pids,
-                         sim::SimDuration window);
-
-/** Index-backed variant. */
-TimeSeries gpuUtilSeries(const TraceIndex &index, const PidSet &pids,
-                         sim::SimDuration window);
-
-/**
- * Per-window presented frames per second (synthesized frames
- * included: that's what the display shows).
- */
-TimeSeries frameRateSeries(const TraceBundle &bundle,
-                           const PidSet &pids,
-                           sim::SimDuration window);
-
-/** Index-backed variant (already linear; provided for symmetry). */
-TimeSeries frameRateSeries(const TraceIndex &index, const PidSet &pids,
-                           sim::SimDuration window);
 
 } // namespace deskpar::analysis
 

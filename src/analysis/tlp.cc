@@ -5,10 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "analysis/concurrency_timeline.hh"
-#include "analysis/session.hh"
-#include "analysis/trace_index.hh"
-#include "sim/logging.hh"
 #include "trace/diagnostic.hh"
 #include "trace/parse.hh"
 
@@ -50,14 +46,14 @@ ConcurrencyProfile::utilization() const
 namespace detail {
 
 trace::Diagnostic
-outOfRangeCpusDiagnostic(std::uint64_t count, unsigned num_cpus)
+outOfRangeCpusDiagnostic(std::uint64_t count, unsigned header_cpus)
 {
     trace::ParseError err;
     err.section = "CSwitch";
     err.field = "cpu";
     err.reason = std::to_string(count) +
                  " context switch(es) on cpu ids >= the header's " +
-                 std::to_string(num_cpus) +
+                 std::to_string(header_cpus) +
                  " logical CPUs; excluded from the concurrency "
                  "histogram";
     trace::Diagnostic diag;
@@ -67,58 +63,6 @@ outOfRangeCpusDiagnostic(std::uint64_t count, unsigned num_cpus)
     return diag;
 }
 
-void
-warnOutOfRangeCpus(std::uint64_t count, unsigned num_cpus)
-{
-    trace::emitDiagnostic(outOfRangeCpusDiagnostic(count, num_cpus));
-}
-
 } // namespace detail
-
-namespace legacy {
-
-ConcurrencyProfile
-computeConcurrency(const TraceBundle &bundle, const PidSet &pids,
-                   sim::SimTime t0, sim::SimTime t1, unsigned num_cpus)
-{
-    if (num_cpus == 0)
-        num_cpus = bundle.numLogicalCpus;
-    if (num_cpus == 0)
-        deskpar::fatal("computeConcurrency: unknown CPU count");
-    if (t1 <= t0)
-        deskpar::fatal("computeConcurrency: empty window");
-
-    // The sweep body lives in concurrency_timeline.cc so the query
-    // planner can run it for arbitrary filters (tid, cpu mask) and
-    // with the out-of-range warning deduped; the default spec below
-    // is this function's historical behavior, warning included.
-    detail::TimelineSpec spec;
-    spec.pids = pids;
-    return detail::sweepConcurrency(bundle, spec, t0, t1, num_cpus,
-                                    /*emit_warning=*/true);
-}
-
-ConcurrencyProfile
-computeConcurrency(const TraceBundle &bundle, const PidSet &pids)
-{
-    return computeConcurrency(bundle, pids, bundle.startTime,
-                              bundle.stopTime);
-}
-
-} // namespace legacy
-
-ConcurrencyProfile
-computeConcurrency(const TraceBundle &bundle, const PidSet &pids,
-                   sim::SimTime t0, sim::SimTime t1, unsigned num_cpus)
-{
-    return Session(bundle).concurrency(pids, t0, t1, num_cpus);
-}
-
-ConcurrencyProfile
-computeConcurrency(const TraceBundle &bundle, const PidSet &pids)
-{
-    return computeConcurrency(bundle, pids, bundle.startTime,
-                              bundle.stopTime);
-}
 
 } // namespace deskpar::analysis

@@ -68,67 +68,15 @@ struct ConcurrencyProfile
     double utilization() const;
 };
 
-/**
- * Compute the concurrency profile of @p bundle over
- * [@p t0, @p t1) for the processes in @p pids.
- *
- * An empty @p pids means "every non-idle process" — the system-wide
- * TLP of the 2000/2010 studies. @p num_cpus caps the histogram; pass
- * bundle.numLogicalCpus (the default 0 means exactly that).
- *
- * A thin wrapper over TraceIndex (trace_index.hh): callers issuing
- * many windowed queries against one bundle should build the index
- * once and query it instead of paying a per-call sweep.
- *
- * @deprecated Thin shim over a throwaway analysis::Session; callers
- * issuing more than one query per bundle should hold a Session
- * (analysis/session.hh).
- */
-ConcurrencyProfile
-computeConcurrency(const TraceBundle &bundle, const PidSet &pids,
-                   sim::SimTime t0, sim::SimTime t1,
-                   unsigned num_cpus = 0);
-
-/** Convenience: whole-bundle window. */
-ConcurrencyProfile
-computeConcurrency(const TraceBundle &bundle, const PidSet &pids);
-
-namespace legacy {
-
-/**
- * The direct single-sweep implementation: the reference the
- * index-backed path is proven bit-identical against (and the
- * fallback for traces the index cannot represent). Same contract as
- * analysis::computeConcurrency.
- */
-ConcurrencyProfile
-computeConcurrency(const TraceBundle &bundle, const PidSet &pids,
-                   sim::SimTime t0, sim::SimTime t1,
-                   unsigned num_cpus = 0);
-
-/** Convenience: whole-bundle window. */
-ConcurrencyProfile
-computeConcurrency(const TraceBundle &bundle, const PidSet &pids);
-
-} // namespace legacy
-
 namespace detail {
 
 /**
  * Build (without emitting) the warning-severity Diagnostic for
- * @p count context switches on cpu ids >= @p num_cpus. Callers that
- * dedupe the warning per trace pair it with
- * trace::emitDiagnosticOnce.
+ * @p count context switches on cpu ids >= @p header_cpus.
+ * TraceIndex::warnOutOfRangeOnce emits it at most once per trace.
  */
 trace::Diagnostic outOfRangeCpusDiagnostic(std::uint64_t count,
-                                           unsigned num_cpus);
-
-/**
- * Emit the out-of-range-cpu Diagnostic through trace::emitDiagnostic
- * (shared by the legacy sweep and the trace-index build; goes to
- * stderr unless the caller installed a DiagnosticSink).
- */
-void warnOutOfRangeCpus(std::uint64_t count, unsigned num_cpus);
+                                           unsigned header_cpus);
 
 } // namespace detail
 

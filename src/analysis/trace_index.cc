@@ -285,13 +285,13 @@ TraceIndex::memoryBytes() const
 
 void
 TraceIndex::warnOutOfRangeOnce(std::uint64_t count,
-                               unsigned num_cpus) const
+                               unsigned header_cpus) const
 {
-    if (count == 0 || num_cpus == 0)
+    if (count == 0 || header_cpus == 0)
         return;
     trace::emitDiagnosticOnce(
         warnedOutOfRange_,
-        detail::outOfRangeCpusDiagnostic(count, num_cpus));
+        detail::outOfRangeCpusDiagnostic(count, header_cpus));
 }
 
 const TraceIndex::GpuColumns &
@@ -344,33 +344,31 @@ TraceIndex::cpuBusyColumns() const
 }
 
 ConcurrencyProfile
-TraceIndex::concurrency(const PidSet &pids, SimTime t0, SimTime t1,
-                        unsigned num_cpus) const
+TraceIndex::concurrency(const PidSet &pids, SimTime t0,
+                        SimTime t1) const
 {
     obs::Span span("index.query.concurrency", obs::SpanKind::Query);
-    unsigned resolved =
-        num_cpus ? num_cpus : bundle_.numLogicalCpus;
-    if (resolved == 0)
+    if (bundle_.numLogicalCpus == 0)
         deskpar::fatal("computeConcurrency: unknown CPU count");
     if (t1 <= t0)
         deskpar::fatal("computeConcurrency: empty window");
 
     const detail::ConcurrencyTimeline &timeline =
         cswitchColumns(pids).columns.timeline;
-    if (!timeline.usable || timeline.cutoff != resolved) {
+    if (!timeline.usable) {
         if (restored_)
             deskpar::fatal(
                 "TraceIndex: query needs a cswitch sweep the "
                 "restored index cache cannot answer (reopen the "
                 "trace with a cold ingest)");
-        // Direct sweep, warning suppressed: the per-trace dedup below
-        // replaces the old once-per-query emission (the profile still
-        // carries the count).
+        // Direct sweep; its out-of-range count is reported once per
+        // trace, like the timeline's.
         detail::TimelineSpec spec;
         spec.pids = pids;
-        ConcurrencyProfile profile = detail::sweepConcurrency(
-            bundle_, spec, t0, t1, resolved, /*emit_warning=*/false);
-        warnOutOfRangeOnce(profile.outOfRangeCpuEvents, resolved);
+        ConcurrencyProfile profile =
+            detail::sweepConcurrency(bundle_, spec, t0, t1);
+        warnOutOfRangeOnce(profile.outOfRangeCpuEvents,
+                           bundle_.numLogicalCpus);
         return profile;
     }
     return detail::queryConcurrencyTimeline(timeline, t0, t1);
@@ -389,9 +387,7 @@ TraceIndex::concurrencyTimeline(const PidSet &pids) const
         return nullptr;
     const detail::ConcurrencyTimeline &timeline =
         cswitchColumns(pids).columns.timeline;
-    if (!timeline.usable || timeline.cutoff != bundle_.numLogicalCpus)
-        return nullptr;
-    return &timeline;
+    return timeline.usable ? &timeline : nullptr;
 }
 
 TraceIndex::GpuWindows
@@ -454,7 +450,7 @@ TraceIndex::frameStats(const PidSet &pids) const
         obs::Span buildSpan("index.build.frames",
                             obs::SpanKind::Index,
                             bundle_.frames.size());
-        s.frames = legacy::computeFrameStats(bundle_, pids);
+        s.frames = detail::frameStats(bundle_, pids);
         s.framesBuilt = true;
     }
     return s.frames;
@@ -545,7 +541,7 @@ TraceIndex::serializeColumns() const
     }
     for (const Spilled &entry : spilled) {
         if (entry.cswitch && !entry.slot->columns.timeline.usable)
-            return std::string(); // legacy-fallback index: no cache
+            return std::string(); // direct-sweep index: no cache
     }
 
     std::string out;
@@ -738,6 +734,11 @@ TraceIndex::adoptColumns(std::string_view data, std::string *error)
             if (!getU64(data, pos, cutoff) ||
                 !getU64(data, pos, tl.outOfRangeCpuEvents))
                 return fail("truncated timeline header");
+            // Queries trust a timeline's CPU count to be the
+            // header's; a blob that disagrees is not this trace's.
+            if (cutoff != bundle_.numLogicalCpus)
+                return fail("timeline CPU count differs from the "
+                            "trace header");
             tl.cutoff = static_cast<unsigned>(cutoff);
             if (!getCount(data, pos, n))
                 return fail("corrupt timeline size");

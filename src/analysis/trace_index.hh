@@ -3,10 +3,10 @@
  * Columnar trace index: one structure-of-arrays view of a TraceBundle
  * that every metric queries instead of re-sweeping the event vectors.
  *
- * The legacy analyses each performed their own full linear scan, once
- * per pid set and once per time window, so the timeline figures paid
- * O(windows x events) and the Table II suite re-read the same cswitch
- * stream several times per iteration. The index is built once per
+ * Direct analyses perform their own full linear scan, once per pid
+ * set and once per time window, so the timeline figures would pay
+ * O(windows x events) and the Table II suite would re-read the same
+ * cswitch stream several times per iteration. The index is built once per
  * (bundle, pid set) and answers windowed queries with two binary
  * searches plus prefix-sum differences:
  *
@@ -18,8 +18,8 @@
  *    diffs, and at most one stride of edge segments per side.
  *  - GPU: a start-time column plus a running-max finish column bound
  *    the packets that can intersect a window; the candidates are then
- *    folded with the exact legacy loop, in stream order, so the
- *    floating-point sums are bit-identical.
+ *    folded with the full scan's loop (detail::foldGpuPackets), in
+ *    stream order, so the floating-point sums are bit-identical.
  *  - Frames / responsiveness / power columns are built in the same
  *    fused sweeps and cached per pid set.
  *
@@ -31,13 +31,15 @@
  * batches it answers. The index's own pid-set queries read the same
  * slots with the default filter (no tid, all cpus).
  *
- * Every query is bit-identical to the legacy single-sweep functions
- * (analysis::legacy::*): the integer time-at-level decomposition is
- * exact, and floating-point folds reuse the legacy operation order.
- * Traces the index cannot represent faithfully (disordered streams
- * that produce negative concurrency, a query num_cpus differing from
- * the header) transparently fall back to the legacy sweep, panics
- * and all.
+ * Every query is bit-identical to the single-sweep reference
+ * implementations the differential tests hold (tests/reference/): the
+ * integer time-at-level decomposition is exact, and floating-point
+ * folds reuse the reference operation order. One kind of trace has
+ * no usable timeline: a disordered stream that produces negative
+ * concurrency. Its concurrency queries fall back to the direct sweep
+ * (detail::sweepConcurrency), panics and all. A header with no CPU
+ * count has no usable timeline either, but concurrency queries on it
+ * are fatal.
  *
  * Thread safety: each filter slot has its own build mutex, so two
  * threads asking for one filter build it once while different
@@ -86,14 +88,14 @@ class TraceIndex
     const TraceBundle &bundle() const { return bundle_; }
 
     /**
-     * Concurrency histogram over [@p t0, @p t1), same contract as
-     * computeConcurrency. Queries with @p num_cpus differing from
-     * the bundle header (0 means the header value) fall back to the
-     * legacy sweep, as do timelines poisoned by disordered streams.
+     * Concurrency histogram of @p pids (empty = every non-idle
+     * process) over [@p t0, @p t1), with the header's CPU count as
+     * n. Fatal when the header has no CPU count or the window is
+     * empty. Timelines poisoned by disordered streams fall back to
+     * the direct sweep.
      */
     ConcurrencyProfile concurrency(const PidSet &pids, sim::SimTime t0,
-                                   sim::SimTime t1,
-                                   unsigned num_cpus = 0) const;
+                                   sim::SimTime t1) const;
 
     /** Whole-bundle window. */
     ConcurrencyProfile concurrency(const PidSet &pids) const;
@@ -110,31 +112,34 @@ class TraceIndex
     const detail::ConcurrencyTimeline *
     concurrencyTimeline(const PidSet &pids) const;
 
-    /** GPU utilization over [@p t0, @p t1), as computeGpuUtil. */
+    /**
+     * GPU utilization of @p pids (empty = all processes) over
+     * [@p t0, @p t1); fatal on an empty window.
+     */
     GpuUtilization gpuUtil(const PidSet &pids, sim::SimTime t0,
                            sim::SimTime t1) const;
 
     /** Whole-bundle window. */
     GpuUtilization gpuUtil(const PidSet &pids) const;
 
-    /** Frame statistics, as computeFrameStats (cached per pid set). */
+    /** Frame statistics (detail::frameStats, cached per pid set). */
     FrameStats frameStats(const PidSet &pids) const;
 
     /**
-     * Input-to-dispatch latency, as computeResponsiveness, using the
-     * cached sorted dispatch column of the pid set.
+     * Input-to-dispatch latency from the cached sorted dispatch
+     * column of the pid set (detail::responsivenessFromDispatches).
      */
     Responsiveness responsiveness(const PidSet &pids) const;
 
     /**
-     * Power estimate, as estimatePower, from the cached per-CPU busy
-     * intervals and the GPU columns.
+     * Machine-level power over the whole bundle window, from the
+     * cached per-CPU busy intervals and the GPU columns.
      */
     PowerEstimate power(const sim::CpuSpec &cpu,
                         const sim::GpuSpec &gpu) const;
 
     /**
-     * Eagerly build every column the fused analyzeApp sweep needs
+     * Eagerly build every column the fused Session::app sweep needs
      * for @p pids (useful before sharing the index across threads).
      */
     void warm(const PidSet &pids) const;
@@ -145,11 +150,11 @@ class TraceIndex
      * against one trace used to repeat the warning once per window /
      * per batch entry; the count is still reported per profile via
      * ConcurrencyProfile::outOfRangeCpuEvents. No-op when @p count or
-     * @p num_cpus is zero. Used by the index's own column builds and
-     * by the fused query planner (query_plan.hh).
+     * @p header_cpus is zero. Used by the index's own column builds
+     * and by the fused query planner (query_plan.hh).
      */
     void warnOutOfRangeOnce(std::uint64_t count,
-                            unsigned num_cpus) const;
+                            unsigned header_cpus) const;
 
     /**
      * The cswitch-derived columns of one row filter, filled by fused
@@ -203,7 +208,7 @@ class TraceIndex
      * planner's filters are not written, so the blob does not depend
      * on which query batches ran first. Returns an empty string when
      * any written timeline is unusable (disordered stream): such an
-     * index answers queries through the legacy fallback sweep, which
+     * index answers queries through the direct fallback sweep, which
      * a warm reopen cannot reproduce, so it is not cacheable.
      */
     std::string serializeColumns() const;

@@ -13,7 +13,7 @@
  *    a pool task counts as ingest time, not pool time.
  *  - Context switches are emitted at every point the innermost kind
  *    changes (including to/from idle), which turns span nesting into
- *    an ordinary CPU Usage (Precise) stream: computeConcurrency over
+ *    an ordinary CPU Usage (Precise) stream: Session::concurrency over
  *    pid prefix "deskpar.ingest" is the parallel-ingest TLP.
  *  - Query-kind spans are additionally emitted as GPU compute
  *    packets, so the index-query phase shows up in the GPU

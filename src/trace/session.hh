@@ -85,7 +85,7 @@ struct TraceBundle
      * ascending. An empty prefix matches every registered process
      * (including pid 0 if it has a name-table entry). Backed by the
      * same lazy name index as pidsByName, so repeated prefix lookups
-     * (one per analyzeApp call) stop rescanning processNames.
+     * (one per Session::app call) stop rescanning processNames.
      */
     std::vector<Pid> pidsByPrefix(const std::string &prefix) const;
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/analyzer.hh"
+#include "analysis/session.hh"
 #include "sim/behaviors_basic.hh"
 #include "sim/logging.hh"
 #include "sim/machine.hh"
@@ -43,7 +44,7 @@ TEST(Analyzer, EndToEndTwoParallelThreads)
     machine.session().stop(machine.now());
 
     AppMetrics metrics =
-        analysis::analyzeApp(machine.session().bundle(), "app");
+        analysis::Session(machine.session().bundle()).app("app");
     // Two compute threads dominate: TLP near 2.
     EXPECT_GT(metrics.tlp(), 1.8);
     EXPECT_LE(metrics.tlp(), 3.0);
@@ -60,7 +61,7 @@ TEST(Analyzer, UnknownProcessFatal)
     machine.run(msec(1));
     machine.session().stop(machine.now());
     EXPECT_THROW(
-        analysis::analyzeApp(machine.session().bundle(), "ghost"),
+        analysis::Session(machine.session().bundle()).app("ghost"),
         FatalError);
 }
 

@@ -23,6 +23,7 @@
 #include "analysis/blocking.hh"
 #include "analysis/session.hh"
 #include "obs/obs.hh"
+#include "reference/analysis_legacy.hh"
 #include "report/documents.hh"
 #include "sim/types.hh"
 #include "trace/diagnostic.hh"

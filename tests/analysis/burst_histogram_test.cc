@@ -28,6 +28,7 @@
 #include "analysis/query.hh"
 #include "analysis/session.hh"
 #include "analysis/trace_index.hh"
+#include "reference/analysis_legacy.hh"
 
 namespace {
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/framerate.hh"
+#include "analysis/session.hh"
 
 namespace {
 
@@ -39,7 +40,7 @@ TEST(FrameRate, EmptyTraceZeroStats)
     TraceBundle bundle;
     bundle.startTime = 0;
     bundle.stopTime = sec(1);
-    auto stats = computeFrameStats(bundle, {});
+    auto stats = Session(bundle).frameStats({});
     EXPECT_EQ(stats.frames, 0u);
     EXPECT_DOUBLE_EQ(stats.avgFps, 0.0);
     EXPECT_DOUBLE_EQ(stats.synthesizedShare(), 0.0);
@@ -48,7 +49,7 @@ TEST(FrameRate, EmptyTraceZeroStats)
 TEST(FrameRate, SteadyNinetyFps)
 {
     auto bundle = steadyFrames(90.0, 3.0);
-    auto stats = computeFrameStats(bundle, {5});
+    auto stats = Session(bundle).frameStats({5});
     EXPECT_EQ(stats.frames, 270u);
     EXPECT_NEAR(stats.avgFps, 90.0, 0.5);
     EXPECT_NEAR(stats.fpsStddev, 0.0, 0.2);
@@ -71,7 +72,7 @@ TEST(FrameRate, OscillatingRateHasHighStddev)
         t += slow ? 22000000u : 11000000u;
         slow = !slow;
     }
-    auto stats = computeFrameStats(bundle, {5});
+    auto stats = Session(bundle).frameStats({5});
     EXPECT_GT(stats.fpsStddev, 15.0);
     EXPECT_LT(stats.onePercentLowFps, 50.0);
 }
@@ -81,7 +82,7 @@ TEST(FrameRate, SynthesizedShare)
     auto bundle = steadyFrames(90.0, 1.0);
     for (std::size_t i = 0; i < bundle.frames.size(); i += 2)
         bundle.frames[i].synthesized = true;
-    auto stats = computeFrameStats(bundle, {5});
+    auto stats = Session(bundle).frameStats({5});
     EXPECT_NEAR(stats.synthesizedShare(), 0.5, 0.02);
 }
 
@@ -91,9 +92,9 @@ TEST(FrameRate, FiltersByPid)
     auto other = steadyFrames(30.0, 1.0, 9);
     for (const auto &f : other.frames)
         bundle.frames.push_back(f);
-    auto stats5 = computeFrameStats(bundle, {5});
+    auto stats5 = Session(bundle).frameStats({5});
     EXPECT_NEAR(stats5.avgFps, 60.0, 1.0);
-    auto all = computeFrameStats(bundle, {});
+    auto all = Session(bundle).frameStats({});
     EXPECT_NEAR(all.avgFps, 90.0, 1.5);
 }
 
@@ -106,7 +107,7 @@ TEST(FrameRate, SingleFrameNoGaps)
     f.timestamp = 100;
     f.pid = 5;
     bundle.frames.push_back(f);
-    auto stats = computeFrameStats(bundle, {5});
+    auto stats = Session(bundle).frameStats({5});
     EXPECT_EQ(stats.frames, 1u);
     EXPECT_DOUBLE_EQ(stats.fpsStddev, 0.0);
 }

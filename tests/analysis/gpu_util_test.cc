@@ -14,6 +14,7 @@
 
 #include "analysis/gpu_util.hh"
 #include "analysis/session.hh"
+#include "reference/analysis_legacy.hh"
 #include "sim/logging.hh"
 
 namespace {
@@ -49,7 +50,7 @@ windowBundle(deskpar::sim::SimTime stop)
 TEST(GpuUtil, NoPacketsZeroUtil)
 {
     TraceBundle bundle = windowBundle(1000);
-    auto util = computeGpuUtil(bundle, {});
+    auto util = Session(bundle).gpuUtil({});
     EXPECT_DOUBLE_EQ(util.aggregateRatio, 0.0);
     EXPECT_DOUBLE_EQ(util.busyRatio, 0.0);
     EXPECT_DOUBLE_EQ(util.utilizationPercent(), 0.0);
@@ -61,7 +62,7 @@ TEST(GpuUtil, SinglePacketRatio)
 {
     TraceBundle bundle = windowBundle(1000);
     bundle.gpuPackets.push_back(packet(100, 350, 5));
-    auto util = computeGpuUtil(bundle, {5});
+    auto util = Session(bundle).gpuUtil({5});
     EXPECT_DOUBLE_EQ(util.aggregateRatio, 0.25);
     EXPECT_DOUBLE_EQ(util.busyRatio, 0.25);
     EXPECT_DOUBLE_EQ(util.utilizationPercent(), 25.0);
@@ -73,7 +74,7 @@ TEST(GpuUtil, DisjointPacketsAccumulate)
     TraceBundle bundle = windowBundle(1000);
     bundle.gpuPackets.push_back(packet(0, 100, 5));
     bundle.gpuPackets.push_back(packet(200, 400, 5));
-    auto util = computeGpuUtil(bundle, {5});
+    auto util = Session(bundle).gpuUtil({5});
     EXPECT_DOUBLE_EQ(util.aggregateRatio, 0.3);
     EXPECT_DOUBLE_EQ(util.busyRatio, 0.3);
 }
@@ -87,7 +88,7 @@ TEST(GpuUtil, OverlapDetectedAndCapped)
         packet(0, 1000, 5, GpuEngineId::Compute));
     bundle.gpuPackets.push_back(
         packet(0, 1000, 5, GpuEngineId::Compute));
-    auto util = computeGpuUtil(bundle, {5});
+    auto util = Session(bundle).gpuUtil({5});
     EXPECT_DOUBLE_EQ(util.aggregateRatio, 2.0);
     EXPECT_DOUBLE_EQ(util.busyRatio, 1.0);
     EXPECT_DOUBLE_EQ(util.utilizationPercent(), 100.0);
@@ -98,7 +99,7 @@ TEST(GpuUtil, PacketsClampedToWindow)
 {
     TraceBundle bundle = windowBundle(1000);
     bundle.gpuPackets.push_back(packet(900, 1500, 5));
-    auto util = computeGpuUtil(bundle, {5});
+    auto util = Session(bundle).gpuUtil({5});
     EXPECT_DOUBLE_EQ(util.aggregateRatio, 0.1);
 }
 
@@ -106,7 +107,7 @@ TEST(GpuUtil, PacketsOutsideWindowIgnored)
 {
     TraceBundle bundle = windowBundle(1000);
     bundle.gpuPackets.push_back(packet(2000, 2500, 5));
-    auto util = computeGpuUtil(bundle, {5});
+    auto util = Session(bundle).gpuUtil({5});
     EXPECT_EQ(util.packetCount, 0u);
     EXPECT_DOUBLE_EQ(util.aggregateRatio, 0.0);
 }
@@ -116,9 +117,9 @@ TEST(GpuUtil, FiltersByPid)
     TraceBundle bundle = windowBundle(1000);
     bundle.gpuPackets.push_back(packet(0, 500, 5));
     bundle.gpuPackets.push_back(packet(0, 500, 9));
-    auto util = computeGpuUtil(bundle, {5});
+    auto util = Session(bundle).gpuUtil({5});
     EXPECT_DOUBLE_EQ(util.aggregateRatio, 0.5);
-    auto all = computeGpuUtil(bundle, {});
+    auto all = Session(bundle).gpuUtil({});
     EXPECT_DOUBLE_EQ(all.aggregateRatio, 1.0);
 }
 
@@ -129,7 +130,7 @@ TEST(GpuUtil, PerEngineBreakdown)
         packet(0, 200, 5, GpuEngineId::Graphics3D));
     bundle.gpuPackets.push_back(
         packet(0, 300, 5, GpuEngineId::VideoDecode));
-    auto util = computeGpuUtil(bundle, {5});
+    auto util = Session(bundle).gpuUtil({5});
     EXPECT_DOUBLE_EQ(
         util.perEngine[static_cast<unsigned>(
             GpuEngineId::Graphics3D)],
@@ -147,14 +148,14 @@ TEST(GpuUtil, SubWindow)
 {
     TraceBundle bundle = windowBundle(1000);
     bundle.gpuPackets.push_back(packet(0, 600, 5));
-    auto util = computeGpuUtil(bundle, {5}, 400, 800);
+    auto util = Session(bundle).gpuUtil({5}, 400, 800);
     EXPECT_DOUBLE_EQ(util.aggregateRatio, 0.5);
 }
 
 TEST(GpuUtil, EmptyWindowFatal)
 {
     TraceBundle bundle = windowBundle(1000);
-    EXPECT_THROW(computeGpuUtil(bundle, {}, 50, 50),
+    EXPECT_THROW(Session(bundle).gpuUtil({}, 50, 50),
                  deskpar::FatalError);
 }
 

@@ -348,4 +348,24 @@ TEST(IndexCache, AdoptColumnsRefusesABuiltIndex)
     EXPECT_THROW(index.adoptColumns(columns, &error), FatalError);
 }
 
+TEST(IndexCache, AdoptColumnsRefusesAnotherCpuCount)
+{
+    // Restored timelines answer queries with the header's CPU count,
+    // so a blob built at another count must not be adopted.
+    trace::TraceBundle bundle = cacheBundle();
+    Session session(bundle);
+    session.index().warm({});
+    std::string columns = session.index().serializeColumns();
+    ASSERT_FALSE(columns.empty());
+
+    TraceIndex same(bundle);
+    std::string error;
+    EXPECT_TRUE(same.adoptColumns(columns, &error)) << error;
+
+    bundle.numLogicalCpus = 4;
+    TraceIndex other(bundle);
+    EXPECT_FALSE(other.adoptColumns(columns, &error));
+    EXPECT_NE(error.find("CPU count"), std::string::npos) << error;
+}
+
 } // namespace

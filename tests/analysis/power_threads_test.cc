@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/power.hh"
+#include "analysis/session.hh"
 #include "analysis/threads.hh"
 
 namespace {
@@ -44,8 +45,8 @@ window(sim::SimTime stop)
 TEST(Power, IdleMachineBurnsIdleWatts)
 {
     TraceBundle bundle = window(sim::sec(1));
-    auto p = estimatePower(bundle, sim::CpuSpec::i78700K(),
-                           sim::GpuSpec::gtx1080Ti());
+    auto p = Session(bundle).power(sim::CpuSpec::i78700K(),
+                                   sim::GpuSpec::gtx1080Ti());
     EXPECT_DOUBLE_EQ(p.cpuWatts, 8.0);
     EXPECT_DOUBLE_EQ(p.gpuWatts, 12.0);
     EXPECT_DOUBLE_EQ(p.totalWatts(), 20.0);
@@ -58,8 +59,8 @@ TEST(Power, OneCoreBusyHalfTime)
     bundle.cswitches.push_back(cs(0, 0, 0, 0, 5, 51));
     bundle.cswitches.push_back(
         cs(sim::sec(0.5), 0, 5, 51, 0, 0));
-    auto p = estimatePower(bundle, sim::CpuSpec::i78700K(),
-                           sim::GpuSpec::gtx1080Ti());
+    auto p = Session(bundle).power(sim::CpuSpec::i78700K(),
+                                   sim::GpuSpec::gtx1080Ti());
     // idle 8 + (95-8)/6 cores * 0.5 core-seconds.
     EXPECT_NEAR(p.cpuWatts, 8.0 + (87.0 / 6.0) * 0.5, 1e-9);
 }
@@ -69,15 +70,15 @@ TEST(Power, SmtSiblingIsNearlyFree)
     // One core fully busy on one thread...
     TraceBundle solo = window(sim::sec(1));
     solo.cswitches.push_back(cs(0, 0, 0, 0, 5, 51));
-    auto p1 = estimatePower(solo, sim::CpuSpec::i78700K(),
-                            sim::GpuSpec::gtx1080Ti());
+    auto p1 = Session(solo).power(sim::CpuSpec::i78700K(),
+                                  sim::GpuSpec::gtx1080Ti());
 
     // ...versus both hardware threads of the same core busy.
     TraceBundle both = window(sim::sec(1));
     both.cswitches.push_back(cs(0, 0, 0, 0, 5, 51));
     both.cswitches.push_back(cs(0, 1, 0, 0, 5, 52));
-    auto p2 = estimatePower(both, sim::CpuSpec::i78700K(),
-                            sim::GpuSpec::gtx1080Ti());
+    auto p2 = Session(both).power(sim::CpuSpec::i78700K(),
+                                  sim::GpuSpec::gtx1080Ti());
 
     double per_core = 87.0 / 6.0;
     EXPECT_NEAR(p2.cpuWatts - p1.cpuWatts, per_core * 0.07, 1e-9);
@@ -86,8 +87,8 @@ TEST(Power, SmtSiblingIsNearlyFree)
     TraceBundle spread = window(sim::sec(1));
     spread.cswitches.push_back(cs(0, 0, 0, 0, 5, 51));
     spread.cswitches.push_back(cs(0, 2, 0, 0, 5, 52));
-    auto p3 = estimatePower(spread, sim::CpuSpec::i78700K(),
-                            sim::GpuSpec::gtx1080Ti());
+    auto p3 = Session(spread).power(sim::CpuSpec::i78700K(),
+                                    sim::GpuSpec::gtx1080Ti());
     EXPECT_NEAR(p3.cpuWatts - p1.cpuWatts, per_core, 1e-9);
 }
 
@@ -99,8 +100,8 @@ TEST(Power, GpuBusyScalesToTdp)
     g.finish = sim::sec(1);
     g.pid = 5;
     bundle.gpuPackets.push_back(g);
-    auto p = estimatePower(bundle, sim::CpuSpec::i78700K(),
-                           sim::GpuSpec::gtx1080Ti());
+    auto p = Session(bundle).power(sim::CpuSpec::i78700K(),
+                                   sim::GpuSpec::gtx1080Ti());
     EXPECT_DOUBLE_EQ(p.gpuWatts, 250.0);
 }
 

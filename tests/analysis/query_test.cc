@@ -36,6 +36,7 @@
 #include "analysis/tlp.hh"
 #include "analysis/trace_index.hh"
 #include "obs/obs.hh"
+#include "reference/analysis_legacy.hh"
 #include "sim/logging.hh"
 #include "sim/types.hh"
 #include "trace/corrupt.hh"

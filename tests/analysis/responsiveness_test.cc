@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/responsiveness.hh"
+#include "analysis/session.hh"
 
 namespace {
 
@@ -48,7 +49,7 @@ addDispatch(TraceBundle &bundle, SimTime t, deskpar::trace::Pid pid)
 TEST(Responsiveness, EmptyTrace)
 {
     TraceBundle bundle = makeBundle();
-    auto r = computeResponsiveness(bundle, {5});
+    auto r = Session(bundle).responsiveness({5});
     EXPECT_EQ(r.inputs, 0u);
     EXPECT_EQ(r.answered, 0u);
     EXPECT_DOUBLE_EQ(r.meanLatencyMs(), 0.0);
@@ -61,7 +62,7 @@ TEST(Responsiveness, MeasuresInputToDispatchGap)
     addDispatch(bundle, 1500, 5);
     addInput(bundle, 4000);
     addDispatch(bundle, 4100, 5);
-    auto r = computeResponsiveness(bundle, {5});
+    auto r = Session(bundle).responsiveness({5});
     EXPECT_EQ(r.inputs, 2u);
     EXPECT_EQ(r.answered, 2u);
     EXPECT_DOUBLE_EQ(r.latency.mean(), (500.0 + 100.0) / 2.0);
@@ -74,7 +75,7 @@ TEST(Responsiveness, IgnoresForeignDispatches)
     addInput(bundle, 1000);
     addDispatch(bundle, 1100, 9); // other app
     addDispatch(bundle, 1800, 5);
-    auto r = computeResponsiveness(bundle, {5});
+    auto r = Session(bundle).responsiveness({5});
     ASSERT_EQ(r.answered, 1u);
     EXPECT_DOUBLE_EQ(r.latency.mean(), 800.0);
 }
@@ -83,7 +84,7 @@ TEST(Responsiveness, UnansweredInputCounted)
 {
     TraceBundle bundle = makeBundle();
     addInput(bundle, 9000); // no dispatch follows
-    auto r = computeResponsiveness(bundle, {5});
+    auto r = Session(bundle).responsiveness({5});
     EXPECT_EQ(r.inputs, 1u);
     EXPECT_EQ(r.answered, 0u);
 }
@@ -96,7 +97,7 @@ TEST(Responsiveness, NonInputMarkersIgnored)
     m.label = "phase: render";
     bundle.markers.push_back(m);
     addDispatch(bundle, 200, 5);
-    auto r = computeResponsiveness(bundle, {5});
+    auto r = Session(bundle).responsiveness({5});
     EXPECT_EQ(r.inputs, 0u);
 }
 
@@ -105,7 +106,7 @@ TEST(Responsiveness, DispatchAtSameInstantIsZeroLatency)
     TraceBundle bundle = makeBundle();
     addInput(bundle, 2000);
     addDispatch(bundle, 2000, 5);
-    auto r = computeResponsiveness(bundle, {5});
+    auto r = Session(bundle).responsiveness({5});
     ASSERT_EQ(r.answered, 1u);
     EXPECT_DOUBLE_EQ(r.latency.mean(), 0.0);
 }
@@ -115,7 +116,7 @@ TEST(Responsiveness, EmptyPidSetMatchesAnyApp)
     TraceBundle bundle = makeBundle();
     addInput(bundle, 1000);
     addDispatch(bundle, 1250, 9);
-    auto r = computeResponsiveness(bundle, {});
+    auto r = Session(bundle).responsiveness({});
     EXPECT_EQ(r.answered, 1u);
     EXPECT_DOUBLE_EQ(r.latency.mean(), 250.0);
 }

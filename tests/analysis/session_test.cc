@@ -1,13 +1,12 @@
 /**
  * @file
- * Tests for the analysis::Session facade: query results match the
- * (deprecated) free-function shims, the index is built once and
- * shared, and both ownership modes work.
+ * Tests for the analysis::Session facade: queries give the expected
+ * metrics, the index is built once and shared, and both ownership
+ * modes work.
  */
 
 #include <gtest/gtest.h>
 
-#include "analysis/analyzer.hh"
 #include "analysis/session.hh"
 #include "trace/filter.hh"
 #include "trace/session.hh"
@@ -74,27 +73,6 @@ sampleBundle()
     bundle.gpuPackets.push_back(packet);
 
     return bundle;
-}
-
-TEST(Session, MatchesFreeFunctionAnalysis)
-{
-    TraceBundle bundle = sampleBundle();
-    trace::PidSet pids = trace::pidsWithPrefix(bundle, "app");
-    ASSERT_EQ(pids.size(), 1u);
-
-    analysis::Session session(bundle);
-    analysis::AppMetrics direct = analysis::analyzeApp(bundle, pids);
-    analysis::AppMetrics viaSession = session.app(pids);
-
-    EXPECT_DOUBLE_EQ(direct.tlp(), viaSession.tlp());
-    EXPECT_DOUBLE_EQ(direct.gpuUtilPercent(),
-                     viaSession.gpuUtilPercent());
-    EXPECT_EQ(direct.frames.frames, viaSession.frames.frames);
-    ASSERT_EQ(direct.concurrency.c.size(),
-              viaSession.concurrency.c.size());
-    for (std::size_t i = 0; i < direct.concurrency.c.size(); ++i)
-        EXPECT_DOUBLE_EQ(direct.concurrency.c[i],
-                         viaSession.concurrency.c[i]);
 }
 
 TEST(Session, ComputesTheExpectedTlp)

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/timeseries.hh"
+#include "analysis/session.hh"
 #include "sim/logging.hh"
 
 namespace {
@@ -42,7 +43,7 @@ busyFirstHalfBundle()
 TEST(TimeSeries, WindowTiling)
 {
     TraceBundle bundle = busyFirstHalfBundle();
-    auto series = concurrencySeries(bundle, {5}, 250);
+    auto series = Session(bundle).concurrencySeries({5}, 250);
     ASSERT_EQ(series.points.size(), 4u);
     EXPECT_EQ(series.points[0].t, 0u);
     EXPECT_EQ(series.points[3].t, 750u);
@@ -51,7 +52,7 @@ TEST(TimeSeries, WindowTiling)
 TEST(TimeSeries, ConcurrencyPerWindow)
 {
     TraceBundle bundle = busyFirstHalfBundle();
-    auto series = concurrencySeries(bundle, {5}, 250);
+    auto series = Session(bundle).concurrencySeries({5}, 250);
     EXPECT_DOUBLE_EQ(series.points[0].value, 1.0);
     EXPECT_DOUBLE_EQ(series.points[1].value, 1.0);
     EXPECT_DOUBLE_EQ(series.points[2].value, 0.0);
@@ -62,8 +63,8 @@ TEST(TimeSeries, TlpVsConcurrencyOnPartialWindow)
 {
     TraceBundle bundle = busyFirstHalfBundle();
     // 400-tick windows: second window busy [400,500) = 25%.
-    auto conc = concurrencySeries(bundle, {5}, 400);
-    auto tlp = tlpSeries(bundle, {5}, 400);
+    auto conc = Session(bundle).concurrencySeries({5}, 400);
+    auto tlp = Session(bundle).tlpSeries({5}, 400);
     EXPECT_DOUBLE_EQ(conc.points[1].value, 0.25);
     // TLP excludes idle: still 1.0.
     EXPECT_DOUBLE_EQ(tlp.points[1].value, 1.0);
@@ -77,7 +78,7 @@ TEST(TimeSeries, GpuUtilSeries)
     p.finish = 250;
     p.pid = 5;
     bundle.gpuPackets.push_back(p);
-    auto series = gpuUtilSeries(bundle, {5}, 500);
+    auto series = Session(bundle).gpuUtilSeries({5}, 500);
     ASSERT_EQ(series.points.size(), 2u);
     EXPECT_DOUBLE_EQ(series.points[0].value, 50.0);
     EXPECT_DOUBLE_EQ(series.points[1].value, 0.0);
@@ -107,7 +108,7 @@ TEST(TimeSeries, FrameRateSeriesCountsPerSecond)
         bundle.frames.push_back(f);
     }
     auto series =
-        frameRateSeries(bundle, {5}, deskpar::sim::sec(1));
+        Session(bundle).frameRateSeries({5}, deskpar::sim::sec(1));
     ASSERT_EQ(series.points.size(), 2u);
     EXPECT_NEAR(series.points[0].value, 90.0, 0.5);
     EXPECT_NEAR(series.points[1].value, 45.0, 0.5);
@@ -127,7 +128,8 @@ TEST(TimeSeries, MaxAndMeanHelpers)
 TEST(TimeSeries, ZeroWindowFatal)
 {
     TraceBundle bundle = busyFirstHalfBundle();
-    EXPECT_THROW(tlpSeries(bundle, {5}, 0), deskpar::FatalError);
+    EXPECT_THROW(Session(bundle).tlpSeries({5}, 0),
+                 deskpar::FatalError);
 }
 
 } // namespace

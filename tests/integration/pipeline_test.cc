@@ -12,6 +12,7 @@
 #include <sstream>
 
 #include "analysis/analyzer.hh"
+#include "analysis/session.hh"
 #include "apps/harness.hh"
 #include "trace/csv.hh"
 #include "trace/etl.hh"
@@ -35,12 +36,12 @@ fast(unsigned cores = 12)
 TEST(Pipeline, EtlRoundTripPreservesMetrics)
 {
     AppRunResult run = runWorkload("handbrake", fast());
-    auto direct = analysis::analyzeApp(run.lastBundle, "handbrake");
+    auto direct = analysis::Session(run.lastBundle).app("handbrake");
 
     std::stringstream buffer;
     trace::writeEtl(run.lastBundle, buffer);
     trace::TraceBundle loaded = trace::readEtl(buffer);
-    auto from_etl = analysis::analyzeApp(loaded, "handbrake");
+    auto from_etl = analysis::Session(loaded).app("handbrake");
 
     EXPECT_DOUBLE_EQ(direct.tlp(), from_etl.tlp());
     EXPECT_DOUBLE_EQ(direct.gpuUtilPercent(),
@@ -53,7 +54,7 @@ TEST(Pipeline, CsvRoundTripPreservesMetrics)
     // The wpaexporter path: CPU and GPU CSVs parsed back into a
     // bundle (window/CPU count supplied out of band, as WPA does).
     AppRunResult run = runWorkload("winx", fast());
-    auto direct = analysis::analyzeApp(run.lastBundle, "winx");
+    auto direct = analysis::Session(run.lastBundle).app("winx");
 
     std::stringstream cpu_csv, gpu_csv;
     trace::writeCpuUsageCsv(run.lastBundle, cpu_csv);
@@ -66,7 +67,7 @@ TEST(Pipeline, CsvRoundTripPreservesMetrics)
     trace::readCpuUsageCsv(cpu_csv, loaded);
     trace::readGpuUtilCsv(gpu_csv, loaded);
 
-    auto from_csv = analysis::analyzeApp(loaded, "winx");
+    auto from_csv = analysis::Session(loaded).app("winx");
     EXPECT_NEAR(direct.tlp(), from_csv.tlp(), 1e-9);
     EXPECT_NEAR(direct.gpuUtilPercent(),
                 from_csv.gpuUtilPercent(), 1e-9);
@@ -78,9 +79,9 @@ TEST(Pipeline, ApplicationVsSystemTlp)
     // with a single app running, application TLP <= system TLP, and
     // both match when the pid set covers everything.
     AppRunResult run = runWorkload("photoshop", fast());
-    auto app = analysis::analyzeApp(run.lastBundle, "photoshop");
-    auto system = analysis::analyzeApp(run.lastBundle,
-                                       trace::PidSet{});
+    analysis::Session session(run.lastBundle);
+    auto app = session.app("photoshop");
+    auto system = session.app(trace::PidSet{});
     EXPECT_LE(app.tlp(), system.tlp() + 1e-9);
 }
 

@@ -10,7 +10,7 @@
 
 #include <set>
 
-#include "analysis/timeseries.hh"
+#include "analysis/session.hh"
 #include "apps/harness.hh"
 
 namespace {
@@ -52,11 +52,10 @@ TEST(Scenario, MediaPlayersStepUpAtClipSwitch)
     options.duration = sim::sec(30.0);
     AppRunResult result = runWorkload("vlc", options);
 
-    auto first = analysis::computeGpuUtil(
-        result.lastBundle, result.lastPids, 0, sim::sec(15.0));
-    auto second = analysis::computeGpuUtil(
-        result.lastBundle, result.lastPids, sim::sec(15.0),
-        sim::sec(30.0));
+    analysis::Session session(result.lastBundle);
+    auto first = session.gpuUtil(result.lastPids, 0, sim::sec(15.0));
+    auto second =
+        session.gpuUtil(result.lastPids, sim::sec(15.0), sim::sec(30.0));
 
     EXPECT_GT(second.utilizationPercent(),
               first.utilizationPercent() * 3.0);

@@ -7,7 +7,7 @@
 
 #include <gtest/gtest.h>
 
-#include "analysis/tlp.hh"
+#include "analysis/trace_index.hh"
 #include "apps/runner.hh"
 #include "trace/diagnostic.hh"
 
@@ -104,7 +104,9 @@ TEST(Diagnostic, AnalysisCpuRangeWarningRoutesThroughSink)
 {
     trace::CollectingDiagnosticSink sink;
     trace::ScopedDiagnosticSink scope(sink);
-    analysis::detail::warnOutOfRangeCpus(3, 8);
+    trace::TraceBundle bundle;
+    analysis::TraceIndex index(bundle);
+    index.warnOutOfRangeOnce(3, 8);
 
     std::vector<trace::Diagnostic> diagnostics = sink.diagnostics();
     ASSERT_EQ(diagnostics.size(), 1u);
