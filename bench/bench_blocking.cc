@@ -1,24 +1,23 @@
 /**
  * @file
  * Wakeup-chain bottleneck microbenchmark plus the suite-wide
- * serialization table. Part one times blocking::analyze two ways
- * over one recorded oversubscribed trace (the GPU-less miner, whose
- * ready queue is always deep) — the sequential reference
- * (blocking::legacy::analyze, from tests/reference/) and the fused
- * path (per-thread folds fanned out) — verifies the reports are
- * EXPECT_EQ-identical at 1/2/7 worker threads, and records both
- * wall times as micro_blocking_* bench records for the bench_compare
- * gate. Part two runs all 30 applications and classifies each as
- * bottleneck-limited (runnable threads denied CPUs, wait-TLP >= 0.5)
- * or structurally serial — the GAPP-style answer to *why* a low-TLP
- * app is low.
+ * serialization table. Part one times two implementations over one
+ * recorded oversubscribed trace (the GPU-less miner, whose ready
+ * queue is always deep): the map-based reference
+ * (blocking::legacy::analyze, from tests/reference/) and the
+ * production flat pass (blocking::analyze). It fails unless both
+ * reports are identical, and records both wall times as
+ * micro_blocking_{sequential,fused} bench records for the
+ * bench_compare gate. Part two runs all 30 applications and
+ * classifies each as bottleneck-limited (runnable threads denied
+ * CPUs, wait-TLP >= 0.5) or structurally serial — the GAPP-style
+ * answer to *why* a low-TLP app is low.
  */
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <iostream>
-#include <map>
 #include <utility>
 #include <vector>
 
@@ -32,7 +31,7 @@ int
 main()
 {
     bench::banner(
-        "Wakeup-chain bottleneck analysis - fused vs sequential",
+        "Wakeup-chain bottleneck analysis - flat pass vs map reference",
         "GAPP-style serialization attribution over Section III traces");
 
     bench::SuiteTimer timer("bench_blocking");
@@ -75,46 +74,35 @@ main()
     }
 
     analysis::Session session(bundle);
-    analysis::blocking::BlockingReport fused;
-    double bestFused = 1e300;
+    analysis::blocking::BlockingReport flat;
+    double bestFlat = 1e300;
     for (int rep = 0; rep < kReps; ++rep) {
         Clock::time_point start = Clock::now();
         for (int i = 0; i < kInner; ++i) {
             auto r = analysis::blocking::analyze(session.index(),
                                                  miner.lastPids);
             if (rep == 0 && i == 0)
-                fused = std::move(r);
+                flat = std::move(r);
         }
         std::chrono::duration<double> wall = Clock::now() - start;
-        bestFused = std::min(bestFused, wall.count());
+        bestFlat = std::min(bestFlat, wall.count());
     }
 
-    if (!(fused == reference)) {
+    if (!(flat == reference)) {
         std::fprintf(stderr,
-                     "FAIL: fused report differs from the sequential "
-                     "reference\n");
+                     "FAIL: flat-pass report differs from the "
+                     "map-based reference\n");
         return 1;
     }
-    for (unsigned threads : {1u, 2u, 7u}) {
-        if (!(analysis::blocking::analyze(session.index(),
-                                          miner.lastPids, threads) ==
-              reference)) {
-            std::fprintf(stderr,
-                         "FAIL: report differs at %u threads\n",
-                         threads);
-            return 1;
-        }
-    }
-    std::printf("reports: fused == sequential reference, "
-                "bit-identical at 1/2/7 threads\n");
+    std::printf("reports: flat pass == map-based reference\n");
     std::printf("\n%s\n",
                 analysis::blocking::renderReport(reference, 5)
                     .c_str());
 
-    std::printf("sequential %.3f ms/report, fused %.3f ms/report\n",
-                bestSeq * 1e3 / kInner, bestFused * 1e3 / kInner);
+    std::printf("reference %.3f ms/report, flat pass %.3f ms/report\n",
+                bestSeq * 1e3 / kInner, bestFlat * 1e3 / kInner);
     bench::appendBenchRecord("micro_blocking_sequential", bestSeq);
-    bench::appendBenchRecord("micro_blocking_fused", bestFused);
+    bench::appendBenchRecord("micro_blocking_fused", bestFlat);
 
     // --- Part two: the suite-wide classification table. ------------
     std::vector<apps::SuiteJob> suiteJobs;

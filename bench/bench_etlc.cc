@@ -8,12 +8,11 @@
  * twins (TLP and frame stats must be bit-identical). Records
  * micro_etlc_pack / micro_etlc_cold_open / micro_etlc_warm_open
  * bench records; DESKPAR_ETLC_MIN_RATIO (default 2) sets the corpus
- * ratio floor and DESKPAR_ETLC_MIN_WARM_SPEEDUP (default 1.5) a
- * cold/warm wall-time floor — the run fails below either. The
- * defaults sit under the measured 2.2x / 3x so the gate catches
- * regressions, not noise; see DESIGN.md section 15 for why the
- * simulator corpus entropy caps the ratio well below real ETW
- * captures.
+ * ratio floor — the run fails below it. The ratio is a deterministic
+ * property of the format (2.2x measured); see DESIGN.md section 15
+ * for why the simulator corpus entropy caps it well below real ETW
+ * captures. The cold/warm open times are printed and recorded, not
+ * gated: their ratio swings with the host.
  */
 
 #include <algorithm>
@@ -209,15 +208,6 @@ main()
                      "FAIL: compression ratio %.2fx below the "
                      "%.2fx floor\n",
                      ratio, minRatio);
-        status = 1;
-    }
-    double minSpeedup =
-        envFloor("DESKPAR_ETLC_MIN_WARM_SPEEDUP", 1.5);
-    if (speedup < minSpeedup) {
-        std::fprintf(stderr,
-                     "FAIL: warm speedup %.1fx below the %.1fx "
-                     "floor\n",
-                     speedup, minSpeedup);
         status = 1;
     }
     return status;

@@ -2,24 +2,76 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <map>
+#include <limits>
 #include <tuple>
-#include <utility>
+#include <unordered_map>
 #include <vector>
 
 #include "analysis/trace_index.hh"
 #include "obs/obs.hh"
-#include "sim/parallel.hh"
 
 namespace deskpar::analysis::blocking {
 
 using sim::SimTime;
 using trace::Pid;
 using trace::Tid;
-using detail::Key;
-using detail::SweepResult;
 
 namespace {
+
+constexpr std::uint32_t kNone =
+    std::numeric_limits<std::uint32_t>::max();
+
+/**
+ * CPU ids below this index a vector grown on demand (headerless
+ * streams carry no CPU count); larger ids, which only hostile
+ * streams carry, go to a side map instead of a huge allocation.
+ */
+constexpr trace::CpuId kDenseCpus = 4096;
+
+/** Everything the pass keeps for one (pid, tid), indexed by id. */
+struct ThreadState
+{
+    Pid pid = 0;
+    Tid tid = 0;
+    /** Inside the pid filter (resolved once, at intern time). */
+    bool target = false;
+    /** Source of some wakeup edge: a row even at zero blockedNs. */
+    bool blocker = false;
+    /** The chain DP's predecessor id, kNone at a chain root. */
+    std::uint32_t prev = kNone;
+    std::uint64_t runNs = 0;
+    std::uint64_t blockedNs = 0;
+    std::uint64_t waitNs = 0;
+    std::uint64_t maxWaitNs = 0;
+    std::uint64_t dispatches = 0;
+    std::uint64_t chainNs = 0;
+    std::uint64_t links = 0;
+};
+
+struct Occupant
+{
+    Pid pid = 0;
+    Tid tid = 0;
+    /** Thread id of (pid, tid); kept after the CPU goes idle. */
+    std::uint32_t id = kNone;
+    SimTime since = 0;
+    bool valid = false;
+    bool seen = false;
+};
+
+struct EdgeState
+{
+    std::uint32_t from = 0;
+    std::uint32_t to = 0;
+    std::uint64_t count = 0;
+    std::uint64_t waitNs = 0;
+};
+
+std::uint64_t
+pairKey(std::uint32_t hi, std::uint32_t lo)
+{
+    return std::uint64_t{hi} << 32 | lo;
+}
 
 std::string
 threadName(const trace::TraceBundle &bundle, Pid pid)
@@ -30,152 +82,195 @@ threadName(const trace::TraceBundle &bundle, Pid pid)
     return "pid" + std::to_string(pid);
 }
 
-std::uint64_t
-lookupNs(const std::map<Key, std::uint64_t> &map, Key key)
+/**
+ * The per-CPU running-thread state machine and the chain DP, in one
+ * pass over the stream with every thread interned to a dense id.
+ */
+class Pass
 {
-    auto it = map.find(key);
-    return it == map.end() ? 0 : it->second;
-}
+  public:
+    Pass(const trace::TraceBundle &bundle, const trace::PidSet &pids)
+        : bundle_(bundle), pids_(pids),
+          cpus_(std::min(bundle.numLogicalCpus, kDenseCpus))
+    {}
 
-} // namespace
+    void run(BlockingReport &report);
 
-namespace detail {
+    /** Rows, edges and the critical path from the flat state. */
+    void finalize(BlockingReport &report);
 
-void
-sweep(const trace::TraceBundle &bundle, const trace::PidSet &pids,
-      SweepResult &r)
-{
-    auto target = [&pids](Pid pid, Tid tid) {
-        (void)tid;
-        if (pid == 0)
-            return false;
-        return pids.empty() || pids.count(pid) != 0;
-    };
-
-    struct Occupant
+  private:
+    std::uint32_t
+    intern(Pid pid, Tid tid)
     {
-        Pid pid = 0;
-        Tid tid = 0;
-        SimTime since = 0;
-        bool valid = false;
-    };
-    // Ordered so the end-of-stream close below visits CPUs
-    // deterministically.
-    std::map<trace::CpuId, Occupant> cpus;
+        auto [it, fresh] = ids_.try_emplace(
+            pairKey(pid, tid),
+            static_cast<std::uint32_t>(threads_.size()));
+        if (fresh) {
+            ThreadState &t = threads_.emplace_back();
+            t.pid = pid;
+            t.tid = tid;
+            t.target = pids_.empty() || pids_.count(pid) != 0;
+        }
+        return it->second;
+    }
 
-    auto closeSegment = [&r, &target](const Occupant &occ,
-                                      SimTime now) {
+    Occupant &
+    occupant(trace::CpuId cpu)
+    {
+        if (cpu < cpus_.size())
+            return cpus_[cpu];
+        if (cpu < kDenseCpus) {
+            cpus_.resize(cpu + 1);
+            return cpus_[cpu];
+        }
+        return otherCpus_[cpu];
+    }
+
+    void
+    close(const Occupant &occ, SimTime now, BlockingReport &report)
+    {
         // Disordered streams can invert a segment; drop it rather
         // than wrap the unsigned subtraction.
         if (!occ.valid || now <= occ.since)
             return;
-        if (!target(occ.pid, occ.tid))
+        ThreadState &t = threads_[occ.id];
+        if (!t.target)
             return;
         std::uint64_t seg = now - occ.since;
-        Key key{occ.pid, occ.tid};
-        r.runNs[key] += seg;
-        r.totalRunNs += seg;
-        r.chains[key].chainNs += seg;
-    };
+        t.runNs += seg;
+        t.chainNs += seg;
+        report.totalRunNs += seg;
+    }
 
-    for (const auto &e : bundle.cswitches) {
-        if (!r.sawEvents) {
-            r.minTs = e.timestamp;
-            r.maxTs = e.timestamp;
-            r.sawEvents = true;
-        } else {
-            r.minTs = std::min(r.minTs, e.timestamp);
-            r.maxTs = std::max(r.maxTs, e.timestamp);
+    const trace::TraceBundle &bundle_;
+    const trace::PidSet &pids_;
+    std::vector<ThreadState> threads_;
+    std::unordered_map<std::uint64_t, std::uint32_t> ids_;
+    std::vector<EdgeState> edges_;
+    std::unordered_map<std::uint64_t, std::uint32_t> edgeIds_;
+    std::vector<Occupant> cpus_;
+    std::unordered_map<trace::CpuId, Occupant> otherCpus_;
+    SimTime minTs_ = std::numeric_limits<SimTime>::max();
+    SimTime maxTs_ = 0;
+};
+
+void
+Pass::run(BlockingReport &report)
+{
+    for (const trace::CSwitchEvent &e : bundle_.cswitches) {
+        minTs_ = std::min(minTs_, e.timestamp);
+        maxTs_ = std::max(maxTs_, e.timestamp);
+        Occupant &occ = occupant(e.cpu);
+        occ.seen = true;
+        close(occ, e.timestamp, report);
+        if (e.newPid == 0) {
+            occ.valid = false;
+            continue;
         }
-        Occupant &occ = cpus[e.cpu];
-        closeSegment(occ, e.timestamp);
 
-        if (target(e.newPid, e.newTid)) {
+        std::uint32_t to = intern(e.newPid, e.newTid);
+        if (threads_[to].target) {
             // Readers clamp inverted ready times; clamp again so a
             // hand-built bundle cannot wrap the wait.
-            SimTime ready = std::min(e.readyTime, e.timestamp);
-            std::uint64_t wait = e.timestamp - ready;
-            Key to{e.newPid, e.newTid};
-            r.waitSamples.emplace_back(to, wait);
-            r.totalWaitNs += wait;
-            if (e.oldPid != 0 && target(e.oldPid, e.oldTid)) {
+            std::uint64_t wait =
+                e.timestamp - std::min(e.readyTime, e.timestamp);
+            ++report.dispatches;
+            report.totalWaitNs += wait;
+            std::uint32_t from = kNone;
+            if (e.oldPid != 0)
+                from = occ.pid == e.oldPid && occ.tid == e.oldTid
+                           ? occ.id
+                           : intern(e.oldPid, e.oldTid);
+            ThreadState &t = threads_[to];
+            t.waitNs += wait;
+            t.maxWaitNs = std::max(t.maxWaitNs, wait);
+            ++t.dispatches;
+            if (from != kNone && threads_[from].target) {
                 // The wakeup edge: old held this CPU for the tail of
                 // the wait, so the chain may continue through it.
-                Key from{e.oldPid, e.oldTid};
-                EdgeAgg &edge = r.edges[{from, to}];
+                ThreadState &f = threads_[from];
+                auto [it, fresh] = edgeIds_.try_emplace(
+                    pairKey(from, to),
+                    static_cast<std::uint32_t>(edges_.size()));
+                if (fresh)
+                    edges_.push_back(EdgeState{from, to});
+                EdgeState &edge = edges_[it->second];
                 ++edge.count;
                 edge.waitNs += wait;
-                r.blockedNs[from] += wait;
-                ChainState &fromChain = r.chains[from];
-                ChainState &toChain = r.chains[to];
-                if (fromChain.chainNs > toChain.chainNs) {
-                    toChain.chainNs = fromChain.chainNs;
-                    toChain.links = fromChain.links + 1;
-                    toChain.prev = from;
-                    toChain.hasPrev = true;
+                f.blockedNs += wait;
+                f.blocker = true;
+                if (f.chainNs > t.chainNs) {
+                    t.chainNs = f.chainNs;
+                    t.links = f.links + 1;
+                    t.prev = from;
                 }
             }
         }
-
-        if (e.newPid == 0) {
-            occ.valid = false;
-        } else {
-            occ = Occupant{e.newPid, e.newTid, e.timestamp, true};
-        }
+        occ = Occupant{e.newPid, e.newTid, to, e.timestamp, true, true};
     }
 
     // Threads still on a CPU when the trace stops: their final
     // segment runs to the observation-window end (the header's if it
     // has one, else the last timestamp the stream showed us).
-    SimTime stop = std::max(bundle.stopTime, r.maxTs);
-    for (const auto &[cpu, occ] : cpus)
-        closeSegment(occ, stop);
-    r.cpusSeen = cpus.size();
+    SimTime stop = std::max(bundle_.stopTime, maxTs_);
+    for (const Occupant &occ : cpus_)
+        close(occ, stop, report);
+    for (const auto &[cpu, occ] : otherCpus_)
+        close(occ, stop, report);
 }
 
 void
-finalize(const trace::TraceBundle &bundle, SweepResult &r,
-         std::vector<ThreadBlocking> rows, BlockingReport &report)
+Pass::finalize(BlockingReport &report)
 {
     // Headerless bundles (bare CPU-Usage CSVs) get the observed
     // stream extent so the wait-TLP and serial-fraction ratios stay
     // meaningful; ETL headers win when present.
-    if (bundle.stopTime > bundle.startTime) {
-        report.t0 = bundle.startTime;
-        report.t1 = std::max(bundle.stopTime, r.maxTs);
-    } else if (r.sawEvents) {
-        report.t0 = r.minTs;
-        report.t1 = r.maxTs;
+    if (bundle_.stopTime > bundle_.startTime) {
+        report.t0 = bundle_.startTime;
+        report.t1 = std::max(bundle_.stopTime, maxTs_);
+    } else if (!bundle_.cswitches.empty()) {
+        report.t0 = minTs_;
+        report.t1 = maxTs_;
     }
-    report.numCpus = bundle.numLogicalCpus != 0
-                         ? bundle.numLogicalCpus
-                         : static_cast<unsigned>(r.cpusSeen);
-    report.totalRunNs = r.totalRunNs;
-    report.totalWaitNs = r.totalWaitNs;
-    report.dispatches = r.waitSamples.size();
+    report.numCpus = bundle_.numLogicalCpus;
+    if (report.numCpus == 0)
+        report.numCpus = static_cast<unsigned>(
+            otherCpus_.size() +
+            std::count_if(cpus_.begin(), cpus_.end(),
+                          [](const Occupant &o) { return o.seen; }));
 
-    for (ThreadBlocking &row : rows)
-        row.name = threadName(bundle, row.pid);
-    std::sort(rows.begin(), rows.end(),
+    // A thread gets a row when it ran a (positive) segment, was
+    // dispatched, or was the source of an edge, even a zero-wait one.
+    // Both sorts below are total orders on distinct keys, so the
+    // discovery order of ids cannot show through. The exact reserves
+    // keep Session::memoryBytes what it was for the same report.
+    auto hasRow = [](const ThreadState &t) {
+        return t.runNs != 0 || t.dispatches != 0 || t.blocker;
+    };
+    report.threads.reserve(static_cast<std::size_t>(
+        std::count_if(threads_.begin(), threads_.end(), hasRow)));
+    for (const ThreadState &t : threads_) {
+        if (!hasRow(t))
+            continue;
+        report.threads.push_back(ThreadBlocking{
+            t.pid, t.tid, threadName(bundle_, t.pid), t.runNs, t.waitNs,
+            t.maxWaitNs, t.blockedNs, t.dispatches});
+    }
+    std::sort(report.threads.begin(), report.threads.end(),
               [](const ThreadBlocking &a, const ThreadBlocking &b) {
                   if (a.waitNs != b.waitNs)
                       return a.waitNs > b.waitNs;
-                  if (a.pid != b.pid)
-                      return a.pid < b.pid;
-                  return a.tid < b.tid;
+                  return std::tie(a.pid, a.tid) <
+                         std::tie(b.pid, b.tid);
               });
-    report.threads = std::move(rows);
 
-    report.edges.reserve(r.edges.size());
-    for (const auto &[key, agg] : r.edges) {
-        WakeupEdge edge;
-        edge.fromPid = key.first.first;
-        edge.fromTid = key.first.second;
-        edge.toPid = key.second.first;
-        edge.toTid = key.second.second;
-        edge.count = agg.count;
-        edge.waitNs = agg.waitNs;
-        report.edges.push_back(edge);
+    report.edges.reserve(edges_.size());
+    for (const EdgeState &e : edges_) {
+        const ThreadState &from = threads_[e.from];
+        const ThreadState &to = threads_[e.to];
+        report.edges.push_back(WakeupEdge{from.pid, from.tid, to.pid,
+                                          to.tid, e.count, e.waitNs});
     }
     std::sort(report.edges.begin(), report.edges.end(),
               [](const WakeupEdge &a, const WakeupEdge &b) {
@@ -188,51 +283,34 @@ finalize(const trace::TraceBundle &bundle, SweepResult &r,
               });
 
     // Critical path: the thread whose chain is longest; ties resolve
-    // to the lowest (pid, tid) by map order. The predecessor
-    // pointers summarize a DP whose state mutates as the sweep
-    // advances, so the backwalk is a bounded summary, not an exact
-    // segment list.
-    Key best{0, 0};
-    const ChainState *bestChain = nullptr;
-    for (const auto &[key, chain] : r.chains) {
-        if (!bestChain || chain.chainNs > bestChain->chainNs) {
-            best = key;
-            bestChain = &chain;
-        }
+    // to the lowest (pid, tid). The predecessor pointers summarize a
+    // DP whose state mutates as the pass advances, so the backwalk is
+    // a bounded summary, not an exact segment list.
+    std::uint32_t best = kNone;
+    for (std::uint32_t id = 0; id < threads_.size(); ++id) {
+        const ThreadState &t = threads_[id];
+        if (t.chainNs == 0)
+            continue;
+        if (best == kNone || t.chainNs > threads_[best].chainNs ||
+            (t.chainNs == threads_[best].chainNs &&
+             std::tie(t.pid, t.tid) <
+                 std::tie(threads_[best].pid, threads_[best].tid)))
+            best = id;
     }
-    if (bestChain && bestChain->chainNs > 0) {
-        report.criticalPathNs = bestChain->chainNs;
-        report.criticalPathSwitches = bestChain->links;
-        std::vector<CriticalPathHop> hops;
-        Key cur = best;
-        for (std::size_t i = 0; i < 64; ++i) {
-            hops.push_back(CriticalPathHop{cur.first, cur.second});
-            auto it = r.chains.find(cur);
-            if (it == r.chains.end() || !it->second.hasPrev)
-                break;
-            cur = it->second.prev;
-        }
-        std::reverse(hops.begin(), hops.end());
-        report.criticalPath = std::move(hops);
-    }
+    if (best == kNone)
+        return;
+    report.criticalPathNs = threads_[best].chainNs;
+    report.criticalPathSwitches = threads_[best].links;
+    for (std::uint32_t cur = best;
+         cur != kNone && report.criticalPath.size() < 64;
+         cur = threads_[cur].prev)
+        report.criticalPath.push_back(
+            CriticalPathHop{threads_[cur].pid, threads_[cur].tid});
+    std::reverse(report.criticalPath.begin(),
+                 report.criticalPath.end());
 }
 
-std::vector<Key>
-threadKeys(const SweepResult &r)
-{
-    std::vector<Key> keys;
-    for (const auto &[key, ns] : r.runNs)
-        keys.push_back(key);
-    for (const auto &[key, ns] : r.blockedNs)
-        keys.push_back(key);
-    for (const auto &[key, wait] : r.waitSamples)
-        keys.push_back(key);
-    std::sort(keys.begin(), keys.end());
-    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-    return keys;
-}
-
-} // namespace detail
+} // namespace
 
 double
 BlockingReport::windowSeconds() const
@@ -263,46 +341,16 @@ BlockingReport::classification() const
 }
 
 BlockingReport
-analyze(const TraceIndex &index, const trace::PidSet &pids,
-        unsigned threads)
+analyze(const TraceIndex &index, const trace::PidSet &pids)
 {
     const trace::TraceBundle &bundle = index.bundle();
     obs::Span span("blocking.analyze", obs::SpanKind::Query,
                    bundle.cswitches.size());
 
-    SweepResult r;
-    detail::sweep(bundle, pids, r);
-
-    // Bucket the stream-ordered wait samples per thread (sequential,
-    // cheap), then fold every thread's bucket concurrently. Each
-    // task owns its row outright, and the per-thread sample order is
-    // the stream order the reference folds in — integer sums, so any
-    // DESKPAR_JOBS lands on the identical report.
-    std::vector<Key> keys = detail::threadKeys(r);
-    std::map<Key, std::size_t> indexOf;
-    for (std::size_t i = 0; i < keys.size(); ++i)
-        indexOf.emplace(keys[i], i);
-    std::vector<std::vector<std::uint64_t>> samples(keys.size());
-    for (const auto &[key, wait] : r.waitSamples)
-        samples[indexOf.find(key)->second].push_back(wait);
-
-    std::vector<ThreadBlocking> rows(keys.size());
-    unsigned jobs = sim::resolveJobs(threads);
-    sim::parallelFor(jobs, keys.size(), [&](std::size_t i) {
-        ThreadBlocking &row = rows[i];
-        row.pid = keys[i].first;
-        row.tid = keys[i].second;
-        row.runNs = lookupNs(r.runNs, keys[i]);
-        row.blockedNs = lookupNs(r.blockedNs, keys[i]);
-        for (std::uint64_t wait : samples[i]) {
-            row.waitNs += wait;
-            row.maxWaitNs = std::max(row.maxWaitNs, wait);
-            ++row.dispatches;
-        }
-    });
-
     BlockingReport report;
-    detail::finalize(bundle, r, std::move(rows), report);
+    Pass pass(bundle, pids);
+    pass.run(report);
+    pass.finalize(report);
     return report;
 }
 

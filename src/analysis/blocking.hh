@@ -28,11 +28,11 @@
  *    criticalPathNs / window ("serial fraction") says how much of
  *    the wall clock one such chain alone covers.
  *
- * Everything is summed in integer nanoseconds, so the fused path
- * (blocking::analyze over a TraceIndex, per-thread folds fanned out
- * with sim::parallelFor) is bit-identical to the sequential
- * reference in tests/reference/ at any DESKPAR_JOBS — the
- * differential tests assert EXPECT_EQ on whole reports.
+ * Everything is summed in integer nanoseconds, so the production
+ * path (blocking::analyze: one sequential pass over dense thread ids
+ * and flat per-thread state) is bit-identical to the map-based
+ * reference in tests/reference/ — the differential tests assert
+ * EXPECT_EQ on whole reports and their renders.
  *
  * With a pid filter, the analysis is *within* the selected set:
  * foreign threads neither appear as victims nor as culprits (their
@@ -43,9 +43,7 @@
 #define DESKPAR_ANALYSIS_BLOCKING_HH
 
 #include <cstdint>
-#include <map>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "trace/filter.hh"
@@ -157,91 +155,14 @@ struct BlockingReport
     const char *classification() const;
 };
 
-/*
- * The phases analyze() is built from, declared so the sequential
- * reference in tests/reference/ runs the same sweep and finalization
- * and differs only in its per-thread fold.
- */
-namespace detail {
-
-/** One thread: (pid, tid). */
-using Key = std::pair<trace::Pid, trace::Tid>;
-
-struct EdgeAgg
-{
-    std::uint64_t count = 0;
-    std::uint64_t waitNs = 0;
-};
-
-struct ChainState
-{
-    std::uint64_t chainNs = 0;
-    std::uint64_t links = 0;
-    Key prev{0, 0};
-    bool hasPrev = false;
-};
-
 /**
- * Everything one deterministic pass over the cswitch stream yields.
- * The per-thread wait/run folds are *not* done here — the wait
- * samples stay a flat stream-ordered vector so analyze() and the
- * sequential reference can fold them differently (parallelFor vs
- * inline maps) and still land on identical integer sums.
- */
-struct SweepResult
-{
-    std::map<Key, std::uint64_t> runNs;
-    std::map<Key, std::uint64_t> blockedNs;
-    std::map<std::pair<Key, Key>, EdgeAgg> edges;
-    std::map<Key, ChainState> chains;
-    /** (thread, wait ns) per target switch-in, stream order. */
-    std::vector<std::pair<Key, std::uint64_t>> waitSamples;
-    std::uint64_t totalRunNs = 0;
-    std::uint64_t totalWaitNs = 0;
-    /**
-     * Observed stream extent and CPU population — the fallback
-     * window when the bundle header is empty (bare CPU-Usage CSVs
-     * carry no startTime/stopTime/numLogicalCpus).
-     */
-    sim::SimTime minTs = 0;
-    sim::SimTime maxTs = 0;
-    std::size_t cpusSeen = 0;
-    bool sawEvents = false;
-};
-
-/**
- * The chain sweep: a per-CPU running-thread state machine over the
- * cswitch stream of @p bundle, restricted to @p pids (empty = every
- * non-idle process). Sequential by nature: the serialization chain
- * is a DP whose order matters.
- */
-void sweep(const trace::TraceBundle &bundle, const trace::PidSet &pids,
-           SweepResult &r);
-
-/** Sorted distinct thread keys the report must have rows for. */
-std::vector<Key> threadKeys(const SweepResult &r);
-
-/**
- * Fill @p report from the sweep and the folded per-thread @p rows:
- * window, totals, names, sorting, edge flattening and critical-path
- * extraction — pure integer and string work.
- */
-void finalize(const trace::TraceBundle &bundle, SweepResult &r,
-              std::vector<ThreadBlocking> rows, BlockingReport &report);
-
-} // namespace detail
-
-/**
- * The analysis: the deterministic chain sweep over the index's
- * bundle, then per-thread wait/run folds fanned out with a
- * sim::parallelFor over the discovered threads — disjoint writes
- * into pre-sized rows, integer sums, so the report is EXPECT_EQ-
- * identical to the sequential reference at any @p threads
- * (0 = DESKPAR_JOBS). Session::bottlenecks memoizes it per pid set.
+ * The analysis: one sequential pass over the cswitch stream of the
+ * index's bundle, restricted to @p pids (empty = every non-idle
+ * process) — the chain DP is order-dependent, so the pass is serial
+ * by nature. Session::bottlenecks memoizes it per pid set.
  */
 BlockingReport analyze(const TraceIndex &index,
-                       const trace::PidSet &pids,
-                       unsigned threads = 0);
+                       const trace::PidSet &pids);
 
 /**
  * Render the human-readable bottleneck report: summary line, top

@@ -154,7 +154,7 @@ Session::query(const std::vector<Query> &queries,
 }
 
 blocking::BlockingReport
-Session::bottlenecks(const PidSet &pids, unsigned threads) const
+Session::bottlenecks(const PidSet &pids, unsigned /*threads*/) const
 {
     // The wakeup-chain sweep also needs the raw cswitch stream.
     if (index().restored())
@@ -175,7 +175,7 @@ Session::bottlenecks(const PidSet &pids, unsigned threads) const
     std::lock_guard<std::mutex> lock(slot->mutex);
     if (!slot->report) {
         auto report = std::make_unique<const blocking::BlockingReport>(
-            blocking::analyze(index(), pids, threads));
+            blocking::analyze(index(), pids));
         reportBytes_.fetch_add(reportBytes(*report),
                                std::memory_order_relaxed);
         slot->report = std::move(report);

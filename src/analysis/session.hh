@@ -173,11 +173,12 @@ class Session
     /**
      * Wakeup-chain serialization-bottleneck report (blocking.hh):
      * ready-queue waits, wakeup-edge culprits, and the critical
-     * path, bit-identical to the sequential reference
-     * (tests/reference/) at any thread count. Memoized per pid set:
-     * the first call for a set runs the sweep, later calls (any
-     * @p threads) copy the kept report. Rendering options such as
-     * `top` stay with the caller.
+     * path, bit-identical to the map-based reference
+     * (tests/reference/). Memoized per pid set: the first call for
+     * a set runs the pass, later calls copy the kept report.
+     * Rendering options such as `top` stay with the caller. The pass
+     * is sequential, so @p threads is unused; it stays for callers
+     * that pass their job count.
      */
     blocking::BlockingReport bottlenecks(const PidSet &pids,
                                          unsigned threads = 0) const;

@@ -1,20 +1,24 @@
 /**
  * @file
- * Tests for the wakeup-chain bottleneck analyzer: the fused path
- * (blocking::analyze over a Session/TraceIndex) must be EXPECT_EQ-
- * identical to the sequential reference (blocking::legacy::analyze)
- * on randomized bundles at 1, 2 and 7 worker threads — whole reports
- * and rendered text alike. Hand-built bundles pin down the edge
- * semantics satellite 4 asks for: self-wakeups, cross-CPU dispatch
- * attribution, readyTime == timestamp zero waits, and idle (pid 0)
- * transitions. CriticalPath* covers the chain DP, tie-breaking, and
- * the 64-hop backwalk cap.
+ * Tests for the wakeup-chain bottleneck analyzer: the production
+ * flat pass (blocking::analyze over a Session/TraceIndex) must be
+ * EXPECT_EQ-identical to the map-based reference
+ * (blocking::legacy::analyze) — whole reports and rendered text and
+ * JSON alike — on randomized bundles, on hostile shapes (CPU ids past
+ * the header count, tids reused across pids, disordered timestamps,
+ * switch-outs that disagree with the CPU's occupant, filters that
+ * match nothing), and through Session::bottlenecks at any job count.
+ * Hand-built bundles pin down the edge semantics: self-wakeups,
+ * cross-CPU dispatch attribution, readyTime == timestamp zero waits,
+ * and idle (pid 0) transitions. CriticalPath* covers the chain DP,
+ * tie-breaking, and the 64-hop backwalk cap.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -167,28 +171,203 @@ findEdge(const BlockingReport &report, Pid fromPid, Tid fromTid,
     return nullptr;
 }
 
+/**
+ * The production pass over @p bundle must equal the reference for
+ * @p pids: the report, its text render and its JSON document.
+ */
+void
+expectMatchesReference(const TraceBundle &bundle,
+                       const trace::PidSet &pids)
+{
+    Session session(bundle);
+    BlockingReport reference = blocking::legacy::analyze(bundle, pids);
+    BlockingReport report = blocking::analyze(session.index(), pids);
+    EXPECT_EQ(report, reference);
+    EXPECT_EQ(blocking::renderReport(report),
+              blocking::renderReport(reference));
+    EXPECT_EQ(bottlenecksJson(report), bottlenecksJson(reference));
+}
+
 TEST(BlockingDiff, RandomBundlesMatchReferenceAtEveryThreadCount)
 {
     for (std::uint64_t seed = 0; seed < 6; ++seed) {
         TraceBundle bundle = randomBundle(seed);
-        Session session(bundle);
         for (const trace::PidSet &pids : pidSets()) {
+            SCOPED_TRACE("seed " + std::to_string(seed));
+            expectMatchesReference(bundle, pids);
+            // The front door takes a job count; no value may change
+            // the report.
             BlockingReport reference =
                 blocking::legacy::analyze(bundle, pids);
-            for (unsigned threads : {1u, 2u, 7u}) {
-                SCOPED_TRACE("seed " + std::to_string(seed) +
-                             " threads " + std::to_string(threads));
-                BlockingReport fused =
-                    blocking::analyze(session.index(), pids, threads);
-                EXPECT_EQ(fused, reference);
-                // The user-facing reports must match verbatim too.
-                EXPECT_EQ(blocking::renderReport(fused),
-                          blocking::renderReport(reference));
-                EXPECT_EQ(bottlenecksJson(fused),
-                          bottlenecksJson(reference));
-            }
+            for (unsigned threads : {1u, 2u, 7u})
+                EXPECT_EQ(Session(bundle).bottlenecks(pids, threads),
+                          reference);
         }
     }
+}
+
+/**
+ * A random stream built to break assumptions a flat pass could make:
+ * CPU ids past the header count up to UINT32_MAX, one tid under
+ * several pids, timestamps that step backwards, inverted ready times,
+ * and switch-outs naming a thread other than the CPU's occupant.
+ */
+TraceBundle
+hostileBundle(std::uint64_t seed, std::size_t cswitches = 400)
+{
+    Rng rng(seed);
+    TraceBundle bundle;
+    bundle.startTime = 0;
+    bundle.stopTime = kTraceLen;
+    bundle.numLogicalCpus = 4;
+    bundle.processNames = {{5, "handbrake"}, {6, "chrome"}};
+    constexpr trace::CpuId kMax =
+        std::numeric_limits<trace::CpuId>::max();
+    static const trace::CpuId kCpus[] = {0,    1,    3,        4,
+                                         4095, 4096, kMax - 1, kMax};
+    static const Pid kPids[] = {0, 5, 6, 7};
+
+    sim::SimTime t = kTraceLen / 2;
+    for (std::size_t i = 0; i < cswitches; ++i) {
+        // Mostly forward, sometimes backward.
+        sim::SimTime step = rng.below(2 * kTraceLen / cswitches);
+        t = rng.below(5) == 0 && t > step ? t - step : t + step;
+        CSwitchEvent e;
+        e.timestamp = t;
+        e.cpu = kCpus[rng.below(8)];
+        e.oldPid = kPids[rng.below(4)];
+        e.oldTid = e.oldPid ? 50 + rng.below(2) : 0;
+        e.newPid = kPids[rng.below(4)];
+        e.newTid = e.newPid ? 50 + rng.below(2) : 0;
+        e.readyTime = t + 500 - rng.below(1000);
+        bundle.cswitches.push_back(e);
+    }
+    return bundle;
+}
+
+TEST(BlockingDiff, HostileRandomBundlesMatchReference)
+{
+    for (std::uint64_t seed = 0; seed < 6; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        TraceBundle bundle = hostileBundle(seed);
+        for (const trace::PidSet &pids : pidSets())
+            expectMatchesReference(bundle, pids);
+        bundle.stopTime = 0; // headerless: window and CPU count
+        bundle.numLogicalCpus = 0; // come from the stream
+        expectMatchesReference(bundle, {});
+    }
+}
+
+TEST(BlockingDiff, CpuIdsPastHeaderCountMatchReference)
+{
+    constexpr trace::CpuId kMax =
+        std::numeric_limits<trace::CpuId>::max();
+    for (unsigned cpus : {2u, 0u}) {
+        SCOPED_TRACE("header cpus " + std::to_string(cpus));
+        TraceBundle bundle = shell(cpus ? 1000 : 0, cpus);
+        sw(bundle, 0, 1, 0, 0, 5, 50, 0);
+        sw(bundle, 10, 2, 0, 0, 5, 51, 0);       // == header count
+        sw(bundle, 20, 4096, 0, 0, 6, 60, 5);    // first sparse id
+        sw(bundle, 30, kMax, 0, 0, 6, 61, 25);
+        sw(bundle, 40, kMax - 1, 0, 0, 7, 70, 40);
+        sw(bundle, 200, kMax, 6, 61, 5, 52, 100); // edge on kMax
+        sw(bundle, 300, 2, 5, 51, 6, 61, 150);    // migrates back
+        sw(bundle, 400, 4096, 6, 60, 0, 0, 0);
+        expectMatchesReference(bundle, {});
+        expectMatchesReference(bundle, {6});
+        Session session(bundle);
+        BlockingReport report = blocking::analyze(session.index(), {});
+        // Headerless: every distinct CPU id the stream used, dense
+        // and sparse alike.
+        EXPECT_EQ(report.numCpus, cpus ? cpus : 5u);
+    }
+}
+
+TEST(BlockingDiff, TidReusedUnderTwoPidsMatchesReference)
+{
+    TraceBundle bundle = shell(500, 1);
+    sw(bundle, 0, 0, 0, 0, 5, 50, 0);
+    sw(bundle, 100, 0, 5, 50, 6, 50, 40); // same tid, other pid
+    sw(bundle, 200, 0, 6, 50, 5, 50, 120);
+    sw(bundle, 300, 0, 5, 50, 6, 50, 300);
+    for (const trace::PidSet &pids :
+         {trace::PidSet{}, trace::PidSet{5}, trace::PidSet{6}})
+        expectMatchesReference(bundle, pids);
+
+    Session session(bundle);
+    BlockingReport report = blocking::analyze(session.index(), {});
+    ASSERT_EQ(report.threads.size(), 2u);
+    EXPECT_EQ(findThread(report, 5, 50)->runNs, 200u);
+    EXPECT_EQ(findThread(report, 6, 50)->runNs, 300u);
+    EXPECT_NE(findEdge(report, 5, 50, 6, 50), nullptr);
+    EXPECT_NE(findEdge(report, 6, 50, 5, 50), nullptr);
+}
+
+TEST(BlockingDiff, DisorderedTimestampsMatchReference)
+{
+    TraceBundle bundle = shell(1000, 2);
+    sw(bundle, 500, 0, 0, 0, 5, 50, 400);
+    // Steps back on cpu 0: an inverted segment and ready time.
+    sw(bundle, 300, 0, 5, 50, 6, 60, 350);
+    sw(bundle, 700, 1, 0, 0, 7, 70, 100);
+    // Behind cpu 1's last switch, then a zero-length segment.
+    sw(bundle, 600, 0, 6, 60, 5, 50, 650);
+    sw(bundle, 600, 0, 5, 50, 5, 50, 600);
+    // Steps back on cpu 1 past every earlier switch.
+    sw(bundle, 100, 1, 7, 70, 6, 60, 0);
+    expectMatchesReference(bundle, {});
+    expectMatchesReference(bundle, {5, 7});
+    bundle.stopTime = 0; // headerless: the window is [100, 700]
+    bundle.numLogicalCpus = 0;
+    expectMatchesReference(bundle, {});
+}
+
+TEST(BlockingDiff, SwitchOutDisagreeingWithOccupantMatchesReference)
+{
+    TraceBundle bundle = shell(600, 2);
+    sw(bundle, 0, 0, 0, 0, 5, 50, 0);
+    // The stream says 6/60 left cpu 0, but 5/50 occupies it: the
+    // edge comes from the event's old thread, a thread never seen.
+    sw(bundle, 100, 0, 6, 60, 7, 70, 20);
+    // Old thread on another CPU, then old == the occupant's tid under
+    // another pid.
+    sw(bundle, 150, 1, 0, 0, 6, 60, 150);
+    sw(bundle, 200, 0, 6, 60, 5, 50, 90);
+    sw(bundle, 300, 0, 7, 50, 7, 70, 250);
+    // Old names a thread while the CPU is idle.
+    sw(bundle, 400, 1, 6, 60, 0, 0, 0);
+    sw(bundle, 500, 1, 5, 50, 6, 60, 410);
+    // A zero-wait edge from a thread seen nowhere else: it still
+    // gets a row, with nothing but that edge behind it.
+    sw(bundle, 550, 0, 8, 80, 5, 50, 550);
+    for (const trace::PidSet &pids :
+         {trace::PidSet{}, trace::PidSet{5, 7}, trace::PidSet{6}})
+        expectMatchesReference(bundle, pids);
+
+    Session session(bundle);
+    BlockingReport report = blocking::analyze(session.index(), {});
+    const WakeupEdge *edge = findEdge(report, 6, 60, 7, 70);
+    ASSERT_NE(edge, nullptr);
+    EXPECT_EQ(edge->waitNs, 80u);
+    EXPECT_EQ(findEdge(report, 5, 50, 7, 70), nullptr);
+    const ThreadBlocking *silent = findThread(report, 8, 80);
+    ASSERT_NE(silent, nullptr);
+    EXPECT_EQ(silent->blockedNs, 0u);
+    EXPECT_EQ(silent->dispatches, 0u);
+}
+
+TEST(BlockingDiff, PidFilterMatchingNothingMatchesReference)
+{
+    TraceBundle bundle = randomBundle(11);
+    expectMatchesReference(bundle, {42});
+    Session session(bundle);
+    BlockingReport report = blocking::analyze(session.index(), {42});
+    EXPECT_TRUE(report.threads.empty());
+    EXPECT_TRUE(report.edges.empty());
+    EXPECT_TRUE(report.criticalPath.empty());
+    EXPECT_EQ(report.dispatches, 0u);
+    EXPECT_EQ(report.totalRunNs, 0u);
+    EXPECT_EQ(report.numCpus, 8u);
 }
 
 TEST(BlockingDiff, SessionEntryPointMatchesReference)
@@ -280,11 +459,7 @@ TEST(BlockingDiff, HeaderlessBundlesMatchReference)
     bundle.startTime = 0;
     bundle.stopTime = 0;
     bundle.numLogicalCpus = 0;
-    Session session(bundle);
-    BlockingReport reference = blocking::legacy::analyze(bundle, {});
-    for (unsigned threads : {1u, 2u, 7u})
-        EXPECT_EQ(blocking::analyze(session.index(), {}, threads),
-                  reference);
+    expectMatchesReference(bundle, {});
 }
 
 TEST(BlockingSemantics, ZeroWaitDispatchCountsButAddsNoWait)
@@ -503,10 +678,7 @@ TEST(CriticalPath, BackwalkIsCappedOnWakeupCycles)
     EXPECT_NE(text.find("more hops)"), std::string::npos);
 
     // The capped summary must still be deterministic across paths.
-    Session session(bundle);
-    for (unsigned threads : {1u, 2u, 7u})
-        EXPECT_EQ(blocking::analyze(session.index(), {}, threads),
-                  report);
+    expectMatchesReference(bundle, {});
 }
 
 } // namespace

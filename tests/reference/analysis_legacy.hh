@@ -6,16 +6,16 @@
  * Each function here answers one metric with its own full pass over
  * the bundle, sharing nothing between calls — the straightforward
  * code the columnar TraceIndex, the fused query planner and the
- * parallel bottleneck fold are proven bit-identical against. They
+ * flat bottleneck pass are proven bit-identical against. They
  * live under tests/, not src/, because no production path uses them;
  * the library deskpar_analysis_reference builds them for
  * analysis_tests, bench_query_fusion and bench_blocking. Do not
  * optimize these.
  *
  * Where a fold has exactly one implementation (the GPU packet fold,
- * the responsiveness marker match, the power spec model, the blocking
- * sweep and finalization), the reference calls the library's
- * detail:: helper and differs only in how it gathers the input.
+ * the responsiveness marker match, the power spec model), the
+ * reference calls the library's detail:: helper and differs only in
+ * how it gathers the input.
  */
 
 #ifndef DESKPAR_TESTS_REFERENCE_ANALYSIS_LEGACY_HH
@@ -96,9 +96,10 @@ std::vector<QueryResult> runQueries(const TraceBundle &bundle,
 namespace deskpar::analysis::blocking::legacy {
 
 /**
- * The sequential bottleneck analysis: the library's sweep, per-thread
- * aggregates accumulated inline in ordered maps, the library's
- * finalization. What blocking::analyze's parallel fold is
+ * The sequential bottleneck analysis: a per-CPU occupant state
+ * machine over ordered maps keyed by (pid, tid), per-thread
+ * aggregates accumulated inline, then sorting and the critical-path
+ * backwalk. What blocking::analyze's flat dense-id pass is
  * differentially tested against.
  */
 BlockingReport analyze(const trace::TraceBundle &bundle,
