@@ -15,6 +15,7 @@
 #include "apps/harness.hh"
 #include "trace/csv.hh"
 #include "trace/etl.hh"
+#include "trace/ingest.hh"
 
 using namespace deskpar;
 
@@ -43,8 +44,15 @@ main()
     std::printf("wrote %s (%lld bytes)\n", etl_path.c_str(),
                 static_cast<long long>(probe.tellg()));
 
-    // 3. "Extract columns (WPA) -> .csv files".
-    trace::TraceBundle from_etl = trace::readEtl(etl_path);
+    // 3. "Extract columns (WPA) -> .csv files", from the saved file
+    //    read back the way every deskpar command opens a trace.
+    trace::DecodedTrace decoded = trace::decodeTraceFile(
+        etl_path, trace::ParseOptions{}, "example");
+    if (!decoded.report.ok()) {
+        std::fprintf(stderr, "%s\n", decoded.report.summary().c_str());
+        return 1;
+    }
+    const trace::TraceBundle &from_etl = decoded.bundle;
     trace::writeCpuUsageCsv(from_etl, cpu_csv);
     trace::writeGpuUtilCsv(from_etl, gpu_csv);
     std::printf("exported %s and %s\n", cpu_csv.c_str(),

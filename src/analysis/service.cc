@@ -76,15 +76,23 @@ ServiceAnalyzeResult
 Service::analyze(const ServiceTraceRequest &request)
 {
     SessionCache::Lease lease = open(request);
+    const Session &session = *lease.session;
     trace::PidSet pids = trace::replayPids(
-        lease.session->bundle(), request.path, request.appPrefix);
+        session.bundle(), request.path, request.appPrefix);
 
     ServiceAnalyzeResult result;
     result.path = request.path;
     result.appPrefix = request.appPrefix;
-    result.metrics = lease.session->app(pids);
+    // Session::app(pids), but an empty prefix's pids are every
+    // nonzero pid, whose switch filter equals the system-wide one:
+    // concurrency reads the columns the open warmed. (System-wide
+    // GPU and frame filters also keep pid 0, so those use pids.)
+    result.metrics.concurrency = session.concurrency(
+        request.appPrefix.empty() ? trace::PidSet{} : pids);
+    result.metrics.gpu = session.gpuUtil(pids);
+    result.metrics.frames = session.frameStats(pids);
     result.ingest = lease.ingest;
-    result.events = lease.session->bundle().totalEvents();
+    result.events = session.bundle().totalEvents();
     noteIngest(result, lease);
     cache_.recharge(lease);
     return result;

@@ -11,7 +11,7 @@
  *
  *   request struct  ->  Service method  ->  result struct
  *
- * and the callers — `deskpar query/bottlenecks/replay --json`, the
+ * and the callers — `deskpar query/bottlenecks/replay/stats`, the
  * `deskpar serve` request demultiplexer, tests — only decide how to
  * render the result (report/documents.hh renders each result struct
  * as the one JSON schema both the CLI and the server emit).
@@ -23,7 +23,7 @@
  * (after rendering) to the equivalent cold CLI invocation.
  *
  * Errors are exceptions: TraceParseError for trace-content problems
- * (including "no matching process", matching replayJob), FatalError
+ * (including "no matching process", from trace::replayPids), FatalError
  * for user errors (bad spec, bad prefix, unreadable file). Callers
  * map them to exit codes or error envelopes.
  */
@@ -70,6 +70,7 @@ struct ServiceAnalyzeResult
     std::string path;
     std::string appPrefix;
     AppMetrics metrics;
+    /** File size + map/decode wall time of the cold open. */
     trace::IngestStats ingest;
     std::uint64_t events = 0;
     /** Lenient ingest dropped records ("degraded" in replay). */
@@ -169,8 +170,8 @@ class Service
 
     /**
      * Whole-trace app metrics — the numbers `deskpar replay` prints,
-     * from the resident cache. Pid resolution and failure text match
-     * replayJob exactly: an empty prefix selects every application
+     * from the resident cache. Pids resolve through
+     * trace::replayPids: an empty prefix selects every application
      * process, and no match throws TraceParseError (section
      * "replay").
      */

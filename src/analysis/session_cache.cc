@@ -1,6 +1,5 @@
 #include "analysis/session_cache.hh"
 
-#include <chrono>
 #include <exception>
 #include <utility>
 #include <vector>
@@ -69,7 +68,6 @@ SessionCache::fill(Slot &slot, const std::string &path,
     options.parse.mode = mode;
     options.useCache = false;
     options.refreshCache = false;
-    auto start = std::chrono::steady_clock::now();
     OpenResult opened = openSession(path, options);
     if (mode == trace::ParseMode::Strict && !opened.report.ok()) {
         if (!opened.report.errors.empty())
@@ -80,11 +78,7 @@ SessionCache::fill(Slot &slot, const std::string &path,
         generic.reason = opened.report.summary();
         throw trace::TraceParseError(std::move(generic));
     }
-    slot.ingest.bytes = opened.ingest.bytes;
-    slot.ingest.seconds =
-        std::chrono::duration<double>(
-            std::chrono::steady_clock::now() - start)
-            .count();
+    slot.ingest = opened.ingest;
 
     slot.bytes = opened.session->memoryBytes();
     slot.session = std::move(opened.session);

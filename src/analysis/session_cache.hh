@@ -100,7 +100,7 @@ class SessionCache
         std::shared_ptr<const Session> session;
         /** The cold ingest's report (ok() == false => degraded). */
         std::shared_ptr<const trace::IngestReport> report;
-        /** File size + ingest wall time of the cold open. */
+        /** File size + map/decode wall time of the cold open. */
         trace::IngestStats ingest;
         /** True when served without performing an ingest. */
         bool warm = false;

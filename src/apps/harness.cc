@@ -84,8 +84,6 @@ foldIteration(AppRunResult &result, IterationOutput &&out, bool last)
         result.realFps.add(real / span);
     }
     result.iterations.push_back(std::move(out.result));
-    if (out.ingest.bytes)
-        result.ingest = out.ingest;
 
     if (last) {
         result.lastPids = std::move(out.pids);

@@ -15,7 +15,6 @@
 #include "analysis/analyzer.hh"
 #include "apps/app.hh"
 #include "sim/machine.hh"
-#include "trace/parse.hh"
 #include "trace/session.hh"
 
 namespace deskpar::apps {
@@ -68,8 +67,6 @@ struct AppRunResult
     trace::TraceBundle lastBundle;
     /** Pid set of the app in lastBundle. */
     trace::PidSet lastPids;
-    /** File-ingest accounting (replay jobs only; zero for sims). */
-    trace::IngestStats ingest;
 
     double tlp() const { return agg.tlp.mean(); }
     double gpuUtil() const { return agg.gpuUtil.mean(); }
@@ -85,8 +82,6 @@ struct IterationOutput
     IterationResult result;
     trace::TraceBundle bundle;
     trace::PidSet pids;
-    /** File-ingest accounting (replay jobs only; zero for sims). */
-    trace::IngestStats ingest;
 };
 
 /**

@@ -2,19 +2,15 @@
 
 #include <algorithm>
 #include <atomic>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <utility>
 
-#include "analysis/session.hh"
 #include "apps/registry.hh"
 #include "obs/obs.hh"
 #include "sim/logging.hh"
 #include "sim/parallel.hh"
 #include "trace/diagnostic.hh"
-#include "trace/filter.hh"
-#include "trace/ingest.hh"
 
 namespace deskpar::apps {
 namespace {
@@ -34,14 +30,6 @@ runTask(const std::vector<SuiteJob> &jobs, const SimTask &task,
         std::vector<std::string> &names)
 {
     const SuiteJob &job = jobs[task.job];
-    if (job.direct) {
-        obs::Span span("suite.replay", obs::SpanKind::Job, task.job);
-        if (task.iter == 0)
-            names[task.job] = job.label;
-        outputs[task.job][task.iter] =
-            job.direct(job.options, task.iter);
-        return;
-    }
     obs::Span span("suite.sim", obs::SpanKind::Job, task.job);
     WorkloadPtr model = job.factory();
     if (!model)
@@ -59,12 +47,9 @@ buildTasks(const std::vector<SuiteJob> &jobs)
 {
     std::vector<SimTask> tasks;
     for (std::size_t j = 0; j < jobs.size(); ++j) {
-        if (!jobs[j].factory && !jobs[j].direct)
+        if (!jobs[j].factory)
             fatal("SuiteRunner: job '" + jobs[j].label +
                   "' has no factory");
-        if (jobs[j].factory && jobs[j].direct)
-            fatal("SuiteRunner: job '" + jobs[j].label +
-                  "' sets both factory and direct");
         if (jobs[j].options.iterations == 0)
             fatal("runWorkload: zero iterations");
         for (unsigned i = 0; i < jobs[j].options.iterations; ++i)
@@ -85,87 +70,14 @@ suiteJob(const std::string &id, const RunOptions &options)
     return job;
 }
 
-SuiteJob
-replayJob(const std::string &path, const RunOptions &options,
-          const std::string &appPrefix, trace::ParseMode mode)
-{
-    // Every iteration of a replay job re-analyzes the same file, so
-    // ingest and index it once and hand later iterations copies. The
-    // state is shared by the lambda's copies across worker threads;
-    // the mutex also orders the one real ingest against the reads.
-    struct ReplayShared
-    {
-        std::mutex mutex;
-        bool ready = false;
-        trace::TraceBundle bundle;
-        trace::PidSet pids;
-        analysis::AppMetrics metrics;
-        trace::IngestStats stats;
-    };
-    auto shared = std::make_shared<ReplayShared>();
-
-    SuiteJob job;
-    job.label = path;
-    job.options = options;
-    job.direct = [path, appPrefix, mode,
-                  shared](const RunOptions &, unsigned) {
-        std::lock_guard<std::mutex> lock(shared->mutex);
-        if (!shared->ready) {
-            trace::ParseOptions popts;
-            popts.mode = mode;
-            popts.source = path;
-            trace::DecodedTrace decoded =
-                trace::decodeTraceFile(path, popts, "replay");
-            const trace::IngestReport &report = decoded.report;
-            shared->stats = decoded.stats;
-            if (!report.ok()) {
-                // Strict: the file is rejected outright; the
-                // structured error fails this job (recoverable at
-                // the batch level). Lenient: analyze the salvaged
-                // remainder, but tell the user the result is
-                // degraded.
-                if (mode == trace::ParseMode::Strict) {
-                    throw trace::TraceParseError(
-                        report.errors.front());
-                }
-                trace::Diagnostic degraded;
-                degraded.severity = trace::Severity::Warning;
-                degraded.component = "replay";
-                degraded.detail.source = path;
-                degraded.detail.reason =
-                    "degraded: " + report.summary();
-                trace::emitDiagnostic(degraded);
-            }
-            trace::PidSet pids =
-                trace::replayPids(decoded.bundle, path, appPrefix);
-            analysis::Session session(decoded.bundle);
-            shared->metrics = session.app(pids);
-            shared->bundle = std::move(decoded.bundle);
-            shared->pids = std::move(pids);
-            // Only a fully successful ingest publishes; a throwing
-            // iteration leaves ready unset so retries (or sibling
-            // cancellation) see the same failure.
-            shared->ready = true;
-        }
-        IterationOutput out;
-        out.result.metrics = shared->metrics;
-        out.bundle = shared->bundle;
-        out.pids = shared->pids;
-        out.ingest = shared->stats;
-        return out;
-    };
-    return job;
-}
-
 trace::Diagnostic
 JobFailure::diagnostic() const
 {
     trace::Diagnostic d;
     d.severity = trace::Severity::Error;
     d.component = "runner";
-    d.detail = error;
-    if (d.detail.source.empty())
-        d.detail.source = label;
+    d.detail.source = label;
+    d.detail.reason = reason;
     return d;
 }
 
@@ -250,15 +162,7 @@ SuiteRunner::runRecoverable(const std::vector<SuiteJob> &jobs) const
         JobFailure f;
         f.job = j;
         f.label = jobs[j].label;
-        if (auto *parse =
-                dynamic_cast<const trace::TraceParseError *>(&e)) {
-            f.error = parse->error();
-            f.structured = true;
-        } else {
-            f.error.reason = e.what();
-        }
-        if (f.error.source.empty())
-            f.error.source = jobs[j].label;
+        f.reason = e.what();
         failures.push_back(std::move(f));
     };
 
@@ -289,12 +193,6 @@ SuiteRunner::runRecoverable(const std::vector<SuiteJob> &jobs) const
 
     SuiteOutcome outcome;
     outcome.failures = std::move(failures);
-    outcome.ingest.source = "<suite>";
-    for (const JobFailure &f : outcome.failures)
-        outcome.ingest.note(f.error, 64);
-    outcome.ingest.recordsParsed =
-        jobs.size() - outcome.failures.size();
-    outcome.ingest.recordsSkipped = outcome.failures.size();
 
     outcome.results.resize(jobs.size());
     for (std::size_t j = 0; j < jobs.size(); ++j) {

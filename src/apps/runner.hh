@@ -17,6 +17,9 @@
  * DESKPAR_JOBS environment variable, else hardware concurrency.
  * With one thread the runner executes inline on the calling thread
  * (no pool), which is the CI serial leg.
+ *
+ * The runner only simulates and opens no trace files: `deskpar
+ * replay` and `stats` send analysis::Service one request per file.
  */
 
 #ifndef DESKPAR_APPS_RUNNER_HH
@@ -28,7 +31,6 @@
 
 #include "apps/harness.hh"
 #include "trace/diagnostic.hh"
-#include "trace/parse.hh"
 
 namespace deskpar::apps {
 
@@ -43,30 +45,11 @@ struct SuiteJob
     std::string label;
     /** Builds a fresh model instance for one iteration. */
     std::function<WorkloadPtr()> factory;
-    /**
-     * Alternative to factory: produce one iteration directly
-     * (trace-replay jobs). Exactly one of factory/direct is set.
-     */
-    std::function<IterationOutput(const RunOptions &, unsigned)>
-        direct;
     RunOptions options;
 };
 
 /** Job running the registry workload @p id under @p options. */
 SuiteJob suiteJob(const std::string &id, const RunOptions &options);
-
-/**
- * Job replaying a saved .etl trace instead of simulating: every
- * iteration ingests @p path, filters to the processes whose names
- * start with @p appPrefix (empty = every non-idle pid), and analyzes
- * the result. Strict ingestion fails this one job with the reader's
- * structured ParseError — under runRecoverable() the rest of the
- * batch completes; lenient ingestion warns, analyzes whatever was
- * salvaged, and degrades the result instead of failing.
- */
-SuiteJob replayJob(const std::string &path, const RunOptions &options,
-                   const std::string &appPrefix = "",
-                   trace::ParseMode mode = trace::ParseMode::Strict);
 
 /** One suite job that could not produce a result. */
 struct JobFailure
@@ -74,12 +57,8 @@ struct JobFailure
     /** Submission index within the batch. */
     std::size_t job = 0;
     std::string label;
-    /**
-     * Structured cause. Parse failures carry their full location;
-     * other FatalErrors carry only reason (structured == false).
-     */
-    trace::ParseError error;
-    bool structured = false;
+    /** The FatalError's text. */
+    std::string reason;
 
     /** This failure as an error-severity "runner" Diagnostic. */
     trace::Diagnostic diagnostic() const;
@@ -93,8 +72,6 @@ struct SuiteOutcome
 {
     std::vector<AppRunResult> results;
     std::vector<JobFailure> failures;
-    /** Batch-level ingest roll-up (one error per failed job). */
-    trace::IngestReport ingest;
 
     bool ok() const { return failures.empty(); }
     bool failed(std::size_t job) const;
@@ -121,11 +98,10 @@ class SuiteRunner
     std::vector<AppRunResult> run(const std::vector<SuiteJob> &jobs) const;
 
     /**
-     * Degraded-batch variant: a FatalError (e.g. a TraceParseError
-     * from a corrupt trace) in one job fails *that job only* — its
-     * remaining iterations are cancelled, every other job still
-     * runs, and the failure lands in the outcome's failure list and
-     * IngestReport. PanicError and non-deskpar exceptions still
+     * Degraded-batch variant: a FatalError in one job fails *that
+     * job only* — its remaining iterations are cancelled, every
+     * other job still runs, and the failure lands in the outcome's
+     * failure list. PanicError and non-deskpar exceptions still
      * abort the batch: those are bugs, not data.
      */
     SuiteOutcome

@@ -93,7 +93,7 @@ void emitDiagnostic(Severity severity, const std::string &component,
  * caller to flip the flag emits, every later caller (any thread) is
  * a no-op. The dedup primitive for per-trace warnings that would
  * otherwise repeat once per query in a batch — the owner of the
- * deduped scope (a TraceIndex, a replay job) embeds the flag.
+ * deduped scope (a TraceIndex) embeds the flag.
  * Returns true when this call emitted.
  */
 bool emitDiagnosticOnce(std::atomic<bool> &emitted,

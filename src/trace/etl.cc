@@ -804,31 +804,10 @@ readEtl(std::istream &in, const ParseOptions &options,
 }
 
 TraceBundle
-readEtl(const std::string &path, const ParseOptions &options,
-        IngestReport &report)
-{
-    io::MappedFile file = io::MappedFile::openOrThrow(path, "readEtl");
-    ParseOptions named = options;
-    if (named.source.empty())
-        named.source = path;
-    return decodeEtl(file.span(), named, report);
-}
-
-TraceBundle
 readEtl(std::istream &in)
 {
     IngestReport report;
     TraceBundle bundle = readEtl(in, ParseOptions{}, report);
-    if (!report.ok())
-        throw TraceParseError(report.errors.front());
-    return bundle;
-}
-
-TraceBundle
-readEtl(const std::string &path)
-{
-    IngestReport report;
-    TraceBundle bundle = readEtl(path, ParseOptions{}, report);
     if (!report.ok())
         throw TraceParseError(report.errors.front());
     return bundle;

@@ -18,7 +18,7 @@
  * offending record index as a structured TraceParseError.
  *
  * The production reader is decodeEtl(ByteSpan) over a memory-mapped
- * file (the path entry points map it). It decodes the sections
+ * file (trace::decodeTraceFile maps it). It decodes the sections
  * serially and ignores ParseOptions::threads: the CSwitch section
  * holds most of the bytes, so a section fan-out is one long task plus
  * a merge that copies every event again, and it measured slower than
@@ -65,8 +65,6 @@ void writeEtl(const TraceBundle &bundle, std::ostream &out);
  */
 TraceBundle readEtl(std::istream &in, const ParseOptions &options,
                     IngestReport &report);
-TraceBundle readEtl(const std::string &path,
-                    const ParseOptions &options, IngestReport &report);
 
 /**
  * Decode a whole .etl image held in memory (usually a MappedFile's
@@ -77,10 +75,10 @@ TraceBundle decodeEtl(io::ByteSpan data, const ParseOptions &options,
                       IngestReport &report);
 
 /**
- * Legacy strict readers: throw TraceParseError (a FatalError) on any
- * malformed or mismatched content, FatalError on I/O failure.
+ * Legacy strict reader: throws TraceParseError (a FatalError) on any
+ * malformed or mismatched content. Files open through
+ * trace::decodeTraceFile (trace/ingest.hh).
  */
-TraceBundle readEtl(const std::string &path);
 TraceBundle readEtl(std::istream &in);
 
 /** @{ Low-level encoding helpers (exposed for tests). */

@@ -1762,18 +1762,6 @@ decodeEtlc(io::ByteSpan data, const ParseOptions &options,
                           report);
 }
 
-TraceBundle
-readEtlc(const std::string &path, const ParseOptions &options,
-         IngestReport &report)
-{
-    io::MappedFile file =
-        io::MappedFile::openOrThrow(path, "readEtlc");
-    ParseOptions named = options;
-    if (named.source.empty())
-        named.source = path;
-    return decodeEtlc(file.span(), named, report);
-}
-
 std::vector<EtlcBlockRef>
 etlcScanBlocks(io::ByteSpan data)
 {

@@ -89,10 +89,6 @@ void writeEtlc(const TraceBundle &bundle, const std::string &path);
 TraceBundle decodeEtlc(io::ByteSpan data, const ParseOptions &options,
                        IngestReport &report);
 
-/** Map @p path and decode it (FatalError when it cannot be opened). */
-TraceBundle readEtlc(const std::string &path,
-                     const ParseOptions &options, IngestReport &report);
-
 /** @{ Building blocks exposed for tests, tools, and the fault corpus. */
 
 /** CRC32C (Castagnoli, poly 0x82F63B78), table-driven software. */

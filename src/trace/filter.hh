@@ -43,7 +43,8 @@ PidSet allApplicationPids(const TraceBundle &bundle);
  * The pids a replay analyzes: allApplicationPids when @p appPrefix is
  * empty, else pidsWithPrefix. An empty result is a trace problem, not
  * a usage problem: throws TraceParseError (section "replay", source
- * @p path). Shared by replay jobs and analysis::Service::analyze.
+ * @p path). Used by analysis::Service::analyze, which answers
+ * `deskpar replay` and the serve analyze op.
  */
 PidSet replayPids(const TraceBundle &bundle, const std::string &path,
                   const std::string &appPrefix);

@@ -20,9 +20,7 @@ decodeTraceFile(const std::string &path, const ParseOptions &options,
     DecodedTrace out;
     auto begin = std::chrono::steady_clock::now();
     io::MappedFile file = io::MappedFile::openOrThrow(path, who);
-    bool csvName = path.size() > 4 &&
-                   path.compare(path.size() - 4, 4, ".csv") == 0;
-    if (csvName)
+    if (hasCsvName(path))
         out.report = decodeCpuUsageCsv(file.span(), out.bundle, named);
     else if (isEtlcData(file.span()))
         out.bundle = decodeEtlc(file.span(), named, out.report);

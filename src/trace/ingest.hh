@@ -3,9 +3,9 @@
  * The one trace-open path: map a trace file, pick its decoder by
  * format sniff, decode it, and time the work. Every consumer that
  * opens a trace by path — openSession's cold path (and through it the
- * serve SessionCache), the replay jobs, and `deskpar pack` — goes
- * through decodeTraceFile, so the three formats are told apart in
- * exactly one place.
+ * SessionCache behind every CLI and served analysis request) and
+ * `deskpar pack` — goes through decodeTraceFile, so the three formats
+ * are told apart in exactly one place.
  *
  * The sniff, in precedence order:
  *  1. a `.csv` name suffix selects the CPU-Usage CSV reader, whatever
@@ -34,6 +34,13 @@ struct DecodedTrace
     /** File size and the wall time of map + decode, nothing else. */
     IngestStats stats;
 };
+
+/** True when @p path has the `.csv` name of rule 1 above. */
+inline bool
+hasCsvName(const std::string &path)
+{
+    return path.size() > 4 && path.ends_with(".csv");
+}
 
 /**
  * Map @p path and decode it with the sniffed reader (see the file

@@ -2,8 +2,8 @@
  * @file
  * Zero-copy trace input: memory-mapped files and byte spans.
  *
- * Every production ingest path (replay jobs, the deskpar CLI, the
- * ingest benches) reads traces through a MappedFile: the file's bytes
+ * Every production ingest path (trace::decodeTraceFile behind the
+ * deskpar CLI and server, the ingest benches) reads traces through a MappedFile: the file's bytes
  * are mapped read-only into the address space and handed to the
  * decoders as a ByteSpan, so tokens become std::string_view slices of
  * the mapping instead of per-line/per-field std::string copies.

@@ -9,14 +9,12 @@
 
 #include <atomic>
 #include <cstdlib>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "apps/registry.hh"
 #include "apps/runner.hh"
 #include "sim/logging.hh"
-#include "trace/etl.hh"
 
 namespace {
 
@@ -197,7 +195,7 @@ TEST(SuiteRunner, RecoverableBatchCompletesSiblingsOfAFailedJob)
     ASSERT_EQ(outcome.failures.size(), 1u);
     EXPECT_EQ(outcome.failures[0].job, 1u);
     EXPECT_EQ(outcome.failures[0].label, "boom");
-    EXPECT_NE(outcome.failures[0].error.reason.find(
+    EXPECT_NE(outcome.failures[0].reason.find(
                   "factory exploded"),
               std::string::npos);
     EXPECT_TRUE(outcome.failed(1));
@@ -210,12 +208,8 @@ TEST(SuiteRunner, RecoverableBatchCompletesSiblingsOfAFailedJob)
     EXPECT_GT(outcome.results[2].tlp(), 0.0);
     EXPECT_EQ(outcome.results[1].agg.app, "boom");
 
-    // ...and the batch report names the failure.
-    EXPECT_EQ(outcome.ingest.errorCount, 1u);
-    EXPECT_EQ(outcome.ingest.recordsParsed, 2u);
-    EXPECT_EQ(outcome.ingest.recordsSkipped, 1u);
-    ASSERT_EQ(outcome.ingest.errors.size(), 1u);
-    EXPECT_EQ(outcome.ingest.errors[0].source, "boom");
+    // ...and the failure's diagnostic names the job.
+    EXPECT_EQ(outcome.failures[0].diagnostic().detail.source, "boom");
 }
 
 TEST(SuiteRunner, RecoverableBatchMatchesRunWhenAllJobsAreClean)
@@ -241,85 +235,6 @@ TEST(SuiteRunner, RecoverableBatchSkipsLaterIterationsOfAFailedJob)
     EXPECT_EQ(outcome.failures.size(), 1u);
     // Iterations 1..3 are cancelled once iteration 0 fails the job.
     EXPECT_EQ(built.load(), 1);
-}
-
-TEST(SuiteRunner, JobWithBothFactoryAndDirectIsFatal)
-{
-    SuiteJob job = suiteJob("excel", shortOptions());
-    job.direct = [](const RunOptions &, unsigned) {
-        return IterationOutput{};
-    };
-    EXPECT_THROW(SuiteRunner(1).runRecoverable({job}), FatalError);
-}
-
-// A replay batch with one corrupt trace: the corrupt file fails with
-// its structured parse error, every other file still completes (the
-// ISSUE acceptance scenario).
-TEST(SuiteRunner, ReplayBatchSurvivesOneCorruptTrace)
-{
-    std::string dir = ::testing::TempDir();
-    std::string goodPath = dir + "deskpar_replay_good.etl";
-    std::string badPath = dir + "deskpar_replay_bad.etl";
-
-    RunOptions options = shortOptions();
-    options.iterations = 1;
-    AppRunResult source = runWorkload("excel", options);
-    trace::writeEtl(source.lastBundle, goodPath);
-
-    // The corrupt sibling: the same trace with its tail cut off.
-    std::string bytes;
-    {
-        std::ifstream in(goodPath, std::ios::binary);
-        std::ostringstream buf;
-        buf << in.rdbuf();
-        bytes = buf.str();
-    }
-    {
-        std::ofstream out(badPath, std::ios::binary);
-        out.write(bytes.data(),
-                  static_cast<std::streamsize>(bytes.size() / 2));
-    }
-
-    std::vector<SuiteJob> jobs = {replayJob(goodPath, options),
-                                  replayJob(badPath, options)};
-    SuiteOutcome outcome = SuiteRunner(2).runRecoverable(jobs);
-
-    EXPECT_FALSE(outcome.failed(0));
-    EXPECT_TRUE(outcome.failed(1));
-    EXPECT_GT(outcome.results[0].tlp(), 0.0);
-
-    ASSERT_EQ(outcome.failures.size(), 1u);
-    const JobFailure &failure = outcome.failures[0];
-    EXPECT_TRUE(failure.structured);
-    EXPECT_EQ(failure.error.source, badPath);
-    ASSERT_EQ(outcome.ingest.errors.size(), 1u);
-    EXPECT_EQ(outcome.ingest.errors[0].source, badPath);
-
-    // Lenient replay of the same corrupt file degrades instead of
-    // failing: whatever decoded before the cut is still analyzed
-    // (possibly nothing but the name table, so no metric claims).
-    SuiteJob lenient = replayJob(badPath, options, "",
-                                 trace::ParseMode::Lenient);
-    SuiteOutcome salvaged = SuiteRunner(1).runRecoverable({lenient});
-    EXPECT_TRUE(salvaged.ok());
-
-    std::remove(goodPath.c_str());
-    std::remove(badPath.c_str());
-}
-
-TEST(SuiteRunner, ReplayOfAMissingFileFailsOnlyThatJob)
-{
-    RunOptions options = shortOptions();
-    options.iterations = 1;
-    std::vector<SuiteJob> jobs = {
-        suiteJob("excel", options),
-        replayJob("/nonexistent/trace.etl", options)};
-    SuiteOutcome outcome = SuiteRunner(2).runRecoverable(jobs);
-    EXPECT_FALSE(outcome.failed(0));
-    EXPECT_TRUE(outcome.failed(1));
-    ASSERT_EQ(outcome.failures.size(), 1u);
-    EXPECT_NE(outcome.failures[0].error.reason.find("cannot open"),
-              std::string::npos);
 }
 
 } // namespace

@@ -2,13 +2,13 @@
  * @file
  * One trace-open path behind every entry point.
  *
- * The resident SessionCache (deskpar serve), openSession (the CLI's
- * cold open) and replayJob (deskpar replay) all open traces through
- * trace::decodeTraceFile. Contract under test, for each of the three
- * formats (.etl v3, .etlc, CPU-Usage .csv): on a clean trace and on a
- * lenient corrupt-corpus mutant the three see the same bundle and the
- * same ingest report, and in strict mode a corrupt mutant makes all
- * three raise the same first TraceParseError.
+ * The resident SessionCache (every CLI and served analysis request,
+ * through analysis::Service) and openSession (its cold open) both
+ * open traces through trace::decodeTraceFile. Contract under test,
+ * for each of the three formats (.etl v3, .etlc, CPU-Usage .csv): on
+ * a clean trace and on a lenient corrupt-corpus mutant the two see
+ * the same bundle and the same ingest report, and in strict mode a
+ * corrupt mutant makes both raise the same first TraceParseError.
  */
 
 #include <gtest/gtest.h>
@@ -20,17 +20,13 @@
 #include <string>
 
 #include "analysis/index_cache.hh"
-#include "analysis/service.hh"
 #include "analysis/session_cache.hh"
-#include "apps/runner.hh"
 #include "trace/corrupt.hh"
 #include "trace/csv.hh"
-#include "trace/diagnostic.hh"
 #include "trace/etl.hh"
 #include "trace/etlc.hh"
 #include "trace/filter.hh"
 #include "trace/ingest.hh"
-#include "sim/logging.hh"
 
 namespace {
 
@@ -136,11 +132,6 @@ struct Format
     const char *suffix;
     trace::TraceFormat corruption;
     std::function<std::string(const trace::TraceBundle &)> encode;
-    /**
-     * False for the CPU-Usage CSV, which records no CPU count: its
-     * analysis stops after the decode on every entry point.
-     */
-    bool hasCpuCount;
 };
 
 const Format kFormats[] = {
@@ -149,22 +140,19 @@ const Format kFormats[] = {
          std::ostringstream out;
          trace::writeEtl(b, out);
          return out.str();
-     },
-     true},
+     }},
     {".etlc", trace::TraceFormat::Etlc,
      [](const trace::TraceBundle &b) {
          std::ostringstream out;
          trace::writeEtlc(b, out);
          return out.str();
-     },
-     true},
+     }},
     {".csv", trace::TraceFormat::Text,
      [](const trace::TraceBundle &b) {
          std::ostringstream out;
          trace::writeCpuUsageCsv(b, out);
          return out.str();
-     },
-     false},
+     }},
 };
 
 std::string
@@ -220,81 +208,21 @@ coldOpen(const std::string &path, trace::ParseMode mode)
     return analysis::openSession(path, options);
 }
 
-/** What one replay iteration of a trace produced. */
-struct Replayed
-{
-    apps::IterationOutput out;
-    /** The degraded-ingest warning, empty on a clean ingest. */
-    std::string degraded;
-    /** what() of a post-decode FatalError, empty on success. */
-    std::string error;
-};
-
-/** Replay @p path once; a TraceParseError propagates. */
-Replayed
-replayOnce(const std::string &path, trace::ParseMode mode)
-{
-    apps::RunOptions options;
-    options.iterations = 1;
-    apps::SuiteJob job = apps::replayJob(path, options, "", mode);
-    trace::CollectingDiagnosticSink sink;
-    Replayed replayed;
-    {
-        trace::ScopedDiagnosticSink scope(sink);
-        try {
-            replayed.out = job.direct(options, 0);
-        } catch (const trace::TraceParseError &) {
-            throw;
-        } catch (const FatalError &err) {
-            replayed.error = err.what();
-        }
-    }
-    for (const trace::Diagnostic &d : sink.diagnostics())
-        if (d.component == "replay")
-            replayed.degraded = d.detail.reason;
-    return replayed;
-}
-
-/** acquire, openSession and replayJob agree on @p path in @p mode. */
+/** acquire and openSession agree on @p path in @p mode. */
 void
-expectSameOpen(const std::string &path, const Format &format,
-               trace::ParseMode mode)
+expectSameOpen(const std::string &path, trace::ParseMode mode)
 {
     analysis::SessionCache cache;
     analysis::SessionCache::Lease lease = cache.acquire(path, mode);
     analysis::OpenResult opened = coldOpen(path, mode);
-    Replayed replayed = replayOnce(path, mode);
 
-    std::string bundle = fingerprint(opened.session->bundle());
-    EXPECT_EQ(fingerprint(lease.session->bundle()), bundle);
+    EXPECT_EQ(fingerprint(lease.session->bundle()),
+              fingerprint(opened.session->bundle()));
     EXPECT_EQ(fingerprint(*lease.report), fingerprint(opened.report));
-    EXPECT_EQ(replayed.degraded,
-              opened.report.ok()
-                  ? ""
-                  : "degraded: " + opened.report.summary());
 
     auto size = std::filesystem::file_size(path);
     EXPECT_EQ(lease.ingest.bytes, size);
     EXPECT_EQ(opened.ingest.bytes, size);
-
-    if (format.hasCpuCount) {
-        EXPECT_EQ(replayed.error, "");
-        EXPECT_EQ(fingerprint(replayed.out.bundle), bundle);
-        EXPECT_EQ(replayed.out.ingest.bytes, size);
-        return;
-    }
-    // Without a CPU count replay's analysis stops after the decode,
-    // with the same error as the served analyze of the same bytes.
-    analysis::Service service;
-    analysis::ServiceTraceRequest request;
-    request.path = path;
-    request.lenient = mode == trace::ParseMode::Lenient;
-    try {
-        service.analyze(request);
-        ADD_FAILURE() << "analyze without a CPU count succeeded";
-    } catch (const FatalError &err) {
-        EXPECT_EQ(replayed.error, err.what());
-    }
 }
 
 TEST(OpenPath, CleanTracesAgreeAcrossEntryPoints)
@@ -303,7 +231,7 @@ TEST(OpenPath, CleanTracesAgreeAcrossEntryPoints)
         SCOPED_TRACE(format.suffix);
         std::string path = writeTrace(
             "clean", format, format.encode(sampleBundle()));
-        expectSameOpen(path, format, trace::ParseMode::Strict);
+        expectSameOpen(path, trace::ParseMode::Strict);
         analysis::OpenResult opened =
             coldOpen(path, trace::ParseMode::Strict);
         EXPECT_TRUE(opened.report.ok()) << opened.report.summary();
@@ -319,7 +247,7 @@ TEST(OpenPath, LenientMutantsAgreeAcrossEntryPoints)
         std::string path = writeTrace(
             "lenient", format,
             defectiveMutant(format, trace::ParseMode::Lenient));
-        expectSameOpen(path, format, trace::ParseMode::Lenient);
+        expectSameOpen(path, trace::ParseMode::Lenient);
         EXPECT_FALSE(
             coldOpen(path, trace::ParseMode::Lenient).report.ok());
     }
@@ -342,13 +270,6 @@ TEST(OpenPath, StrictFailuresRaiseTheSameFirstError)
         try {
             cache.acquire(path, trace::ParseMode::Strict);
             ADD_FAILURE() << "acquire accepted a corrupt trace";
-        } catch (const trace::TraceParseError &err) {
-            EXPECT_EQ(err.error().str(), first);
-        }
-
-        try {
-            replayOnce(path, trace::ParseMode::Strict);
-            ADD_FAILURE() << "replay accepted a corrupt trace";
         } catch (const trace::TraceParseError &err) {
             EXPECT_EQ(err.error().str(), first);
         }

@@ -20,6 +20,7 @@
 #include "report/documents.hh"
 #include "sim/logging.hh"
 #include "trace/etl.hh"
+#include "trace/filter.hh"
 #include "trace/parse.hh"
 
 namespace {
@@ -122,6 +123,46 @@ TEST(Service, AnalyzeDocumentIsIdenticalColdAndWarm)
     EXPECT_NE(coldDoc.str().find("\"schema\":1"), std::string::npos);
     EXPECT_NE(coldDoc.str().find("\"command\":\"analyze\""),
               std::string::npos);
+}
+
+// Without a prefix, analyze reads concurrency off the system-wide
+// columns. That must equal Session::app over every application pid,
+// also for a switched-in pid missing from the name table and with
+// pid-0 GPU packets and frames, which only the system-wide GPU and
+// frame filters keep.
+TEST(Service, AnalyzeWithoutAPrefixMatchesSessionApp)
+{
+    trace::TraceBundle bundle = serviceBundle();
+    for (std::size_t i = 0; i < bundle.cswitches.size(); i += 10) {
+        trace::CSwitchEvent &cs = bundle.cswitches[i];
+        if (cs.newPid != 0) {
+            cs.newPid = 2000;
+            cs.newTid = 20001;
+        }
+    }
+    bundle.gpuPackets[3].pid = 0;
+    bundle.frames[5].pid = 0;
+    std::string path = ::testing::TempDir() + "/svc_analyze_all.etl";
+    trace::writeEtl(bundle, path);
+    std::filesystem::remove(indexCachePath(path));
+
+    ServiceTraceRequest request;
+    request.path = path;
+    AppMetrics got = Service().analyze(request).metrics;
+    AppMetrics want =
+        Session(bundle).app(trace::allApplicationPids(bundle));
+
+    EXPECT_EQ(got.concurrency.c, want.concurrency.c);
+    EXPECT_EQ(got.concurrency.window, want.concurrency.window);
+    EXPECT_EQ(got.tlp(), want.tlp());
+    EXPECT_EQ(got.gpu.aggregateRatio, want.gpu.aggregateRatio);
+    EXPECT_EQ(got.gpu.busyRatio, want.gpu.busyRatio);
+    EXPECT_EQ(got.gpu.packetCount, want.gpu.packetCount);
+    EXPECT_EQ(got.frames.frames, want.frames.frames);
+    EXPECT_EQ(got.frames.avgFps, want.frames.avgFps);
+    // The pid-0 packet and frame really are outside the app set.
+    EXPECT_NE(got.gpu.packetCount,
+              Session(bundle).gpuUtil(trace::PidSet{}).packetCount);
 }
 
 TEST(Service, QueryDocumentIsIdenticalColdAndWarm)

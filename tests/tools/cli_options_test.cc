@@ -232,12 +232,16 @@ TEST(CliExitCodes, RuntimeFailuresExitOne)
     EXPECT_EQ(deskparExit("client /tmp/deskpar_absent.sock ping"), 1);
 }
 
-/** Run `deskpar ARGS`; returns the exit code and fills @p out. */
+/**
+ * Run `deskpar ARGS`; returns the exit code and fills @p out with
+ * stdout, followed by stderr when @p withStderr.
+ */
 int
-deskparOutput(const std::string &args, std::string &out)
+deskparOutput(const std::string &args, std::string &out,
+              bool withStderr = false)
 {
-    std::string command =
-        std::string(DESKPAR_CLI_PATH) + " " + args + " 2>/dev/null";
+    std::string command = std::string(DESKPAR_CLI_PATH) + " " + args +
+                          (withStderr ? " 2>&1" : " 2>/dev/null");
     FILE *pipe = ::popen(command.c_str(), "r");
     EXPECT_NE(pipe, nullptr) << command;
     if (!pipe)
@@ -318,6 +322,103 @@ TEST(CliRunEtl, BrowserTraceSavesAndReplaysToTheSameMetrics)
               1);
     EXPECT_FALSE(std::filesystem::exists(unwritable));
     std::filesystem::remove_all(dir);
+}
+
+/** Lines of @p text that contain @p needle. */
+std::size_t
+countLines(const std::string &text, const std::string &needle)
+{
+    std::istringstream lines(text);
+    std::size_t n = 0;
+    for (std::string line; std::getline(lines, line);)
+        n += line.find(needle) != std::string::npos;
+    return n;
+}
+
+/** A saved handbrake trace and a copy of it cut in half. */
+class CliReplay : public ::testing::Test
+{
+  protected:
+    void SetUp() override
+    {
+        dir = ::testing::TempDir() + "/cli_replay_" +
+              std::to_string(::getpid());
+        std::filesystem::create_directories(dir);
+        good = dir + "/good.etl";
+        bad = dir + "/bad.etl";
+        std::string out;
+        ASSERT_EQ(deskparOutput("run handbrake --seconds 2 "
+                                "--iterations 1 --etl " + good,
+                                out),
+                  0)
+            << out;
+        std::filesystem::copy_file(good, bad);
+        std::filesystem::resize_file(
+            bad, std::filesystem::file_size(good) / 2);
+    }
+
+    void TearDown() override { std::filesystem::remove_all(dir); }
+
+    /** Last cell (the Status column) of @p path's table row. */
+    static std::string status(const std::string &table,
+                              const std::string &path)
+    {
+        std::vector<std::string> row = lineTokens(table, path);
+        return row.empty() ? "" : row.back();
+    }
+
+    std::string dir, good, bad;
+};
+
+TEST_F(CliReplay, CorruptTraceFailsOnlyItsOwnEntry)
+{
+    std::string out;
+    EXPECT_EQ(deskparOutput("replay " + good + " " + bad, out), 1);
+    EXPECT_EQ(status(out, good), "ok") << out;
+    EXPECT_EQ(status(out, bad), "FAILED") << out;
+
+    EXPECT_EQ(deskparOutput("replay --json " + good + " " + bad, out),
+              1);
+    EXPECT_EQ(countLines(out, "\"command\":\"analyze\""), 2u) << out;
+    std::istringstream docs(out);
+    std::string first, second;
+    std::getline(docs, first);
+    std::getline(docs, second);
+    EXPECT_NE(first.find("\"status\":\"ok\""), std::string::npos)
+        << first;
+    EXPECT_NE(second.find("\"status\":\"failed\""), std::string::npos)
+        << second;
+}
+
+TEST_F(CliReplay, MissingFileFailsOnlyItsOwnEntry)
+{
+    const std::string missing = dir + "/missing.etl";
+    std::string out;
+    EXPECT_EQ(deskparOutput("replay " + missing + " " + good, out), 1);
+    EXPECT_EQ(status(out, missing), "FAILED") << out;
+    EXPECT_EQ(status(out, good), "ok") << out;
+
+    EXPECT_EQ(
+        deskparOutput("replay --json " + missing + " " + good, out), 1);
+    EXPECT_EQ(countLines(out, "\"status\":\"failed\""), 1u) << out;
+    EXPECT_EQ(countLines(out, "\"status\":\"ok\""), 1u) << out;
+}
+
+// A lenient replay that had to drop records analyzes what survived
+// but exits 1 in both forms, with the shared degraded-ingest line.
+TEST_F(CliReplay, DegradedLenientReplayExitsOne)
+{
+    for (const char *form : {"", "--json "}) {
+        SCOPED_TRACE(form);
+        std::string out;
+        EXPECT_EQ(deskparOutput(std::string("replay --lenient-traces ") +
+                                    form + bad,
+                                out, /*withStderr=*/true),
+                  1)
+            << out;
+        EXPECT_EQ(countLines(out, "deskpar: degraded ingest: "), 1u)
+            << out;
+    }
 }
 
 } // namespace

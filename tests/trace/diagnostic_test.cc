@@ -90,12 +90,12 @@ TEST(Diagnostic, JobFailureConvertsToRunnerError)
     apps::JobFailure failure;
     failure.job = 2;
     failure.label = "traces/broken.etl";
-    failure.error.reason = "header magic mismatch";
+    failure.reason = "header magic mismatch";
 
     trace::Diagnostic diagnostic = failure.diagnostic();
     EXPECT_EQ(diagnostic.severity, trace::Severity::Error);
     EXPECT_EQ(diagnostic.component, "runner");
-    // The job label fills in for errors that lack a source.
+    // The job label is the diagnostic's source.
     EXPECT_EQ(diagnostic.detail.source, "traces/broken.etl");
     EXPECT_EQ(diagnostic.detail.reason, "header magic mismatch");
 }

@@ -9,6 +9,7 @@
 
 #include "sim/logging.hh"
 #include "trace/etl.hh"
+#include "trace/ingest.hh"
 
 namespace {
 
@@ -164,9 +165,10 @@ TEST(Etl, FileRoundTrip)
     TraceBundle in = sampleBundle();
     std::string path = ::testing::TempDir() + "/deskpar_etl_test.etl";
     writeEtl(in, path);
-    TraceBundle out = readEtl(path);
-    EXPECT_EQ(out.cswitches.size(), in.cswitches.size());
-    EXPECT_EQ(out.processNames, in.processNames);
+    DecodedTrace decoded = decodeTraceFile(path, ParseOptions{}, "test");
+    ASSERT_TRUE(decoded.report.ok()) << decoded.report.summary();
+    EXPECT_EQ(decoded.bundle.cswitches.size(), in.cswitches.size());
+    EXPECT_EQ(decoded.bundle.processNames, in.processNames);
 }
 
 TEST(Etl, EmptyBundleRoundTrip)
@@ -187,12 +189,6 @@ TEST(Etl, BadMagicFatal)
     std::stringstream ss;
     ss << "NOTANETL_FILE_AT_ALL";
     EXPECT_THROW(readEtl(ss), deskpar::FatalError);
-}
-
-TEST(Etl, MissingFileFatal)
-{
-    EXPECT_THROW(readEtl(std::string("/nonexistent/nope.etl")),
-                 deskpar::FatalError);
 }
 
 TEST(Etl, TruncatedBodyFatal)

@@ -35,31 +35,33 @@
  *
  *   deskpar replay <file...> [--app PREFIX] [--lenient-traces]
  *           [--json]
- *       Re-analyze saved traces (.etl, block-compressed .etlc, or a
- *       CPU Usage .csv — formats are sniffed, not guessed from the
- *       name). A corrupt file fails that file only — its structured
- *       parse error is reported and every other file still completes.
- *       --lenient-traces skips malformed records instead and
- *       analyzes what remains (the report notes what was dropped).
- *       --json emits one analyze document per file (JSONL), the same
- *       schema the serve analyze op returns.
+ *       Re-analyze saved traces (.etl, .etlc or CPU Usage .csv),
+ *       each as the analysis::Service analyze request the serve
+ *       analyze op answers, in parallel, printed in argument order.
+ *       A corrupt or missing file fails only its own row ("deskpar:
+ *       <error>" on stderr). --lenient-traces analyzes what survives
+ *       malformed records instead ("deskpar: degraded ingest: ...").
+ *       Either failure exits 1. --json emits one analyze document
+ *       per file (JSONL), byte-identical to the serve analyze op's.
  *
  *   deskpar pack <trace> [-o OUT] [--verify] [--index] [--jobs N]
  *           [--lenient-traces]
  *       Convert a .etl or CPU-Usage .csv trace to the block-
  *       compressed columnar .etlc container (trace/etlc.hh) and
- *       print the size ratio. --verify re-decodes the packed file
- *       and cross-checks every analyzer output against the source
- *       (exit 1 on any mismatch); --index additionally writes the
- *       .dpidx spill of the built TraceIndex next to the output so
- *       later opens skip ingest entirely (analysis/index_cache.hh).
+ *       print the size ratio. An OUT ending in .csv is refused (every
+ *       reader takes that name for CSV text). --verify re-decodes the
+ *       packed file the way every command opens it and cross-checks
+ *       every analyzer output against the source (exit 1 on any
+ *       mismatch); --index additionally writes the .dpidx spill of
+ *       the built TraceIndex next to the output so later opens skip
+ *       ingest entirely (analysis/index_cache.hh).
  *
- *   deskpar stats <file...> [replay options] [--stats-json FILE]
- *           [--selftrace FILE]
- *       Replay with self-tracing on: the pipeline's own spans are
- *       collected, reported as JSON, serialized as a DeskPar .etl,
- *       and re-ingested so the toolkit computes the TLP of its own
- *       run (see src/obs/).
+ *   deskpar stats <file...> [--app PREFIX] [--lenient-traces]
+ *           [--stats-json FILE] [--selftrace FILE]
+ *       Replay (the same loop and table) with self-tracing on: the
+ *       pipeline's own spans are collected, reported as JSON,
+ *       serialized as a DeskPar .etl, and re-ingested so the toolkit
+ *       computes the TLP of its own run (see src/obs/).
  *
  *   deskpar query <file> [--json] [--explain] [--jobs N]
  *           [--lenient-traces] <spec>...
@@ -154,6 +156,7 @@
 #include "serve/json_value.hh"
 #include "serve/protocol.hh"
 #include "serve/server.hh"
+#include "sim/parallel.hh"
 #include "trace/csv.hh"
 #include "trace/diagnostic.hh"
 #include "trace/etl.hh"
@@ -212,15 +215,16 @@ constexpr CommandHelp kCommands[] = {
      "write <prefix>.md and <prefix>.jsonl (reproducibility dossier)"},
     {"replay",
      "replay <file...> [--app PREFIX] [--lenient-traces] [--json]",
-     "re-analyze saved .etl / .etlc / CPU-Usage .csv traces"},
+     "re-analyze saved .etl / .etlc / CPU-Usage .csv traces, one "
+     "Service analyze request each"},
     {"pack",
      "pack <trace> [-o OUT] [--verify] [--index] [--jobs N] "
      "[--lenient-traces]",
      "convert a trace to block-compressed columnar .etlc "
      "(+ optional .dpidx index cache)"},
     {"stats",
-     "stats <file...> [replay options] [--stats-json FILE] "
-     "[--selftrace FILE]",
+     "stats <file...> [--app PREFIX] [--lenient-traces] "
+     "[--stats-json FILE] [--selftrace FILE]",
      "replay with self-tracing: analyze DeskPar's own run with "
      "DeskPar"},
     {"query",
@@ -668,9 +672,8 @@ cmdSuite(CliOptions cli)
 struct ReplayOptions
 {
     std::vector<std::string> files;
-    std::string appPrefix;
-    bool lenient = false;
-    bool json = false;
+    /** --app, --lenient-traces and (replay only) --json. */
+    cli::CommonOptions common;
     /** stats only: output paths ("" = stdout / not written). */
     std::string statsJsonPath;
     std::string selfTracePath;
@@ -681,125 +684,124 @@ parseReplayOptions(const char *command, int argc, char **argv,
                    int first, bool statsFlags, ReplayOptions &opts)
 {
     cli::Parser parser(command);
-    parser.option("--app", "PREFIX", &opts.appPrefix);
-    parser.flag("--lenient-traces", &opts.lenient);
+    cli::addCommonOptions(parser, opts.common,
+                          cli::kOptApp | cli::kOptLenient |
+                              (statsFlags ? 0u : cli::kOptJson));
     if (statsFlags) {
         parser.option("--stats-json", "FILE", &opts.statsJsonPath);
         parser.option("--selftrace", "FILE", &opts.selfTracePath);
-    } else {
-        parser.flag("--json", &opts.json);
     }
     parser.positionals(&opts.files, 1, cli::Parser::kUnlimited,
                        "trace file");
     return parser.parse(argc, argv, first);
 }
 
-/** Run the replay batch: one recoverable job per file. */
-apps::SuiteOutcome
-runReplayBatch(const ReplayOptions &opts)
+/** One replayed file: its analyze result, or why it failed. */
+struct ReplayedFile
 {
-    apps::RunOptions options;
-    options.iterations = 1;
-    trace::ParseMode mode = opts.lenient ? trace::ParseMode::Lenient
-                                         : trace::ParseMode::Strict;
-    std::vector<apps::SuiteJob> jobs;
-    for (const std::string &file : opts.files)
-        jobs.push_back(
-            apps::replayJob(file, options, opts.appPrefix, mode));
+    analysis::ServiceAnalyzeResult result;
+    /** what() of the request's exception; empty on success. */
+    std::string error;
+    /** Pipeline diagnostics raised while answering this file. */
+    std::vector<trace::Diagnostic> diagnostics;
+};
 
-    // Collect pipeline diagnostics (lenient-ingest degradation,
-    // out-of-range-CPU analysis warnings) instead of letting worker
-    // threads interleave them on stderr mid-table; replay them once
-    // the batch is done.
-    trace::CollectingDiagnosticSink sink;
-    apps::SuiteOutcome outcome;
-    {
-        trace::ScopedDiagnosticSink scope(sink);
-        outcome = apps::SuiteRunner().runRecoverable(jobs);
-    }
-    for (const trace::Diagnostic &d : sink.diagnostics())
-        std::fprintf(stderr, "deskpar: %s\n", d.str().c_str());
-    return outcome;
+/**
+ * The replay loop behind `replay` (both forms) and `stats`: each
+ * file is one Service::analyze request (the serve analyze op's), on
+ * one shared Service at resolveJobs() threads. Each worker collects
+ * its file's diagnostics, so they print in argument order later.
+ */
+std::vector<ReplayedFile>
+replayFiles(const ReplayOptions &opts)
+{
+    analysis::Service service;
+    std::vector<ReplayedFile> files(opts.files.size());
+    sim::parallelFor(sim::resolveJobs(), files.size(),
+                     [&](std::size_t i) {
+        obs::Span span("replay.file", obs::SpanKind::Job, i);
+        trace::CollectingDiagnosticSink sink;
+        trace::ScopedThreadDiagnosticSink scope(sink);
+        analysis::ServiceTraceRequest request{
+            opts.files[i], opts.common.appPrefix, opts.common.lenient};
+        try {
+            files[i].result = service.analyze(request);
+        } catch (const std::exception &err) {
+            files[i].error = err.what();
+        }
+        files[i].diagnostics = sink.diagnostics();
+    });
+    return files;
 }
 
-/** Print the per-file replay table + failures; 0 when all files ok. */
+/**
+ * @p file's stderr lines: its diagnostics, then the shared
+ * `deskpar: <error>` or `deskpar: degraded ingest: <summary>` line.
+ * Returns the file's exit status: 1 when it failed or was degraded.
+ */
 int
-reportReplayOutcome(const ReplayOptions &opts,
-                    const apps::SuiteOutcome &outcome)
+reportReplayedFile(const ReplayedFile &file)
+{
+    for (const trace::Diagnostic &d : file.diagnostics)
+        std::fprintf(stderr, "deskpar: %s\n", d.str().c_str());
+    if (!file.error.empty())
+        std::fprintf(stderr, "deskpar: %s\n", file.error.c_str());
+    else if (file.result.degraded)
+        std::fprintf(stderr, "deskpar: degraded ingest: %s\n",
+                     file.result.degradedSummary.c_str());
+    else
+        return 0;
+    return 1;
+}
+
+/** The replay table, one row per file; 0 when every file is clean. */
+int
+printReplayTable(const ReplayOptions &opts,
+                 const std::vector<ReplayedFile> &files)
 {
     report::TextTable table({"Trace", "Size (MB)", "Ingest (MB/s)",
                              "TLP", "GPU util (%)", "Max conc.",
                              "Status"});
-    for (std::size_t j = 0; j < opts.files.size(); ++j) {
-        if (outcome.failed(j)) {
-            table.row()
-                .cell(opts.files[j])
-                .cell("-")
-                .cell("-")
-                .cell("-")
-                .cell("-")
-                .cell("-")
-                .cell("FAILED");
+    for (std::size_t i = 0; i < files.size(); ++i) {
+        table.row().cell(opts.files[i]);
+        if (!files[i].error.empty()) {
+            for (int dash = 0; dash < 5; ++dash)
+                table.cell("-");
+            table.cell("FAILED");
             continue;
         }
-        const apps::AppRunResult &result = outcome.results[j];
-        table.row()
-            .cell(opts.files[j])
-            .cell(static_cast<double>(result.ingest.bytes) / 1e6, 2)
-            .cell(result.ingest.mbPerSec(), 1)
-            .cell(result.tlp(), 2)
-            .cell(result.gpuUtil(), 1)
-            .cell(result.agg.maxConcurrency.mean(), 0)
+        const analysis::ServiceAnalyzeResult &r = files[i].result;
+        table.cell(static_cast<double>(r.ingest.bytes) / 1e6, 2)
+            .cell(r.ingest.mbPerSec(), 1)
+            .cell(r.metrics.tlp(), 2)
+            .cell(r.metrics.gpuUtilPercent(), 1)
+            .cell(std::uint64_t(r.metrics.concurrency.maxConcurrency()))
             .cell("ok");
     }
     table.print(std::cout);
-    for (const apps::JobFailure &f : outcome.failures)
-        std::fprintf(stderr, "deskpar: %s\n",
-                     f.diagnostic().str().c_str());
-    if (!outcome.ok()) {
-        std::fprintf(stderr, "deskpar: replay batch degraded: %s\n",
-                     outcome.ingest.summary().c_str());
-        return 1;
-    }
-    return 0;
+    int status = 0;
+    for (const ReplayedFile &file : files)
+        status |= reportReplayedFile(file);
+    return status;
 }
 
 /**
- * `replay --json`: one analyze document per file (JSONL) through the
- * same Service + document writer the serve analyze op uses, so the
- * two outputs are byte-identical. A failed file emits a failure
- * document and the batch continues, matching the table path's
- * fail-one-file-only contract.
+ * `replay --json`: one analyze document per file (JSONL; a failure
+ * document for a failed file), byte-identical to the serve op's.
  */
 int
-jsonReplay(const ReplayOptions &opts)
+printReplayDocuments(const ReplayOptions &opts,
+                     const std::vector<ReplayedFile> &files)
 {
-    analysis::Service service;
     int status = 0;
-    for (const std::string &file : opts.files) {
-        analysis::ServiceTraceRequest request;
-        request.path = file;
-        request.appPrefix = opts.appPrefix;
-        request.lenient = opts.lenient;
-        request.jobs = 0; // auto, like the batch replay path
-        try {
-            analysis::ServiceAnalyzeResult result =
-                service.analyze(request);
-            report::writeAnalyzeDocument(std::cout, result);
-            std::cout << '\n';
-            if (result.degraded) {
-                std::fprintf(stderr,
-                             "deskpar: degraded ingest: %s\n",
-                             result.degradedSummary.c_str());
-                status = 1;
-            }
-        } catch (const std::exception &err) {
-            report::writeAnalyzeFailureDocument(std::cout, file,
-                                                err.what());
-            std::cout << '\n';
-            std::fprintf(stderr, "deskpar: %s\n", err.what());
-            status = 1;
-        }
+    for (std::size_t i = 0; i < files.size(); ++i) {
+        if (files[i].error.empty())
+            report::writeAnalyzeDocument(std::cout, files[i].result);
+        else
+            report::writeAnalyzeFailureDocument(
+                std::cout, opts.files[i], files[i].error);
+        std::cout << '\n';
+        status |= reportReplayedFile(files[i]);
     }
     return status;
 }
@@ -811,9 +813,9 @@ cmdReplay(int argc, char **argv, int first)
     if (!parseReplayOptions("replay", argc, argv, first,
                             /*statsFlags=*/false, opts))
         return 2;
-    if (opts.json)
-        return jsonReplay(opts);
-    return reportReplayOutcome(opts, runReplayBatch(opts));
+    std::vector<ReplayedFile> files = replayFiles(opts);
+    return opts.common.json ? printReplayDocuments(opts, files)
+                            : printReplayTable(opts, files);
 }
 
 int
@@ -828,11 +830,11 @@ cmdStats(int argc, char **argv, int first)
     // when DESKPAR_OBS=1 already traced process startup.
     obs::setEnabled(true);
     obs::reset();
-    apps::SuiteOutcome outcome = runReplayBatch(opts);
+    std::vector<ReplayedFile> files = replayFiles(opts);
     obs::Snapshot snapshot = obs::collect();
     obs::setEnabled(false);
 
-    int status = reportReplayOutcome(opts, outcome);
+    int status = printReplayTable(opts, files);
 
     if (snapshot.empty()) {
         std::fprintf(stderr,
@@ -1065,6 +1067,13 @@ cmdPack(int argc, char **argv, int first)
                      path.c_str());
         return 1;
     }
+    if (trace::hasCsvName(outPath)) {
+        std::fprintf(stderr,
+                     "deskpar: pack output '%s' would read back as "
+                     "CPU-Usage CSV; pass -o with another name\n",
+                     outPath.c_str());
+        return 1;
+    }
 
     trace::ParseOptions popts;
     popts.mode = lenient ? trace::ParseMode::Lenient
@@ -1109,20 +1118,20 @@ cmdPack(int argc, char **argv, int first)
         return status;
 
     // Both --verify and --index re-decode the bytes actually on disk
-    // (strict: the file we just wrote must be flawless).
+    // the way every later command opens them (strict: the file we
+    // just wrote must be flawless).
     trace::ParseOptions vpopts;
-    vpopts.source = outPath;
     vpopts.threads = jobs;
-    trace::IngestReport vreport;
-    trace::TraceBundle packed =
-        trace::readEtlc(outPath, vpopts, vreport);
-    if (!vreport.ok()) {
+    trace::DecodedTrace reread =
+        trace::decodeTraceFile(outPath, vpopts, "pack");
+    if (!reread.report.ok()) {
         std::fprintf(stderr,
                      "deskpar: pack --verify: re-decode of %s "
                      "failed: %s\n",
-                     outPath.c_str(), vreport.summary().c_str());
+                     outPath.c_str(), reread.report.summary().c_str());
         return 1;
     }
+    trace::TraceBundle &packed = reread.bundle;
 
     auto mismatch = [&](const char *what) {
         std::fprintf(stderr,
