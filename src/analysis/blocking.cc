@@ -22,9 +22,10 @@ constexpr std::uint32_t kNone =
     std::numeric_limits<std::uint32_t>::max();
 
 /**
- * CPU ids below this index a vector grown on demand (headerless
- * streams carry no CPU count); larger ids, which only hostile
- * streams carry, go to a side map instead of a huge allocation.
+ * CPU ids below this index a vector grown on demand (a stream may
+ * use ids past its header's CPU count); larger ids, which only
+ * hostile streams carry, go to a side map instead of a huge
+ * allocation.
  */
 constexpr trace::CpuId kDenseCpus = 4096;
 
@@ -56,7 +57,6 @@ struct Occupant
     std::uint32_t id = kNone;
     SimTime since = 0;
     bool valid = false;
-    bool seen = false;
 };
 
 struct EdgeState
@@ -151,7 +151,6 @@ class Pass
     std::unordered_map<std::uint64_t, std::uint32_t> edgeIds_;
     std::vector<Occupant> cpus_;
     std::unordered_map<trace::CpuId, Occupant> otherCpus_;
-    SimTime minTs_ = std::numeric_limits<SimTime>::max();
     SimTime maxTs_ = 0;
 };
 
@@ -159,10 +158,8 @@ void
 Pass::run(BlockingReport &report)
 {
     for (const trace::CSwitchEvent &e : bundle_.cswitches) {
-        minTs_ = std::min(minTs_, e.timestamp);
         maxTs_ = std::max(maxTs_, e.timestamp);
         Occupant &occ = occupant(e.cpu);
-        occ.seen = true;
         close(occ, e.timestamp, report);
         if (e.newPid == 0) {
             occ.valid = false;
@@ -207,7 +204,7 @@ Pass::run(BlockingReport &report)
                 }
             }
         }
-        occ = Occupant{e.newPid, e.newTid, to, e.timestamp, true, true};
+        occ = Occupant{e.newPid, e.newTid, to, e.timestamp, true};
     }
 
     // Threads still on a CPU when the trace stops: their final
@@ -223,22 +220,12 @@ Pass::run(BlockingReport &report)
 void
 Pass::finalize(BlockingReport &report)
 {
-    // Headerless bundles (bare CPU-Usage CSVs) get the observed
-    // stream extent so the wait-TLP and serial-fraction ratios stay
-    // meaningful; ETL headers win when present.
-    if (bundle_.stopTime > bundle_.startTime) {
-        report.t0 = bundle_.startTime;
-        report.t1 = std::max(bundle_.stopTime, maxTs_);
-    } else if (!bundle_.cswitches.empty()) {
-        report.t0 = minTs_;
-        report.t1 = maxTs_;
-    }
+    // The decoders settle the window and CPU count (a bare CPU-Usage
+    // CSV gets the observed extent); the window reaches at least the
+    // last switch and is never inverted.
+    report.t0 = bundle_.startTime;
+    report.t1 = std::max({bundle_.stopTime, maxTs_, report.t0});
     report.numCpus = bundle_.numLogicalCpus;
-    if (report.numCpus == 0)
-        report.numCpus = static_cast<unsigned>(
-            otherCpus_.size() +
-            std::count_if(cpus_.begin(), cpus_.end(),
-                          [](const Occupant &o) { return o.seen; }));
 
     // A thread gets a row when it ran a (positive) segment, was
     // dispatched, or was the source of an edge, even a zero-wait one.

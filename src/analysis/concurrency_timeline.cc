@@ -23,17 +23,21 @@ buildConcurrencyTimeline(const trace::TraceBundle &bundle,
     // Emit (timestamp, +1/-1) occupancy deltas in stream order — the
     // per-CPU busy flags are a state machine over the stream, exactly
     // as in the reference sweep — and collect the dispatch and burst
-    // columns from the same transitions.
+    // columns from the same transitions. The stream is ordered, so
+    // the deltas, dispatches and waits come out sorted.
     std::vector<std::pair<SimTime, int>> deltas;
     deltas.reserve(bundle.cswitches.size());
     std::vector<std::uint8_t> cpuBusy(cutoff, 0);
     std::vector<SimTime> burstStart;
     if (bursts)
         burstStart.assign(cutoff, 0);
-    bool sorted = true;
     SimTime prev_ts = 0;
 
     for (const auto &e : bundle.cswitches) {
+        if (e.timestamp < prev_ts)
+            deskpar::panic("buildConcurrencyTimeline: cswitch stream "
+                           "out of timestamp order");
+        prev_ts = e.timestamp;
         if (!cpuInMask(spec.cpuMask, e.cpu))
             continue;
         bool target = isTargetSwitch(spec, e.newPid, e.newTid);
@@ -46,11 +50,6 @@ buildConcurrencyTimeline(const trace::TraceBundle &bundle,
                 std::min(e.readyTime, e.timestamp));
             waits->end.push_back(e.timestamp);
         }
-        if (e.timestamp < prev_ts)
-            sorted = false;
-        prev_ts = e.timestamp;
-        if (cutoff == 0)
-            continue;
         if (e.cpu >= cutoff) {
             ++tl.outOfRangeCpuEvents;
             continue;
@@ -68,29 +67,9 @@ buildConcurrencyTimeline(const trace::TraceBundle &bundle,
         }
         cpuBusy[e.cpu] = now_busy;
     }
-    // An ordered stream pushed both columns in order already: a sort
-    // (stable or not) of an ordered sequence is the identity, so only
-    // a disordered stream pays for one.
-    if (dispatches && !sorted)
-        std::sort(dispatches->begin(), dispatches->end());
     if (waits) {
-        // Sort by end (a stable sort keeps equal-end rows paired) and
-        // compute the suffix-minimum begin column.
+        // The suffix-minimum begin column of the end-sorted waits.
         const std::size_t n = waits->end.size();
-        if (!sorted) {
-            std::vector<std::pair<SimTime, SimTime>> rows;
-            rows.reserve(n);
-            for (std::size_t i = 0; i < n; ++i)
-                rows.emplace_back(waits->end[i], waits->begin[i]);
-            std::stable_sort(rows.begin(), rows.end(),
-                             [](const auto &a, const auto &b) {
-                                 return a.first < b.first;
-                             });
-            for (std::size_t i = 0; i < n; ++i) {
-                waits->end[i] = rows[i].first;
-                waits->begin[i] = rows[i].second;
-            }
-        }
         waits->minBegin.resize(n);
         SimTime mn = 0;
         for (std::size_t i = n; i-- > 0;) {
@@ -101,8 +80,7 @@ buildConcurrencyTimeline(const trace::TraceBundle &bundle,
     }
     if (bursts) {
         // CPUs still busy at the end of the stream: close the burst
-        // at the observation-window end. Disordered streams can
-        // produce inverted bursts; those are dropped on emission.
+        // at the observation-window end.
         for (unsigned cpu = 0; cpu < cutoff; ++cpu) {
             if (cpuBusy[cpu] && bundle.stopTime > burstStart[cpu])
                 bursts->bursts.push_back(
@@ -139,23 +117,9 @@ buildConcurrencyTimeline(const trace::TraceBundle &bundle,
                           static_cast<std::ptrdiff_t>(B));
     }
 
-    if (cutoff == 0)
-        return; // every query must take the sweep path (it fatals)
-
-    // The reference sweep stable-sorts its (clamped) deltas; sorting
-    // the unclamped emission stably yields the same per-timestamp
-    // group sums for every window, which is all the level function
-    // depends on.
-    if (!sorted) {
-        std::stable_sort(deltas.begin(), deltas.end(),
-                         [](const auto &a, const auto &b) {
-                             return a.first < b.first;
-                         });
-    }
-
-    // Compress equal-timestamp groups into breakpoints. A negative
-    // cumulative level means the (disordered) stream closed a CPU
-    // before opening it; poison the timeline so queries fall back.
+    // Compress equal-timestamp groups into breakpoints. In an
+    // ordered stream every CPU opens before it closes, so each level
+    // lies in [0, cutoff].
     long long level = 0;
     for (std::size_t i = 0; i < deltas.size();) {
         SimTime ts = deltas[i].first;
@@ -165,15 +129,9 @@ buildConcurrencyTimeline(const trace::TraceBundle &bundle,
         if (sum == 0)
             continue;
         level += sum;
-        if (level < 0) {
-            tl.times.clear();
-            tl.levels.clear();
-            return;
-        }
         tl.times.push_back(ts);
         tl.levels.push_back(static_cast<int>(level));
     }
-    tl.usable = true;
 
     // Checkpoint rows: running per-level time at every kStride-th
     // breakpoint. Integer sums, so checkpoint differences decompose
@@ -194,11 +152,9 @@ buildConcurrencyTimeline(const trace::TraceBundle &bundle,
                               (j / ConcurrencyTimeline::kStride) *
                               L));
         }
-        if (j + 1 < n) {
-            auto lvl = static_cast<unsigned>(std::clamp(
-                tl.levels[j], 0, static_cast<int>(cutoff)));
-            acc[lvl] += tl.times[j + 1] - tl.times[j];
-        }
+        if (j + 1 < n)
+            acc[static_cast<unsigned>(tl.levels[j])] +=
+                tl.times[j + 1] - tl.times[j];
     }
 }
 
@@ -270,16 +226,6 @@ burstHistogram(const BurstColumns &bc, SimTime t0, SimTime t1,
     count += k - b0;
     clampRange(k, last);
     return count;
-}
-
-ConcurrencyProfile
-queryConcurrencyTimeline(const ConcurrencyTimeline &tl, SimTime t0,
-                         SimTime t1)
-{
-    ConcurrencyProfile profile;
-    std::vector<SimDuration> timeAt;
-    queryConcurrencyTimeline(tl, t0, t1, profile, timeAt);
-    return profile;
 }
 
 void
@@ -356,85 +302,6 @@ queryConcurrencyTimeline(const ConcurrencyTimeline &tl, SimTime t0,
     double window = static_cast<double>(profile.window);
     for (std::size_t i = 0; i < L; ++i)
         profile.c[i] = static_cast<double>(timeAt[i]) / window;
-}
-
-ConcurrencyProfile
-sweepConcurrency(const trace::TraceBundle &bundle,
-                 const TimelineSpec &spec, SimTime t0, SimTime t1)
-{
-    const unsigned num_cpus = bundle.numLogicalCpus;
-    // Sweep the per-CPU run timelines into +1/-1 deltas at the times
-    // a target thread starts/stops occupying a CPU. A flat sorted
-    // vector replaces the old std::map: one O(n log n) sort instead
-    // of a red-black-tree insert per context switch, and the per-CPU
-    // busy flags are a flat array indexed by CpuId.
-    std::vector<std::pair<SimTime, int>> deltas;
-    deltas.reserve(bundle.cswitches.size());
-    std::vector<std::uint8_t> cpuBusy(num_cpus, 0);
-    std::uint64_t out_of_range = 0;
-
-    for (const auto &e : bundle.cswitches) {
-        if (!cpuInMask(spec.cpuMask, e.cpu))
-            continue;
-        if (e.cpu >= cpuBusy.size()) {
-            // A cpu id past the header's CPU count contradicts the
-            // trace; count it instead of growing the histogram and
-            // clamp-folding the phantom CPU into the top level.
-            ++out_of_range;
-            continue;
-        }
-        std::uint8_t now_busy =
-            isTargetSwitch(spec, e.newPid, e.newTid) ? 1 : 0;
-        if (cpuBusy[e.cpu] == now_busy)
-            continue;
-        SimTime ts = std::clamp(e.timestamp, t0, t1);
-        deltas.emplace_back(ts, now_busy ? 1 : -1);
-        cpuBusy[e.cpu] = now_busy;
-    }
-    // Threads still on a CPU at the window end: close at t1 (the
-    // delta list records the +1; no -1 needed since the sweep ends).
-
-    // cswitches are chronological, so a stable sort keeps each CPU's
-    // +1 ahead of its matching -1 even when clamping collapses both
-    // onto a window edge.
-    std::stable_sort(deltas.begin(), deltas.end(),
-                     [](const auto &a, const auto &b) {
-                         return a.first < b.first;
-                     });
-
-    ConcurrencyProfile profile;
-    profile.numCpus = num_cpus;
-    profile.window = t1 - t0;
-    profile.c.assign(num_cpus + 1, 0.0);
-    profile.outOfRangeCpuEvents = out_of_range;
-
-    SimTime prev = t0;
-    int level = 0;
-    std::vector<SimDuration> timeAt(num_cpus + 1, 0);
-    for (const auto &[ts, delta] : deltas) {
-        if (ts > prev) {
-            if (level < 0)
-                deskpar::panic(
-                    "computeConcurrency: negative concurrency");
-            auto lvl = static_cast<unsigned>(std::clamp(
-                level, 0, static_cast<int>(num_cpus)));
-            timeAt[lvl] += ts - prev;
-            prev = ts;
-        }
-        level += delta;
-    }
-    if (level < 0)
-        deskpar::panic("computeConcurrency: negative concurrency");
-    if (t1 > prev) {
-        auto lvl = static_cast<unsigned>(
-            std::clamp(level, 0, static_cast<int>(num_cpus)));
-        timeAt[lvl] += t1 - prev;
-    }
-
-    double window = static_cast<double>(profile.window);
-    for (unsigned i = 0; i <= num_cpus; ++i)
-        profile.c[i] = static_cast<double>(timeAt[i]) / window;
-    return profile;
 }
 
 } // namespace deskpar::analysis::detail

@@ -12,6 +12,12 @@
  * index-backed queries bit-identical to the reference sweeps in
  * tests/reference/.
  *
+ * The cswitch stream must be in timestamp order, as every decoder
+ * leaves it (trace::canonicalize): the builder panics on a
+ * disordered stream, which only a hand-built bundle can hold. Order
+ * is what makes one pass enough — the deltas, dispatches and waits
+ * are emitted sorted, and the level never goes negative.
+ *
  * The builder can additionally collect, in the same single pass:
  *  - the sorted switch-in (dispatch) column, used by responsiveness
  *    and by the context-switch-rate metric,
@@ -113,18 +119,11 @@ isTargetSwitch(const TimelineSpec &spec, trace::Pid pid, trace::Tid tid)
  * l over [times[0], times[k*kStride]). A windowed query therefore
  * costs two binary searches, one checkpoint-row difference, and at
  * most kStride edge segments per side.
- *
- * usable is false when the stream cannot be represented faithfully:
- * the header reports zero CPUs, or disorder produced a negative
- * cumulative level (whether the direct sweep panics on such a trace
- * depends on the queried window, so those queries take the sweep
- * path verbatim).
  */
 struct ConcurrencyTimeline
 {
     static constexpr std::size_t kStride = 32;
 
-    bool usable = false;
     unsigned cutoff = 0;
     std::uint64_t outOfRangeCpuEvents = 0;
     std::vector<sim::SimTime> times;
@@ -175,6 +174,7 @@ struct WaitColumns
  * column, the busy-burst columns, and the ready-wait columns. With a
  * default-constructed filter (beyond the pid set) this is the
  * original TraceIndex sweep, preserved operation for operation.
+ * Panics when the cswitch stream is out of timestamp order.
  */
 void buildConcurrencyTimeline(const trace::TraceBundle &bundle,
                               const TimelineSpec &spec,
@@ -198,38 +198,18 @@ std::uint64_t burstHistogram(const BurstColumns &columns,
                              std::uint64_t *histogram);
 
 /**
- * Windowed histogram from a usable timeline. Bit-identical to the
- * reference sweep: the time-at-level decomposition is the same
- * integer sum split differently, and the single divide-by-window per
- * level is the only floating-point operation.
- */
-ConcurrencyProfile queryConcurrencyTimeline(
-    const ConcurrencyTimeline &timeline, sim::SimTime t0,
-    sim::SimTime t1);
-
-/**
- * The same query into @p profile, reusing its `c` vector and the
- * per-level @p timeAt scratch: no allocation once both have grown,
- * for callers that answer many windows (planner rows, series).
+ * Windowed histogram from a timeline, into @p profile. Bit-identical
+ * to the reference sweep: the time-at-level decomposition is the
+ * same integer sum split differently, and the single divide-by-window
+ * per level is the only floating-point operation. Reuses the
+ * profile's `c` vector and the per-level @p timeAt scratch: no
+ * allocation once both have grown, for callers that answer many
+ * windows (planner rows, series).
  */
 void queryConcurrencyTimeline(const ConcurrencyTimeline &timeline,
                               sim::SimTime t0, sim::SimTime t1,
                               ConcurrencyProfile &profile,
                               std::vector<sim::SimDuration> &timeAt);
-
-/**
- * The direct single-sweep concurrency histogram over
- * [@p t0, @p t1), generalized over TimelineSpec, with the header's
- * CPU count (bundle.numLogicalCpus) as n. The answer for timelines
- * that are not usable, and with the default spec the reference the
- * timeline queries are tested against. Emits no warning: the count
- * lands in ConcurrencyProfile::outOfRangeCpuEvents and callers
- * report it (TraceIndex::warnOutOfRangeOnce). The CPU count must be
- * nonzero and the window non-empty; callers keep the fatal checks.
- */
-ConcurrencyProfile sweepConcurrency(const trace::TraceBundle &bundle,
-                                    const TimelineSpec &spec,
-                                    sim::SimTime t0, sim::SimTime t1);
 
 } // namespace deskpar::analysis::detail
 

@@ -106,11 +106,6 @@ saveIndexCache(const Session &session, const std::string &tracePath,
         return false;
 
     std::string columns = session.index().serializeColumns();
-    if (columns.empty()) {
-        error = "index is not cacheable (queries fall back to the "
-                "legacy sweep)";
-        return false;
-    }
 
     // The columns replace the cswitch stream; everything else the
     // analyses read (names, GPU packets, frames, lifecycle, markers)

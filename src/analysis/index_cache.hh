@@ -83,8 +83,7 @@ std::string indexCachePath(const std::string &tracePath);
  * its bundle) next to @p tracePath. The caller should have warmed
  * the pid sets it wants servable (TraceIndex::warm); only built
  * columns are spilled. Returns false with @p error set when the
- * trace identity cannot be probed, the index is not cacheable
- * (direct-sweep fallback timeline), the bundle fails .etlc encoding
+ * trace identity cannot be probed, the bundle fails .etlc encoding
  * validation, or the file cannot be written.
  */
 bool saveIndexCache(const Session &session,

@@ -352,20 +352,9 @@ QueryPlan::execute(std::vector<QueryResult> results,
                     "computeConcurrency: unknown CPU count");
             if (task.t1 <= task.t0)
                 deskpar::fatal("computeConcurrency: empty window");
-            const detail::ConcurrencyTimeline &timeline =
-                columns[task.filterIdx]->timeline;
-            if (timeline.usable) {
-                detail::queryConcurrencyTimeline(timeline, task.t0,
-                                                 task.t1,
-                                                 scratch.profile,
-                                                 scratch.timeAt);
-            } else {
-                // Poisoned timeline (disordered stream): the direct
-                // sweep, panics and all, warning already deduped.
-                scratch.profile = detail::sweepConcurrency(
-                    bundle, filters_[task.filterIdx].spec, task.t0,
-                    task.t1);
-            }
+            detail::queryConcurrencyTimeline(
+                columns[task.filterIdx]->timeline, task.t0, task.t1,
+                scratch.profile, scratch.timeAt);
             result.rows[task.firstRow].value =
                 detail::metricFromProfile(task.metric, scratch.profile);
             break;

@@ -56,8 +56,7 @@ buildSeries(const TraceBundle &bundle, sim::SimDuration window,
 /**
  * One concurrency series: the pid set's timeline is resolved at the
  * first window and each window is answered from it with no lock, no
- * span and no allocation. An unusable timeline (disordered stream, no
- * CPU count) falls back to TraceIndex::concurrency per window.
+ * span and no allocation.
  */
 template <typename Value>
 TimeSeries
@@ -66,22 +65,16 @@ concurrencyValueSeries(const TraceIndex &index, const PidSet &pids,
                        Value value)
 {
     obs::Span span("index.series.concurrency", obs::SpanKind::Query);
-    bool resolved = false;
     const detail::ConcurrencyTimeline *timeline = nullptr;
     ConcurrencyProfile profile;
     std::vector<sim::SimDuration> timeAt;
     return buildSeries(
         index.bundle(), window, std::move(name),
         [&](sim::SimTime t0, sim::SimTime t1) {
-            if (!resolved) {
-                timeline = index.concurrencyTimeline(pids);
-                resolved = true;
-            }
-            if (timeline)
-                detail::queryConcurrencyTimeline(*timeline, t0, t1,
-                                                 profile, timeAt);
-            else
-                profile = index.concurrency(pids, t0, t1);
+            if (!timeline)
+                timeline = &index.concurrencyTimeline(pids);
+            detail::queryConcurrencyTimeline(*timeline, t0, t1,
+                                             profile, timeAt);
             return value(profile);
         });
 }

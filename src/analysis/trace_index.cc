@@ -352,26 +352,11 @@ TraceIndex::concurrency(const PidSet &pids, SimTime t0,
         deskpar::fatal("computeConcurrency: unknown CPU count");
     if (t1 <= t0)
         deskpar::fatal("computeConcurrency: empty window");
-
-    const detail::ConcurrencyTimeline &timeline =
-        cswitchColumns(pids).columns.timeline;
-    if (!timeline.usable) {
-        if (restored_)
-            deskpar::fatal(
-                "TraceIndex: query needs a cswitch sweep the "
-                "restored index cache cannot answer (reopen the "
-                "trace with a cold ingest)");
-        // Direct sweep; its out-of-range count is reported once per
-        // trace, like the timeline's.
-        detail::TimelineSpec spec;
-        spec.pids = pids;
-        ConcurrencyProfile profile =
-            detail::sweepConcurrency(bundle_, spec, t0, t1);
-        warnOutOfRangeOnce(profile.outOfRangeCpuEvents,
-                           bundle_.numLogicalCpus);
-        return profile;
-    }
-    return detail::queryConcurrencyTimeline(timeline, t0, t1);
+    ConcurrencyProfile profile;
+    std::vector<SimDuration> timeAt;
+    detail::queryConcurrencyTimeline(
+        cswitchColumns(pids).columns.timeline, t0, t1, profile, timeAt);
+    return profile;
 }
 
 ConcurrencyProfile
@@ -380,14 +365,12 @@ TraceIndex::concurrency(const PidSet &pids) const
     return concurrency(pids, bundle_.startTime, bundle_.stopTime);
 }
 
-const detail::ConcurrencyTimeline *
+const detail::ConcurrencyTimeline &
 TraceIndex::concurrencyTimeline(const PidSet &pids) const
 {
     if (bundle_.numLogicalCpus == 0)
-        return nullptr;
-    const detail::ConcurrencyTimeline &timeline =
-        cswitchColumns(pids).columns.timeline;
-    return timeline.usable ? &timeline : nullptr;
+        deskpar::fatal("computeConcurrency: unknown CPU count");
+    return cswitchColumns(pids).columns.timeline;
 }
 
 TraceIndex::GpuWindows
@@ -539,10 +522,6 @@ TraceIndex::serializeColumns() const
                                       slot->framesBuilt});
         }
     }
-    for (const Spilled &entry : spilled) {
-        if (entry.cswitch && !entry.slot->columns.timeline.usable)
-            return std::string(); // direct-sweep index: no cache
-    }
 
     std::string out;
     trace::putVarint(out, kColumnsVersion);
@@ -584,7 +563,7 @@ TraceIndex::serializeColumns() const
         out.push_back(entry.cswitch ? 1 : 0);
         if (entry.cswitch) {
             const detail::ConcurrencyTimeline &tl = c.timeline;
-            out.push_back(tl.usable ? 1 : 0);
+            out.push_back(1); // blob v1's timeline flag; always set
             trace::putVarint(out, tl.cutoff);
             trace::putVarint(out, tl.outOfRangeCpuEvents);
             trace::putVarint(out, tl.times.size());
@@ -729,7 +708,8 @@ TraceIndex::adoptColumns(std::string_view data, std::string *error)
             detail::ConcurrencyTimeline &tl = cols->columns.timeline;
             if (!getByte(data, pos, flag))
                 return fail("truncated timeline header");
-            tl.usable = flag != 0;
+            if (flag != 1)
+                return fail("timeline flag is not set");
             std::uint64_t cutoff = 0;
             if (!getU64(data, pos, cutoff) ||
                 !getU64(data, pos, tl.outOfRangeCpuEvents))

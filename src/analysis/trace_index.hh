@@ -34,12 +34,13 @@
  * Every query is bit-identical to the single-sweep reference
  * implementations the differential tests hold (tests/reference/): the
  * integer time-at-level decomposition is exact, and floating-point
- * folds reuse the reference operation order. One kind of trace has
- * no usable timeline: a disordered stream that produces negative
- * concurrency. Its concurrency queries fall back to the direct sweep
- * (detail::sweepConcurrency), panics and all. A header with no CPU
- * count has no usable timeline either, but concurrency queries on it
- * are fatal.
+ * folds reuse the reference operation order. The index takes the
+ * bundle in the canonical form every decoder leaves it in
+ * (trace::canonicalize): cswitches in timestamp order — the timeline
+ * builder panics otherwise — and a CPU count settled from the stream
+ * when the header had none. Concurrency queries on a bundle with no
+ * CPU count, which only a trace without context switches keeps, are
+ * fatal.
  *
  * Thread safety: each filter slot has its own build mutex, so two
  * threads asking for one filter build it once while different
@@ -91,8 +92,7 @@ class TraceIndex
      * Concurrency histogram of @p pids (empty = every non-idle
      * process) over [@p t0, @p t1), with the header's CPU count as
      * n. Fatal when the header has no CPU count or the window is
-     * empty. Timelines poisoned by disordered streams fall back to
-     * the direct sweep.
+     * empty.
      */
     ConcurrencyProfile concurrency(const PidSet &pids, sim::SimTime t0,
                                    sim::SimTime t1) const;
@@ -101,15 +101,13 @@ class TraceIndex
     ConcurrencyProfile concurrency(const PidSet &pids) const;
 
     /**
-     * The concurrency timeline of @p pids when it answers windowed
-     * queries by itself: the bundle header names a CPU count and the
-     * timeline is usable at it. Then concurrency(pids, t0, t1) is
-     * exactly detail::queryConcurrencyTimeline(*timeline, t0, t1),
-     * which a series evaluates per window with no lock and no span.
-     * nullptr otherwise: the caller falls back to concurrency() per
-     * window (its sweep, or its fatal error).
+     * The concurrency timeline of @p pids: on a non-empty window,
+     * concurrency(pids, t0, t1) is exactly what
+     * detail::queryConcurrencyTimeline answers from it, which a
+     * series does per window with no lock and no span. Fatal when
+     * the header has no CPU count.
      */
-    const detail::ConcurrencyTimeline *
+    const detail::ConcurrencyTimeline &
     concurrencyTimeline(const PidSet &pids) const;
 
     /**
@@ -206,10 +204,7 @@ class TraceIndex
      * checkpoints, dispatch column, wait intervals and frame
      * statistics. Slots and families built only for the query
      * planner's filters are not written, so the blob does not depend
-     * on which query batches ran first. Returns an empty string when
-     * any written timeline is unusable (disordered stream): such an
-     * index answers queries through the direct fallback sweep, which
-     * a warm reopen cannot reproduce, so it is not cacheable.
+     * on which query batches ran first.
      */
     std::string serializeColumns() const;
 
@@ -219,10 +214,10 @@ class TraceIndex
      * column build (fatal otherwise). Returns false with @p error set
      * when the blob is malformed; the index is left empty and usable
      * for a normal cold build. On success the index is marked
-     * restored(): queries against pid sets absent from the blob, and
-     * windowed sweeps the checkpoints cannot answer, fail loudly
-     * instead of silently recomputing from a bundle whose cswitch
-     * stream the cache intentionally omits.
+     * restored(): queries against pid sets or column families
+     * absent from the blob fail loudly instead of silently
+     * recomputing from a bundle whose cswitch stream the cache
+     * intentionally omits.
      */
     bool adoptColumns(std::string_view data, std::string *error);
 

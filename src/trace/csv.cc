@@ -9,6 +9,7 @@
 #include "obs/obs.hh"
 #include "sim/logging.hh"
 #include "sim/parallel.hh"
+#include "trace/merge.hh"
 
 namespace deskpar::trace {
 
@@ -214,8 +215,8 @@ parseCpuRow(const Fields &fields, CSwitchEvent &e, NameTable &names,
                        line, err))
         return false;
     e.newTid = static_cast<Tid>(v);
-    if (!numericColumn(fields, 3, "CPU", kU32Max, v, source, line,
-                       err))
+    if (!numericColumn(fields, 3, "CPU", kMaxLogicalCpus - 1, v,
+                       source, line, err))
         return false;
     e.cpu = static_cast<CpuId>(v);
     if (!numericColumn(fields, 4, "Ready Time (ns)", kU64Max,
@@ -947,7 +948,10 @@ readCpuUsageCsv(std::istream &in, TraceBundle &bundle,
         bundle.cswitches.push_back(e);
         return true;
     };
-    return readCsv(in, options, "New Process,", 9, row);
+    IngestReport report =
+        readCsv(in, options, "New Process,", 9, row);
+    canonicalize(bundle);
+    return report;
 }
 
 IngestReport
@@ -971,7 +975,7 @@ IngestReport
 decodeCpuUsageCsv(io::ByteSpan data, TraceBundle &bundle,
                   const ParseOptions &options)
 {
-    return readCsvSpan(
+    IngestReport report = readCsvSpan(
         data, bundle.cswitches, bundle.processNames, options,
         "New Process,", 9,
         [mode = options.mode](
@@ -982,6 +986,8 @@ decodeCpuUsageCsv(io::ByteSpan data, TraceBundle &bundle,
             return parseCpuRow(fields, e, names, source, line, mode,
                                clamped, err);
         });
+    canonicalize(bundle);
+    return report;
 }
 
 IngestReport

@@ -55,8 +55,11 @@ void writeGpuUtilCsv(const TraceBundle &bundle, const std::string &path);
 
 /**
  * Parse a "CPU Usage (Precise)" CSV back into cswitch events and the
- * process-name table of @p bundle. Header row required. Other fields
- * of @p bundle are left untouched. Never throws on malformed content:
+ * process-name table of @p bundle, then canonicalize it (merge.hh):
+ * the export carries no ordering guarantee, CPU count or window, so
+ * rows are sorted and a CPU count and window of 0 are settled from
+ * the rows. Header row required; a CPU id at or above
+ * kMaxLogicalCpus is a row error. Never throws on malformed content:
  * defects are reported per ParseOptions::mode (strict: first defect
  * stops the file; lenient: defective rows are skipped and counted).
  */

@@ -6,6 +6,7 @@
 
 #include "obs/obs.hh"
 #include "sim/logging.hh"
+#include "trace/merge.hh"
 
 namespace deskpar::trace {
 
@@ -521,8 +522,18 @@ decodeEtlBody(io::ByteSpan data, const ParseOptions &options,
         !headerField("stopTime", value))
         return bundle;
     bundle.stopTime = value;
+    std::size_t cpusPos = r.pos;
     if (!headerField("numLogicalCpus", value))
         return bundle;
+    if (value > kMaxLogicalCpus) {
+        ParseError err = r.makeError(
+            "header", ParseError::kNoPosition, cpusPos,
+            "CPU count " + std::to_string(value) + " exceeds " +
+                std::to_string(kMaxLogicalCpus));
+        err.field = "numLogicalCpus";
+        r.note(std::move(err));
+        return bundle;
+    }
     bundle.numLogicalCpus = static_cast<std::uint32_t>(value);
 
     bool lenient = options.mode == ParseMode::Lenient;
@@ -759,7 +770,10 @@ decodeEtl(io::ByteSpan data, const ParseOptions &options,
         report.note(std::move(err), options.maxStoredErrors);
         return TraceBundle{};
     }
-    return decodeEtlBody(data.substr(sizeof(kMagic)), options, report);
+    TraceBundle bundle =
+        decodeEtlBody(data.substr(sizeof(kMagic)), options, report);
+    canonicalize(bundle);
+    return bundle;
 }
 
 TraceBundle
@@ -800,7 +814,9 @@ readEtl(std::istream &in, const ParseOptions &options,
     while (in.read(buf, sizeof(buf)) || in.gcount() > 0)
         data.append(buf, static_cast<std::size_t>(in.gcount()));
 
-    return decodeEtlBody(data, options, report);
+    bundle = decodeEtlBody(data, options, report);
+    canonicalize(bundle);
+    return bundle;
 }
 
 TraceBundle

@@ -61,7 +61,9 @@ void writeEtl(const TraceBundle &bundle, std::ostream &out);
  * Read a bundle, reporting malformed content per @p options instead
  * of throwing: strict mode stops at the first defect (discard the
  * bundle when !report.ok()); lenient mode skips what it must and
- * returns everything that decoded cleanly.
+ * returns everything that decoded cleanly, canonicalized (merge.hh).
+ * A header CPU count above kMaxLogicalCpus fails the file in both
+ * modes.
  */
 TraceBundle readEtl(std::istream &in, const ParseOptions &options,
                     IngestReport &report);

@@ -12,6 +12,7 @@
 #include "sim/logging.hh"
 #include "sim/parallel.hh"
 #include "trace/etl.hh"
+#include "trace/merge.hh"
 
 namespace deskpar::trace {
 
@@ -1254,8 +1255,18 @@ decodeEtlcBody(io::ByteSpan data, const ParseOptions &options,
         !headerField("stopTime", value))
         return bundle;
     bundle.stopTime = value;
+    std::size_t cpusPos = r.pos;
     if (!headerField("numLogicalCpus", value))
         return bundle;
+    if (value > kMaxLogicalCpus) {
+        ParseError err = r.makeError(
+            "header", ParseError::kNoPosition, cpusPos,
+            "CPU count " + std::to_string(value) + " exceeds " +
+                std::to_string(kMaxLogicalCpus));
+        err.field = "numLogicalCpus";
+        r.note(std::move(err));
+        return bundle;
+    }
     bundle.numLogicalCpus = static_cast<std::uint32_t>(value);
 
     bool lenient = options.mode == ParseMode::Lenient;
@@ -1758,8 +1769,10 @@ decodeEtlc(io::ByteSpan data, const ParseOptions &options,
         report.note(std::move(err), options.maxStoredErrors);
         return TraceBundle{};
     }
-    return decodeEtlcBody(data.substr(sizeof(kMagic)), options,
-                          report);
+    TraceBundle bundle =
+        decodeEtlcBody(data.substr(sizeof(kMagic)), options, report);
+    canonicalize(bundle);
+    return bundle;
 }
 
 std::vector<EtlcBlockRef>

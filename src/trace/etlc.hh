@@ -84,7 +84,8 @@ void writeEtlc(const TraceBundle &bundle, const std::string &path);
  * mode skips defective blocks (later blocks still decode — each block
  * restarts its timestamp base) and defective section frames, counting
  * and reporting every drop. Output is byte-identical at every thread
- * count.
+ * count, and canonicalized (merge.hh). A header CPU count above
+ * kMaxLogicalCpus fails the file in both modes.
  */
 TraceBundle decodeEtlc(io::ByteSpan data, const ParseOptions &options,
                        IngestReport &report);

@@ -6,28 +6,77 @@
 
 namespace deskpar::trace {
 
+namespace {
+
+/** Stable-sort @p events by @p key unless they are in order already. */
+template <typename Event, typename Key>
+void
+sortStream(std::vector<Event> &events, Key key)
+{
+    auto before = [key](const Event &a, const Event &b) {
+        return key(a) < key(b);
+    };
+    if (!std::is_sorted(events.begin(), events.end(), before))
+        std::stable_sort(events.begin(), events.end(), before);
+}
+
+} // namespace
+
 void
 sortBundle(TraceBundle &bundle)
 {
-    auto byTime = [](const auto &a, const auto &b) {
-        return a.timestamp < b.timestamp;
+    auto timestamp = [](const auto &e) { return e.timestamp; };
+    sortStream(bundle.cswitches, timestamp);
+    sortStream(bundle.gpuPackets,
+               [](const GpuPacketEvent &p) { return p.start; });
+    sortStream(bundle.frames, timestamp);
+    sortStream(bundle.threadEvents, timestamp);
+    sortStream(bundle.processEvents, timestamp);
+    sortStream(bundle.markers, timestamp);
+}
+
+void
+canonicalize(TraceBundle &bundle)
+{
+    sortBundle(bundle);
+
+    if (bundle.numLogicalCpus == 0 && !bundle.cswitches.empty()) {
+        CpuId top = 0;
+        for (const CSwitchEvent &e : bundle.cswitches)
+            top = std::max(top, e.cpu);
+        bundle.numLogicalCpus =
+            top < kMaxLogicalCpus ? top + 1 : kMaxLogicalCpus;
+    }
+
+    if (bundle.stopTime > bundle.startTime)
+        return;
+    bool seen = false;
+    SimTime lo = 0, hi = 0;
+    auto observe = [&](SimTime t) {
+        lo = seen ? std::min(lo, t) : t;
+        hi = seen ? std::max(hi, t) : t;
+        seen = true;
     };
-    std::stable_sort(bundle.cswitches.begin(),
-                     bundle.cswitches.end(), byTime);
-    std::stable_sort(bundle.gpuPackets.begin(),
-                     bundle.gpuPackets.end(),
-                     [](const GpuPacketEvent &a,
-                        const GpuPacketEvent &b) {
-                         return a.start < b.start;
-                     });
-    std::stable_sort(bundle.frames.begin(), bundle.frames.end(),
-                     byTime);
-    std::stable_sort(bundle.threadEvents.begin(),
-                     bundle.threadEvents.end(), byTime);
-    std::stable_sort(bundle.processEvents.begin(),
-                     bundle.processEvents.end(), byTime);
-    std::stable_sort(bundle.markers.begin(), bundle.markers.end(),
-                     byTime);
+    // Sorted streams: the extent of each is its first and last event.
+    auto ends = [&](const auto &events) {
+        if (!events.empty()) {
+            observe(events.front().timestamp);
+            observe(events.back().timestamp);
+        }
+    };
+    ends(bundle.cswitches);
+    ends(bundle.frames);
+    ends(bundle.threadEvents);
+    ends(bundle.processEvents);
+    ends(bundle.markers);
+    for (const GpuPacketEvent &p : bundle.gpuPackets) {
+        observe(p.start);
+        observe(p.finish);
+    }
+    if (seen) {
+        bundle.startTime = lo;
+        bundle.stopTime = hi;
+    }
 }
 
 ParseResult<TraceBundle>

@@ -33,8 +33,22 @@ ParseResult<TraceBundle> mergeBundlesChecked(const TraceBundle &a,
  */
 TraceBundle mergeBundles(const TraceBundle &a, const TraceBundle &b);
 
-/** Sort every event stream of @p bundle by timestamp, in place. */
+/**
+ * Stable-sort every event stream of @p bundle by timestamp (GPU
+ * packets by start), in place. A stream already in order costs one
+ * scan and is not touched.
+ */
 void sortBundle(TraceBundle &bundle);
+
+/**
+ * Settle @p bundle into the canonical form every analysis assumes;
+ * every decoder ends with this call. Each stream is put in timestamp
+ * order (sortBundle). A CPU count of 0 becomes the largest observed
+ * CPU id + 1, capped at kMaxLogicalCpus; with no context switches it
+ * stays 0. An empty window (stopTime <= startTime) becomes the
+ * observed event extent.
+ */
+void canonicalize(TraceBundle &bundle);
 
 } // namespace deskpar::trace
 

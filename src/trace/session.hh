@@ -38,6 +38,13 @@ enum ProviderFlags : std::uint32_t {
  * what analyses consume; it can be produced live (TraceSession), read
  * from an .etl container, or parsed back from CSV.
  */
+/**
+ * The largest CPU count a trace may claim (16x the largest simulated
+ * package): readers refuse a header above it and a CSV CPU id at or
+ * above it, so hostile bytes cannot size a CPU-indexed allocation.
+ */
+inline constexpr std::uint32_t kMaxLogicalCpus = 1024;
+
 struct TraceBundle
 {
     /** Observation window. */

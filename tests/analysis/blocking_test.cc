@@ -31,6 +31,7 @@
 #include "report/documents.hh"
 #include "sim/types.hh"
 #include "trace/diagnostic.hh"
+#include "trace/merge.hh"
 
 namespace {
 
@@ -252,8 +253,9 @@ TEST(BlockingDiff, HostileRandomBundlesMatchReference)
         TraceBundle bundle = hostileBundle(seed);
         for (const trace::PidSet &pids : pidSets())
             expectMatchesReference(bundle, pids);
-        bundle.stopTime = 0; // headerless: window and CPU count
-        bundle.numLogicalCpus = 0; // come from the stream
+        // A zero header, which only a hand-built bundle keeps.
+        bundle.stopTime = 0;
+        bundle.numLogicalCpus = 0;
         expectMatchesReference(bundle, {});
     }
 }
@@ -273,13 +275,16 @@ TEST(BlockingDiff, CpuIdsPastHeaderCountMatchReference)
         sw(bundle, 200, kMax, 6, 61, 5, 52, 100); // edge on kMax
         sw(bundle, 300, 2, 5, 51, 6, 61, 150);    // migrates back
         sw(bundle, 400, 4096, 6, 60, 0, 0, 0);
+        // Headerless, settled as a decoder settles it: the CPU count
+        // caps at kMaxLogicalCpus, and every id past it stays a CPU
+        // the pass must survive.
+        if (cpus == 0)
+            trace::canonicalize(bundle);
         expectMatchesReference(bundle, {});
         expectMatchesReference(bundle, {6});
         Session session(bundle);
         BlockingReport report = blocking::analyze(session.index(), {});
-        // Headerless: every distinct CPU id the stream used, dense
-        // and sparse alike.
-        EXPECT_EQ(report.numCpus, cpus ? cpus : 5u);
+        EXPECT_EQ(report.numCpus, cpus ? cpus : trace::kMaxLogicalCpus);
     }
 }
 
@@ -317,7 +322,8 @@ TEST(BlockingDiff, DisorderedTimestampsMatchReference)
     sw(bundle, 100, 1, 7, 70, 6, 60, 0);
     expectMatchesReference(bundle, {});
     expectMatchesReference(bundle, {5, 7});
-    bundle.stopTime = 0; // headerless: the window is [100, 700]
+    // A zero header, which only a hand-built bundle keeps.
+    bundle.stopTime = 0;
     bundle.numLogicalCpus = 0;
     expectMatchesReference(bundle, {});
 }
@@ -450,8 +456,9 @@ TEST(BlockingResident, SecondRequestRunsNoSweep)
 
 TEST(BlockingDiff, HeaderlessBundlesMatchReference)
 {
-    // Bare CPU-Usage CSVs decode with no header: both paths must
-    // fall back to the observed stream extent identically.
+    // Bare CPU-Usage CSVs carry no header; the decoder settles the
+    // window and CPU count from the stream, and both paths must take
+    // the settled header identically.
     trace::CollectingDiagnosticSink sink;
     trace::ScopedDiagnosticSink scoped(sink);
 
@@ -459,6 +466,9 @@ TEST(BlockingDiff, HeaderlessBundlesMatchReference)
     bundle.startTime = 0;
     bundle.stopTime = 0;
     bundle.numLogicalCpus = 0;
+    trace::canonicalize(bundle);
+    ASSERT_NE(bundle.numLogicalCpus, 0u);
+    ASSERT_LT(bundle.startTime, bundle.stopTime);
     expectMatchesReference(bundle, {});
 }
 
@@ -581,7 +591,10 @@ TEST(BlockingSemantics, HeaderlessBundleDerivesWindowFromStream)
     sw(bundle, 100, 0, 0, 0, 5, 50, 100);
     sw(bundle, 400, 1, 0, 0, 6, 60, 380);
     sw(bundle, 900, 0, 5, 50, 0, 0, 0);
-    BlockingReport report = blocking::legacy::analyze(bundle, {});
+    trace::canonicalize(bundle); // as the CSV decoder leaves it
+    Session session(bundle);
+    BlockingReport report = blocking::analyze(session.index(), {});
+    EXPECT_EQ(report, blocking::legacy::analyze(bundle, {}));
 
     EXPECT_EQ(report.t0, 100u);
     EXPECT_EQ(report.t1, 900u);

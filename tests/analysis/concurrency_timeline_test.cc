@@ -2,24 +2,28 @@
  * @file
  * The fused timeline builder against an always-sorting reference.
  *
- * buildConcurrencyTimeline sorts its dispatch and wait columns only
- * when the cswitch stream was disordered: on an ordered stream the
- * columns were pushed in order and a sort would be the identity.
- * These tests pin that on streams dense with equal-timestamp ties,
- * where a wrong skip (or an unstable sort) would reorder equal-end
- * wait rows: dispatches, waits.{begin,end,minBegin} and the level
- * function must equal the reference on ordered and on shuffled
- * streams alike.
+ * buildConcurrencyTimeline takes an ordered cswitch stream, the form
+ * every decoder leaves (trace::canonicalize), and sorts none of its
+ * columns: on an ordered stream they were pushed in order. These
+ * tests pin that on streams dense with equal-timestamp ties, where an
+ * unstable canonical sort would reorder equal-end wait rows:
+ * dispatches, waits.{begin,end,minBegin} and the level function must
+ * equal the reference on ordered streams and on shuffled streams once
+ * canonicalized. A shuffled stream that skipped canonicalization is
+ * refused with a panic.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "analysis/concurrency_timeline.hh"
+#include "sim/logging.hh"
+#include "trace/merge.hh"
 
 namespace {
 
@@ -87,7 +91,6 @@ struct Reference
     detail::WaitColumns waits;
     std::vector<SimTime> times;
     std::vector<int> levels;
-    bool usable = false;
 };
 
 /**
@@ -147,15 +150,9 @@ reference(const TraceBundle &bundle, const detail::TimelineSpec &spec)
         if (sum == 0)
             continue;
         level += sum;
-        if (level < 0) {
-            ref.times.clear();
-            ref.levels.clear();
-            return ref;
-        }
         ref.times.push_back(ts);
         ref.levels.push_back(static_cast<int>(level));
     }
-    ref.usable = true;
     return ref;
 }
 
@@ -181,7 +178,6 @@ expectMatchesReference(const TraceBundle &bundle)
         EXPECT_EQ(waits.begin, ref.waits.begin);
         EXPECT_EQ(waits.end, ref.waits.end);
         EXPECT_EQ(waits.minBegin, ref.waits.minBegin);
-        EXPECT_EQ(tl.usable, ref.usable);
         EXPECT_EQ(tl.times, ref.times);
         EXPECT_EQ(tl.levels, ref.levels);
     }
@@ -199,7 +195,19 @@ TEST(ConcurrencyTimeline, DisorderedStreamWithTiesMatchesSortedReference)
 {
     for (std::uint64_t seed = 1; seed <= 8; ++seed) {
         SCOPED_TRACE("seed " + std::to_string(seed));
-        expectMatchesReference(tiedBundle(seed, /*shuffle=*/true));
+        TraceBundle bundle = tiedBundle(seed, /*shuffle=*/true);
+        std::string panicked;
+        try {
+            detail::ConcurrencyTimeline tl;
+            detail::buildConcurrencyTimeline(bundle, {}, tl, nullptr,
+                                             nullptr, nullptr);
+        } catch (const PanicError &e) {
+            panicked = e.what();
+        }
+        EXPECT_EQ(panicked, "panic: buildConcurrencyTimeline: cswitch "
+                            "stream out of timestamp order");
+        trace::canonicalize(bundle);
+        expectMatchesReference(bundle);
     }
 }
 

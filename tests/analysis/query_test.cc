@@ -3,10 +3,10 @@
  * Differential tests for the query layer: every fused batch
  * (Session::query / QueryPlan) must be bit-identical to the
  * straight-line reference (legacy::runQueries) — on randomized
- * bundles, disordered streams, out-of-range-cpu bundles and
- * fault-corpus survivors, at 1, 2 and 7 worker threads. Double
- * comparisons deliberately use EXPECT_EQ: "close" is not the
- * contract, equality is. Also covers the fusion counts the planner
+ * bundles, canonicalized disordered streams, out-of-range-cpu
+ * bundles and fault-corpus survivors, at 1, 2 and 7 worker
+ * threads. Double comparisons deliberately use EXPECT_EQ: "close" is
+ * not the contract, equality is. Also covers the fusion counts the planner
  * reports, the once-per-trace out-of-range warning, the spec syntax
  * round-trip, and the canned queries' equivalence to the existing
  * Session entry points.
@@ -304,17 +304,29 @@ TEST(QueryDiff, RandomBatchesMatchReferenceAtEveryThreadCount)
 }
 
 /**
- * Disordered streams may legitimately panic ("negative concurrency")
- * depending on the query window; the fused plan must produce the
- * same value — or the same first failure — as the serial reference,
- * at any thread count.
+ * A disordered stream reaches the planner only canonicalized, as
+ * every decoder leaves it: the fused plan must then produce the same
+ * value — or the same first failure — as the serial reference on the
+ * sorted stream, at any thread count. A hand-built disordered bundle
+ * is refused with the timeline builder's panic.
  */
-TEST(QueryDiff, DisorderedStreamsFailIdentically)
+TEST(QueryDiff, DisorderedStreamsAnswerAsSorted)
 {
     BundleSpec spec;
     spec.shuffleCswitches = true;
     for (std::uint64_t seed = 0; seed < 6; ++seed) {
-        TraceBundle bundle = randomBundle(seed, spec);
+        TraceBundle disordered = randomBundle(seed, spec);
+        EXPECT_EQ(outcome([&] {
+                      return fingerprintResults(Session(disordered).query(
+                          {parseQuerySpec("tlp")}, 1));
+                  }),
+                  "panic: panic: buildConcurrencyTimeline: cswitch "
+                  "stream out of timestamp order");
+
+        TraceBundle sorted = disordered;
+        trace::sortBundle(sorted);
+        TraceBundle bundle = disordered;
+        trace::canonicalize(bundle);
         Rng rng(seed + 23);
         std::vector<Query> batch;
         for (int i = 0; i < 10; ++i)
@@ -322,7 +334,7 @@ TEST(QueryDiff, DisorderedStreamsFailIdentically)
 
         std::string want = outcome([&] {
             return fingerprintResults(
-                legacy::runQueries(bundle, batch));
+                legacy::runQueries(sorted, batch));
         });
         Session session(bundle);
         for (unsigned threads : {1u, 2u, 7u}) {

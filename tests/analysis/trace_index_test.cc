@@ -2,7 +2,8 @@
  * @file
  * Differential tests for the columnar trace index: every index-backed
  * query must be bit-identical to the legacy single-sweep reference on
- * randomized bundles (sorted and disordered), on corrupt-corpus
+ * randomized bundles (sorted, and disordered once canonicalized the
+ * way every decoder leaves them), on corrupt-corpus
  * survivors, and on the empty-window / single-event edge cases. Double
  * comparisons deliberately use EXPECT_EQ — "close" is not the
  * contract, equality is.
@@ -32,6 +33,7 @@
 #include "sim/logging.hh"
 #include "trace/corrupt.hh"
 #include "trace/etl.hh"
+#include "trace/merge.hh"
 
 namespace {
 
@@ -480,19 +482,45 @@ outcome(Fn &&fn)
     }
 }
 
+/** The panic of a call @p fn, or "no panic". */
+template <typename Fn>
+std::string
+panicOf(Fn &&fn)
+{
+    try {
+        fn();
+    } catch (const PanicError &e) {
+        return e.what();
+    }
+    return "no panic";
+}
+
+const std::string kDisorderedPanic =
+    "panic: buildConcurrencyTimeline: cswitch stream out of timestamp "
+    "order";
+
 /**
- * Disordered context-switch streams may legitimately panic ("negative
- * concurrency") in the legacy sweep, and whether they do depends on
- * the query window. The index poisons its timeline for such streams
- * and re-runs the legacy sweep per query, so the outcome — value or
- * panic — must match window by window.
+ * A disordered context-switch stream reaches the index only in its
+ * canonical form: every decoder stable-sorts it (trace::canonicalize).
+ * That form must answer every window exactly as the reference sweep
+ * does on the sorted stream. A hand-built bundle that skipped the
+ * decoders is refused with the timeline builder's panic.
  */
-TEST(TraceIndexDiff, DisorderedCswitchStreamFallsBackIdentically)
+TEST(TraceIndexDiff, DisorderedCswitchStreamAnswersAsSorted)
 {
     BundleSpec spec;
     spec.shuffleCswitches = true;
     for (std::uint64_t seed = 0; seed < 6; ++seed) {
-        TraceBundle bundle = randomBundle(seed, spec);
+        TraceBundle disordered = randomBundle(seed, spec);
+        EXPECT_EQ(panicOf([&] {
+                      TraceIndex(disordered).concurrency({});
+                  }),
+                  kDisorderedPanic);
+
+        TraceBundle sorted = disordered;
+        trace::sortBundle(sorted);
+        TraceBundle bundle = disordered;
+        trace::canonicalize(bundle);
         TraceIndex index(bundle);
         Rng rng(seed + 17);
         for (const auto &pids : pidSets()) {
@@ -504,25 +532,18 @@ TEST(TraceIndexDiff, DisorderedCswitchStreamFallsBackIdentically)
                     t0 = a;
                     t1 = b;
                 }
-                EXPECT_EQ(outcome([&] {
-                              return fingerprint(
-                                  index.concurrency(pids, t0, t1));
-                          }),
-                          outcome([&] {
-                              return fingerprint(
-                                  legacy::computeConcurrency(
-                                      bundle, pids, t0, t1));
-                          }));
+                EXPECT_EQ(fingerprint(index.concurrency(pids, t0, t1)),
+                          fingerprint(legacy::computeConcurrency(
+                              sorted, pids, t0, t1)));
             }
         }
     }
 }
 
 /**
- * A series resolves its timeline once; on a disordered stream the
- * timeline is unusable and every window falls back to the direct
- * sweep. Either way each point must equal the legacy window sweep,
- * or fail the same way.
+ * A series resolves its timeline once. On a canonicalized disordered
+ * stream each point must equal the reference window sweep of the
+ * sorted stream; on a hand-built disordered bundle the series panics.
  */
 TEST(TraceIndexDiff, TimeSeriesOnDisorderedStreamMatchesLegacyWindows)
 {
@@ -535,28 +556,28 @@ TEST(TraceIndexDiff, TimeSeriesOnDisorderedStreamMatchesLegacyWindows)
         return os.str();
     };
     for (std::uint64_t seed = 0; seed < 4; ++seed) {
-        TraceBundle bundle = randomBundle(seed, spec);
+        TraceBundle disordered = randomBundle(seed, spec);
+        EXPECT_EQ(panicOf([&] {
+                      Session(disordered).tlpSeries({}, window);
+                  }),
+                  kDisorderedPanic);
+
+        TraceBundle bundle = disordered;
+        trace::canonicalize(bundle);
         Session session(bundle);
         for (const auto &pids : pidSets()) {
-            std::string series = outcome([&] {
-                std::string out;
-                for (const TimePoint &p :
-                     session.tlpSeries(pids, window).points)
-                    out += exact(p.value);
-                return out;
-            });
-            std::string windows = outcome([&] {
-                std::string out;
-                for (sim::SimTime t0 = bundle.startTime;
-                     t0 < bundle.stopTime; t0 += window) {
-                    sim::SimTime t1 =
-                        std::min(t0 + window, bundle.stopTime);
-                    out += exact(legacy::computeConcurrency(
-                                     bundle, pids, t0, t1)
-                                     .tlp());
-                }
-                return out;
-            });
+            std::string series;
+            for (const TimePoint &p :
+                 session.tlpSeries(pids, window).points)
+                series += exact(p.value);
+            std::string windows;
+            for (sim::SimTime t0 = bundle.startTime;
+                 t0 < bundle.stopTime; t0 += window) {
+                sim::SimTime t1 = std::min(t0 + window, bundle.stopTime);
+                windows += exact(
+                    legacy::computeConcurrency(bundle, pids, t0, t1)
+                        .tlp());
+            }
             EXPECT_EQ(series, windows) << "seed " << seed;
         }
     }
@@ -585,12 +606,11 @@ TEST(TraceIndexCorpus, SurvivorsMatchLegacy)
         std::istringstream in(injector.mutant(i));
         trace::IngestReport report;
         TraceBundle mutant = trace::readEtl(in, options, report);
-        // Headers the analyses reject outright (or that would allocate
-        // absurd histograms) are not interesting comparisons.
-        if (mutant.numLogicalCpus == 0 ||
-            mutant.numLogicalCpus > 1024) {
+        // Headers the analyses reject outright are not interesting
+        // comparisons (the reader refuses CPU counts above
+        // kMaxLogicalCpus, leaving 0).
+        if (mutant.numLogicalCpus == 0)
             continue;
-        }
         ++compared;
         SCOPED_TRACE("mutant " + std::to_string(i) + ": " +
                      injector.mutationFor(i).describe());

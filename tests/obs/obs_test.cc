@@ -39,6 +39,22 @@ operator new[](std::size_t size)
     return operator new(size);
 }
 
+// The nothrow forms too (std::stable_sort's temporary buffer comes
+// from one): otherwise the library's versions allocate what the
+// replaced operator delete frees, a mismatch under ASan.
+void *
+operator new(std::size_t size, const std::nothrow_t &) noexcept
+{
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+    return std::malloc(size ? size : 1);
+}
+
+void *
+operator new[](std::size_t size, const std::nothrow_t &tag) noexcept
+{
+    return operator new(size, tag);
+}
+
 void
 operator delete(void *p) noexcept
 {

@@ -138,6 +138,20 @@ WaitFold foldWaits(const std::vector<Interval> &waits, sim::SimTime t0,
                    sim::SimTime t1);
 
 /**
+ * The direct single-sweep concurrency histogram over [@p t0, @p t1),
+ * generalized over TimelineSpec, with the header's CPU count
+ * (bundle.numLogicalCpus) as n: the reference the timeline queries
+ * are tested against. Panics ("negative concurrency") when a
+ * disordered stream closes a CPU before opening it inside the
+ * window. Emits no warning: the count lands in
+ * ConcurrencyProfile::outOfRangeCpuEvents. The CPU count must be
+ * nonzero and the window non-empty.
+ */
+ConcurrencyProfile sweepConcurrency(const trace::TraceBundle &bundle,
+                                    const TimelineSpec &spec,
+                                    sim::SimTime t0, sim::SimTime t1);
+
+/**
  * Reference concurrency profile for an arbitrary filter: the fatal
  * checks plus one direct sweep, warning emitted. With a
  * default-shaped spec this is exactly legacy::computeConcurrency.

@@ -53,15 +53,8 @@ struct SweepResult
     std::vector<std::pair<Key, std::uint64_t>> waitSamples;
     std::uint64_t totalRunNs = 0;
     std::uint64_t totalWaitNs = 0;
-    /**
-     * Observed stream extent and CPU population — the fallback
-     * window when the bundle header is empty (bare CPU-Usage CSVs
-     * carry no startTime/stopTime/numLogicalCpus).
-     */
-    sim::SimTime minTs = 0;
+    /** Last switch time: the window reaches at least this far. */
     sim::SimTime maxTs = 0;
-    std::size_t cpusSeen = 0;
-    bool sawEvents = false;
 };
 
 std::string
@@ -111,14 +104,7 @@ sweep(const trace::TraceBundle &bundle, const trace::PidSet &pids,
     };
 
     for (const auto &e : bundle.cswitches) {
-        if (!r.sawEvents) {
-            r.minTs = e.timestamp;
-            r.maxTs = e.timestamp;
-            r.sawEvents = true;
-        } else {
-            r.minTs = std::min(r.minTs, e.timestamp);
-            r.maxTs = std::max(r.maxTs, e.timestamp);
-        }
+        r.maxTs = std::max(r.maxTs, e.timestamp);
         Occupant &occ = cpus[e.cpu];
         closeSegment(occ, e.timestamp);
 
@@ -162,26 +148,15 @@ sweep(const trace::TraceBundle &bundle, const trace::PidSet &pids,
     SimTime stop = std::max(bundle.stopTime, r.maxTs);
     for (const auto &[cpu, occ] : cpus)
         closeSegment(occ, stop);
-    r.cpusSeen = cpus.size();
 }
 
 void
 finalize(const trace::TraceBundle &bundle, SweepResult &r,
          std::vector<ThreadBlocking> rows, BlockingReport &report)
 {
-    // Headerless bundles (bare CPU-Usage CSVs) get the observed
-    // stream extent so the wait-TLP and serial-fraction ratios stay
-    // meaningful; ETL headers win when present.
-    if (bundle.stopTime > bundle.startTime) {
-        report.t0 = bundle.startTime;
-        report.t1 = std::max(bundle.stopTime, r.maxTs);
-    } else if (r.sawEvents) {
-        report.t0 = r.minTs;
-        report.t1 = r.maxTs;
-    }
-    report.numCpus = bundle.numLogicalCpus != 0
-                         ? bundle.numLogicalCpus
-                         : static_cast<unsigned>(r.cpusSeen);
+    report.t0 = bundle.startTime;
+    report.t1 = std::max({bundle.stopTime, r.maxTs, report.t0});
+    report.numCpus = bundle.numLogicalCpus;
     report.totalRunNs = r.totalRunNs;
     report.totalWaitNs = r.totalWaitNs;
     report.dispatches = r.waitSamples.size();

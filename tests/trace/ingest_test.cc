@@ -6,7 +6,10 @@
  * beats the .etlc magic, the .etlc magic selects .etlc whatever the
  * name, and everything else reaches the .etl v3 reader and its
  * structured magic errors — plus the IngestStats accounting and the
- * `who` label of open failures.
+ * `who` label of open failures. Also the canonical bundle every
+ * decoder leaves (trace::canonicalize): a disordered CSV decodes to
+ * its sorted form with a settled header, and the CPU count is bounded
+ * by kMaxLogicalCpus at every format's boundary.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +17,8 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "sim/logging.hh"
 #include "trace/csv.hh"
@@ -171,6 +176,123 @@ TEST(TraceOpen, OpenFailureNamesTheCaller)
         EXPECT_EQ(std::string(err.what()).rfind("fatal: replay: ", 0),
                   0u)
             << err.what();
+    }
+}
+
+/** A bundle whose header claims @p cpus CPUs. */
+TraceBundle
+claiming(std::uint32_t cpus)
+{
+    TraceBundle bundle = smallBundle();
+    bundle.numLogicalCpus = cpus;
+    return bundle;
+}
+
+/** Decode @p bytes as .etl (@p etlc false) or .etlc under @p mode. */
+TraceBundle
+decodeBinary(const std::string &bytes, bool etlc, ParseMode mode,
+             IngestReport &report)
+{
+    ParseOptions options;
+    options.mode = mode;
+    options.source = "claim";
+    return etlc ? decodeEtlc(io::ByteSpan(bytes), options, report)
+                : decodeEtl(io::ByteSpan(bytes), options, report);
+}
+
+TEST(TraceOpen, HeaderCpuCountAboveTheBoundFailsTheFile)
+{
+    for (bool etlc : {false, true}) {
+        std::ostringstream huge, top;
+        if (etlc) {
+            writeEtlc(claiming(20'000'000), huge);
+            writeEtlc(claiming(kMaxLogicalCpus), top);
+        } else {
+            writeEtl(claiming(20'000'000), huge);
+            writeEtl(claiming(kMaxLogicalCpus), top);
+        }
+        for (ParseMode mode : {ParseMode::Strict, ParseMode::Lenient}) {
+            SCOPED_TRACE(std::string(etlc ? ".etlc" : ".etl") +
+                         (mode == ParseMode::Strict ? " strict"
+                                                    : " lenient"));
+            IngestReport report;
+            TraceBundle bundle =
+                decodeBinary(huge.str(), etlc, mode, report);
+            ASSERT_FALSE(report.ok());
+            ASSERT_EQ(report.errors.size(), 1u);
+            EXPECT_EQ(report.errors[0].section, "header");
+            EXPECT_EQ(report.errors[0].field, "numLogicalCpus");
+            EXPECT_EQ(report.errors[0].reason,
+                      "CPU count 20000000 exceeds 1024");
+            // Nothing past the header was decoded or sized.
+            EXPECT_EQ(bundle.numLogicalCpus, 0u);
+            EXPECT_TRUE(bundle.cswitches.empty());
+
+            bundle = decodeBinary(top.str(), etlc, mode, report);
+            EXPECT_TRUE(report.ok()) << report.summary();
+            EXPECT_EQ(bundle.numLogicalCpus, kMaxLogicalCpus);
+        }
+    }
+}
+
+TEST(TraceOpen, CsvCpuIdAtTheBoundIsARowError)
+{
+    TraceBundle bundle = smallBundle();
+    bundle.cswitches[5].cpu = kMaxLogicalCpus;
+    bundle.cswitches[6].cpu = kMaxLogicalCpus - 1;
+    std::ostringstream out;
+    writeCpuUsageCsv(bundle, out);
+    const std::string text = out.str();
+
+    TraceBundle strict;
+    IngestReport report =
+        decodeCpuUsageCsv(io::ByteSpan(text), strict, ParseOptions{});
+    ASSERT_FALSE(report.ok());
+    EXPECT_EQ(report.errors[0].line, 7u); // header + rows 0..5
+    EXPECT_EQ(report.errors[0].field, "CPU");
+
+    ParseOptions lenient;
+    lenient.mode = ParseMode::Lenient;
+    TraceBundle kept;
+    report = decodeCpuUsageCsv(io::ByteSpan(text), kept, lenient);
+    EXPECT_EQ(report.errorCount, 1u);
+    EXPECT_EQ(kept.cswitches.size(), bundle.cswitches.size() - 1);
+    EXPECT_EQ(kept.numLogicalCpus, kMaxLogicalCpus);
+}
+
+TEST(TraceOpen, LineSwappedCsvDecodesAsTheSortedCsv)
+{
+    const std::string sorted = csvText();
+    // Swap body lines pairwise: every other row is out of order.
+    std::vector<std::string> lines;
+    std::istringstream in(sorted);
+    for (std::string line; std::getline(in, line);)
+        lines.push_back(line);
+    for (std::size_t i = 1; i + 1 < lines.size(); i += 2)
+        std::swap(lines[i], lines[i + 1]);
+    std::string swapped;
+    for (const std::string &line : lines)
+        swapped += line + "\n";
+    ASSERT_NE(swapped, sorted);
+
+    const TraceBundle original = smallBundle();
+    for (unsigned threads : {1u, 2u, 7u}) {
+        SCOPED_TRACE("threads " + std::to_string(threads));
+        ParseOptions options;
+        options.threads = threads;
+        TraceBundle a, b;
+        ASSERT_TRUE(
+            decodeCpuUsageCsv(io::ByteSpan(sorted), a, options).ok());
+        ASSERT_TRUE(
+            decodeCpuUsageCsv(io::ByteSpan(swapped), b, options).ok());
+        std::ostringstream imageA, imageB;
+        writeEtlc(a, imageA);
+        writeEtlc(b, imageB);
+        EXPECT_EQ(imageA.str(), imageB.str());
+        // The settled header: the CPUs the rows used, and their span.
+        EXPECT_EQ(b.numLogicalCpus, original.numLogicalCpus);
+        EXPECT_EQ(b.startTime, original.cswitches.front().timestamp);
+        EXPECT_EQ(b.stopTime, original.cswitches.back().timestamp);
     }
 }
 

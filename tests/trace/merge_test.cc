@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "sim/logging.hh"
 #include "trace/merge.hh"
 
@@ -112,6 +115,84 @@ TEST(Merge, SortBundleOrdersEveryStream)
     sortBundle(bundle);
     EXPECT_EQ(bundle.cswitches.front().timestamp, 10u);
     EXPECT_EQ(bundle.markers.front().label, "first");
+}
+
+/** The fields of @p events that order and ties can tell apart. */
+std::vector<std::pair<SimTime, Tid>>
+switchKeys(const std::vector<CSwitchEvent> &events)
+{
+    std::vector<std::pair<SimTime, Tid>> keys;
+    for (const CSwitchEvent &e : events)
+        keys.emplace_back(e.timestamp, e.newTid);
+    return keys;
+}
+
+TEST(Merge, SortBundleLeavesAnOrderedBundleUnchanged)
+{
+    // Equal timestamps in a deliberate order: any reordering of the
+    // ties would show in the tid column.
+    TraceBundle bundle = bundleA();
+    for (Tid tid : {9u, 3u, 7u}) {
+        CSwitchEvent e;
+        e.timestamp = 200;
+        e.cpu = 1;
+        e.newPid = 5;
+        e.newTid = tid;
+        bundle.cswitches.push_back(e);
+    }
+    GpuPacketEvent g;
+    g.start = 300;
+    g.finish = 310;
+    bundle.gpuPackets = {g, g};
+    bundle.gpuPackets[1].packetId = 1;
+    auto before = switchKeys(bundle.cswitches);
+
+    sortBundle(bundle);
+    EXPECT_EQ(switchKeys(bundle.cswitches), before);
+    EXPECT_EQ(bundle.gpuPackets[0].packetId, 0u);
+    EXPECT_EQ(bundle.gpuPackets[1].packetId, 1u);
+}
+
+TEST(Merge, CanonicalizeSettlesAHeaderlessBundle)
+{
+    TraceBundle bundle = bundleB(); // one switch on cpu 1 at t = 50
+    bundle.startTime = 0;
+    bundle.stopTime = 0;
+    bundle.numLogicalCpus = 0;
+    CSwitchEvent e = bundle.cswitches.front();
+    e.timestamp = 20;
+    e.cpu = 6;
+    bundle.cswitches.push_back(e); // out of order
+
+    canonicalize(bundle);
+    EXPECT_EQ(bundle.cswitches.front().timestamp, 20u);
+    EXPECT_EQ(bundle.numLogicalCpus, 7u);
+    // The extent covers every stream: the GPU packet ends at 900.
+    EXPECT_EQ(bundle.startTime, 20u);
+    EXPECT_EQ(bundle.stopTime, 900u);
+}
+
+TEST(Merge, CanonicalizeKeepsAHeaderAndCapsTheCpuCount)
+{
+    TraceBundle bundle = bundleA();
+    canonicalize(bundle);
+    EXPECT_EQ(bundle.numLogicalCpus, 12u);
+    EXPECT_EQ(bundle.startTime, 0u);
+    EXPECT_EQ(bundle.stopTime, 1000u);
+
+    // Ids at or past the bound leave the cap, never a larger count.
+    bundle.numLogicalCpus = 0;
+    bundle.cswitches.front().cpu = 70000;
+    canonicalize(bundle);
+    EXPECT_EQ(bundle.numLogicalCpus, kMaxLogicalCpus);
+
+    // No switches: no count to settle (concurrency refuses it).
+    TraceBundle quiet;
+    quiet.markers = bundleA().markers;
+    canonicalize(quiet);
+    EXPECT_EQ(quiet.numLogicalCpus, 0u);
+    EXPECT_EQ(quiet.startTime, 500u);
+    EXPECT_EQ(quiet.stopTime, 500u);
 }
 
 } // namespace

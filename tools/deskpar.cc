@@ -48,8 +48,11 @@
  *           [--lenient-traces]
  *       Convert a .etl or CPU-Usage .csv trace to the block-
  *       compressed columnar .etlc container (trace/etlc.hh) and
- *       print the size ratio. An OUT ending in .csv is refused (every
- *       reader takes that name for CSV text). --verify re-decodes the
+ *       print the size ratio. The trace is packed as every reader
+ *       leaves it (trace::canonicalize): a CSV's rows in time order,
+ *       with the CPU count and window the rows imply written into
+ *       the header. An OUT ending in .csv is refused (every reader
+ *       takes that name for CSV text). --verify re-decodes the
  *       packed file the way every command opens it and cross-checks
  *       every analyzer output against the source (exit 1 on any
  *       mismatch); --index additionally writes the .dpidx spill of
@@ -1095,9 +1098,6 @@ cmdPack(int argc, char **argv, int first)
         status = 1;
     }
 
-    // CSV sources carry no ordering guarantee; the writer demands
-    // the canonical sort.
-    trace::sortBundle(bundle);
     trace::writeEtlc(bundle, outPath);
 
     std::error_code ec;
