@@ -3,9 +3,9 @@
  * google-benchmark micro-benchmarks for the measurement pipeline
  * itself: trace generation (simulation throughput), TLP computation,
  * GPU-utilization computation, ETL serialization and CSV export, and
- * trace ingestion (legacy istream vs zero-copy mapped vs parallel
- * chunked). These quantify the toolkit's own costs, independent of
- * the paper's experiments.
+ * trace ingestion (zero-copy mapped, serial and parallel chunked).
+ * These quantify the toolkit's own costs, independent of the paper's
+ * experiments.
  *
  * The custom main() additionally runs a timed ingest record pass
  * whose wall times land in BENCH_suite.json (SuiteTimer) so
@@ -19,7 +19,6 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <functional>
 #include <sstream>
 
@@ -204,9 +203,10 @@ BM_EtlRoundTrip(benchmark::State &state)
     std::ostringstream out;
     trace::writeEtl(bundle, out);
     const std::string data = out.str();
+    trace::ParseOptions popts;
     for (auto _ : state) {
-        std::istringstream in(data);
-        auto loaded = trace::readEtl(in);
+        trace::IngestReport report;
+        auto loaded = trace::decodeEtl(data, popts, report);
         benchmark::DoNotOptimize(loaded.cswitches.size());
     }
     state.SetBytesProcessed(state.iterations() * data.size());
@@ -226,7 +226,7 @@ BM_CsvExport(benchmark::State &state)
 BENCHMARK(BM_CsvExport);
 
 /* ------------------------------------------------------------------ */
-/*  Ingest benches: legacy istream vs zero-copy mapped vs parallel     */
+/*  Ingest benches: zero-copy mapped, cold and warm, and parallel      */
 /* ------------------------------------------------------------------ */
 
 /** The sample bundle exported once to disk, for file-ingest benches. */
@@ -263,18 +263,6 @@ fileSize(const std::string &path)
         std::filesystem::file_size(path));
 }
 
-std::size_t
-ingestCsvSerial()
-{
-    std::ifstream in(ingestCsvPath());
-    trace::TraceBundle bundle;
-    trace::ParseOptions popts;
-    popts.source = ingestCsvPath();
-    auto report = trace::readCpuUsageCsv(in, bundle, popts);
-    return bundle.cswitches.size() +
-           static_cast<std::size_t>(report.recordsParsed);
-}
-
 /** Mapped span decode at @p threads (1 = zero-copy serial). */
 std::size_t
 ingestCsvMapped(unsigned threads)
@@ -290,17 +278,6 @@ ingestCsvMapped(unsigned threads)
            static_cast<std::size_t>(report.recordsParsed);
 }
 
-std::size_t
-ingestEtlSerial()
-{
-    std::ifstream in(ingestEtlPath(), std::ios::binary);
-    trace::ParseOptions popts;
-    popts.source = ingestEtlPath();
-    trace::IngestReport report;
-    auto bundle = trace::readEtl(in, popts, report);
-    return bundle.totalEvents();
-}
-
 /** Mapped span decode (.etl v3 decodes serially). */
 std::size_t
 ingestEtlMapped()
@@ -313,18 +290,6 @@ ingestEtlMapped()
     auto bundle = trace::decodeEtl(file.span(), popts, report);
     return bundle.totalEvents();
 }
-
-void
-BM_CsvIngestSerial(benchmark::State &state)
-{
-    // The legacy reference: istream + getline + per-field strings.
-    for (auto _ : state)
-        benchmark::DoNotOptimize(ingestCsvSerial());
-    state.SetBytesProcessed(
-        static_cast<std::int64_t>(state.iterations()) *
-        static_cast<std::int64_t>(fileSize(ingestCsvPath())));
-}
-BENCHMARK(BM_CsvIngestSerial);
 
 void
 BM_CsvIngestMappedCold(benchmark::State &state)
@@ -342,7 +307,7 @@ void
 BM_CsvIngestMappedWarm(benchmark::State &state)
 {
     // Pure decode over an already-mapped span: the zero-copy parser
-    // alone, against BM_CsvIngestSerial for the speedup ratio.
+    // alone, against BM_CsvIngestMappedCold for the open/map cost.
     trace::io::MappedFile file =
         trace::io::MappedFile::openOrThrow(ingestCsvPath(), "bench");
     trace::ParseOptions popts;
@@ -374,17 +339,6 @@ BM_CsvIngestParallel(benchmark::State &state)
 // Wall time, not the calling thread's CPU time: the chunk decode runs
 // on worker threads, so CPU-time throughput would overstate it.
 BENCHMARK(BM_CsvIngestParallel)->UseRealTime();
-
-void
-BM_EtlIngestSerial(benchmark::State &state)
-{
-    for (auto _ : state)
-        benchmark::DoNotOptimize(ingestEtlSerial());
-    state.SetBytesProcessed(
-        static_cast<std::int64_t>(state.iterations()) *
-        static_cast<std::int64_t>(fileSize(ingestEtlPath())));
-}
-BENCHMARK(BM_EtlIngestSerial);
 
 void
 BM_EtlIngestMappedCold(benchmark::State &state)
@@ -494,14 +448,10 @@ recordIngestBenches()
         bench::appendBenchRecord(name, wall);
     };
     unsigned jobs = sim::resolveJobs();
-    record("micro_ingest_csv_serial", csvReps,
-           [] { ingestCsvSerial(); });
     record("micro_ingest_csv_mapped", csvReps,
            [] { ingestCsvMapped(1); });
     record("micro_ingest_csv_parallel", csvReps,
            [jobs] { ingestCsvMapped(jobs); });
-    record("micro_ingest_etl_serial", etlReps,
-           [] { ingestEtlSerial(); });
     record("micro_ingest_etl_mapped", etlReps,
            [] { ingestEtlMapped(); });
 }

@@ -9,13 +9,14 @@
 
 #include <cstdio>
 #include <fstream>
-#include <sstream>
+#include <utility>
 
 #include "analysis/session.hh"
 #include "apps/harness.hh"
 #include "trace/csv.hh"
 #include "trace/etl.hh"
 #include "trace/ingest.hh"
+#include "trace/io.hh"
 
 using namespace deskpar;
 
@@ -63,13 +64,18 @@ main()
     parsed.startTime = from_etl.startTime;
     parsed.stopTime = from_etl.stopTime;
     parsed.numLogicalCpus = from_etl.numLogicalCpus;
-    {
-        std::ifstream in(cpu_csv);
-        trace::readCpuUsageCsv(in, parsed);
-    }
-    {
-        std::ifstream in(gpu_csv);
-        trace::readGpuUtilCsv(in, parsed);
+    for (const auto &[path, decode] :
+         {std::pair{cpu_csv, &trace::decodeCpuUsageCsv},
+          std::pair{gpu_csv, &trace::decodeGpuUtilCsv}}) {
+        trace::io::MappedFile file =
+            trace::io::MappedFile::openOrThrow(path, "example");
+        trace::ParseOptions popts;
+        popts.source = path;
+        trace::IngestReport report = decode(file.span(), parsed, popts);
+        if (!report.ok()) {
+            std::fprintf(stderr, "%s\n", report.summary().c_str());
+            return 1;
+        }
     }
 
     analysis::AppMetrics offline =

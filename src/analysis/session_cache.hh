@@ -111,9 +111,10 @@ class SessionCache
      * identity still matches, else cold-open it with openSession (no
      * .dpidx read or write; trace::decodeTraceFile picks the format),
      * and cache it.
-     * Throws TraceParseError on a strict-mode parse failure and
-     * FatalError when the file cannot be opened; a lenient-mode
-     * degraded ingest succeeds with lease.report->ok() == false.
+     * Throws TraceParseError on a strict-mode parse failure or a
+     * header the reader refuses (in either mode), and FatalError when
+     * the file cannot be opened; a lenient-mode degraded ingest
+     * succeeds with lease.report->ok() == false.
      */
     Lease acquire(const std::string &path, trace::ParseMode mode);
 

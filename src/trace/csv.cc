@@ -120,13 +120,13 @@ parseProcessLabel(std::string_view label, std::string_view &name,
     return true;
 }
 
+/** The fields of one split CSV row. */
+using Fields = std::vector<std::string_view>;
+
 /**
  * Decode the numeric column @p index of @p fields into @p out
  * (bounded by @p max); on failure produces the row's ParseError.
- * Templated over the field container so the legacy std::string rows
- * and the zero-copy std::string_view rows share one decoder.
  */
-template <typename Fields>
 bool
 numericColumn(const Fields &fields, std::size_t index,
               const char *name, std::uint64_t max,
@@ -141,7 +141,6 @@ numericColumn(const Fields &fields, std::size_t index,
 }
 
 /** Decode a "name (pid)" column with a PID cross-check column. */
-template <typename Fields>
 bool
 labelColumn(const Fields &fields, std::size_t labelIndex,
             const char *labelName, std::size_t pidIndex,
@@ -192,17 +191,14 @@ constexpr std::uint64_t kU64Max =
 constexpr std::uint64_t kU32Max =
     std::numeric_limits<std::uint32_t>::max();
 
-/**
- * Decode one "CPU Usage (Precise)" row into @p e (a fresh event) and,
- * when the row is good, its two process names into @p names. Shared
- * by the legacy istream reader (Fields = vector<string>) and the
- * zero-copy span reader (Fields = vector<string_view>).
- */
-template <typename Fields>
-bool
-parseCpuRow(const Fields &fields, CSwitchEvent &e, NameTable &names,
-            const std::string &source, std::uint64_t line,
-            ParseMode mode, bool &clamped, ParseError &err)
+// The row decoders behind parseCpuRow/parseGpuRow. The chunk loop
+// calls them once per row, so they are inlined into it, as they were
+// when the loop instantiated them as templates.
+
+[[gnu::always_inline]] inline bool
+cpuRow(const Fields &fields, CSwitchEvent &e, NameTable &names,
+       const std::string &source, std::uint64_t line, ParseMode mode,
+       bool &clamped, ParseError &err)
 {
     std::string_view newName, oldName;
     Pid newPid = 0, oldPid = 0;
@@ -251,12 +247,9 @@ parseCpuRow(const Fields &fields, CSwitchEvent &e, NameTable &names,
     return true;
 }
 
-/** Decode one "GPU Utilization" row into @p e and @p names. */
-template <typename Fields>
-bool
-parseGpuRow(const Fields &fields, GpuPacketEvent &e, NameTable &names,
-            const std::string &source, std::uint64_t line,
-            ParseError &err)
+[[gnu::always_inline]] inline bool
+gpuRow(const Fields &fields, GpuPacketEvent &e, NameTable &names,
+       const std::string &source, std::uint64_t line, ParseError &err)
 {
     std::string_view name;
     Pid pid = 0;
@@ -300,88 +293,25 @@ parseGpuRow(const Fields &fields, GpuPacketEvent &e, NameTable &names,
     return true;
 }
 
-/**
- * Read the header line and all rows of @p in, dispatching each
- * well-split row to @p parseRow. Implements the strict/lenient
- * record-skipping contract shared by both CSV readers. This is the
- * legacy serial reader — the differential reference for the
- * zero-copy span path below; keep their row semantics in lockstep.
- */
-template <typename RowFn>
-IngestReport
-readCsv(std::istream &in, const ParseOptions &options,
-        const char *headerPrefix, std::size_t fieldCount,
-        RowFn &&parseRow)
+} // namespace
+
+bool
+parseCpuRow(const Fields &fields, CSwitchEvent &e, NameTable &names,
+            const std::string &source, std::uint64_t line,
+            ParseMode mode, bool &clamped, ParseError &err)
 {
-    obs::Span ingestSpan("ingest.csv", obs::SpanKind::Ingest);
-    IngestReport report;
-    report.source = sourceLabel(options);
-    report.mode = options.mode;
-
-    std::string line;
-    if (!std::getline(in, line)) {
-        ParseError e;
-        e.source = report.source;
-        e.section = "header";
-        e.line = 1;
-        e.reason = "empty input";
-        report.note(std::move(e), options.maxStoredErrors);
-        return report;
-    }
-    if (line.rfind(headerPrefix, 0) != 0) {
-        ParseError e;
-        e.source = report.source;
-        e.section = "header";
-        e.line = 1;
-        e.reason = std::string("unexpected header (want '") +
-                   headerPrefix + "...')";
-        report.note(std::move(e), options.maxStoredErrors);
-        return report;
-    }
-
-    std::uint64_t lineNo = 1;
-    while (std::getline(in, line)) {
-        ++lineNo;
-        if (line.empty())
-            continue;
-
-        ParseError err;
-        bool good = false;
-        bool clamped = false;
-        auto fields = splitCsvFields(line);
-        if (!fields) {
-            err = fields.error();
-            err.source = report.source;
-            err.section = "row";
-            err.line = lineNo;
-        } else if (fields->size() != fieldCount) {
-            err = rowError(report.source, lineNo, "",
-                           "bad field count (" +
-                               std::to_string(fields->size()) +
-                               ", want " +
-                               std::to_string(fieldCount) + ")");
-        } else {
-            good = parseRow(*fields, lineNo, clamped, err);
-        }
-
-        if (good) {
-            ++report.recordsParsed;
-            if (clamped)
-                report.noteRepair(std::move(err),
-                                  options.maxStoredErrors);
-            continue;
-        }
-        ++report.recordsSkipped;
-        report.note(std::move(err), options.maxStoredErrors);
-        if (options.mode == ParseMode::Strict)
-            break;
-    }
-    return report;
+    return cpuRow(fields, e, names, source, line, mode, clamped, err);
 }
 
-/* ------------------------------------------------------------------ */
-/*  Zero-copy span path                                                */
-/* ------------------------------------------------------------------ */
+bool
+parseGpuRow(const Fields &fields, GpuPacketEvent &e, NameTable &names,
+            const std::string &source, std::uint64_t line,
+            ParseError &err)
+{
+    return gpuRow(fields, e, names, source, line, err);
+}
+
+namespace {
 
 /**
  * getline-equivalent over a span: yields each '\n'-delimited line
@@ -476,10 +406,11 @@ maxRows(std::size_t bytes, std::uint64_t lines, std::size_t fieldCount)
 
 /**
  * Parse the rows of one chunk into @p out with absolute line numbers
- * starting at @p startLine. Mirrors the legacy readCsv row loop
- * exactly; the fields/scratch buffers are reused across rows so
- * steady-state rows allocate nothing, and each good row is written
- * once, straight into its slot.
+ * starting at @p startLine. Mirrors the serial reference reader's
+ * row loop (tests/reference/csv_legacy.cc) exactly; the
+ * fields/scratch buffers are reused across rows so steady-state rows
+ * allocate nothing, and each good row is written once, straight into
+ * its slot.
  */
 template <typename Event, typename RowFn>
 IngestReport
@@ -546,8 +477,9 @@ constexpr std::size_t kMinParallelBytes = 1 << 16;
 /**
  * The zero-copy CSV reader: header check, chunk split, parallel
  * decode straight into @p out, deterministic merge. Byte-identical
- * to readCsv(istream) over the same bytes: events, names, report
- * counters, and every error payload.
+ * to one serial getline pass over the same bytes (the reference in
+ * tests/reference/csv_legacy.cc): events, names, report counters,
+ * and every error payload.
  *
  * @p out grows once, by the summed row bounds of the chunks, and
  * each chunk writes its rows into its own slice; the slices are
@@ -569,7 +501,10 @@ readCsvSpan(io::ByteSpan data, std::vector<Event> &out,
 
     LineCursor cursor{data, 0};
     std::string_view header;
-    if (!cursor.next(header)) {
+    bool empty = !cursor.next(header);
+    if (empty ||
+        header.substr(0, std::string_view(headerPrefix).size()) !=
+            headerPrefix) {
         IngestReport report;
         report.source = source;
         report.mode = options.mode;
@@ -577,21 +512,9 @@ readCsvSpan(io::ByteSpan data, std::vector<Event> &out,
         e.source = source;
         e.section = "header";
         e.line = 1;
-        e.reason = "empty input";
-        report.note(std::move(e), options.maxStoredErrors);
-        return report;
-    }
-    if (header.substr(0, std::string_view(headerPrefix).size()) !=
-        headerPrefix) {
-        IngestReport report;
-        report.source = source;
-        report.mode = options.mode;
-        ParseError e;
-        e.source = source;
-        e.section = "header";
-        e.line = 1;
-        e.reason = std::string("unexpected header (want '") +
-                   headerPrefix + "...')";
+        e.reason = empty ? std::string("empty input")
+                         : std::string("unexpected header (want '") +
+                               headerPrefix + "...')";
         report.note(std::move(e), options.maxStoredErrors);
         return report;
     }
@@ -703,73 +626,6 @@ parseCsvU64(std::string_view field)
     return value;
 }
 
-ParseResult<std::vector<std::string>>
-splitCsvFields(std::string_view line)
-{
-    std::size_t size = line.size();
-    if (size && line[size - 1] == '\r')
-        --size;
-
-    std::vector<std::string> fields;
-    std::string field;
-    bool quoted = false;     // inside a quoted region
-    bool wasQuoted = false;  // current field had a closing quote
-    bool atStart = true;     // at the first byte of the field
-    std::size_t openQuoteCol = 0;
-
-    auto fail = [&](std::size_t column, std::string reason) {
-        ParseError e;
-        e.column = column;
-        e.reason = std::move(reason);
-        return e;
-    };
-
-    for (std::size_t i = 0; i < size; ++i) {
-        char c = line[i];
-        if (quoted) {
-            if (c == '"') {
-                if (i + 1 < size && line[i + 1] == '"') {
-                    field += '"';
-                    ++i;
-                } else {
-                    quoted = false;
-                    wasQuoted = true;
-                }
-            } else {
-                field += c;
-            }
-        } else if (c == ',') {
-            fields.push_back(std::move(field));
-            field.clear();
-            quoted = wasQuoted = false;
-            atStart = true;
-        } else if (wasQuoted) {
-            return fail(i + 1,
-                        "text after closing quote in field " +
-                            std::to_string(fields.size() + 1));
-        } else if (c == '"') {
-            if (!atStart) {
-                return fail(i + 1,
-                            "quote inside unquoted field " +
-                                std::to_string(fields.size() + 1));
-            }
-            quoted = true;
-            atStart = false;
-            openQuoteCol = i + 1;
-        } else {
-            field += c;
-            atStart = false;
-        }
-    }
-    if (quoted) {
-        return fail(openQuoteCol,
-                    "unterminated quoted field " +
-                        std::to_string(fields.size() + 1));
-    }
-    fields.push_back(std::move(field));
-    return fields;
-}
-
 bool
 splitCsvFieldsView(std::string_view line,
                    std::vector<std::string_view> &fields,
@@ -862,12 +718,6 @@ splitCsvFieldsView(std::string_view line,
     }
 }
 
-std::vector<std::string>
-splitCsvLine(std::string_view line)
-{
-    return splitCsvFields(line).take();
-}
-
 void
 writeCpuUsageCsv(const TraceBundle &bundle, std::ostream &out)
 {
@@ -934,44 +784,6 @@ writeGpuUtilCsv(const TraceBundle &bundle, const std::string &path)
 }
 
 IngestReport
-readCpuUsageCsv(std::istream &in, TraceBundle &bundle,
-                const ParseOptions &options)
-{
-    std::string source = sourceLabel(options);
-    auto row = [&](const std::vector<std::string> &fields,
-                   std::uint64_t line, bool &clamped,
-                   ParseError &err) {
-        CSwitchEvent e;
-        if (!parseCpuRow(fields, e, bundle.processNames, source, line,
-                         options.mode, clamped, err))
-            return false;
-        bundle.cswitches.push_back(e);
-        return true;
-    };
-    IngestReport report =
-        readCsv(in, options, "New Process,", 9, row);
-    canonicalize(bundle);
-    return report;
-}
-
-IngestReport
-readGpuUtilCsv(std::istream &in, TraceBundle &bundle,
-               const ParseOptions &options)
-{
-    std::string source = sourceLabel(options);
-    auto row = [&](const std::vector<std::string> &fields,
-                   std::uint64_t line, bool &, ParseError &err) {
-        GpuPacketEvent e;
-        if (!parseGpuRow(fields, e, bundle.processNames, source, line,
-                         err))
-            return false;
-        bundle.gpuPackets.push_back(e);
-        return true;
-    };
-    return readCsv(in, options, "Process,", 7, row);
-}
-
-IngestReport
 decodeCpuUsageCsv(io::ByteSpan data, TraceBundle &bundle,
                   const ParseOptions &options)
 {
@@ -983,8 +795,8 @@ decodeCpuUsageCsv(io::ByteSpan data, TraceBundle &bundle,
             CSwitchEvent &e, NameTable &names,
             const std::string &source, std::uint64_t line,
             bool &clamped, ParseError &err) {
-            return parseCpuRow(fields, e, names, source, line, mode,
-                               clamped, err);
+            return cpuRow(fields, e, names, source, line, mode,
+                          clamped, err);
         });
     canonicalize(bundle);
     return report;
@@ -1001,24 +813,8 @@ decodeGpuUtilCsv(io::ByteSpan data, TraceBundle &bundle,
            GpuPacketEvent &e, NameTable &names,
            const std::string &source, std::uint64_t line, bool &,
            ParseError &err) {
-            return parseGpuRow(fields, e, names, source, line, err);
+            return gpuRow(fields, e, names, source, line, err);
         });
-}
-
-void
-readCpuUsageCsv(std::istream &in, TraceBundle &bundle)
-{
-    IngestReport report = readCpuUsageCsv(in, bundle, ParseOptions{});
-    if (!report.ok())
-        throw TraceParseError(report.errors.front());
-}
-
-void
-readGpuUtilCsv(std::istream &in, TraceBundle &bundle)
-{
-    IngestReport report = readGpuUtilCsv(in, bundle, ParseOptions{});
-    if (!report.ok())
-        throw TraceParseError(report.errors.front());
 }
 
 } // namespace deskpar::trace

@@ -622,16 +622,6 @@ tryGetVarint(std::string_view data, std::size_t &pos,
     return getBounded(data, pos, data.size(), value, err);
 }
 
-std::uint64_t
-getVarint(std::string_view data, std::size_t &pos)
-{
-    std::uint64_t value = 0;
-    ParseError err;
-    if (!tryGetVarint(data, pos, value, err))
-        throw TraceParseError(std::move(err));
-    return value;
-}
-
 void
 writeEtl(const TraceBundle &bundle, std::ostream &out)
 {
@@ -773,59 +763,6 @@ decodeEtl(io::ByteSpan data, const ParseOptions &options,
     TraceBundle bundle =
         decodeEtlBody(data.substr(sizeof(kMagic)), options, report);
     canonicalize(bundle);
-    return bundle;
-}
-
-TraceBundle
-readEtl(std::istream &in, const ParseOptions &options,
-        IngestReport &report)
-{
-    report = IngestReport{};
-    report.source =
-        options.source.empty() ? "<stream>" : options.source;
-    report.mode = options.mode;
-
-    TraceBundle bundle;
-
-    char magic[8];
-    in.read(magic, sizeof(magic));
-    if (!in || !std::equal(magic, magic + 8, kMagic)) {
-        ParseError err;
-        err.source = report.source;
-        err.section = "header";
-        err.offset = 0;
-        err.reason = in ? "bad magic" : "truncated magic";
-        report.note(std::move(err), options.maxStoredErrors);
-        return bundle;
-    }
-
-    // Slurp the body directly, sizing via seek/tell when the stream
-    // supports it — no intermediate ostringstream copy.
-    std::string data;
-    auto cur = in.tellg();
-    if (cur != std::istream::pos_type(-1)) {
-        in.seekg(0, std::ios::end);
-        auto end = in.tellg();
-        in.seekg(cur);
-        if (end > cur)
-            data.reserve(static_cast<std::size_t>(end - cur));
-    }
-    char buf[1 << 16];
-    while (in.read(buf, sizeof(buf)) || in.gcount() > 0)
-        data.append(buf, static_cast<std::size_t>(in.gcount()));
-
-    bundle = decodeEtlBody(data, options, report);
-    canonicalize(bundle);
-    return bundle;
-}
-
-TraceBundle
-readEtl(std::istream &in)
-{
-    IngestReport report;
-    TraceBundle bundle = readEtl(in, ParseOptions{}, report);
-    if (!report.ok())
-        throw TraceParseError(report.errors.front());
     return bundle;
 }
 

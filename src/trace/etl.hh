@@ -10,20 +10,19 @@
  * The per-section length framing lets a lenient reader skip a corrupt
  * or unknown section and keep decoding the rest of the file.
  *
- * Reading is recoverable (parse.hh): the report-returning readers
- * never throw on malformed content; strict mode stops at the first
- * defect, lenient mode drops the defective section remainder, counts
- * it, and salvages everything else. writeEtl validates stream
+ * Reading is recoverable (parse.hh): decodeEtl never throws on
+ * malformed content; strict mode stops at the first defect, lenient
+ * mode drops the defective section remainder, counts it, and
+ * salvages everything else. writeEtl validates stream
  * monotonicity (the delta encoding is unsigned) and reports the
  * offending record index as a structured TraceParseError.
  *
- * The production reader is decodeEtl(ByteSpan) over a memory-mapped
+ * The one reader is decodeEtl(ByteSpan) over a memory-mapped
  * file (trace::decodeTraceFile maps it). It decodes the sections
  * serially and ignores ParseOptions::threads: the CSwitch section
  * holds most of the bytes, so a section fan-out is one long task plus
  * a merge that copies every event again, and it measured slower than
- * one thread. The istream readers run the same body decoder over a
- * slurped copy. See DESIGN.md section 11.
+ * one thread. See DESIGN.md section 11.
  */
 
 #ifndef DESKPAR_TRACE_ETL_HH
@@ -58,30 +57,17 @@ void writeEtl(const TraceBundle &bundle, const std::string &path);
 void writeEtl(const TraceBundle &bundle, std::ostream &out);
 
 /**
- * Read a bundle, reporting malformed content per @p options instead
- * of throwing: strict mode stops at the first defect (discard the
- * bundle when !report.ok()); lenient mode skips what it must and
- * returns everything that decoded cleanly, canonicalized (merge.hh).
- * A header CPU count above kMaxLogicalCpus fails the file in both
- * modes.
- */
-TraceBundle readEtl(std::istream &in, const ParseOptions &options,
-                    IngestReport &report);
-
-/**
  * Decode a whole .etl image held in memory (usually a MappedFile's
- * bytes), serially. Same recoverable contract as readEtl(istream)
- * and byte-identical output.
+ * bytes), serially, reporting malformed content per @p options
+ * instead of throwing: strict mode stops at the first defect (discard
+ * the bundle when !report.ok()); lenient mode skips what it must and
+ * returns everything that decoded cleanly, canonicalized (merge.hh).
+ * A header the reader refuses (bad magic or version, a CPU count
+ * above kMaxLogicalCpus) fails the file in both modes. Files open
+ * through trace::decodeTraceFile (trace/ingest.hh).
  */
 TraceBundle decodeEtl(io::ByteSpan data, const ParseOptions &options,
                       IngestReport &report);
-
-/**
- * Legacy strict reader: throws TraceParseError (a FatalError) on any
- * malformed or mismatched content. Files open through
- * trace::decodeTraceFile (trace/ingest.hh).
- */
-TraceBundle readEtl(std::istream &in);
 
 /** @{ Low-level encoding helpers (exposed for tests). */
 
@@ -90,13 +76,8 @@ void putVarint(std::string &out, std::uint64_t value);
 
 /**
  * Decode a LEB128 varint from @p data starting at @p pos; advances
- * @p pos. Throws TraceParseError on truncated or overlong input.
- */
-std::uint64_t getVarint(std::string_view data, std::size_t &pos);
-
-/**
- * No-throw varint decode: false (with @p err located at the failing
- * byte offset) on truncated or overlong input.
+ * @p pos. False (with @p err located at the failing byte offset) on
+ * truncated or overlong input.
  */
 bool tryGetVarint(std::string_view data, std::size_t &pos,
                   std::uint64_t &value, ParseError &err);

@@ -91,7 +91,7 @@ class TraceParseError : public FatalError
 /**
  * Result of a fallible parse step: either a value or a ParseError.
  * The trace layer's internal no-throw currency; also returned by the
- * checked public helpers (splitCsvFields, mergeBundlesChecked).
+ * checked public helpers (parseCsvU64, mergeBundlesChecked).
  */
 template <typename T>
 class ParseResult
@@ -134,7 +134,7 @@ class ParseResult
 struct ParseOptions
 {
     ParseMode mode = ParseMode::Strict;
-    /** Diagnostic label for stream inputs ("<stream>" if empty). */
+    /** Diagnostic label of the input ("<stream>" if empty). */
     std::string source;
     /** Cap on errors *stored* in the report (all are counted). */
     std::size_t maxStoredErrors = 64;
@@ -143,9 +143,9 @@ struct ParseOptions
      * decodeCpuUsageCsv/decodeGpuUtilCsv and decodeEtlc: 0 resolves
      * via DESKPAR_JOBS / hardware concurrency (with a minimum input
      * size before fanning out); an explicit value forces that many
-     * chunks even for tiny inputs (tests). decodeEtl (.etl v3) and
-     * the istream readers are serial and ignore it. Bundles, reports,
-     * and error payloads are byte-identical at every thread count.
+     * chunks even for tiny inputs (tests). decodeEtl (.etl v3) is
+     * serial and ignores it. Bundles, reports, and error payloads
+     * are byte-identical at every thread count.
      */
     unsigned threads = 0;
 };

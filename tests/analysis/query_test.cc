@@ -39,7 +39,7 @@
 #include "reference/analysis_legacy.hh"
 #include "sim/logging.hh"
 #include "sim/types.hh"
-#include "trace/corrupt.hh"
+#include "support/corrupt.hh"
 #include "trace/diagnostic.hh"
 #include "trace/etl.hh"
 #include "trace/merge.hh"
@@ -701,9 +701,10 @@ TEST(QueryCorpus, SurvivorsMatchReference)
 
     std::size_t compared = 0;
     for (std::size_t i = 0; i < 96; ++i) {
-        std::istringstream in(injector.mutant(i));
+        std::string bytes = injector.mutant(i);
         trace::IngestReport report;
-        TraceBundle mutant = trace::readEtl(in, options, report);
+        TraceBundle mutant =
+            trace::decodeEtl(trace::io::ByteSpan(bytes), options, report);
         if (mutant.numLogicalCpus == 0 ||
             mutant.numLogicalCpus > 1024) {
             continue;

@@ -31,7 +31,7 @@
 #include "sim/cpu.hh"
 #include "sim/gpu.hh"
 #include "sim/logging.hh"
-#include "trace/corrupt.hh"
+#include "support/corrupt.hh"
 #include "trace/etl.hh"
 #include "trace/merge.hh"
 
@@ -603,9 +603,10 @@ TEST(TraceIndexCorpus, SurvivorsMatchLegacy)
 
     std::size_t compared = 0;
     for (std::size_t i = 0; i < 96; ++i) {
-        std::istringstream in(injector.mutant(i));
+        std::string bytes = injector.mutant(i);
         trace::IngestReport report;
-        TraceBundle mutant = trace::readEtl(in, options, report);
+        TraceBundle mutant =
+            trace::decodeEtl(trace::io::ByteSpan(bytes), options, report);
         // Headers the analyses reject outright are not interesting
         // comparisons (the reader refuses CPU counts above
         // kMaxLogicalCpus, leaving 0).

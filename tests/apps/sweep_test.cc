@@ -24,7 +24,7 @@
 
 #include "apps/sweep.hh"
 #include "sim/callback.hh"
-#include "trace/corrupt.hh"
+#include "support/corrupt.hh"
 
 namespace {
 

@@ -21,7 +21,7 @@
 
 #include "analysis/index_cache.hh"
 #include "analysis/session_cache.hh"
-#include "trace/corrupt.hh"
+#include "support/corrupt.hh"
 #include "trace/csv.hh"
 #include "trace/etl.hh"
 #include "trace/etlc.hh"

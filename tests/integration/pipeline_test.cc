@@ -38,9 +38,13 @@ TEST(Pipeline, EtlRoundTripPreservesMetrics)
     AppRunResult run = runWorkload("handbrake", fast());
     auto direct = analysis::Session(run.lastBundle).app("handbrake");
 
-    std::stringstream buffer;
+    std::ostringstream buffer;
     trace::writeEtl(run.lastBundle, buffer);
-    trace::TraceBundle loaded = trace::readEtl(buffer);
+    const std::string bytes = buffer.str();
+    trace::IngestReport report;
+    trace::TraceBundle loaded = trace::decodeEtl(
+        trace::io::ByteSpan(bytes), trace::ParseOptions{}, report);
+    ASSERT_TRUE(report.ok()) << report.summary();
     auto from_etl = analysis::Session(loaded).app("handbrake");
 
     EXPECT_DOUBLE_EQ(direct.tlp(), from_etl.tlp());
@@ -56,7 +60,7 @@ TEST(Pipeline, CsvRoundTripPreservesMetrics)
     AppRunResult run = runWorkload("winx", fast());
     auto direct = analysis::Session(run.lastBundle).app("winx");
 
-    std::stringstream cpu_csv, gpu_csv;
+    std::ostringstream cpu_csv, gpu_csv;
     trace::writeCpuUsageCsv(run.lastBundle, cpu_csv);
     trace::writeGpuUtilCsv(run.lastBundle, gpu_csv);
 
@@ -64,8 +68,13 @@ TEST(Pipeline, CsvRoundTripPreservesMetrics)
     loaded.startTime = run.lastBundle.startTime;
     loaded.stopTime = run.lastBundle.stopTime;
     loaded.numLogicalCpus = run.lastBundle.numLogicalCpus;
-    trace::readCpuUsageCsv(cpu_csv, loaded);
-    trace::readGpuUtilCsv(gpu_csv, loaded);
+    const std::string cpu = cpu_csv.str(), gpu = gpu_csv.str();
+    trace::IngestReport report = trace::decodeCpuUsageCsv(
+        trace::io::ByteSpan(cpu), loaded, trace::ParseOptions{});
+    ASSERT_TRUE(report.ok()) << report.summary();
+    report = trace::decodeGpuUtilCsv(trace::io::ByteSpan(gpu), loaded,
+                                     trace::ParseOptions{});
+    ASSERT_TRUE(report.ok()) << report.summary();
 
     auto from_csv = analysis::Session(loaded).app("winx");
     EXPECT_NEAR(direct.tlp(), from_csv.tlp(), 1e-9);

@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -320,6 +321,44 @@ TEST(SessionCache, FailedIngestIsNotCachedAndRetries)
         cache.acquire(path, trace::ParseMode::Strict);
     EXPECT_TRUE(lease.report->ok());
     EXPECT_EQ(cache.stats().entries, 1u);
+}
+
+TEST(SessionCache, RefusedHeaderFailsInBothModes)
+{
+    // A lenient ingest publishes what it salvaged, but a header the
+    // reader refuses leaves nothing: both modes raise the header
+    // error, which the CLI and the served ops report by name.
+    std::string path = ::testing::TempDir() + "/sc_refused.etl";
+    {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out << "this is not a trace file";
+    }
+    SessionCache cache;
+    for (trace::ParseMode mode :
+         {trace::ParseMode::Strict, trace::ParseMode::Lenient}) {
+        try {
+            cache.acquire(path, mode);
+            ADD_FAILURE() << "expected TraceParseError";
+        } catch (const trace::TraceParseError &e) {
+            EXPECT_EQ(e.error().section, "header");
+            EXPECT_EQ(e.error().reason, "bad magic");
+        }
+        EXPECT_EQ(cache.stats().entries, 0u);
+    }
+
+    // Damage past a good header still salvages in lenient mode.
+    std::string bytes;
+    {
+        std::ostringstream out;
+        trace::writeEtl(cacheBundle(), out);
+        bytes = out.str();
+    }
+    bytes.pop_back(); // the End tag
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+    SessionCache::Lease lease =
+        cache.acquire(path, trace::ParseMode::Lenient);
+    EXPECT_FALSE(lease.report->ok());
+    EXPECT_GT(lease.session->bundle().cswitches.size(), 0u);
 }
 
 TEST(SessionCache, MissingFileThrows)

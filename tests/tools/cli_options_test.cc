@@ -235,15 +235,13 @@ TEST(CliExitCodes, RuntimeFailuresExitOne)
 }
 
 /**
- * Run `deskpar ARGS`; returns the exit code and fills @p out with
- * stdout, followed by stderr when @p withStderr.
+ * Run `deskpar ARGS` (which may end in shell redirections); returns
+ * the exit code and fills @p out with stdout.
  */
 int
-deskparOutput(const std::string &args, std::string &out,
-              bool withStderr = false)
+deskparRun(const std::string &args, std::string &out)
 {
-    std::string command = std::string(DESKPAR_CLI_PATH) + " " + args +
-                          (withStderr ? " 2>&1" : " 2>/dev/null");
+    std::string command = std::string(DESKPAR_CLI_PATH) + " " + args;
     FILE *pipe = ::popen(command.c_str(), "r");
     EXPECT_NE(pipe, nullptr) << command;
     if (!pipe)
@@ -256,6 +254,18 @@ deskparOutput(const std::string &args, std::string &out,
     int status = ::pclose(pipe);
     EXPECT_TRUE(WIFEXITED(status)) << command;
     return WEXITSTATUS(status);
+}
+
+/**
+ * Run `deskpar ARGS`; returns the exit code and fills @p out with
+ * stdout, followed by stderr when @p withStderr.
+ */
+int
+deskparOutput(const std::string &args, std::string &out,
+              bool withStderr = false)
+{
+    return deskparRun(args + (withStderr ? " 2>&1" : " 2>/dev/null"),
+                      out);
 }
 
 /** The whitespace-separated tokens of the first line of @p text
@@ -496,15 +506,23 @@ skipVarint(const std::string &bytes, std::size_t pos)
     return pos + 1;
 }
 
-TEST_F(CliCanonical, HeaderClaimingTooManyCpusIsRefusedInBothModes)
+/** The whole of file @p path. */
+std::string
+slurp(const std::string &path)
 {
-    // Rewrite the .etl header's CPU count (the fourth varint past the
-    // 8-byte magic) to claim 20,000,000 CPUs.
-    std::string bytes;
-    {
-        std::ifstream in(etl, std::ios::binary);
-        bytes.assign(std::istreambuf_iterator<char>(in), {});
-    }
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in), {}};
+}
+
+/**
+ * Copy of the fixture's .etl at @p dir/huge.etl whose header's CPU
+ * count (the fourth varint past the 8-byte magic) claims 20,000,000
+ * CPUs.
+ */
+std::string
+writeHugeEtl(const std::string &dir, const std::string &etl)
+{
+    std::string bytes = slurp(etl);
     std::size_t pos = 8;
     for (int i = 0; i < 3; ++i)
         pos = skipVarint(bytes, pos);
@@ -516,7 +534,46 @@ TEST_F(CliCanonical, HeaderClaimingTooManyCpusIsRefusedInBothModes)
     bytes.replace(pos, skipVarint(bytes, pos) - pos, claim);
     const std::string huge = dir + "/huge.etl";
     std::ofstream(huge, std::ios::binary) << bytes;
+    return huge;
+}
 
+/**
+ * Every analysis command under --lenient-traces on @p trace, whose
+ * header the reader refuses: each exits 1 with the header error
+ * @p want, naming @p trace, on stderr and prints no report (replay's
+ * table row says FAILED).
+ */
+void
+expectLenientHeaderRefusal(const std::string &dir,
+                           const std::string &trace,
+                           const std::string &want)
+{
+    const std::string errPath = dir + "/stderr.txt";
+    for (const char *command : {"replay", "query", "bottlenecks"}) {
+        SCOPED_TRACE(command);
+        std::string args = std::string(command) + " --lenient-traces " +
+                           trace;
+        if (std::string(command) == "query")
+            args += " 'tlp/by=bucket:100ms'";
+        std::string out;
+        EXPECT_EQ(deskparRun(args + " 2>" + errPath, out), 1) << out;
+        std::string err = slurp(errPath);
+        EXPECT_NE(err.find(want), std::string::npos) << err;
+        EXPECT_NE(err.find("deskpar: " + trace), std::string::npos)
+            << err;
+        EXPECT_EQ(err.find("degraded ingest"), std::string::npos) << err;
+        if (std::string(command) == "replay") {
+            EXPECT_NE(out.find("FAILED"), std::string::npos) << out;
+            EXPECT_EQ(out.find(" ok"), std::string::npos) << out;
+        } else {
+            EXPECT_EQ(out, "");
+        }
+    }
+}
+
+TEST_F(CliCanonical, HeaderClaimingTooManyCpusIsRefusedInBothModes)
+{
+    const std::string huge = writeHugeEtl(dir, etl);
     std::string out;
     for (const char *mode : {"", "--lenient-traces "}) {
         SCOPED_TRACE(mode);
@@ -534,6 +591,26 @@ TEST_F(CliCanonical, HeaderClaimingTooManyCpusIsRefusedInBothModes)
     EXPECT_NE(out.find("CPU count 20000000 exceeds 1024"),
               std::string::npos)
         << out;
+}
+
+// A header the reader refuses leaves nothing to salvage: a lenient
+// open fails with the strict mode's named error instead of analyzing
+// an empty trace.
+TEST_F(CliCanonical, LenientRefusedEtlHeaderFailsEveryCommand)
+{
+    expectLenientHeaderRefusal(
+        dir, writeHugeEtl(dir, etl),
+        "[header] numLogicalCpus: CPU count 20000000 exceeds 1024");
+}
+
+TEST_F(CliCanonical, LenientRefusedCsvHeaderFailsEveryCommand)
+{
+    std::string text = slurp(csv);
+    text.replace(0, text.find('\n'), "Bogus,Header");
+    const std::string bad = dir + "/badhdr.csv";
+    std::ofstream(bad) << text;
+    expectLenientHeaderRefusal(dir, bad,
+                               bad + ":1: [header] unexpected header");
 }
 
 } // namespace

@@ -6,9 +6,10 @@
  * mutant of a valid serialized trace either parses or yields a
  * structured ParseError — never a process abort, a foreign exception
  * (std::out_of_range from stoull and friends), or undefined behavior.
- * The corpus also pins exact error locations for the adversarial
- * cases the readers must diagnose, and the lenient/strict round-trip
- * properties on clean input.
+ * The mutants run through the production decoders (decode*), serial
+ * and fanned out. The corpus also pins exact error locations for the
+ * adversarial cases the decoders must diagnose, and the
+ * lenient/strict round-trip properties on clean input.
  */
 
 #include <gtest/gtest.h>
@@ -17,7 +18,7 @@
 #include <string>
 #include <vector>
 
-#include "trace/corrupt.hh"
+#include "support/corrupt.hh"
 #include "trace/csv.hh"
 #include "trace/diagnostic.hh"
 #include "trace/etl.hh"
@@ -148,26 +149,36 @@ checkReport(const IngestReport &report, const ParseOptions &options)
 
 constexpr std::size_t kMutantsPerReader = 250;
 
-/** Feed every mutant to @p ingest in both modes; nothing escapes. */
+/**
+ * Feed every mutant to @p ingest in both modes, serially and fanned
+ * out over 7 threads (for the chunk- and block-parallel decoders, the
+ * fan-out merge too); nothing escapes.
+ */
 template <typename IngestFn>
 void
 runCorpus(const std::string &valid, TraceFormat format,
           IngestFn &&ingest)
 {
     FaultInjector injector(valid, 0xdeadbeefcafe1234ull, format);
-    for (std::size_t i = 0; i < kMutantsPerReader; ++i) {
-        std::string mutant = injector.mutant(i);
-        for (ParseMode mode : {ParseMode::Strict, ParseMode::Lenient}) {
-            SCOPED_TRACE("mutant " + std::to_string(i) + " (" +
-                         injector.mutationFor(i).describe() + "), " +
-                         (mode == ParseMode::Strict ? "strict"
-                                                    : "lenient"));
-            ParseOptions options;
-            options.mode = mode;
-            options.source = "mutant-" + std::to_string(i);
-            IngestReport report;
-            ASSERT_NO_THROW(report = ingest(mutant, options));
-            checkReport(report, options);
+    for (unsigned threads : {1u, 7u}) {
+        for (std::size_t i = 0; i < kMutantsPerReader; ++i) {
+            std::string mutant = injector.mutant(i);
+            for (ParseMode mode :
+                 {ParseMode::Strict, ParseMode::Lenient}) {
+                SCOPED_TRACE(
+                    "mutant " + std::to_string(i) + " (" +
+                    injector.mutationFor(i).describe() + "), " +
+                    (mode == ParseMode::Strict ? "strict"
+                                               : "lenient") +
+                    ", threads " + std::to_string(threads));
+                ParseOptions options;
+                options.mode = mode;
+                options.source = "mutant-" + std::to_string(i);
+                options.threads = threads;
+                IngestReport report;
+                ASSERT_NO_THROW(report = ingest(mutant, options));
+                checkReport(report, options);
+            }
         }
     }
 }
@@ -177,9 +188,9 @@ TEST(CorruptionCorpus, CpuCsvMutantsNeverEscape)
     runCorpus(cpuCsvText(), TraceFormat::Text,
               [](const std::string &data,
                  const ParseOptions &options) {
-                  std::istringstream in(data);
                   TraceBundle bundle;
-                  return readCpuUsageCsv(in, bundle, options);
+                  return decodeCpuUsageCsv(io::ByteSpan(data), bundle,
+                                           options);
               });
 }
 
@@ -188,9 +199,9 @@ TEST(CorruptionCorpus, GpuCsvMutantsNeverEscape)
     runCorpus(gpuCsvText(), TraceFormat::Text,
               [](const std::string &data,
                  const ParseOptions &options) {
-                  std::istringstream in(data);
                   TraceBundle bundle;
-                  return readGpuUtilCsv(in, bundle, options);
+                  return decodeGpuUtilCsv(io::ByteSpan(data), bundle,
+                                          options);
               });
 }
 
@@ -199,9 +210,8 @@ TEST(CorruptionCorpus, EtlMutantsNeverEscape)
     runCorpus(etlBytes(), TraceFormat::Binary,
               [](const std::string &data,
                  const ParseOptions &options) {
-                  std::istringstream in(data);
                   IngestReport report;
-                  readEtl(in, options, report);
+                  decodeEtl(io::ByteSpan(data), options, report);
                   return report;
               });
 }
@@ -210,19 +220,14 @@ TEST(CorruptionCorpus, EtlcMutantsNeverEscape)
 {
     // The block-anatomy kinds (flipped checksums, truncated final
     // blocks, inflated length fields, varint overruns) join the
-    // byte-level rotation; decode runs both serial and block-parallel
-    // so the corpus covers the fan-out merge too.
-    for (unsigned threads : {1u, 7u}) {
-        SCOPED_TRACE("threads " + std::to_string(threads));
-        runCorpus(etlcBytes(), TraceFormat::Etlc,
-                  [threads](const std::string &data,
-                            ParseOptions options) {
-                      options.threads = threads;
-                      IngestReport report;
-                      decodeEtlc(io::ByteSpan(data), options, report);
-                      return report;
-                  });
-    }
+    // byte-level rotation.
+    runCorpus(etlcBytes(), TraceFormat::Etlc,
+              [](const std::string &data,
+                 const ParseOptions &options) {
+                  IngestReport report;
+                  decodeEtlc(io::ByteSpan(data), options, report);
+                  return report;
+              });
 }
 
 // ---------------------------------------------------------------------
@@ -236,28 +241,41 @@ const char *kGpuHeader =
     "Process,PID,Engine,Queue Slot,Queued (ns),"
     "Start Execution (ns),Finished (ns)\n";
 
-IngestReport
-ingestCpu(const std::string &text,
-          ParseMode mode = ParseMode::Strict)
+/** The decoders' options for the pinned cases: one thread. */
+ParseOptions
+pinnedOptions(ParseMode mode, const char *source)
 {
-    std::istringstream in(text);
-    TraceBundle bundle;
     ParseOptions options;
     options.mode = mode;
-    options.source = "test.csv";
-    return readCpuUsageCsv(in, bundle, options);
+    options.source = source;
+    options.threads = 1;
+    return options;
+}
+
+IngestReport
+ingestCpu(const std::string &text,
+          ParseMode mode = ParseMode::Strict,
+          TraceBundle *out = nullptr)
+{
+    TraceBundle bundle;
+    IngestReport report = decodeCpuUsageCsv(
+        io::ByteSpan(text), bundle, pinnedOptions(mode, "test.csv"));
+    if (out)
+        *out = std::move(bundle);
+    return report;
 }
 
 IngestReport
 ingestGpu(const std::string &text,
-          ParseMode mode = ParseMode::Strict)
+          ParseMode mode = ParseMode::Strict,
+          TraceBundle *out = nullptr)
 {
-    std::istringstream in(text);
     TraceBundle bundle;
-    ParseOptions options;
-    options.mode = mode;
-    options.source = "test.csv";
-    return readGpuUtilCsv(in, bundle, options);
+    IngestReport report = decodeGpuUtilCsv(
+        io::ByteSpan(text), bundle, pinnedOptions(mode, "test.csv"));
+    if (out)
+        *out = std::move(bundle);
+    return report;
 }
 
 TEST(CsvDiagnostics, EmptyInputIsAHeaderErrorOnLineOne)
@@ -368,12 +386,8 @@ TEST(CsvDiagnostics, InvertedReadyTimeIsClampedInLenientMode)
         std::string(kCpuHeader) +
         "app (1000),1000,11,2,200,150,Idle (0),0,0\n" +
         "app (1000),1000,11,2,300,350,Idle (0),0,0\n";
-    std::istringstream in(text);
     TraceBundle bundle;
-    ParseOptions options;
-    options.mode = ParseMode::Lenient;
-    options.source = "test.csv";
-    IngestReport report = readCpuUsageCsv(in, bundle, options);
+    IngestReport report = ingestCpu(text, ParseMode::Lenient, &bundle);
     // The record is salvageable: kept, counted as parsed AND
     // clamped, and surfaced as a repair — not an error.
     EXPECT_TRUE(report.ok());
@@ -394,11 +408,7 @@ TEST(CsvDiagnostics, ClampRepairsRenderAsWarningDiagnostics)
     std::string text =
         std::string(kCpuHeader) +
         "app (1000),1000,11,2,200,150,Idle (0),0,0\n";
-    std::istringstream in(text);
-    TraceBundle bundle;
-    ParseOptions options;
-    options.mode = ParseMode::Lenient;
-    IngestReport report = readCpuUsageCsv(in, bundle, options);
+    IngestReport report = ingestCpu(text, ParseMode::Lenient);
     auto diags = report.diagnostics();
     ASSERT_EQ(diags.size(), 1u);
     EXPECT_EQ(diags[0].severity, Severity::Warning);
@@ -422,32 +432,38 @@ TEST(CsvDiagnostics, WriterRefusesInvertedReadyTime)
     }
 }
 
+/** The field splitter's defect for @p line (it must fail). */
+ParseError
+splitError(std::string_view line)
+{
+    std::vector<std::string_view> fields;
+    std::string scratch;
+    ParseError err;
+    EXPECT_FALSE(splitCsvFieldsView(line, fields, scratch, err));
+    return err;
+}
+
 TEST(CsvDiagnostics, UnterminatedQuoteNamesItsColumn)
 {
-    auto fields = splitCsvFields("a,\"bc,d");
-    ASSERT_FALSE(fields.ok());
-    EXPECT_EQ(fields.error().column, 3u);
-    EXPECT_NE(fields.error().reason.find("unterminated quoted field"),
+    ParseError err = splitError("a,\"bc,d");
+    EXPECT_EQ(err.column, 3u);
+    EXPECT_NE(err.reason.find("unterminated quoted field"),
               std::string::npos);
-    EXPECT_THROW(splitCsvLine("a,\"bc,d"), deskpar::FatalError);
 }
 
 TEST(CsvDiagnostics, MidFieldQuoteNamesItsColumn)
 {
-    auto fields = splitCsvFields("a\"b,c");
-    ASSERT_FALSE(fields.ok());
-    EXPECT_EQ(fields.error().column, 2u);
-    EXPECT_NE(fields.error().reason.find(
-                  "quote inside unquoted field 1"),
+    ParseError err = splitError("a\"b,c");
+    EXPECT_EQ(err.column, 2u);
+    EXPECT_NE(err.reason.find("quote inside unquoted field 1"),
               std::string::npos);
 }
 
 TEST(CsvDiagnostics, TextAfterClosingQuoteIsRejected)
 {
-    auto fields = splitCsvFields("\"ab\"x,c");
-    ASSERT_FALSE(fields.ok());
-    EXPECT_EQ(fields.error().column, 5u);
-    EXPECT_NE(fields.error().reason.find("text after closing quote"),
+    ParseError err = splitError("\"ab\"x,c");
+    EXPECT_EQ(err.column, 5u);
+    EXPECT_NE(err.reason.find("text after closing quote"),
               std::string::npos);
 }
 
@@ -498,31 +514,12 @@ TEST(CsvDiagnostics, StrictModeStopsAtTheFirstBadRow)
         "app (1000),1000,11,2,100,150,Idle (0),0,0\n" +
         "garbage line with no commas\n" +
         "app (1000),1000,11,2,300,350,Idle (0),0,0\n";
-    std::istringstream in(text);
     TraceBundle bundle;
-    ParseOptions options;
-    options.source = "test.csv";
-    IngestReport report = readCpuUsageCsv(in, bundle, options);
+    IngestReport report = ingestCpu(text, ParseMode::Strict, &bundle);
     EXPECT_EQ(report.recordsParsed, 1u);
     EXPECT_EQ(report.errorCount, 1u);
     // The partial bundle holds exactly the rows before the defect.
     EXPECT_EQ(bundle.cswitches.size(), 1u);
-}
-
-TEST(CsvDiagnostics, LegacyReaderThrowsTheStructuredError)
-{
-    std::string text =
-        std::string(kCpuHeader) +
-        "app (1000),1000,11,2,100,150xyz,Idle (0),0,0\n";
-    std::istringstream in(text);
-    TraceBundle bundle;
-    try {
-        readCpuUsageCsv(in, bundle);
-        FAIL() << "expected TraceParseError";
-    } catch (const TraceParseError &e) {
-        EXPECT_EQ(e.error().line, 2u);
-        EXPECT_EQ(e.error().field, "Switch-In Time (ns)");
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -534,12 +531,9 @@ ingestEtl(const std::string &bytes,
           ParseMode mode = ParseMode::Strict,
           TraceBundle *out = nullptr)
 {
-    std::istringstream in(bytes);
-    ParseOptions options;
-    options.mode = mode;
-    options.source = "test.etl";
     IngestReport report;
-    TraceBundle bundle = readEtl(in, options, report);
+    TraceBundle bundle = decodeEtl(
+        io::ByteSpan(bytes), pinnedOptions(mode, "test.etl"), report);
     if (out)
         *out = std::move(bundle);
     return report;
@@ -569,12 +563,24 @@ TEST(EtlDiagnostics, TruncationInsideTheHeaderNamesTheField)
 
 TEST(EtlDiagnostics, TailTruncationYieldsAStructuredError)
 {
+    // Cuts inside the magic, the header, the first section's framing
+    // and a section payload, and just short of the End tag: every one
+    // is a structured error naming the file in both modes.
     std::string bytes = etlBytes();
-    IngestReport report =
-        ingestEtl(bytes.substr(0, bytes.size() - 2));
-    EXPECT_FALSE(report.ok());
-    ASSERT_FALSE(report.errors.empty());
-    EXPECT_EQ(report.errors.front().source, "test.etl");
+    for (std::size_t cut :
+         {std::size_t(0), std::size_t(4), std::size_t(9),
+          std::size_t(11), bytes.size() / 2, bytes.size() - 2,
+          bytes.size() - 1}) {
+        for (ParseMode mode : {ParseMode::Strict, ParseMode::Lenient}) {
+            SCOPED_TRACE("cut " + std::to_string(cut) +
+                         (mode == ParseMode::Strict ? ", strict"
+                                                    : ", lenient"));
+            IngestReport report = ingestEtl(bytes.substr(0, cut), mode);
+            EXPECT_FALSE(report.ok());
+            ASSERT_FALSE(report.errors.empty());
+            EXPECT_EQ(report.errors.front().source, "test.etl");
+        }
+    }
 }
 
 TEST(EtlDiagnostics, LenientModeSkipsAnUnknownSection)
@@ -749,11 +755,8 @@ TEST(RoundTrip, CleanCpuCsvParsesIdenticallyInBothModes)
 {
     std::string text = cpuCsvText();
     for (ParseMode mode : {ParseMode::Strict, ParseMode::Lenient}) {
-        std::istringstream in(text);
         TraceBundle bundle;
-        ParseOptions options;
-        options.mode = mode;
-        IngestReport report = readCpuUsageCsv(in, bundle, options);
+        IngestReport report = ingestCpu(text, mode, &bundle);
         EXPECT_TRUE(report.ok());
         EXPECT_EQ(report.recordsParsed,
                   corpusBundle().cswitches.size());
@@ -768,11 +771,8 @@ TEST(RoundTrip, CleanGpuCsvParsesIdenticallyInBothModes)
 {
     std::string text = gpuCsvText();
     for (ParseMode mode : {ParseMode::Strict, ParseMode::Lenient}) {
-        std::istringstream in(text);
         TraceBundle bundle;
-        ParseOptions options;
-        options.mode = mode;
-        IngestReport report = readGpuUtilCsv(in, bundle, options);
+        IngestReport report = ingestGpu(text, mode, &bundle);
         EXPECT_TRUE(report.ok());
         EXPECT_EQ(report.recordsParsed,
                   corpusBundle().gpuPackets.size());

@@ -8,8 +8,9 @@
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <vector>
 
-#include "sim/logging.hh"
 #include "trace/csv.hh"
 
 namespace {
@@ -55,9 +56,32 @@ sampleBundle()
     return bundle;
 }
 
+/** Split @p line with the decoders' field splitter (it must succeed). */
+std::vector<std::string>
+split(std::string_view line)
+{
+    std::vector<std::string_view> fields;
+    std::string scratch;
+    ParseError err;
+    EXPECT_TRUE(splitCsvFieldsView(line, fields, scratch, err))
+        << err.reason;
+    return {fields.begin(), fields.end()};
+}
+
+/** Decode @p text with @p decoder at one thread, strict. */
+IngestReport
+decode(IngestReport (*decoder)(io::ByteSpan, TraceBundle &,
+                               const ParseOptions &),
+       const std::string &text, TraceBundle &out)
+{
+    ParseOptions options;
+    options.threads = 1;
+    return decoder(io::ByteSpan(text), out, options);
+}
+
 TEST(Csv, SplitHandlesQuotesAndCommas)
 {
-    auto fields = splitCsvLine("a,\"b,c\",\"d\"\"e\",f");
+    auto fields = split("a,\"b,c\",\"d\"\"e\",f");
     ASSERT_EQ(fields.size(), 4u);
     EXPECT_EQ(fields[0], "a");
     EXPECT_EQ(fields[1], "b,c");
@@ -67,7 +91,7 @@ TEST(Csv, SplitHandlesQuotesAndCommas)
 
 TEST(Csv, SplitPlainLine)
 {
-    auto fields = splitCsvLine("1,2,3");
+    auto fields = split("1,2,3");
     ASSERT_EQ(fields.size(), 3u);
     EXPECT_EQ(fields[2], "3");
 }
@@ -75,11 +99,12 @@ TEST(Csv, SplitPlainLine)
 TEST(Csv, CpuUsageRoundTrip)
 {
     TraceBundle in = sampleBundle();
-    std::stringstream ss;
-    writeCpuUsageCsv(in, ss);
+    std::ostringstream text;
+    writeCpuUsageCsv(in, text);
 
     TraceBundle out;
-    readCpuUsageCsv(ss, out);
+    IngestReport report = decode(decodeCpuUsageCsv, text.str(), out);
+    EXPECT_TRUE(report.ok()) << report.summary();
     ASSERT_EQ(out.cswitches.size(), 2u);
     EXPECT_EQ(out.cswitches[0].timestamp, 10u);
     EXPECT_EQ(out.cswitches[0].cpu, 2u);
@@ -95,11 +120,12 @@ TEST(Csv, CpuUsageRoundTrip)
 TEST(Csv, GpuUtilRoundTrip)
 {
     TraceBundle in = sampleBundle();
-    std::stringstream ss;
-    writeGpuUtilCsv(in, ss);
+    std::ostringstream text;
+    writeGpuUtilCsv(in, text);
 
     TraceBundle out;
-    readGpuUtilCsv(ss, out);
+    IngestReport report = decode(decodeGpuUtilCsv, text.str(), out);
+    EXPECT_TRUE(report.ok()) << report.summary();
     ASSERT_EQ(out.gpuPackets.size(), 1u);
     EXPECT_EQ(out.gpuPackets[0].start, 20u);
     EXPECT_EQ(out.gpuPackets[0].finish, 45u);
@@ -109,34 +135,41 @@ TEST(Csv, GpuUtilRoundTrip)
 
 TEST(Csv, HeaderValidation)
 {
-    std::stringstream bad("wrong,header\n1,2\n");
     TraceBundle out;
-    EXPECT_THROW(readCpuUsageCsv(bad, out), deskpar::FatalError);
-    std::stringstream bad2("nope\n");
-    EXPECT_THROW(readGpuUtilCsv(bad2, out), deskpar::FatalError);
+    IngestReport cpu =
+        decode(decodeCpuUsageCsv, "wrong,header\n1,2\n", out);
+    ASSERT_FALSE(cpu.ok());
+    EXPECT_EQ(cpu.errors.front().section, "header");
+    IngestReport gpu = decode(decodeGpuUtilCsv, "nope\n", out);
+    ASSERT_FALSE(gpu.ok());
+    EXPECT_EQ(gpu.errors.front().section, "header");
+    EXPECT_EQ(out.totalEvents(), 0u);
 }
 
 TEST(Csv, BadFieldCountFatal)
 {
     TraceBundle in = sampleBundle();
-    std::stringstream ss;
-    writeCpuUsageCsv(in, ss);
-    std::string data = ss.str();
-    data += "only,three,fields\n";
-    std::stringstream corrupted(data);
+    std::ostringstream text;
+    writeCpuUsageCsv(in, text);
+    std::string data = text.str() + "only,three,fields\n";
     TraceBundle out;
-    EXPECT_THROW(readCpuUsageCsv(corrupted, out),
-                 deskpar::FatalError);
+    IngestReport report = decode(decodeCpuUsageCsv, data, out);
+    ASSERT_FALSE(report.ok());
+    EXPECT_EQ(report.errors.front().line, 4u);
+    EXPECT_NE(report.errors.front().reason.find("bad field count"),
+              std::string::npos);
 }
 
 TEST(Csv, UnknownEngineFatal)
 {
-    std::stringstream ss(
-        "Process,PID,Engine,Queue Slot,Start Execution (ns),"
-        "Finished (ns)\n"
-        "app (5),5,Warp,0,1,2\n");
+    std::string text =
+        "Process,PID,Engine,Queue Slot,Queued (ns),"
+        "Start Execution (ns),Finished (ns)\n"
+        "app (5),5,Warp,0,1,2,3\n";
     TraceBundle out;
-    EXPECT_THROW(readGpuUtilCsv(ss, out), deskpar::FatalError);
+    IngestReport report = decode(decodeGpuUtilCsv, text, out);
+    ASSERT_FALSE(report.ok());
+    EXPECT_EQ(report.errors.front().field, "Engine");
 }
 
 TEST(Csv, EventReserveIsClampedByTheLineCount)

@@ -1,9 +1,9 @@
 /**
  * @file
- * Failure-injection tests for the .etl reader: truncations and byte
- * corruption must produce FatalError (or, for payload-only flips, a
- * successfully parsed bundle) — never crashes, hangs, or unbounded
- * allocation.
+ * Failure-injection tests for the .etl decoder: truncations and byte
+ * corruption must produce a structured error (or, for payload-only
+ * flips, a successfully parsed bundle) — never crashes, hangs,
+ * exceptions, or unbounded allocation.
  */
 
 #include <gtest/gtest.h>
@@ -11,7 +11,6 @@
 #include <random>
 #include <sstream>
 
-#include "sim/logging.hh"
 #include "trace/etl.hh"
 
 namespace {
@@ -46,17 +45,20 @@ serializedSample()
     return out.str();
 }
 
-/** Parse arbitrary bytes; success or FatalError are both fine. */
+/** Decode arbitrary bytes; success or a structured error are fine. */
 void
 mustNotCrash(const std::string &data)
 {
-    std::istringstream in(data);
-    try {
-        TraceBundle bundle = readEtl(in);
+    IngestReport report;
+    TraceBundle bundle;
+    ASSERT_NO_THROW(
+        bundle = decodeEtl(io::ByteSpan(data), ParseOptions{}, report));
+    if (report.ok()) {
         // If it parsed, basic sanity must hold.
         EXPECT_LE(bundle.startTime, bundle.stopTime + (1ull << 40));
-    } catch (const FatalError &) {
-        // Expected for malformed input.
+    } else {
+        ASSERT_FALSE(report.errors.empty());
+        EXPECT_FALSE(report.errors.front().reason.empty());
     }
 }
 

@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "obs/obs.hh"
-#include "trace/corrupt.hh"
+#include "support/corrupt.hh"
 #include "trace/etl.hh"
 #include "trace/etlc.hh"
 #include "trace/session.hh"

@@ -2,13 +2,16 @@
  * @file
  * Differential tests for the zero-copy chunk-parallel readers.
  *
- * The contract under test: decodeCpuUsageCsv / decodeGpuUtilCsv /
- * decodeEtl produce bundles, report counters, and error payloads
- * byte-identical to the legacy istream readers at every thread
- * count, in both strict and lenient mode — including on corrupted
- * input. The chunk-boundary edge cases (CRLF, quoted quotes, final
- * line without a newline, more chunks than lines) are pinned
- * explicitly; a fault-injection sweep covers the long tail.
+ * The contract under test: decodeCpuUsageCsv / decodeGpuUtilCsv
+ * produce bundles, report counters, and error payloads
+ * byte-identical to the serial getline reference
+ * (tests/reference/csv_legacy.hh) at every thread count, in both
+ * strict and lenient mode — including on corrupted input. The
+ * chunk-boundary edge cases (CRLF, quoted quotes, final line without
+ * a newline, more chunks than lines) are pinned explicitly; a
+ * fault-injection sweep covers the long tail. decodeEtl decodes
+ * serially whatever ParseOptions::threads says, so its outcome at
+ * every thread count must equal its one-thread outcome.
  */
 
 #include <gtest/gtest.h>
@@ -18,7 +21,8 @@
 #include <string>
 #include <vector>
 
-#include "trace/corrupt.hh"
+#include "reference/csv_legacy.hh"
+#include "support/corrupt.hh"
 #include "trace/csv.hh"
 #include "trace/etl.hh"
 #include "trace/io.hh"
@@ -216,8 +220,9 @@ expectSameBundles(const TraceBundle &a, const TraceBundle &b)
 }
 
 /**
- * Parse @p text with the legacy istream CPU reader and with the span
- * reader at every thread count, both modes; everything must match.
+ * Parse @p text with the serial reference CPU reader and with the
+ * span decoder at every thread count, both modes; everything must
+ * match.
  */
 void
 cpuCsvDifferential(const std::string &text)
@@ -232,7 +237,7 @@ cpuCsvDifferential(const std::string &text)
         TraceBundle serialBundle;
         std::istringstream in(text);
         IngestReport serial =
-            readCpuUsageCsv(in, serialBundle, options);
+            legacy::readCpuUsageCsv(in, serialBundle, options);
 
         for (unsigned threads : kThreadCounts) {
             SCOPED_TRACE("threads " + std::to_string(threads));
@@ -262,7 +267,7 @@ gpuCsvDifferential(const std::string &text)
         TraceBundle serialBundle;
         std::istringstream in(text);
         IngestReport serial =
-            readGpuUtilCsv(in, serialBundle, options);
+            legacy::readGpuUtilCsv(in, serialBundle, options);
 
         for (unsigned threads : kThreadCounts) {
             SCOPED_TRACE("threads " + std::to_string(threads));
@@ -279,19 +284,27 @@ gpuCsvDifferential(const std::string &text)
     }
 }
 
-void
+/**
+ * Decode @p bytes with decodeEtl at one thread and at every other
+ * thread count, both modes; the thread knob must change nothing.
+ * Returns the one-thread strict report for further checks.
+ */
+IngestReport
 etlDifferential(const std::string &bytes)
 {
+    IngestReport strictReport;
     for (ParseMode mode : {ParseMode::Strict, ParseMode::Lenient}) {
         SCOPED_TRACE(mode == ParseMode::Strict ? "strict"
                                                : "lenient");
         ParseOptions options;
         options.mode = mode;
         options.source = "differential.etl";
+        options.threads = 1;
 
-        std::istringstream in(bytes);
         IngestReport serial;
-        TraceBundle serialBundle = readEtl(in, options, serial);
+        TraceBundle serialBundle = decodeEtl(bytes, options, serial);
+        if (mode == ParseMode::Strict)
+            strictReport = serial;
 
         for (unsigned threads : kThreadCounts) {
             SCOPED_TRACE("threads " + std::to_string(threads));
@@ -304,6 +317,7 @@ etlDifferential(const std::string &bytes)
             expectSameBundles(serialBundle, chunkedBundle);
         }
     }
+    return strictReport;
 }
 
 /** CSV rows only (no header) for hand-built inputs. */
@@ -459,7 +473,7 @@ TEST(ParallelIngest, DecodeAppendsOntoANonEmptyBundle)
         options.threads = threads;
         TraceBundle serial = seed;
         std::istringstream in(text);
-        IngestReport a = readCpuUsageCsv(in, serial, options);
+        IngestReport a = legacy::readCpuUsageCsv(in, serial, options);
         TraceBundle chunked = seed;
         IngestReport b = decodeCpuUsageCsv(text, chunked, options);
         expectSameReports(a, b);
@@ -522,9 +536,20 @@ TEST(ParallelIngest, CpuCsvDifferentialMutants)
 
 TEST(ParallelIngest, EtlDifferentialGeneratedBundle)
 {
+    TraceBundle written = makeBundle(400);
     std::ostringstream out;
-    writeEtl(makeBundle(400), out);
-    etlDifferential(out.str());
+    writeEtl(written, out);
+    IngestReport report = etlDifferential(out.str());
+    EXPECT_TRUE(report.ok());
+
+    ParseOptions options;
+    options.threads = 7;
+    IngestReport again;
+    TraceBundle decoded = decodeEtl(out.str(), options, again);
+    ASSERT_TRUE(again.ok());
+    expectSameCSwitches(written.cswitches, decoded.cswitches);
+    expectSameGpuPackets(written.gpuPackets, decoded.gpuPackets);
+    expectSameNames(written, decoded);
 }
 
 TEST(ParallelIngest, EtlDifferentialMutants)
@@ -542,9 +567,9 @@ TEST(ParallelIngest, EtlDifferentialMutants)
 TEST(ParallelIngest, EtlTruncatedFramingFallsBackIdentically)
 {
     // Chop the file at awkward points: inside the magic, the header,
-    // a section length varint, and a section payload. The parallel
-    // pre-scan must reject these and the serial fallback must match
-    // the legacy reader byte for byte.
+    // a section length varint, and a section payload. Every cut must
+    // fail strict decoding with an error naming the source, and the
+    // outcome must not depend on the thread count.
     std::ostringstream out;
     writeEtl(makeBundle(40), out);
     std::string bytes = out.str();
@@ -552,7 +577,10 @@ TEST(ParallelIngest, EtlTruncatedFramingFallsBackIdentically)
          {std::size_t(0), std::size_t(4), std::size_t(9),
           std::size_t(11), bytes.size() / 2, bytes.size() - 1}) {
         SCOPED_TRACE("cut " + std::to_string(cut));
-        etlDifferential(bytes.substr(0, cut));
+        IngestReport report = etlDifferential(bytes.substr(0, cut));
+        EXPECT_FALSE(report.ok());
+        ASSERT_FALSE(report.errors.empty());
+        EXPECT_EQ(report.errors.front().source, "differential.etl");
     }
 }
 
