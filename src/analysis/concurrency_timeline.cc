@@ -228,80 +228,75 @@ burstHistogram(const BurstColumns &bc, SimTime t0, SimTime t1,
     return count;
 }
 
+ConcurrencyCursor::ConcurrencyCursor(const ConcurrencyTimeline &tl)
+    : tl_(&tl), levels_(tl.cutoff + 1), buf_(3 * levels_),
+      p0_(levels_), p1_(2 * levels_)
+{
+}
+
 void
-queryConcurrencyTimeline(const ConcurrencyTimeline &tl, SimTime t0,
-                         SimTime t1, ConcurrencyProfile &profile,
-                         std::vector<SimDuration> &timeAt)
+ConcurrencyCursor::seek(SimTime t)
 {
     constexpr std::size_t kStride = ConcurrencyTimeline::kStride;
-    const unsigned num_cpus = tl.cutoff;
-    const std::size_t L = num_cpus + 1;
-
-    profile.numCpus = num_cpus;
-    profile.window = t1 - t0;
-    profile.c.resize(L);
-    profile.outOfRangeCpuEvents = tl.outOfRangeCpuEvents;
-
-    timeAt.assign(L, 0);
-    const std::vector<SimTime> &times = tl.times;
-    const std::size_t n = times.size();
-    auto clampLvl = [num_cpus](int level) {
-        return static_cast<unsigned>(
-            std::clamp(level, 0, static_cast<int>(num_cpus)));
-    };
-
-    // First breakpoint strictly inside the window.
-    std::size_t idx = static_cast<std::size_t>(
-        std::upper_bound(times.begin(), times.end(), t0) -
-        times.begin());
-
-    // Head: the tail of the segment containing t0.
-    SimTime headEnd = (idx < n && times[idx] < t1) ? times[idx] : t1;
-    int headLevel = idx == 0 ? 0 : tl.levels[idx - 1];
-    timeAt[clampLvl(headLevel)] += headEnd - t0;
-
-    if (idx < n && times[idx] < t1) {
-        std::size_t j = idx; // position: exactly at breakpoint j
-        while (true) {
-            if (j % kStride == 0) {
-                // Jump over whole checkpoint rows: the largest
-                // aligned breakpoint k2*kStride still <= t1.
-                std::size_t k1 = j / kStride;
-                std::size_t maxk = (n - 1) / kStride;
-                std::size_t k2 = k1;
-                for (std::size_t lo = k1 + 1, hi = maxk; lo <= hi;) {
-                    std::size_t mid = lo + (hi - lo) / 2;
-                    if (times[mid * kStride] <= t1) {
-                        k2 = mid;
-                        lo = mid + 1;
-                    } else {
-                        hi = mid - 1;
-                    }
-                }
-                if (k2 > k1) {
-                    const SimDuration *a = &tl.cum[k1 * L];
-                    const SimDuration *b = &tl.cum[k2 * L];
-                    for (std::size_t l = 0; l < L; ++l)
-                        timeAt[l] += b[l] - a[l];
-                    j = k2 * kStride;
-                    continue;
-                }
-            }
-            // Segment j = [times[j], times[j+1)); the last level
-            // extends past the final breakpoint.
-            SimTime segEnd = (j + 1 < n) ? times[j + 1] : t1;
-            if (segEnd >= t1) {
-                timeAt[clampLvl(tl.levels[j])] += t1 - times[j];
-                break;
-            }
-            timeAt[clampLvl(tl.levels[j])] += segEnd - times[j];
-            ++j;
-        }
+    const std::vector<SimTime> &times = tl_->times;
+    SimDuration *base = buf_.data();
+    const std::size_t next = gallopPartition(
+        times, next_, [t](SimTime x) { return x <= t; });
+    if (next < next_) {
+        // Behind the cursor: restart from before the first segment.
+        next_ = 0;
+        std::fill_n(base, levels_, 0);
     }
+    if (next == 0)
+        return;
+    // Load the checkpoint row at or before breakpoint next-1 unless
+    // the cursor already sits past it, then add whole segments.
+    const std::size_t row = (next - 1) / kStride;
+    if (next_ == 0 || row > (next_ - 1) / kStride) {
+        std::copy_n(tl_->cum.begin() +
+                        static_cast<std::ptrdiff_t>(row * levels_),
+                    levels_, base);
+        next_ = row * kStride + 1;
+    }
+    for (; next_ < next; ++next_)
+        base[static_cast<unsigned>(tl_->levels[next_ - 1])] +=
+            times[next_] - times[next_ - 1];
+}
 
-    double window = static_cast<double>(profile.window);
-    for (std::size_t i = 0; i < L; ++i)
-        profile.c[i] = static_cast<double>(timeAt[i]) / window;
+void
+ConcurrencyCursor::prefix(SimTime t, SimDuration *out) const
+{
+    std::copy_n(buf_.data(), levels_, out);
+    if (next_ == 0)
+        out[0] += t - (tl_->times.empty() ? 0 : tl_->times[0]);
+    else
+        out[static_cast<unsigned>(tl_->levels[next_ - 1])] +=
+            t - tl_->times[next_ - 1];
+}
+
+void
+ConcurrencyCursor::window(SimTime t0, SimTime t1,
+                          ConcurrencyProfile &profile)
+{
+    if (haveEdge_ && t0 == edge_) {
+        std::swap(p0_, p1_);
+    } else {
+        seek(t0);
+        prefix(t0, &buf_[p0_]);
+    }
+    seek(t1);
+    prefix(t1, &buf_[p1_]);
+    edge_ = t1;
+    haveEdge_ = true;
+
+    profile.numCpus = tl_->cutoff;
+    profile.window = t1 - t0;
+    profile.outOfRangeCpuEvents = tl_->outOfRangeCpuEvents;
+    profile.c.resize(levels_);
+    const double window = static_cast<double>(profile.window);
+    for (std::size_t l = 0; l < levels_; ++l)
+        profile.c[l] =
+            static_cast<double>(buf_[p1_ + l] - buf_[p0_ + l]) / window;
 }
 
 } // namespace deskpar::analysis::detail

@@ -25,6 +25,11 @@
  *    on one CPU), used by the duration-histogram metric, and
  *  - per-dispatch ready-wait intervals ([readyTime, timestamp)),
  *    used by the ready-wait metrics (waitfrac/readylat/topblocked).
+ *
+ * Windows are answered by ConcurrencyCursor, a forward walk over the
+ * prefix time-at-level at each window edge: a run of adjacent
+ * windows (planner bucket rows, series points) costs one edge per
+ * window, found by galloping on from the previous edge.
  */
 
 #ifndef DESKPAR_ANALYSIS_CONCURRENCY_TIMELINE_HH
@@ -115,10 +120,11 @@ isTargetSwitch(const TimelineSpec &spec, trace::Pid pid, trace::Tid tid)
  * equal-timestamp deltas are dropped, so consecutive levels differ.
  *
  * cum holds strided checkpoint rows of kStride segments:
- * cum[k*(cutoff+1) + l] is the (integer) time spent at clamped level
- * l over [times[0], times[k*kStride]). A windowed query therefore
- * costs two binary searches, one checkpoint-row difference, and at
- * most kStride edge segments per side.
+ * cum[k*(cutoff+1) + l] is the (integer) time spent at level l over
+ * [times[0], times[k*kStride]). ConcurrencyCursor reads the time at
+ * each level up to a window edge from the row before it plus at most
+ * kStride-1 segments, so a window costs two such edges, and a run of
+ * adjacent windows one edge each.
  */
 struct ConcurrencyTimeline
 {
@@ -198,18 +204,92 @@ std::uint64_t burstHistogram(const BurstColumns &columns,
                              std::uint64_t *histogram);
 
 /**
- * Windowed histogram from a timeline, into @p profile. Bit-identical
- * to the reference sweep: the time-at-level decomposition is the
- * same integer sum split differently, and the single divide-by-window
- * per level is the only floating-point operation. Reuses the
- * profile's `c` vector and the per-level @p timeAt scratch: no
- * allocation once both have grown, for callers that answer many
- * windows (planner rows, series).
+ * Index of the first element of the sorted column @p v for which
+ * @p before is false (std::partition_point), galloping forward from
+ * @p from: the probes double away from it, so an answer d places on
+ * costs O(log d). A @p from past the answer (or past the end) falls
+ * back to a search of the whole column, so any hint is correct and a
+ * caller walking adjacent windows can pass the previous answer.
  */
-void queryConcurrencyTimeline(const ConcurrencyTimeline &timeline,
-                              sim::SimTime t0, sim::SimTime t1,
-                              ConcurrencyProfile &profile,
-                              std::vector<sim::SimDuration> &timeAt);
+template <typename Before>
+std::size_t
+gallopPartition(const std::vector<sim::SimTime> &v, std::size_t from,
+                Before before)
+{
+    const std::size_t n = v.size();
+    if (from > n || (from > 0 && !before(v[from - 1])))
+        from = 0;
+    // v[0, lo) is before; the answer lies in [lo, hi].
+    std::size_t lo = from;
+    std::size_t hi = from;
+    for (std::size_t step = 1; hi < n && before(v[hi]); step *= 2) {
+        lo = hi + 1;
+        hi = std::min(n, lo + step);
+    }
+    return static_cast<std::size_t>(
+        std::partition_point(v.begin() + static_cast<std::ptrdiff_t>(lo),
+                             v.begin() + static_cast<std::ptrdiff_t>(hi),
+                             before) -
+        v.begin());
+}
+
+/**
+ * Windowed histograms from one timeline, walking forward.
+ *
+ * The cursor evaluates the prefix time-at-level P(t): P(t)[l] is the
+ * integer time spent at level l over [times[0], t), so a window is
+ * P(t1) - P(t0) level by level. P at an edge is a checkpoint row,
+ * plus at most kStride-1 whole segments, plus the partial segment
+ * holding the edge; the edge's segment is found by galloping forward
+ * from the previous edge. Row k's P(t1) is row k+1's P(t0), so a run
+ * of adjacent windows (bucket rows, series points) computes each
+ * edge once. Before times[0] the level is 0 and P(t)[0] = t -
+ * times[0] wraps below zero; every difference is still exact in
+ * unsigned arithmetic.
+ *
+ * Bit-identical to the reference sweep: the time-at-level integers
+ * are the same sums split differently, and the one divide by the
+ * window per level is the only floating-point operation. A window
+ * whose t0 lies behind the cursor reseeds it by a binary search, so
+ * a single window runs the same code from a searched seed. Its
+ * three level-sized buffers are one allocation, made when the cursor
+ * is built; a walk allocates nothing per window once the profile's
+ * `c` has grown.
+ */
+class ConcurrencyCursor
+{
+  public:
+    explicit ConcurrencyCursor(const ConcurrencyTimeline &timeline);
+
+    const ConcurrencyTimeline &timeline() const { return *tl_; }
+
+    /** The histogram over [@p t0, @p t1), into @p profile. */
+    void window(sim::SimTime t0, sim::SimTime t1,
+                ConcurrencyProfile &profile);
+
+  private:
+    /** Move the base prefix to the segment holding @p t. */
+    void seek(sim::SimTime t);
+    /** P(@p t) into @p out; the cursor must sit on t's segment. */
+    void prefix(sim::SimTime t, sim::SimDuration *out) const;
+
+    const ConcurrencyTimeline *tl_;
+    /** Levels per prefix: cutoff + 1. */
+    std::size_t levels_;
+    /** Breakpoints at or before the cursor: times[0, next_). */
+    std::size_t next_ = 0;
+    /**
+     * Three prefixes of levels_ each: [0, levels_) is
+     * P(times[next_ - 1]) (all zero while next_ == 0); the two at
+     * offsets p0_ and p1_ are P at the current window's edges.
+     */
+    std::vector<sim::SimDuration> buf_;
+    std::size_t p0_;
+    std::size_t p1_;
+    /** The last window's t1, whose P is p1_. */
+    sim::SimTime edge_ = 0;
+    bool haveEdge_ = false;
+};
 
 } // namespace deskpar::analysis::detail
 

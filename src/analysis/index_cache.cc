@@ -22,19 +22,8 @@ const char kDpidxMagic[8] = {'D', 'P', 'I', 'D', 'X', '\x01',
 
 constexpr std::uint64_t kDpidxVersion = 1;
 
-/** Bytes of the trace file the identity hash covers. */
-constexpr std::size_t kHeaderHashBytes = std::size_t(64) << 10;
-
-std::uint64_t
-fnv1a64(trace::io::ByteSpan data)
-{
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    for (char c : data) {
-        h ^= static_cast<std::uint8_t>(c);
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
+/** Bytes at each end of the trace file the identity hash covers. */
+constexpr std::size_t kEdgeHashBytes = std::size_t(64) << 10;
 
 bool
 getU64(std::string_view data, std::size_t &pos, std::uint64_t &value)
@@ -69,24 +58,34 @@ probeTraceIdentity(const std::string &path, TraceIdentity &out,
         error = "cannot stat " + path + ": " + ec.message();
         return false;
     }
+    // The first and last 64 KiB (the whole file when it is smaller),
+    // so a rewrite that keeps the size and the mtime is still seen
+    // at either end.
+    const auto fileBytes = static_cast<std::size_t>(size);
+    const std::size_t head = std::min(kEdgeHashBytes, fileBytes);
+    const std::size_t tail =
+        std::min(kEdgeHashBytes, fileBytes - head);
+    std::unique_ptr<char[]> edges(new char[head + tail]);
     std::ifstream in(path, std::ios::binary);
     if (!in) {
         error = "cannot open " + path;
         return false;
     }
-    std::string head(std::min<std::size_t>(
-                         kHeaderHashBytes,
-                         static_cast<std::size_t>(size)),
-                     '\0');
-    in.read(head.data(), static_cast<std::streamsize>(head.size()));
-    if (static_cast<std::size_t>(in.gcount()) != head.size()) {
+    in.read(edges.get(), static_cast<std::streamsize>(head));
+    in.seekg(static_cast<std::streamoff>(fileBytes - tail));
+    in.read(edges.get() + head, static_cast<std::streamsize>(tail));
+    if (!in) {
         error = "cannot read " + path;
         return false;
     }
     out.fileSize = size;
     out.mtime = static_cast<std::uint64_t>(
         mtime.time_since_epoch().count());
-    out.headerHash = fnv1a64(head);
+    // CRC32C of each end: any change of up to 32 bits within either
+    // is caught.
+    out.edgeHash =
+        (std::uint64_t{trace::crc32c({edges.get(), head})} << 32) |
+        trace::crc32c({edges.get() + head, tail});
     return true;
 }
 
@@ -126,7 +125,7 @@ saveIndexCache(const Session &session, const std::string &tracePath,
     trace::putVarint(body, kDpidxVersion);
     trace::putVarint(body, id.fileSize);
     trace::putVarint(body, id.mtime);
-    trace::putVarint(body, id.headerHash);
+    trace::putVarint(body, id.edgeHash);
     trace::putVarint(body, session.bundle().cswitches.size());
     trace::putVarint(body, bundleBytes.size());
     body.append(bundleBytes);
@@ -200,7 +199,7 @@ loadCachedSession(const std::string &tracePath, std::string &error)
     }
     if (!getU64(body, pos, cached.fileSize) ||
         !getU64(body, pos, cached.mtime) ||
-        !getU64(body, pos, cached.headerHash) ||
+        !getU64(body, pos, cached.edgeHash) ||
         !getU64(body, pos, cswitchCount) ||
         !getU64(body, pos, bundleLen) ||
         bundleLen > body.size() - pos) {

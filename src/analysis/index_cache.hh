@@ -11,14 +11,15 @@
  *            CRC32C of everything after it (4 bytes, LE),
  *            varint version,
  *            identity: varint file-size, varint mtime,
- *                      varint header-hash (FNV-1a 64 over the first
- *                      64 KiB of the trace file),
+ *                      varint edge-hash (CRC32C of the first
+ *                      64 KiB of the trace file in the high word,
+ *                      of the last 64 KiB in the low word),
  *            varint cswitch-count (informational),
  *            varint length + embedded .etlc bundle image with the
  *                cswitch section EMPTIED (the columns replace it),
  *            varint length + TraceIndex::serializeColumns() blob
  *
- * A warm open costs: stat + 64 KiB hash of the trace (identity
+ * A warm open costs: stat + 128 KiB hash of the trace (identity
  * check), CRC of the cache, decoding the small embedded bundle
  * (names, GPU packets, frames, lifecycle, markers — everything but
  * the dominant cswitch stream), and adoptColumns(). The cswitch
@@ -29,7 +30,7 @@
  * warmed, raw-stream sweeps like plan()/bottlenecks()) fail loudly —
  * never silently recompute against the emptied stream.
  *
- * Staleness: any identity mismatch (size, mtime, header hash), CRC
+ * Staleness: any identity mismatch (size, mtime, edge hash), CRC
  * mismatch, or malformed payload is treated as "no cache" and the
  * caller falls back to a cold ingest (openSession does this
  * automatically and rewrites the cache).
@@ -54,13 +55,18 @@ struct TraceIdentity
     std::uint64_t fileSize = 0;
     /** last_write_time ticks (platform epoch — compared, not shown). */
     std::uint64_t mtime = 0;
-    /** FNV-1a 64 of the first min(64 KiB, size) bytes. */
-    std::uint64_t headerHash = 0;
+    /**
+     * CRC32C of the first 64 KiB (of the whole file when it is
+     * smaller) in the high word, of the last 64 KiB in the low
+     * word. A cache written under an earlier hash reads as stale
+     * and is rebuilt.
+     */
+    std::uint64_t edgeHash = 0;
 
     bool operator==(const TraceIdentity &o) const
     {
         return fileSize == o.fileSize && mtime == o.mtime &&
-               headerHash == o.headerHash;
+               edgeHash == o.edgeHash;
     }
     bool operator!=(const TraceIdentity &o) const
     {

@@ -449,7 +449,7 @@ resolveQueryFilter(const trace::TraceBundle &bundle,
     out.t0 = filter.t0 != 0 ? filter.t0 : bundle.startTime;
     out.t1 = filter.t1 != 0 ? filter.t1 : bundle.stopTime;
     if (out.t1 <= out.t0)
-        deskpar::fatal("query: empty window");
+        throw EmptyWindowError("fatal: query: empty window");
     return out;
 }
 

@@ -34,6 +34,7 @@
 #include "analysis/concurrency_timeline.hh"
 #include "analysis/gpu_util.hh"
 #include "analysis/tlp.hh"
+#include "sim/logging.hh"
 #include "trace/event.hh"
 #include "trace/filter.hh"
 #include "trace/session.hh"
@@ -159,6 +160,17 @@ Query parseQuerySpec(const std::string &spec);
 std::string querySpecString(const Query &query);
 
 /**
+ * The FatalError of a query whose resolved window is empty: the trace
+ * holds no events, or the spec's t1 is not past its t0. The planner
+ * does not know the trace's name; Service::query adds it.
+ */
+class EmptyWindowError : public FatalError
+{
+  public:
+    using FatalError::FatalError;
+};
+
+/**
  * @{ Canned queries: existing metric entry points re-expressed in
  * the query vocabulary. Each is exact: running it (fused or
  * reference) reproduces the corresponding Session call bit for bit —
@@ -185,9 +197,9 @@ struct ResolvedFilter
 
 /**
  * Resolve prefix -> pids (fatal when a non-empty prefix matches no
- * process) and default the window to the bundle's (fatal when the
- * resolved window is empty). Touches the bundle's lazy name index,
- * so resolve before fanning out across threads.
+ * process) and default the window to the bundle's (EmptyWindowError
+ * when the resolved window is empty). Touches the bundle's lazy name
+ * index, so resolve before fanning out across threads.
  */
 ResolvedFilter resolveQueryFilter(const trace::TraceBundle &bundle,
                                   const QueryFilter &filter);

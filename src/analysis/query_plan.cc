@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <exception>
 #include <map>
+#include <optional>
 #include <tuple>
 #include <utility>
 
@@ -334,12 +335,16 @@ QueryPlan::execute(std::vector<QueryResult> results,
         (tasks_.size() + kTasksPerChunk - 1) / kTasksPerChunk;
     std::vector<std::exception_ptr> errors(chunks);
 
-    // One chunk's reusable concurrency buffers: a row allocates
-    // nothing but its own histogram.
+    // One chunk's walk state: a row allocates nothing but its own
+    // histogram. A chunk's run of bucket rows is a run of adjacent
+    // windows on one column, so the timeline cursor and the dispatch
+    // hint move forward only, one edge per row; a row on another
+    // filter or behind them reseeds.
     struct Scratch
     {
         ConcurrencyProfile profile;
-        std::vector<sim::SimDuration> timeAt;
+        std::optional<detail::ConcurrencyCursor> cursor;
+        std::size_t dispatchHint = 0;
     };
 
     auto evalTask = [&](const Task &task, Scratch &scratch) {
@@ -352,9 +357,11 @@ QueryPlan::execute(std::vector<QueryResult> results,
                     "computeConcurrency: unknown CPU count");
             if (task.t1 <= task.t0)
                 deskpar::fatal("computeConcurrency: empty window");
-            detail::queryConcurrencyTimeline(
-                columns[task.filterIdx]->timeline, task.t0, task.t1,
-                scratch.profile, scratch.timeAt);
+            const detail::ConcurrencyTimeline &timeline =
+                columns[task.filterIdx]->timeline;
+            if (!scratch.cursor || &scratch.cursor->timeline() != &timeline)
+                scratch.cursor.emplace(timeline);
+            scratch.cursor->window(task.t0, task.t1, scratch.profile);
             result.rows[task.firstRow].value =
                 detail::metricFromProfile(task.metric, scratch.profile);
             break;
@@ -376,14 +383,16 @@ QueryPlan::execute(std::vector<QueryResult> results,
           case QueryMetric::ContextSwitchRate: {
             const std::vector<SimTime> &dispatches =
                 columns[task.filterIdx]->dispatches;
-            auto lo = std::lower_bound(dispatches.begin(),
-                                       dispatches.end(), task.t0);
-            auto hi = std::lower_bound(dispatches.begin(),
-                                       dispatches.end(), task.t1);
+            // Switch-ins in [t0, t1): lower bounds of both edges.
+            // The hint is only a starting point, valid for any column.
+            const std::size_t lo = detail::gallopPartition(
+                dispatches, scratch.dispatchHint,
+                [&](SimTime x) { return x < task.t0; });
+            const std::size_t hi = detail::gallopPartition(
+                dispatches, lo, [&](SimTime x) { return x < task.t1; });
+            scratch.dispatchHint = hi;
             result.rows[task.firstRow].value =
-                detail::contextSwitchRate(
-                    static_cast<std::uint64_t>(hi - lo),
-                    task.t1 - task.t0);
+                detail::contextSwitchRate(hi - lo, task.t1 - task.t0);
             break;
           }
           case QueryMetric::DurationHistogram: {

@@ -17,13 +17,15 @@
  * pass and keeps them, so a batch against a resident Session sweeps
  * only the filters and families no earlier batch or index query
  * needed, and a repeated batch sweeps nothing. Row evaluation is then
- * binary searches and checkpoint diffs. GPU rows are answered from
- * the index's shared packet columns and need no pass of their own.
+ * searches and checkpoint diffs. GPU rows are answered from the
+ * index's shared packet columns and need no pass of their own.
  *
  * Both phases fan out with sim::parallelFor — phase B in fixed
- * contiguous chunks of rows, so a row costs a few binary searches and
- * no span or allocation of its own — and the results are
- * bit-identical at any DESKPAR_JOBS:
+ * contiguous chunks of rows. A chunk's bucket rows are adjacent
+ * windows, so the chunk walks them with one forward cursor over the
+ * timeline (TLP, busy) and one galloping hint over the dispatches
+ * (csrate): a row costs one window edge, and no span or allocation
+ * of its own. The results are bit-identical at any DESKPAR_JOBS:
  *  - every task writes only its own result rows, reading immutable
  *    index columns, so values never depend on scheduling or on
  *    whether an earlier batch built them;

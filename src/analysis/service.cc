@@ -109,7 +109,14 @@ Service::query(const ServiceQueryRequest &request)
         queries.push_back(parseQuerySpec(spec));
 
     SessionCache::Lease lease = open(request.trace);
-    QueryPlan plan = lease.session->plan(queries);
+    QueryPlan plan = [&] {
+        try {
+            return lease.session->plan(queries);
+        } catch (const EmptyWindowError &) {
+            fatal("query: empty window in trace '" +
+                  request.trace.path + "'");
+        }
+    }();
 
     ServiceQueryResult result;
     if (request.explain)

@@ -130,7 +130,7 @@ class Session
      * @{ Time series over windows of length @p window tiling the
      * bundle (timeseries.hh; defined in timeseries.cc). The
      * concurrency series resolve the pid set's timeline once and
-     * answer every window with two binary searches.
+     * walk one forward cursor over their adjacent windows.
      */
 
     /** Per-window TLP (Eq. 1 per window; 0 for fully idle ones). */

@@ -20,19 +20,6 @@ slotKey(const std::string &path, trace::ParseMode mode)
            (mode == trace::ParseMode::Lenient ? 'L' : 'S');
 }
 
-/**
- * True when the reader refused the file of @p report at its header
- * (bad magic or version, a truncated header, a CPU count past
- * kMaxLogicalCpus, a CSV header row of another view): every decoder
- * stops there, so nothing past the header was read in either mode.
- */
-bool
-headerRefused(const trace::IngestReport &report)
-{
-    return !report.errors.empty() &&
-           report.errors.front().section == "header";
-}
-
 } // namespace
 
 struct SessionCache::Slot
@@ -85,7 +72,7 @@ SessionCache::fill(Slot &slot, const std::string &path,
     // A lenient ingest publishes what it salvaged, but a refused
     // header leaves nothing to salvage: it fails in both modes.
     if (!opened.report.ok() && (mode == trace::ParseMode::Strict ||
-                                headerRefused(opened.report))) {
+                                opened.report.headerRefused())) {
         if (!opened.report.errors.empty())
             throw trace::TraceParseError(opened.report.errors.front());
         trace::ParseError generic;

@@ -6,7 +6,7 @@
  * A cold trace open costs an mmap + full ingest + the index's fused
  * cswitch sweep; a resident service must pay that once per file, not
  * once per request. The cache keys entries by trace file *identity*
- * (size / mtime / FNV-1a header hash — the same TraceIdentity the
+ * (size / mtime / hash of both 64 KiB ends — the same TraceIdentity the
  * .dpidx spill cache uses, see index_cache.hh) plus parse mode, and
  * holds fully materialized Sessions (bundle + index), so every
  * request the toolkit knows — metrics, fused queries, bottleneck
@@ -22,8 +22,10 @@
  *    concurrency tests pin to 1 for N racers.
  *
  *  - **Identity invalidation.** Every hit re-probes the file's
- *    identity (stat + 64 KiB hash). A rewritten trace never serves
- *    stale results: the mismatching entry is dropped and re-ingested.
+ *    identity (stat + a hash of the first and last 64 KiB). A trace
+ *    rewritten at either end, even in place with its size and mtime
+ *    kept, never serves stale results: the mismatching entry is
+ *    dropped and re-ingested.
  *
  *  - **Eviction by bytes.** Entry cost is Session::memoryBytes():
  *    the bundle estimate plus the index columns and memoized reports

@@ -1,6 +1,7 @@
 #include "analysis/timeseries.hh"
 
 #include <algorithm>
+#include <optional>
 
 #include "analysis/gpu_util.hh"
 #include "analysis/tlp.hh"
@@ -55,8 +56,9 @@ buildSeries(const TraceBundle &bundle, sim::SimDuration window,
 
 /**
  * One concurrency series: the pid set's timeline is resolved at the
- * first window and each window is answered from it with no lock, no
- * span and no allocation.
+ * first window, and the windows, adjacent by construction, are one
+ * forward cursor walk over it with no lock, no span and no
+ * allocation.
  */
 template <typename Value>
 TimeSeries
@@ -65,16 +67,14 @@ concurrencyValueSeries(const TraceIndex &index, const PidSet &pids,
                        Value value)
 {
     obs::Span span("index.series.concurrency", obs::SpanKind::Query);
-    const detail::ConcurrencyTimeline *timeline = nullptr;
+    std::optional<detail::ConcurrencyCursor> cursor;
     ConcurrencyProfile profile;
-    std::vector<sim::SimDuration> timeAt;
     return buildSeries(
         index.bundle(), window, std::move(name),
         [&](sim::SimTime t0, sim::SimTime t1) {
-            if (!timeline)
-                timeline = &index.concurrencyTimeline(pids);
-            detail::queryConcurrencyTimeline(*timeline, t0, t1,
-                                             profile, timeAt);
+            if (!cursor)
+                cursor.emplace(index.concurrencyTimeline(pids));
+            cursor->window(t0, t1, profile);
             return value(profile);
         });
 }

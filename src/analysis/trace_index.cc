@@ -353,9 +353,8 @@ TraceIndex::concurrency(const PidSet &pids, SimTime t0,
     if (t1 <= t0)
         deskpar::fatal("computeConcurrency: empty window");
     ConcurrencyProfile profile;
-    std::vector<SimDuration> timeAt;
-    detail::queryConcurrencyTimeline(
-        cswitchColumns(pids).columns.timeline, t0, t1, profile, timeAt);
+    detail::ConcurrencyCursor(cswitchColumns(pids).columns.timeline)
+        .window(t0, t1, profile);
     return profile;
 }
 
@@ -733,15 +732,32 @@ TraceIndex::adoptColumns(std::string_view data, std::string *error)
             }
             if (!getCount(data, pos, n))
                 return fail("corrupt level-column size");
+            // The cursor indexes its level buffers and the
+            // checkpoint rows with these columns as they stand, so a
+            // blob whose shapes disagree is refused, not trusted.
+            if (n != tl.times.size())
+                return fail("level column size differs from the "
+                            "timeline's");
             tl.levels.reserve(static_cast<std::size_t>(n));
             for (std::uint64_t i = 0; i < n; ++i) {
                 std::int64_t level = 0;
                 if (!getZigzag(data, pos, level))
                     return fail("truncated level column");
+                if (level < 0 || static_cast<std::uint64_t>(level) > cutoff)
+                    return fail("timeline level outside [0, CPU count]");
                 tl.levels.push_back(static_cast<int>(level));
             }
             if (!getCount(data, pos, n))
                 return fail("corrupt checkpoint size");
+            const std::size_t rows =
+                tl.times.empty()
+                    ? 0
+                    : (tl.times.size() - 1) /
+                              detail::ConcurrencyTimeline::kStride +
+                          1;
+            if (n != rows * (cutoff + 1))
+                return fail("checkpoint column size differs from the "
+                            "timeline's");
             tl.cum.reserve(static_cast<std::size_t>(n));
             for (std::uint64_t i = 0; i < n; ++i) {
                 std::uint64_t d = 0;

@@ -7,15 +7,17 @@
  * set and once per time window, so the timeline figures would pay
  * O(windows x events) and the Table II suite would re-read the same
  * cswitch stream several times per iteration. The index is built once per
- * (bundle, pid set) and answers windowed queries with two binary
- * searches plus prefix-sum differences:
+ * (bundle, pid set) and answers windowed queries with two searches
+ * plus prefix-sum differences:
  *
  *  - Concurrency: the cswitch stream is compressed into a sorted
  *    breakpoint column (times[], levels[]), levels[i] holding the
  *    number of busy target CPUs on [times[i], times[i+1)). Strided
  *    checkpoint rows carry per-level prefix sums of busy time, so a
- *    windowed histogram costs two binary searches, two checkpoint
- *    diffs, and at most one stride of edge segments per side.
+ *    windowed histogram is the difference of two edges, each a
+ *    checkpoint row plus at most one stride of segments
+ *    (detail::ConcurrencyCursor, which walks adjacent windows
+ *    forward).
  *  - GPU: a start-time column plus a running-max finish column bound
  *    the packets that can intersect a window; the candidates are then
  *    folded with the full scan's loop (detail::foldGpuPackets), in
@@ -102,9 +104,9 @@ class TraceIndex
 
     /**
      * The concurrency timeline of @p pids: on a non-empty window,
-     * concurrency(pids, t0, t1) is exactly what
-     * detail::queryConcurrencyTimeline answers from it, which a
-     * series does per window with no lock and no span. Fatal when
+     * concurrency(pids, t0, t1) is exactly what a
+     * detail::ConcurrencyCursor answers from it, which a series
+     * walks window by window with no lock and no span. Fatal when
      * the header has no CPU count.
      */
     const detail::ConcurrencyTimeline &
@@ -212,8 +214,11 @@ class TraceIndex
      * Populate a freshly constructed index from a serializeColumns()
      * blob instead of sweeping the bundle. Only legal before any
      * column build (fatal otherwise). Returns false with @p error set
-     * when the blob is malformed; the index is left empty and usable
-     * for a normal cold build. On success the index is marked
+     * when the blob is malformed, including a timeline whose CPU
+     * count is not the header's, whose level leaves [0, CPU count],
+     * or whose level or checkpoint column size disagrees with its
+     * breakpoints; the index is left empty and usable for a normal
+     * cold build. On success the index is marked
      * restored(): queries against pid sets or column families
      * absent from the blob fail loudly instead of silently
      * recomputing from a bundle whose cswitch stream the cache

@@ -35,13 +35,10 @@ ingestFlags(JsonWriter &json, bool degraded,
         json.field("degraded_summary", degradedSummary);
 }
 
-} // namespace
-
 void
-writeAnalyzeDocument(std::ostream &out,
-                     const analysis::ServiceAnalyzeResult &r)
+renderAnalyze(JsonWriter &json,
+              const analysis::ServiceAnalyzeResult &r)
 {
-    JsonWriter json(out);
     beginDocument(json, "analyze")
         .field("trace", r.path)
         .field("app", r.appPrefix)
@@ -71,22 +68,9 @@ writeAnalyzeDocument(std::ostream &out,
 }
 
 void
-writeAnalyzeFailureDocument(std::ostream &out, const std::string &path,
-                            const std::string &error)
+renderQuery(JsonWriter &json,
+            const analysis::ServiceQueryResult &r)
 {
-    JsonWriter json(out);
-    beginDocument(json, "analyze")
-        .field("trace", path)
-        .field("status", std::string("failed"))
-        .field("error", error);
-    json.endObject();
-}
-
-void
-writeQueryDocument(std::ostream &out,
-                   const analysis::ServiceQueryResult &r)
-{
-    JsonWriter json(out);
     beginDocument(json, "query");
     ingestFlags(json, r.degraded, r.degradedSummary);
     if (!r.explainText.empty())
@@ -102,9 +86,11 @@ writeQueryDocument(std::ostream &out,
         for (const analysis::QueryRow &row : result.rows) {
             json.beginObject().field("key", row.key);
             // Timestamp/value precision as the old writeQueryJson:
-            // %.9g seconds, %.17g values (lossless round trip).
-            json.key("t0").value(sim::toSeconds(row.t0), 9);
-            json.key("t1").value(sim::toSeconds(row.t1), 9);
+            // %.9g seconds, %.17g values (lossless round trip). A
+            // bucket row's t0 is the t1 just written, so the writer
+            // formats each shared edge once.
+            json.key("t0").valueSeconds(row.t0);
+            json.key("t1").valueSeconds(row.t1);
             if (row.pid != 0)
                 json.field("pid", std::uint64_t(row.pid));
             if (row.tid != 0)
@@ -126,15 +112,14 @@ writeQueryDocument(std::ostream &out,
 }
 
 void
-writeBottlenecksDocument(std::ostream &out,
-                         const analysis::ServiceBottlenecksResult &r)
+renderBottlenecks(JsonWriter &json,
+                  const analysis::ServiceBottlenecksResult &r)
 {
     const analysis::blocking::BlockingReport &report = r.report;
     auto ms = [](std::uint64_t ns) {
         return static_cast<double>(ns) / 1e6;
     };
 
-    JsonWriter json(out);
     beginDocument(json, "bottlenecks");
     ingestFlags(json, r.degraded, r.degradedSummary);
     // Field names and 3-decimal formatting of the pre-unification
@@ -199,20 +184,19 @@ writeBottlenecksDocument(std::ostream &out,
 }
 
 void
-writeSeriesDocument(std::ostream &out,
-                    const analysis::ServiceSeriesResult &r)
+renderSeries(JsonWriter &json,
+             const analysis::ServiceSeriesResult &r)
 {
-    JsonWriter json(out);
     beginDocument(json, "series")
         .field("kind",
                std::string(analysis::serviceSeriesKindName(r.kind)))
         .field("name", r.series.name);
     ingestFlags(json, r.degraded, r.degradedSummary);
-    json.key("window_s").value(sim::toSeconds(r.series.window), 9);
+    json.key("window_s").valueSeconds(r.series.window);
     json.beginArray("points");
     for (const analysis::TimePoint &point : r.series.points) {
         json.beginObject();
-        json.key("t").value(sim::toSeconds(point.t), 9);
+        json.key("t").valueSeconds(point.t);
         json.key("value").value(point.value, 17);
         json.endObject();
     }
@@ -221,10 +205,9 @@ writeSeriesDocument(std::ostream &out,
 }
 
 void
-writeFramesDocument(std::ostream &out,
-                    const analysis::ServiceFramesResult &r)
+renderFrames(JsonWriter &json,
+             const analysis::ServiceFramesResult &r)
 {
-    JsonWriter json(out);
     beginDocument(json, "frames");
     ingestFlags(json, r.degraded, r.degradedSummary);
     json.field("frames", std::uint64_t(r.frames.frames))
@@ -235,6 +218,100 @@ writeFramesDocument(std::ostream &out,
         .field("one_percent_low_fps", r.frames.onePercentLowFps)
         .field("synthesized_share", r.frames.synthesizedShare());
     json.endObject();
+}
+
+} // namespace
+
+void
+writeAnalyzeDocument(std::ostream &out,
+                     const analysis::ServiceAnalyzeResult &r)
+{
+    JsonWriter json(out);
+    renderAnalyze(json, r);
+}
+
+void
+writeAnalyzeDocument(std::string &out,
+                     const analysis::ServiceAnalyzeResult &r)
+{
+    JsonWriter json(out);
+    renderAnalyze(json, r);
+}
+
+void
+writeAnalyzeFailureDocument(std::ostream &out, const std::string &path,
+                            const std::string &error)
+{
+    JsonWriter json(out);
+    beginDocument(json, "analyze")
+        .field("trace", path)
+        .field("status", std::string("failed"))
+        .field("error", error);
+    json.endObject();
+}
+
+void
+writeQueryDocument(std::ostream &out,
+                   const analysis::ServiceQueryResult &r)
+{
+    JsonWriter json(out);
+    renderQuery(json, r);
+}
+
+void
+writeQueryDocument(std::string &out,
+                   const analysis::ServiceQueryResult &r)
+{
+    JsonWriter json(out);
+    renderQuery(json, r);
+}
+
+void
+writeBottlenecksDocument(std::ostream &out,
+                         const analysis::ServiceBottlenecksResult &r)
+{
+    JsonWriter json(out);
+    renderBottlenecks(json, r);
+}
+
+void
+writeBottlenecksDocument(std::string &out,
+                         const analysis::ServiceBottlenecksResult &r)
+{
+    JsonWriter json(out);
+    renderBottlenecks(json, r);
+}
+
+void
+writeSeriesDocument(std::ostream &out,
+                    const analysis::ServiceSeriesResult &r)
+{
+    JsonWriter json(out);
+    renderSeries(json, r);
+}
+
+void
+writeSeriesDocument(std::string &out,
+                    const analysis::ServiceSeriesResult &r)
+{
+    JsonWriter json(out);
+    renderSeries(json, r);
+}
+
+void
+writeFramesDocument(std::ostream &out,
+                    const analysis::ServiceFramesResult &r)
+{
+    JsonWriter json(out);
+    renderFrames(json, r);
+}
+
+void
+writeFramesDocument(std::string &out,
+                    const analysis::ServiceFramesResult &r)
+{
+    JsonWriter json(out);
+    renderFrames(json, r);
 }
 
 } // namespace deskpar::report

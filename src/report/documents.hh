@@ -21,13 +21,16 @@
  *
  * The server and the CLI call the *same* writer with the *same*
  * Service result struct, which is what makes a served response
- * byte-identical to the equivalent CLI invocation.
+ * byte-identical to the equivalent CLI invocation. Each writer has
+ * two sinks with the same bytes: a stream (the CLI) and a string it
+ * appends to (the server renders straight into its reply).
  */
 
 #ifndef DESKPAR_REPORT_DOCUMENTS_HH
 #define DESKPAR_REPORT_DOCUMENTS_HH
 
 #include <iosfwd>
+#include <string>
 
 #include "analysis/service.hh"
 
@@ -38,6 +41,8 @@ constexpr std::uint64_t kSchemaVersion = 1;
 
 /** `{"schema":1,"command":"analyze",...}` — one replayed trace. */
 void writeAnalyzeDocument(std::ostream &out,
+                          const analysis::ServiceAnalyzeResult &r);
+void writeAnalyzeDocument(std::string &out,
                           const analysis::ServiceAnalyzeResult &r);
 
 /**
@@ -52,19 +57,28 @@ void writeAnalyzeFailureDocument(std::ostream &out,
 /** `{"schema":1,"command":"query","queries":[...]}`. */
 void writeQueryDocument(std::ostream &out,
                         const analysis::ServiceQueryResult &r);
+void writeQueryDocument(std::string &out,
+                        const analysis::ServiceQueryResult &r);
 
 /** `{"schema":1,"command":"bottlenecks",...}` (the pre-unification
  *  report's field names, one line). */
 void
 writeBottlenecksDocument(std::ostream &out,
                          const analysis::ServiceBottlenecksResult &r);
+void
+writeBottlenecksDocument(std::string &out,
+                         const analysis::ServiceBottlenecksResult &r);
 
 /** `{"schema":1,"command":"series","kind":...,"points":[...]}`. */
 void writeSeriesDocument(std::ostream &out,
                          const analysis::ServiceSeriesResult &r);
+void writeSeriesDocument(std::string &out,
+                         const analysis::ServiceSeriesResult &r);
 
 /** `{"schema":1,"command":"frames",...}`. */
 void writeFramesDocument(std::ostream &out,
+                         const analysis::ServiceFramesResult &r);
+void writeFramesDocument(std::string &out,
                          const analysis::ServiceFramesResult &r);
 
 } // namespace deskpar::report

@@ -1,6 +1,7 @@
 #include "report/json.hh"
 
 #include <algorithm>
+#include <array>
 #include <charconv>
 #include <cmath>
 #include <ostream>
@@ -73,15 +74,100 @@ appendDouble(std::string &out, double v, std::chars_format format,
     out.append(big.data(), r.ptr);
 }
 
+/** kPow10[i] = 10^i, up to 10^16 (past 2^50 ns). */
+constexpr auto kPow10 = [] {
+    std::array<std::uint64_t, 17> pow10{};
+    pow10[0] = 1;
+    for (std::size_t i = 1; i < pow10.size(); ++i)
+        pow10[i] = pow10[i - 1] * 10;
+    return pow10;
+}();
+
+/**
+ * Write "%.9g" of sim::toSeconds(@p t) to @p buf (24 bytes) and
+ * return its length.
+ *
+ * From 1e-4 s (below it %g may take an exponent) up to 2^50 ns, the
+ * text follows from the integer: round t to 9 significant digits,
+ * place the decimal point 9 digits from the ns end, and drop
+ * trailing zeros as %g does. toSeconds(t) = t * 1e-9 is within
+ * 2^-52 relative of t/10^9, which below 2^50 ns is under 0.25 ns,
+ * while a discarded remainder that is not an exact half is at least
+ * 1 ns from the rounding boundary: the double rounds the same way.
+ * Exact ties, and every time outside that range, go to to_chars on
+ * the double itself. No such time is large enough for an exponent.
+ */
+std::size_t
+formatSeconds(char *buf, sim::SimTime t)
+{
+    constexpr sim::SimTime kMin = 100000;
+    constexpr sim::SimTime kMax = sim::SimTime{1} << 50;
+    auto viaDouble = [&] {
+        return static_cast<std::size_t>(
+            std::to_chars(buf, buf + 24, sim::toSeconds(t),
+                          std::chars_format::general, 9)
+                .ptr -
+            buf);
+    };
+    if (t < kMin || t >= kMax)
+        return viaDouble();
+
+    // q: t's 9 leading digits (rounded), worth q * 10^(m-9) s.
+    unsigned digits = 6;
+    while (t >= kPow10[digits])
+        ++digits;
+    std::uint64_t q = t;
+    unsigned m = 0;
+    unsigned nd = digits;
+    if (digits > 9) {
+        m = digits - 9;
+        nd = 9;
+        const std::uint64_t unit = kPow10[m];
+        const std::uint64_t rem = t % unit;
+        q = t / unit;
+        if (rem == unit / 2)
+            return viaDouble();
+        if (rem > unit / 2 && ++q == kPow10[9]) {
+            q = kPow10[8];
+            ++m;
+        }
+    }
+    char d[9];
+    for (unsigned i = nd; i-- > 0; q /= 10)
+        d[i] = static_cast<char>('0' + q % 10);
+    unsigned last = nd - 1; // the last nonzero digit (q > 0)
+    while (d[last] == '0')
+        --last;
+
+    // Integer-part digits: nd + m - 9, at most 7 below 2^50 ns.
+    const int intDigits = static_cast<int>(nd + m) - 9;
+    char *p = buf;
+    if (intDigits <= 0) {
+        *p++ = '0';
+        *p++ = '.';
+        for (int i = intDigits; i < 0; ++i)
+            *p++ = '0';
+        p = std::copy(d, d + last + 1, p);
+    } else {
+        const auto e = static_cast<unsigned>(intDigits);
+        p = std::copy(d, d + e, p);
+        if (last >= e) {
+            *p++ = '.';
+            p = std::copy(d + e, d + last + 1, p);
+        }
+    }
+    return static_cast<std::size_t>(p - buf);
+}
+
 } // namespace
 
 JsonWriter::~JsonWriter()
 {
-    if (buf_.empty())
+    if (!out_ || buf_.empty())
         return;
     try {
-        out_.write(buf_.data(),
-                   static_cast<std::streamsize>(buf_.size()));
+        out_->write(buf_.data(),
+                    static_cast<std::streamsize>(buf_.size()));
     } catch (...) {
         // A stream that throws on failure set its error state first;
         // that state is the caller's record of the lost text.
@@ -111,9 +197,9 @@ JsonWriter::separator()
 void
 JsonWriter::flushIfClosed()
 {
-    if (hasElement_.empty()) {
-        out_.write(buf_.data(),
-                   static_cast<std::streamsize>(buf_.size()));
+    if (out_ && hasElement_.empty()) {
+        out_->write(buf_.data(),
+                    static_cast<std::streamsize>(buf_.size()));
         buf_.clear();
     }
 }
@@ -231,6 +317,19 @@ JsonWriter::value(bool v)
 {
     separator();
     buf_ += v ? "true" : "false";
+    flushIfClosed();
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::valueSeconds(sim::SimTime t)
+{
+    separator();
+    if (secondsLen_ == 0 || t != secondsTime_) {
+        secondsLen_ = formatSeconds(secondsText_, t);
+        secondsTime_ = t;
+    }
+    buf_.append(secondsText_, secondsLen_);
     flushIfClosed();
     return *this;
 }

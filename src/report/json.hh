@@ -15,6 +15,7 @@
 #include <string_view>
 
 #include "analysis/analyzer.hh"
+#include "sim/types.hh"
 
 namespace deskpar::report {
 
@@ -22,10 +23,11 @@ namespace deskpar::report {
  * Minimal streaming JSON writer. Call the begin/end pairs in
  * document order; keys and values are escaped.
  *
- * The text is built in one string and written to the stream when the
+ * On a stream, the text is built in one string and written when the
  * outermost container closes (or a top-level scalar is written), and
  * by the destructor if a container is still open. Anything the caller
  * streams after the outermost end therefore lands after the document.
+ * On a string, the text is appended to it directly.
  *
  * Numbers render through std::to_chars, which the standard defines as
  * printf in the C locale: value(double, p) is byte-identical to
@@ -35,7 +37,11 @@ class JsonWriter
 {
   public:
     explicit JsonWriter(std::ostream &out)
-        : out_(out)
+        : out_(&out), buf_(own_)
+    {}
+    /** Append the document to @p out, with no copy. */
+    explicit JsonWriter(std::string &out)
+        : buf_(out)
     {}
     ~JsonWriter();
 
@@ -64,6 +70,15 @@ class JsonWriter
     JsonWriter &valueFixed(double v, int decimals);
     JsonWriter &value(std::uint64_t v);
     JsonWriter &value(bool v);
+    /**
+     * Time @p t as seconds: exactly value(sim::toSeconds(t), 9), the
+     * %.9g timestamps of the result documents. The digits come from
+     * the integer nanoseconds; the double decides only where it can
+     * differ from them (see formatSeconds in json.cc). The last time
+     * rendered is kept, so a bucket edge shared by two rows (row k's
+     * t1 is row k+1's t0) is formatted once.
+     */
+    JsonWriter &valueSeconds(sim::SimTime t);
 
     /** key + value in one call. */
     template <typename T>
@@ -82,11 +97,18 @@ class JsonWriter
     /** Write the buffered text once no container is open. */
     void flushIfClosed();
 
-    std::ostream &out_;
-    /** The rendered text not yet written to out_. */
-    std::string buf_;
+    /** The stream written to; null when rendering into a string. */
+    std::ostream *out_ = nullptr;
+    /** A stream writer's text not yet written to out_. */
+    std::string own_;
+    /** The text being rendered: own_, or the caller's string. */
+    std::string &buf_;
     /** Whether the current nesting level already has an element. */
     std::string hasElement_; // stack of 0/1 flags
+    /** valueSeconds' last time and its text (%.9g is <= 14 chars). */
+    sim::SimTime secondsTime_ = 0;
+    char secondsText_[24] = {};
+    std::size_t secondsLen_ = 0;
 };
 
 /** Serialize one trace's application metrics. */

@@ -1,7 +1,6 @@
 #include "serve/protocol.hh"
 
 #include <cmath>
-#include <sstream>
 
 #include "report/documents.hh"
 #include "report/json.hh"
@@ -169,11 +168,10 @@ parseRequest(const std::string &line, Request &out, std::string &error)
     return true;
 }
 
-std::string
-successEnvelope(std::uint64_t id, const std::string &resultDocument,
-                const std::vector<trace::Diagnostic> &diagnostics)
+void
+beginSuccessEnvelope(std::string &out, std::uint64_t id,
+                     const std::vector<trace::Diagnostic> &diagnostics)
 {
-    std::ostringstream out;
     report::JsonWriter json(out);
     json.beginObject()
         .field("schema", report::kSchemaVersion)
@@ -190,23 +188,18 @@ successEnvelope(std::uint64_t id, const std::string &resultDocument,
     }
     json.endArray();
     json.endObject();
-    // Splice the pre-rendered result document in as the LAST member
-    // so extractResult can return it byte-exactly. The writer would
-    // re-escape it as a string, so close the object and reopen the
-    // final brace by hand.
-    std::string envelope = out.str();
-    envelope.pop_back(); // trailing '}'
-    envelope += ",\"result\":";
-    envelope += resultDocument.empty() ? "{}" : resultDocument;
-    envelope += '}';
-    return envelope;
+    // The result document is the LAST member, spliced in verbatim so
+    // extractResult can return it byte-exactly (the writer would
+    // re-escape it as a string): reopen the object by hand.
+    out.pop_back(); // trailing '}'
+    out += ",\"result\":";
 }
 
 std::string
 errorEnvelope(std::uint64_t id, const std::string &kind,
               const std::string &message)
 {
-    std::ostringstream out;
+    std::string out;
     report::JsonWriter json(out);
     json.beginObject()
         .field("schema", report::kSchemaVersion)
@@ -218,7 +211,7 @@ errorEnvelope(std::uint64_t id, const std::string &kind,
         .field("message", message)
         .endObject();
     json.endObject();
-    return out.str();
+    return out;
 }
 
 bool

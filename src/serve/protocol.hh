@@ -80,14 +80,15 @@ bool parseRequest(const std::string &line, Request &out,
                   std::string &error);
 
 /**
- * Success envelope around @p resultDocument (a one-line JSON
- * document from report/documents.hh, or "{}" for ops without one).
- * @p diagnostics are the request's captured pipeline diagnostics.
- * No trailing newline; the transport appends it.
+ * Append the head of a success envelope to @p out: everything up to
+ * the `"result":` key. The caller appends the one-line result
+ * document (report/documents.hh, rendered in place) and the closing
+ * '}'. @p diagnostics are the request's captured pipeline
+ * diagnostics. No trailing newline; the transport appends it.
  */
-std::string
-successEnvelope(std::uint64_t id, const std::string &resultDocument,
-                const std::vector<trace::Diagnostic> &diagnostics);
+void
+beginSuccessEnvelope(std::string &out, std::uint64_t id,
+                     const std::vector<trace::Diagnostic> &diagnostics);
 
 /** Failure envelope. @p kind tags the error source ("parse",
  *  "trace", "internal"). */

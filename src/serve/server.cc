@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
-#include <sstream>
 #include <unordered_map>
 
 #include <poll.h>
@@ -315,27 +314,37 @@ Server::handleJob(const Job &job)
     obs::Span span("serve.request", obs::SpanKind::Serve,
                    static_cast<std::uint64_t>(request.op));
 
-    std::string envelope;
+    // The reply is rendered once, in place: the envelope head, then
+    // the result document straight after it, then the closing brace
+    // and the newline. The head goes in after the service call,
+    // once the request's diagnostics are all captured.
+    std::string reply;
     bool failed = false;
     try {
-        std::ostringstream doc;
+        auto head = [&] {
+            beginSuccessEnvelope(reply, request.id, sink.diagnostics());
+        };
         switch (request.op) {
           case RequestOp::Ping:
-            doc << "{\"schema\":" << report::kSchemaVersion
-                << ",\"command\":\"ping\"}";
-            break;
-          case RequestOp::Stats:
-            doc << statsDocument();
-            break;
           case RequestOp::Shutdown:
-            doc << "{\"schema\":" << report::kSchemaVersion
-                << ",\"command\":\"shutdown\"}";
+            head();
+            reply += "{\"schema\":" +
+                     std::to_string(report::kSchemaVersion) +
+                     ",\"command\":\"" + requestOpName(request.op) +
+                     "\"}";
             break;
+          case RequestOp::Stats: {
+            std::string doc = statsDocument();
+            head();
+            reply += doc;
+            break;
+          }
           case RequestOp::Analyze: {
             request.trace.jobs = options_.requestJobs;
             analysis::ServiceAnalyzeResult result =
                 service_.analyze(request.trace);
-            report::writeAnalyzeDocument(doc, result);
+            head();
+            report::writeAnalyzeDocument(reply, result);
             break;
           }
           case RequestOp::Query: {
@@ -346,7 +355,8 @@ Server::handleJob(const Job &job)
             sreq.explain = request.explain;
             analysis::ServiceQueryResult result =
                 service_.query(sreq);
-            report::writeQueryDocument(doc, result);
+            head();
+            report::writeQueryDocument(reply, result);
             break;
           }
           case RequestOp::Bottlenecks: {
@@ -356,7 +366,8 @@ Server::handleJob(const Job &job)
             sreq.top = request.top;
             analysis::ServiceBottlenecksResult result =
                 service_.bottlenecks(sreq);
-            report::writeBottlenecksDocument(doc, result);
+            head();
+            report::writeBottlenecksDocument(reply, result);
             break;
           }
           case RequestOp::Series: {
@@ -367,7 +378,8 @@ Server::handleJob(const Job &job)
             sreq.window = request.window;
             analysis::ServiceSeriesResult result =
                 service_.series(sreq);
-            report::writeSeriesDocument(doc, result);
+            head();
+            report::writeSeriesDocument(reply, result);
             break;
           }
           case RequestOp::Frames: {
@@ -376,20 +388,20 @@ Server::handleJob(const Job &job)
             sreq.trace.jobs = options_.requestJobs;
             analysis::ServiceFramesResult result =
                 service_.frames(sreq);
-            report::writeFramesDocument(doc, result);
+            head();
+            report::writeFramesDocument(reply, result);
             break;
           }
         }
-        envelope = successEnvelope(request.id, doc.str(),
-                                   sink.diagnostics());
+        reply += '}';
     } catch (const trace::TraceParseError &e) {
-        envelope = errorEnvelope(request.id, "trace", e.what());
+        reply = errorEnvelope(request.id, "trace", e.what());
         failed = true;
     } catch (const FatalError &e) {
-        envelope = errorEnvelope(request.id, "fatal", e.what());
+        reply = errorEnvelope(request.id, "fatal", e.what());
         failed = true;
     } catch (const std::exception &e) {
-        envelope = errorEnvelope(request.id, "internal", e.what());
+        reply = errorEnvelope(request.id, "internal", e.what());
         failed = true;
     }
 
@@ -401,24 +413,23 @@ Server::handleJob(const Job &job)
                     .count();
     recordLatency(request.op, ms, failed);
 
-    writeLine(*job.conn, envelope);
+    writeLine(*job.conn, std::move(reply));
 
     if (request.op == RequestOp::Shutdown)
         requestStop();
 }
 
 void
-Server::writeLine(Conn &conn, const std::string &line)
+Server::writeLine(Conn &conn, std::string line)
 {
     if (!conn.open.load(std::memory_order_relaxed))
         return;
-    std::string framed = line;
-    framed += '\n';
+    line += '\n';
     std::lock_guard<std::mutex> lock(conn.writeMutex);
     std::size_t sent = 0;
-    while (sent < framed.size()) {
-        ssize_t n = ::send(conn.fd, framed.data() + sent,
-                           framed.size() - sent, MSG_NOSIGNAL);
+    while (sent < line.size()) {
+        ssize_t n = ::send(conn.fd, line.data() + sent,
+                           line.size() - sent, MSG_NOSIGNAL);
         if (n < 0 && errno == EINTR)
             continue; // a signal, not the peer: send the rest
         if (n <= 0) {
@@ -473,7 +484,7 @@ Server::statsDocument()
                         .count();
     analysis::SessionCacheStats cache = service_.cacheStats();
 
-    std::ostringstream out;
+    std::string out;
     report::JsonWriter json(out);
     json.beginObject()
         .field("schema", report::kSchemaVersion)
@@ -517,7 +528,7 @@ Server::statsDocument()
     }
     json.endObject();
     json.endObject();
-    return out.str();
+    return out;
 }
 
 } // namespace deskpar::serve

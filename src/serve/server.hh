@@ -134,7 +134,8 @@ class Server
     void demuxLoop();
     void workerLoop();
     void handleJob(const Job &job);
-    void writeLine(Conn &conn, const std::string &line);
+    /** Send @p line and its newline (moved in: no copy). */
+    void writeLine(Conn &conn, std::string line);
     void recordLatency(RequestOp op, double ms, bool failed);
     void requestStop();
 

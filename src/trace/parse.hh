@@ -204,6 +204,19 @@ struct IngestReport
      */
     bool ok() const { return errorCount == 0; }
 
+    /**
+     * The reader refused the file at its header (bad magic or
+     * version, a truncated header, a CPU count past kMaxLogicalCpus,
+     * a CSV header row of another view): every decoder stops there,
+     * so nothing past the header was read in either mode and a
+     * lenient ingest has nothing to salvage.
+     */
+    bool
+    headerRefused() const
+    {
+        return !errors.empty() && errors.front().section == "header";
+    }
+
     /** Count @p error, storing at most @p cap diagnostics. */
     void note(ParseError error, std::size_t cap);
 

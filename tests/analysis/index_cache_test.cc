@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -32,12 +33,13 @@ namespace {
 using namespace deskpar;
 using namespace deskpar::analysis;
 
+/** @p events context switches, 400 ns apart; the default fits 2 ms. */
 trace::TraceBundle
-cacheBundle()
+cacheBundle(unsigned events = 4000)
 {
     trace::TraceBundle bundle;
     bundle.startTime = 1000;
-    bundle.stopTime = 2000000;
+    bundle.stopTime = std::max<sim::SimTime>(2000000, 2000 + 400 * events);
     bundle.numLogicalCpus = 8;
     bundle.processNames[0] = "Idle";
     for (trace::Pid pid = 1000; pid < 1006; ++pid)
@@ -51,7 +53,7 @@ cacheBundle()
         state ^= state << 17;
         return state;
     };
-    for (unsigned i = 0; i < 4000; ++i) {
+    for (unsigned i = 0; i < events; ++i) {
         trace::CSwitchEvent cs;
         cs.timestamp = 1000 + 400 * i + next() % 100;
         cs.cpu = static_cast<unsigned>(next() % 8);
@@ -91,10 +93,10 @@ cacheBundle()
 
 /** Write the corpus trace as .etl under TempDir; returns its path. */
 std::string
-writeTrace(const std::string &name)
+writeTrace(const std::string &name, unsigned events = 4000)
 {
     std::string path = ::testing::TempDir() + "/" + name;
-    trace::writeEtl(cacheBundle(), path);
+    trace::writeEtl(cacheBundle(events), path);
     std::filesystem::remove(indexCachePath(path));
     return path;
 }
@@ -259,6 +261,121 @@ TEST(IndexCache, ChangedTraceFileInvalidatesTheCache)
     EXPECT_TRUE(openSession(path).warm);
 }
 
+/**
+ * Rewrite @p path in place with the same trace but its last context
+ * switch on another CPU: the same size, the same first 64 KiB, the
+ * mtime restored. Only the bytes near the end differ.
+ */
+void
+rewriteTailInPlace(const std::string &path, unsigned events)
+{
+    trace::TraceBundle bundle = cacheBundle(events);
+    trace::CSwitchEvent &last = bundle.cswitches.back();
+    last.cpu = (last.cpu + 1) % bundle.numLogicalCpus;
+    std::ostringstream image;
+    trace::writeEtl(bundle, image);
+    const std::string before = slurp(path);
+    const std::string after = image.str();
+    ASSERT_EQ(after.size(), before.size());
+    ASSERT_GT(before.size(), std::size_t(128) << 10);
+    ASSERT_EQ(after.compare(0, std::size_t(64) << 10, before, 0,
+                            std::size_t(64) << 10),
+              0);
+    ASSERT_NE(after, before);
+    auto stamp = std::filesystem::last_write_time(path);
+    {
+        std::fstream out(path, std::ios::binary | std::ios::in |
+                                   std::ios::out);
+        out.write(after.data(),
+                  static_cast<std::streamsize>(after.size()));
+    }
+    std::filesystem::last_write_time(path, stamp);
+}
+
+TEST(IndexCache, InPlaceTailRewriteInvalidatesTheCache)
+{
+    constexpr unsigned kEvents = 20000;
+    std::string path = writeTrace("cache_tail.etl", kEvents);
+    ASSERT_TRUE(openSession(path).wroteCache);
+    ASSERT_NO_FATAL_FAILURE(rewriteTailInPlace(path, kEvents));
+
+    std::string error;
+    EXPECT_EQ(loadCachedSession(path, error), nullptr);
+    EXPECT_NE(error.find("stale"), std::string::npos) << error;
+    OpenResult reopened = openSession(path);
+    ASSERT_TRUE(reopened.session);
+    EXPECT_FALSE(reopened.warm);
+    EXPECT_TRUE(reopened.wroteCache);
+}
+
+/** FNV-1a 64 of the first 64 KiB: the identity hash caches once held. */
+std::uint64_t
+headerOnlyHash(const std::string &path)
+{
+    std::string head = slurp(path).substr(0, std::size_t(64) << 10);
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (char c : head) {
+        h ^= static_cast<std::uint8_t>(c);
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+/** Skip one LEB128 varint of @p bytes at @p pos. */
+std::size_t
+skipVarint(const std::string &bytes, std::size_t pos)
+{
+    while (static_cast<unsigned char>(bytes[pos]) & 0x80)
+        ++pos;
+    return pos + 1;
+}
+
+/** @p cache's magic, then @p body under a CRC made to match. */
+std::string
+resealCache(const std::string &cache, const std::string &body)
+{
+    std::uint32_t crc = trace::crc32c(body);
+    std::string out = cache.substr(0, 8);
+    for (int i = 0; i < 4; ++i)
+        out.push_back(static_cast<char>((crc >> (8 * i)) & 0xff));
+    return out + body;
+}
+
+TEST(IndexCache, CacheKeyedByTheHeaderOnlyHashIsRebuilt)
+{
+    std::string path = writeTrace("cache_old_key.etl");
+    OpenResult cold = openSession(path);
+    ASSERT_TRUE(cold.wroteCache);
+
+    // The same cache with its identity hash (the fourth varint of
+    // the body, after version, size and mtime) swapped for the
+    // header-only hash, and its CRC made to match.
+    std::string cache = slurp(cold.cachePath);
+    std::string body = cache.substr(12);
+    std::size_t pos = 0;
+    for (int i = 0; i < 3; ++i)
+        pos = skipVarint(body, pos);
+    std::string oldKey;
+    trace::putVarint(oldKey, headerOnlyHash(path));
+    body.replace(pos, skipVarint(body, pos) - pos, oldKey);
+    std::string rewritten = resealCache(cache, body);
+    ASSERT_NE(rewritten, cache);
+    {
+        std::ofstream out(cold.cachePath, std::ios::binary);
+        out << rewritten;
+    }
+
+    std::string error;
+    EXPECT_EQ(loadCachedSession(path, error), nullptr);
+    EXPECT_NE(error.find("stale"), std::string::npos) << error;
+    OpenResult rebuilt = openSession(path);
+    ASSERT_TRUE(rebuilt.session);
+    EXPECT_FALSE(rebuilt.warm);
+    EXPECT_TRUE(rebuilt.wroteCache);
+    EXPECT_EQ(slurp(cold.cachePath), cache);
+    EXPECT_TRUE(openSession(path).warm);
+}
+
 TEST(IndexCache, CorruptOrTruncatedCachesFallBackToCold)
 {
     std::string path = writeTrace("cache_corrupt.etl");
@@ -366,6 +483,114 @@ TEST(IndexCache, AdoptColumnsRefusesAnotherCpuCount)
     TraceIndex other(bundle);
     EXPECT_FALSE(other.adoptColumns(columns, &error));
     EXPECT_NE(error.find("CPU count"), std::string::npos) << error;
+}
+
+/** A timeline's level column as serializeColumns() writes it. */
+std::string
+encodedLevels(const std::vector<int> &levels)
+{
+    std::string out;
+    trace::putVarint(out, levels.size());
+    for (int level : levels) // zigzag
+        trace::putVarint(out, (static_cast<std::uint64_t>(level) << 1) ^
+                                  static_cast<std::uint64_t>(level >> 31));
+    return out;
+}
+
+/** Where the only copy of @p needle sits in @p hay. */
+std::size_t
+findOnce(const std::string &hay, const std::string &needle)
+{
+    std::size_t at = hay.find(needle);
+    EXPECT_NE(at, std::string::npos);
+    EXPECT_EQ(hay.find(needle, at + 1), std::string::npos);
+    return at;
+}
+
+TEST(IndexCache, AdoptColumnsRefusesAMisshapedTimeline)
+{
+    // Queries index their level buffers and checkpoint rows with the
+    // adopted columns, so a blob whose levels leave [0, CPU count] or
+    // whose column sizes disagree must not be adopted.
+    trace::TraceBundle bundle = cacheBundle();
+    Session session(bundle);
+    session.index().warm({});
+    const std::string columns = session.index().serializeColumns();
+    const detail::ConcurrencyTimeline &tl =
+        session.index().filterColumns(detail::TimelineSpec{}, 0).timeline;
+    ASSERT_GT(tl.levels.size(), 100u);
+    ASSERT_EQ(tl.cutoff, 8u);
+
+    const std::string levels = encodedLevels(tl.levels);
+    const std::size_t at = findOnce(columns, levels);
+    const std::size_t mid = at + levels.size() - tl.levels.size() / 2;
+    auto expectRefused = [&](const std::string &blob, const char *why) {
+        TraceIndex index(bundle);
+        std::string error;
+        EXPECT_FALSE(index.adoptColumns(blob, &error)) << why;
+        EXPECT_NE(error.find(why), std::string::npos) << error;
+    };
+
+    std::string below = columns;
+    below[mid] = 1; // zigzag -1
+    expectRefused(below, "level outside");
+    std::string above = columns;
+    above[mid] = 18; // zigzag 9, one past the 8 CPUs
+    expectRefused(above, "level outside");
+
+    std::vector<int> shorter(tl.levels.begin(), tl.levels.end() - 1);
+    std::string fewerLevels = columns;
+    fewerLevels.replace(at, levels.size(), encodedLevels(shorter));
+    expectRefused(fewerLevels, "level column size");
+
+    std::string cum;
+    trace::putVarint(cum, tl.cum.size());
+    for (sim::SimDuration d : tl.cum)
+        trace::putVarint(cum, d);
+    std::string fewerRows;
+    trace::putVarint(fewerRows, tl.cum.size() - 1);
+    for (std::size_t i = 0; i + 1 < tl.cum.size(); ++i)
+        trace::putVarint(fewerRows, tl.cum[i]);
+    std::string shortCum = columns;
+    shortCum.replace(findOnce(columns, cum), cum.size(), fewerRows);
+    expectRefused(shortCum, "checkpoint column size");
+
+    TraceIndex intact(bundle);
+    std::string error;
+    EXPECT_TRUE(intact.adoptColumns(columns, &error)) << error;
+}
+
+TEST(IndexCache, CachedLevelOutsideTheCpuCountFallsBackToCold)
+{
+    // A .dpidx whose one level was patched and whose CRC was made to
+    // match again: the load refuses it and the open re-ingests.
+    std::string path = writeTrace("cache_bad_level.etl");
+    OpenResult cold = openSession(path);
+    ASSERT_TRUE(cold.wroteCache);
+    const detail::ConcurrencyTimeline &tl =
+        cold.session->index()
+            .filterColumns(detail::TimelineSpec{}, 0)
+            .timeline;
+    ASSERT_GT(tl.levels.size(), 100u);
+
+    const std::string cache = slurp(cold.cachePath);
+    std::string body = cache.substr(12);
+    const std::string levels = encodedLevels(tl.levels);
+    body[findOnce(body, levels) + levels.size() - 1] = 18; // level 9
+    {
+        std::ofstream out(cold.cachePath, std::ios::binary);
+        out << resealCache(cache, body);
+    }
+
+    std::string error;
+    EXPECT_EQ(loadCachedSession(path, error), nullptr);
+    EXPECT_NE(error.find("level outside"), std::string::npos) << error;
+    OpenResult rebuilt = openSession(path);
+    ASSERT_TRUE(rebuilt.session);
+    EXPECT_FALSE(rebuilt.warm);
+    EXPECT_TRUE(rebuilt.wroteCache);
+    EXPECT_EQ(slurp(cold.cachePath), cache);
+    expectSameAnalysis(*cold.session, *rebuilt.session, {});
 }
 
 } // namespace

@@ -304,6 +304,64 @@ TEST(QueryDiff, RandomBatchesMatchReferenceAtEveryThreadCount)
 }
 
 /**
+ * Bucket queries long enough that their rows span several planner
+ * chunks (64 tasks), with short last buckets, consecutive queries on
+ * one filter (the next query's first row walks back to the start),
+ * other filters in between, and windows that open before the first
+ * switch or close after the last: every row bit-identical to the
+ * reference at 1, 2 and 7 threads.
+ */
+TEST(QueryDiff, LongBucketRunsMatchReferenceAcrossChunks)
+{
+    BundleSpec spec;
+    spec.cswitches = 6000;
+    spec.outOfRangeCpus = true;
+    for (std::uint64_t seed = 0; seed < 3; ++seed) {
+        TraceBundle bundle = randomBundle(seed, spec);
+        auto bucketQuery = [](QueryMetric metric, sim::SimDuration width,
+                              trace::PidSet pids = {}) {
+            Query q;
+            q.metric = metric;
+            q.filter.pids = std::move(pids);
+            q.groupBy = QueryGroupBy::TimeBucket;
+            q.bucket = width;
+            return q;
+        };
+        std::vector<Query> batch = {
+            bucketQuery(QueryMetric::Tlp, kTraceLen / 150),
+            bucketQuery(QueryMetric::Tlp, kTraceLen / 97),
+            bucketQuery(QueryMetric::BusyFraction, 61'003, {5}),
+            bucketQuery(QueryMetric::ContextSwitchRate, 47'001),
+            bucketQuery(QueryMetric::ContextSwitchRate, 130'007, {5, 6}),
+            bucketQuery(QueryMetric::Tlp, 7'001, {7}),
+        };
+        Query masked = bucketQuery(QueryMetric::BusyFraction, 99'991);
+        masked.filter.cpuMask = 0b10110110;
+        batch.push_back(masked);
+        Query shifted = bucketQuery(QueryMetric::Tlp, 33'331, {5});
+        shifted.filter.t0 = 1;
+        shifted.filter.t1 = kTraceLen + kTraceLen / 3;
+        batch.push_back(shifted);
+        batch.push_back(
+            bucketQuery(QueryMetric::ContextSwitchRate, 7'001, {7}));
+
+        std::vector<QueryResult> reference =
+            legacy::runQueries(bundle, batch);
+        std::size_t rows = 0;
+        for (const QueryResult &r : reference)
+            rows += r.rows.size();
+        ASSERT_GT(rows, 10 * 64u);
+        for (unsigned threads : {1u, 2u, 7u}) {
+            SCOPED_TRACE("seed " + std::to_string(seed) + " threads " +
+                         std::to_string(threads));
+            Session session(bundle);
+            expectResultsEqual(session.query(batch, threads),
+                               reference);
+        }
+    }
+}
+
+/**
  * A disordered stream reaches the planner only canonicalized, as
  * every decoder leaves it: the fused plan must then produce the same
  * value — or the same first failure — as the serial reference on the

@@ -6,15 +6,19 @@
 #include <gtest/gtest.h>
 
 #include <cfloat>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <limits>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <thread>
 #include <vector>
 
 #include "report/json.hh"
+#include "sim/types.hh"
 
 namespace {
 
@@ -198,6 +202,153 @@ TEST(Json, NumbersMatchPrintfByteForByte)
         EXPECT_EQ(rendered([&](JsonWriter &j) { j.value(v); }),
                   printfText("%.*llu", 1,
                              static_cast<unsigned long long>(v)));
+}
+
+/**
+ * valueSeconds(t) against "%.9g" of toSeconds(t), the text every
+ * document timestamp had before the writer rendered it from the
+ * integer. The oracle is snprintf, or, for the exhaustive bucket-edge
+ * sweep, std::to_chars at precision 9 on the same double: the
+ * standard defines it as that printf, and NumbersMatchPrintfByteForByte
+ * checks it. Mismatches are counted; the first few are reported.
+ */
+class SecondsOracle
+{
+  public:
+    void
+    check(sim::SimTime t, bool viaPrintf = true)
+    {
+        text_.clear();
+        json_.valueSeconds(t);
+        char want[64];
+        std::size_t n = 0;
+        if (viaPrintf)
+            n = static_cast<std::size_t>(std::snprintf(
+                want, sizeof want, "%.9g", sim::toSeconds(t)));
+        else
+            n = static_cast<std::size_t>(
+                std::to_chars(want, want + sizeof want,
+                              sim::toSeconds(t),
+                              std::chars_format::general, 9)
+                    .ptr -
+                want);
+        ++checked_;
+        if (text_ != std::string_view(want, n) && ++failures_ <= 10)
+            ADD_FAILURE() << t << " ns: got " << text_ << ", want "
+                          << std::string_view(want, n);
+    }
+
+    std::uint64_t checked() const { return checked_; }
+
+  private:
+    std::string text_;
+    JsonWriter json_{text_};
+    std::uint64_t checked_ = 0;
+    std::uint64_t failures_ = 0;
+};
+
+constexpr sim::SimTime kSecond = 1'000'000'000;
+
+/**
+ * Every bucket edge of the 7 ms, 100 ms, 250 ms and 1 s widths up to
+ * 10^6 s (1.6e8 times; every 61st also through snprintf), split over
+ * four threads.
+ */
+TEST(Json, SecondsMatchPrintfOnEveryBucketEdge)
+{
+    const sim::SimTime widths[] = {7 * kSecond / 1000, kSecond / 10,
+                                   kSecond / 4, kSecond};
+    constexpr sim::SimTime kEnd = 1'000'000 * kSecond;
+    constexpr unsigned kThreads = 4;
+    std::vector<std::uint64_t> checked(kThreads, 0);
+    std::vector<std::thread> threads;
+    for (unsigned part = 0; part < kThreads; ++part) {
+        threads.emplace_back([&, part] {
+            SecondsOracle oracle;
+            for (sim::SimTime width : widths) {
+                const sim::SimTime edges = kEnd / width + 1;
+                for (sim::SimTime k = edges * part / kThreads;
+                     k < edges * (part + 1) / kThreads; ++k)
+                    oracle.check(k * width, k % 61 == 0);
+            }
+            checked[part] = oracle.checked();
+        });
+    }
+    for (std::thread &thread : threads)
+        thread.join();
+    std::uint64_t total = 0;
+    for (std::uint64_t n : checked)
+        total += n;
+    EXPECT_EQ(total, 142'857'143u + 10'000'001u + 4'000'001u +
+                         1'000'001u);
+}
+
+TEST(Json, SecondsMatchPrintfByteForByte)
+{
+    SecondsOracle oracle;
+
+    // Below 1e-4 s, where %g may take an exponent, and across it.
+    for (sim::SimTime t = 0; t <= 300'000; ++t)
+        oracle.check(t);
+
+    // Exact ties at the 10th significant digit (the double decides),
+    // the times one ns either side, and the round-up carries.
+    std::uint64_t state = 0x2545F4914F6CDD1Dull;
+    auto next = [&state] {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        return state;
+    };
+    for (sim::SimTime unit = 10; unit <= 10'000'000; unit *= 10) {
+        for (int i = 0; i < 5'000; ++i) {
+            sim::SimTime q = 100'000'000 + next() % 900'000'000;
+            if (i == 0)
+                q = 999'999'999;
+            sim::SimTime tie = q * unit + unit / 2;
+            for (sim::SimTime t : {tie - 1, tie, tie + 1, q * unit,
+                                   (q + 1) * unit - 1})
+                oracle.check(t);
+        }
+    }
+
+    // Bucket edges that do not start at 0: a random start plus k
+    // widths, as a trace whose window opens late renders them.
+    for (int i = 0; i < 200'000; ++i) {
+        sim::SimTime start = next() % (1'000'000 * kSecond);
+        oracle.check(start + (next() % 4096) * 7'000'000);
+    }
+
+    // At and past 2^50 ns, up to the largest time.
+    constexpr sim::SimTime k2p50 = sim::SimTime{1} << 50;
+    for (sim::SimTime t = k2p50 - 5000; t <= k2p50 + 5000; ++t)
+        oracle.check(t);
+    oracle.check(std::numeric_limits<sim::SimTime>::max());
+
+    // Random times on a log scale over the whole range.
+    for (int i = 0; i < 1'000'000; ++i)
+        oracle.check(next() >> (next() % 64));
+
+    EXPECT_GT(oracle.checked(), 1'500'000u);
+}
+
+/**
+ * Row k's t1 is row k+1's t0: the writer keeps the last text, and a
+ * repeat, or a new time after it, renders as if rendered alone.
+ */
+TEST(Json, SecondsReuseTheLastEdgeText)
+{
+    std::string text;
+    JsonWriter json(text);
+    json.beginArray()
+        .valueSeconds(250'000'000)
+        .valueSeconds(250'000'000)
+        .valueSeconds(500'000'000)
+        .valueSeconds(12)
+        .valueSeconds(12)
+        .valueSeconds(0)
+        .endArray();
+    EXPECT_EQ(text, "[0.25,0.25,0.5,1.2e-08,1.2e-08,0]");
 }
 
 TEST(Json, NonFiniteRendersAsNullInEveryNumberForm)

@@ -122,6 +122,16 @@ TEST(Protocol, RejectsMalformedRequests)
         R"({"op":"series","trace":"t.etl","window_ns":0})");
 }
 
+/** A success envelope around @p doc, as the server renders one. */
+std::string
+successEnvelope(std::uint64_t id, const std::string &doc,
+                const std::vector<trace::Diagnostic> &diagnostics)
+{
+    std::string envelope;
+    beginSuccessEnvelope(envelope, id, diagnostics);
+    return envelope + doc + '}';
+}
+
 TEST(Protocol, SuccessEnvelopeShape)
 {
     std::string env = successEnvelope(7, R"({"x":1})", {});

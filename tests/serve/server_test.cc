@@ -23,6 +23,7 @@
 #include <chrono>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -246,6 +247,26 @@ TEST_F(ServerTest, MissingTraceFileGetsAFatalErrorEnvelope)
     const JsonValue *err = v.find("error");
     ASSERT_TRUE(err && err->isObject());
     EXPECT_EQ(err->stringOr("kind", ""), "fatal");
+}
+
+// A CPU-Usage CSV holding only its header row has an empty window:
+// the served query error names the trace, as the CLI's does.
+TEST_F(ServerTest, EmptyWindowQueryErrorNamesTheTrace)
+{
+    const std::string csv = ::testing::TempDir() + "/server_empty_" +
+                            std::to_string(::getpid()) + ".csv";
+    std::ofstream(csv) << "New Process,New PID,New TID,CPU,"
+                          "Ready Time (ns),Switch-In Time (ns),"
+                          "Old Process,Old PID,Old TID\n";
+    JsonValue v = envelope(R"({"op":"query","id":5,"trace":")" + csv +
+                           R"(","specs":["tlp"]})");
+    std::filesystem::remove(csv);
+    EXPECT_FALSE(v.boolOr("ok", true));
+    const JsonValue *err = v.find("error");
+    ASSERT_TRUE(err && err->isObject());
+    EXPECT_EQ(err->stringOr("kind", ""), "fatal");
+    EXPECT_EQ(err->stringOr("message", ""),
+              "fatal: query: empty window in trace '" + csv + "'");
 }
 
 TEST_F(ServerTest, SequentialRequestsPipelineOnOneConnection)

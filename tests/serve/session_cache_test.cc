@@ -12,10 +12,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -37,11 +39,12 @@ using namespace deskpar::analysis;
  * bytes the identity hash covers.
  */
 trace::TraceBundle
-cacheBundle(std::uint64_t salt = 0)
+cacheBundle(std::uint64_t salt = 0, unsigned events = 4000)
 {
     trace::TraceBundle bundle;
     bundle.startTime = 1000 + salt;
-    bundle.stopTime = 2000000 + salt;
+    bundle.stopTime =
+        std::max<sim::SimTime>(2000000, 2000 + 400 * events) + salt;
     bundle.numLogicalCpus = 8;
     bundle.processNames[0] = "Idle";
     for (trace::Pid pid = 1000; pid < 1006; ++pid)
@@ -55,7 +58,7 @@ cacheBundle(std::uint64_t salt = 0)
         state ^= state << 17;
         return state;
     };
-    for (unsigned i = 0; i < 4000; ++i) {
+    for (unsigned i = 0; i < events; ++i) {
         trace::CSwitchEvent cs;
         cs.timestamp = 1000 + salt + 400 * i + next() % 100;
         cs.cpu = static_cast<unsigned>(next() % 8);
@@ -71,10 +74,11 @@ cacheBundle(std::uint64_t salt = 0)
 
 /** Write the bundle as .etl under TempDir; returns its path. */
 std::string
-writeTrace(const std::string &name, std::uint64_t salt = 0)
+writeTrace(const std::string &name, std::uint64_t salt = 0,
+           unsigned events = 4000)
 {
     std::string path = ::testing::TempDir() + "/" + name;
-    trace::writeEtl(cacheBundle(salt), path);
+    trace::writeEtl(cacheBundle(salt, events), path);
     std::filesystem::remove(indexCachePath(path));
     return path;
 }
@@ -265,6 +269,55 @@ TEST(SessionCache, RewrittenFileIsReingested)
     EXPECT_EQ(stats.invalidations, 1u);
     EXPECT_EQ(stats.ingests, 2u);
     EXPECT_EQ(stats.entries, 1u);
+}
+
+/** The whole of file @p path. */
+std::string
+slurp(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in), {}};
+}
+
+// A rewrite that keeps the size, the mtime and the first 64 KiB and
+// changes only the last context switch (its CPU) is still a changed
+// trace: the identity hashes the file's tail too.
+TEST(SessionCache, InPlaceTailRewriteIsReingested)
+{
+    constexpr unsigned kEvents = 20000;
+    std::string path = writeTrace("sc_tail.etl", 0, kEvents);
+    SessionCache cache;
+    SessionCache::Lease before =
+        cache.acquire(path, trace::ParseMode::Strict);
+
+    trace::TraceBundle bundle = cacheBundle(0, kEvents);
+    trace::CSwitchEvent &last = bundle.cswitches.back();
+    last.cpu = (last.cpu + 1) % bundle.numLogicalCpus;
+    std::ostringstream image;
+    trace::writeEtl(bundle, image);
+    const std::string old = slurp(path);
+    const std::string now = image.str();
+    ASSERT_EQ(now.size(), old.size());
+    ASSERT_GT(old.size(), std::size_t(128) << 10);
+    ASSERT_EQ(now.compare(0, std::size_t(64) << 10, old, 0,
+                          std::size_t(64) << 10),
+              0);
+    ASSERT_NE(now, old);
+    auto stamp = std::filesystem::last_write_time(path);
+    {
+        std::fstream out(path,
+                         std::ios::binary | std::ios::in | std::ios::out);
+        out.write(now.data(), static_cast<std::streamsize>(now.size()));
+    }
+    std::filesystem::last_write_time(path, stamp);
+
+    SessionCache::Lease after =
+        cache.acquire(path, trace::ParseMode::Strict);
+    EXPECT_FALSE(after.warm);
+    EXPECT_NE(after.session.get(), before.session.get());
+    EXPECT_EQ(after.session->bundle().cswitches.back().cpu, last.cpu);
+    EXPECT_EQ(cache.stats().invalidations, 1u);
+    EXPECT_EQ(cache.stats().ingests, 2u);
 }
 
 TEST(SessionCache, ExplicitInvalidateForcesReingest)

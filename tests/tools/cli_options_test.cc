@@ -22,6 +22,7 @@
 #include <iterator>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "tools/cli_options.hh"
@@ -611,6 +612,69 @@ TEST_F(CliCanonical, LenientRefusedCsvHeaderFailsEveryCommand)
     std::ofstream(bad) << text;
     expectLenientHeaderRefusal(dir, bad,
                                bad + ":1: [header] unexpected header");
+}
+
+// pack applies the same rule: a refused header fails the lenient
+// pack with the header error, naming the file, and writes no .etlc.
+TEST_F(CliCanonical, LenientPackOfARefusedHeaderFailsAndWritesNothing)
+{
+    std::string text = slurp(csv);
+    text.replace(0, text.find('\n'), "Bogus,Header");
+    const std::string badCsv = dir + "/badhdr.csv";
+    std::ofstream(badCsv) << text;
+    const std::string errPath = dir + "/stderr.txt";
+    const std::pair<std::string, std::string> cases[] = {
+        {writeHugeEtl(dir, etl),
+         "[header] numLogicalCpus: CPU count 20000000 exceeds 1024"},
+        {badCsv, badCsv + ":1: [header] unexpected header"},
+    };
+    for (const auto &[trace, want] : cases) {
+        SCOPED_TRACE(trace);
+        const std::string packed = dir + "/packed.etlc";
+        std::string out;
+        EXPECT_EQ(deskparRun("pack --lenient-traces " + trace + " -o " +
+                                 packed + " 2>" + errPath,
+                             out),
+                  1)
+            << out;
+        std::string err = slurp(errPath);
+        EXPECT_NE(err.find(want), std::string::npos) << err;
+        EXPECT_NE(err.find("deskpar: " + trace), std::string::npos)
+            << err;
+        EXPECT_EQ(err.find("degraded ingest"), std::string::npos) << err;
+        EXPECT_EQ(out, "");
+        EXPECT_FALSE(std::filesystem::exists(packed));
+    }
+}
+
+// A CSV holding only its header row decodes to an empty window: the
+// query error names the trace. Other query errors keep their text.
+TEST_F(CliCanonical, EmptyWindowQueryErrorNamesTheTrace)
+{
+    const std::string empty = dir + "/empty.csv";
+    {
+        std::string text = slurp(csv);
+        std::ofstream(empty) << text.substr(0, text.find('\n') + 1);
+    }
+    const std::string errPath = dir + "/stderr.txt";
+    std::string out;
+    for (const char *form : {"", "--json "}) {
+        SCOPED_TRACE(form);
+        EXPECT_EQ(deskparRun(std::string("query ") + form + empty +
+                                 " tlp 2>" + errPath,
+                             out),
+                  1);
+        EXPECT_EQ(out, "");
+        EXPECT_EQ(slurp(errPath),
+                  "deskpar: fatal: query: empty window in trace '" +
+                      empty + "'\n");
+    }
+    EXPECT_EQ(deskparRun("query " + empty + " 'tlp/app=zzz' 2>" + errPath,
+                         out),
+              1);
+    EXPECT_EQ(slurp(errPath),
+              "deskpar: fatal: query: no process name matches prefix "
+              "'zzz'\n");
 }
 
 } // namespace

@@ -1088,10 +1088,12 @@ cmdPack(int argc, char **argv, int first)
     const trace::IngestReport &report = decoded.report;
     trace::TraceBundle &bundle = decoded.bundle;
     // A degraded lenient ingest still packs what survived, but the
-    // run exits nonzero: the output is not a faithful conversion.
+    // run exits nonzero: the output is not a faithful conversion. A
+    // refused header leaves nothing to pack: it fails in both modes,
+    // as every analysis command does, and writes no output.
     int status = 0;
     if (!report.ok()) {
-        if (!lenient)
+        if (!lenient || report.headerRefused())
             throw trace::TraceParseError(report.errors.front());
         std::fprintf(stderr, "deskpar: degraded ingest: %s\n",
                      report.summary().c_str());
