@@ -6,9 +6,8 @@
  * queue is always deep): the map-based reference
  * (blocking::legacy::analyze, from tests/reference/) and the
  * production flat pass (blocking::analyze). It fails unless both
- * reports are identical, and records both wall times as
- * micro_blocking_{sequential,fused} bench records for the
- * bench_compare gate. Part two runs all 30 applications and
+ * reports are identical, and prints both per-report times. Part two
+ * runs all 30 applications and
  * classifies each as bottleneck-limited (runnable threads denied
  * CPUs, wait-TLP >= 0.5) or structurally serial — the GAPP-style
  * answer to *why* a low-TLP app is low.
@@ -34,7 +33,6 @@ main()
         "Wakeup-chain bottleneck analysis - flat pass vs map reference",
         "GAPP-style serialization attribution over Section III traces");
 
-    bench::SuiteTimer timer("bench_blocking");
     apps::RunOptions options = bench::paperRunOptions();
 
     // --- Part one: A/B over one contended trace. -------------------
@@ -101,8 +99,6 @@ main()
 
     std::printf("reference %.3f ms/report, flat pass %.3f ms/report\n",
                 bestSeq * 1e3 / kInner, bestFlat * 1e3 / kInner);
-    bench::appendBenchRecord("micro_blocking_sequential", bestSeq);
-    bench::appendBenchRecord("micro_blocking_fused", bestFlat);
 
     // --- Part two: the suite-wide classification table. ------------
     std::vector<apps::SuiteJob> suiteJobs;

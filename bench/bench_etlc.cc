@@ -5,14 +5,13 @@
  * reports the corpus compression ratio, then times a cold open
  * (mmap + full ingest + index warm) against a warm reopen from the
  * .dpidx index cache. Warm sessions are checked against their cold
- * twins (TLP and frame stats must be bit-identical). Records
- * micro_etlc_pack / micro_etlc_cold_open / micro_etlc_warm_open
- * bench records; DESKPAR_ETLC_MIN_RATIO (default 2) sets the corpus
- * ratio floor — the run fails below it. The ratio is a deterministic
- * property of the format (2.2x measured); see DESIGN.md section 15
- * for why the simulator corpus entropy caps it well below real ETW
- * captures. The cold/warm open times are printed and recorded, not
- * gated: their ratio swings with the host.
+ * twins (TLP and frame stats must be bit-identical).
+ * DESKPAR_ETLC_MIN_RATIO (default 2) sets the corpus ratio floor —
+ * the run fails below it. The ratio is a deterministic property of
+ * the format (2.2x measured); see DESIGN.md section 15 for why the
+ * simulator corpus entropy caps it well below real ETW captures.
+ * The cold/warm open times are printed, not gated: their ratio
+ * swings with the host.
  */
 
 #include <algorithm>
@@ -62,7 +61,6 @@ main()
         ".etlc container - pack ratio and warm-reopen latency",
         "trace-collection methodology of Section II");
 
-    bench::SuiteTimer timer("bench_etlc");
     apps::RunOptions options = bench::paperRunOptions();
 
     std::vector<apps::SuiteJob> jobs;
@@ -74,12 +72,10 @@ main()
     fs::path dir = fs::temp_directory_path() / "deskpar_bench_etlc";
     fs::create_directories(dir);
 
-    // Pack: write the v3 baseline untimed; time the .etlc pack of
-    // the whole corpus min-of-N (a single-shot record flaps with
-    // scheduler noise and trips bench_compare's gate).
+    // Pack: write each trace as the v3 baseline and as .etlc.
     std::vector<PackedTrace> corpus;
-    std::vector<trace::TraceBundle> bundles;
     std::uintmax_t etlBytes = 0;
+    std::uintmax_t etlcBytes = 0;
     for (std::size_t i = 0; i < results.size(); ++i) {
         // Live simulation bundles are not time-ordered; both
         // writers demand the canonical sort.
@@ -90,18 +86,11 @@ main()
         packed.etl = dir / (packed.label + ".etl");
         packed.etlc = dir / (packed.label + ".etlc");
         trace::writeEtl(bundle, packed.etl.string());
+        trace::writeEtlc(bundle, packed.etlc.string());
         etlBytes += fs::file_size(packed.etl);
-        corpus.push_back(std::move(packed));
-        bundles.push_back(std::move(bundle));
-    }
-    double packWall = bench::minWallSeconds(3, [&]() {
-        for (std::size_t i = 0; i < corpus.size(); ++i)
-            trace::writeEtlc(bundles[i], corpus[i].etlc.string());
-    });
-    bundles.clear();
-    std::uintmax_t etlcBytes = 0;
-    for (const PackedTrace &packed : corpus)
         etlcBytes += fs::file_size(packed.etlc);
+        corpus.push_back(std::move(packed));
+    }
 
     double ratio = etlcBytes
                        ? double(etlBytes) / double(etlcBytes)
@@ -196,10 +185,6 @@ main()
                 "traces\n",
                 coldWall * 1e3, warmWall * 1e3, speedup,
                 corpus.size());
-
-    bench::appendBenchRecord("micro_etlc_pack", packWall);
-    bench::appendBenchRecord("micro_etlc_cold_open", coldWall);
-    bench::appendBenchRecord("micro_etlc_warm_open", warmWall);
 
     int status = 0;
     double minRatio = envFloor("DESKPAR_ETLC_MIN_RATIO", 2.0);

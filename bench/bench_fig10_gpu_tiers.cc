@@ -26,8 +26,6 @@ main()
     bench::banner("Figure 10 - GPU utilization: GTX 680 vs 1080 Ti",
                   "Section V-D-2, Figure 10");
 
-    bench::SuiteTimer timer("bench_fig10_gpu_tiers");
-
     const std::vector<std::string> kApps = {
         "wmplayer", "vlc", "winx", "bitcoinminer", "easyminer",
         "wineth"};

@@ -21,8 +21,6 @@ main()
     bench::banner("Figure 11 - web browsing scenarios",
                   "Section V-E, Figure 11");
 
-    bench::SuiteTimer timer("bench_fig11_browsers");
-
     const apps::BrowserEngine kEngines[] = {
         apps::BrowserEngine::Chrome, apps::BrowserEngine::Firefox,
         apps::BrowserEngine::Edge};

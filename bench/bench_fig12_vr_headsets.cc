@@ -22,8 +22,6 @@ main()
     bench::banner("Figure 12 - VR games across headsets",
                   "Section V-F, Figure 12");
 
-    bench::SuiteTimer timer("bench_fig12_vr_headsets");
-
     const apps::VrGame kGames[] = {
         apps::VrGame::ArizonaSunshine, apps::VrGame::Fallout4,
         apps::VrGame::RawData,         apps::VrGame::SeriousSamVr,

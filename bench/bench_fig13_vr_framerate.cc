@@ -40,8 +40,6 @@ main()
     bench::banner("Figure 13 - Project CARS 2 frame pacing",
                   "Section V-F, Figure 13");
 
-    bench::SuiteTimer timer("bench_fig13_vr_framerate");
-
     const apps::Headset kHeadsets[] = {apps::Headset::rift(),
                                        apps::Headset::vive(),
                                        apps::Headset::vivePro()};

@@ -22,7 +22,6 @@ main()
     bench::banner("Figure 2 - TLP evolution 2000/2010/2018",
                   "Section V-B, Figure 2");
 
-    bench::SuiteTimer timer("bench_fig2_tlp_evolution");
     apps::RunOptions options = bench::paperRunOptions();
 
     // 2018 measurements, keyed to the figure's category groups.

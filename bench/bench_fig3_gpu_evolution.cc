@@ -23,8 +23,6 @@ main()
     bench::banner("Figure 3 - GPU utilization 2010 vs 2018",
                   "Section V-B, Figure 3");
 
-    bench::SuiteTimer timer("bench_fig3_gpu_evolution");
-
     apps::RunOptions options = bench::paperRunOptions();
 
     const std::vector<std::pair<std::string, std::string>> kMeasured =

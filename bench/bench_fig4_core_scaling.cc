@@ -22,7 +22,6 @@ main()
     bench::banner("Figure 4 - impact of core scaling on TLP",
                   "Section V-C-1, Figure 4");
 
-    bench::SuiteTimer timer("bench_fig4_core_scaling");
     apps::RunOptions options = bench::paperRunOptions();
 
     const std::vector<std::string> kApps = {

@@ -18,7 +18,6 @@ main()
         "Figure 5 - HandBrake instantaneous TLP/GPU vs cores",
         "Section V-C-1, Figure 5");
 
-    bench::SuiteTimer timer("bench_fig5_handbrake_timeline");
     bench::runTimelineFigure("handbrake", {4, 8, 12},
                              sim::msec(250));
     std::printf("\nExpected shape: TLP pinned near the active core "

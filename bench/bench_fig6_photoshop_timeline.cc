@@ -18,7 +18,6 @@ main()
         "Figure 6 - Photoshop instantaneous TLP/GPU vs cores",
         "Section V-C-1, Figure 6");
 
-    bench::SuiteTimer timer("bench_fig6_photoshop_timeline");
     bench::runTimelineFigure("photoshop", {4, 8, 12},
                              sim::msec(250));
     std::printf("\nExpected shape: bursts to the active core count "

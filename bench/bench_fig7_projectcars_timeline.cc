@@ -19,8 +19,6 @@ main()
         "Figure 7 - Project CARS 2 (Rift) TLP/GPU vs cores",
         "Section V-C-1, Figure 7");
 
-    bench::SuiteTimer timer("bench_fig7_projectcars_timeline");
-
     // Also report the ASW state via frame statistics per core count.
     for (unsigned cores : {4u, 8u, 12u}) {
         apps::RunOptions options = bench::paperRunOptions();

@@ -27,8 +27,6 @@ main()
     bench::banner("Figure 8 - SMT and GPU offload on transcoding",
                   "Section V-C-2 / V-D-1, Figure 8");
 
-    bench::SuiteTimer timer("bench_fig8_smt_transcode");
-
     struct GpuChoice
     {
         const char *label;

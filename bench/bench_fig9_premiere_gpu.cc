@@ -21,8 +21,6 @@ main()
     bench::banner("Figure 9 - Premiere Pro export, CUDA vs software",
                   "Section V-D-1, Figure 9");
 
-    bench::SuiteTimer timer("bench_fig9_premiere_gpu");
-
     struct GpuChoice
     {
         const char *label;

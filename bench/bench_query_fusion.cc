@@ -6,10 +6,9 @@
  * independent full-trace sweep per row) and the fusing planner
  * (Session::query, one cswitch pass per distinct filter, timed cold
  * on a fresh Session per batch). Fails unless the two produce
- * bit-identical rows (also across 1/2/7 worker threads); prints the
- * speedup and records both wall times as micro_query_* bench
- * records. A third record, micro_query_resident, times the batch on
- * a Session that already holds its columns.
+ * bit-identical rows (also across 1/2/7 worker threads) and prints
+ * the speedup. It also times the batch on a Session that already
+ * holds its columns (the resident case).
  */
 
 #include <algorithm>
@@ -127,7 +126,6 @@ main()
         "Query fusion - 16-query batch, fused vs sequential",
         "analysis methodology of Sections III and V");
 
-    bench::SuiteTimer timer("bench_query_fusion");
     apps::RunOptions options = bench::paperRunOptions();
 
     std::vector<apps::SuiteJob> jobs = {
@@ -170,8 +168,7 @@ main()
 
     // Each fused batch runs on a fresh Session: a resident Session
     // keeps the columns its first batch built, so reusing one would
-    // time column reads, not the cold column build this record has
-    // always measured.
+    // time column reads, not the cold column build.
     std::vector<analysis::QueryResult> fused;
     double bestFused = 1e300;
     for (int rep = 0; rep < kReps; ++rep) {
@@ -187,7 +184,7 @@ main()
         bestFused = std::min(bestFused, wall.count());
     }
 
-    // The resident case, recorded apart so the speedup keeps
+    // The resident case, timed apart so the speedup keeps
     // comparing cold builds: the batch again on a Session that
     // already holds every column it needs (what `deskpar serve`
     // answers a repeated request from). Row evaluation alone is
@@ -218,16 +215,10 @@ main()
     std::printf("results: fused == sequential reference, "
                 "bit-identical at 1/2/7 threads\n");
 
-    // The records keep the whole kInner-batch (resident:
-    // kResidentInner-batch) wall time: per-batch fused time is
-    // sub-millisecond, below the record format's resolution.
     double speedup = bestSeq / bestFused;
     std::printf("\nsequential %.3f ms/batch, fused %.3f ms/batch, "
                 "speedup %.2fx; resident %.3f ms/batch\n",
                 bestSeq * 1e3 / kInner, bestFused * 1e3 / kInner,
                 speedup, bestWarm * 1e3 / kResidentInner);
-    bench::appendBenchRecord("micro_query_sequential", bestSeq);
-    bench::appendBenchRecord("micro_query_fused", bestFused);
-    bench::appendBenchRecord("micro_query_resident", bestWarm);
     return 0;
 }

@@ -7,12 +7,9 @@
  * a real AF_UNIX socket with the library Client, checks the warm
  * responses stay byte-identical to the cold one, then drives 8
  * concurrent clients against the resident server for a throughput
- * figure. Records micro_serve_cold / micro_serve_warm;
- * DESKPAR_SERVE_MIN_WARM_SPEEDUP (default 5) sets the cold/warm
- * floor — the run fails below it. The default sits far under the
- * measured gap (ingest is milliseconds, a warm fused query is tens
- * of microseconds) so the gate catches residency regressions, not
- * scheduler noise.
+ * figure. The run fails when a request fails or a warm response
+ * diverges; the times are printed, not gated (perfbench's `serve`
+ * workload measures the daemon end to end).
  */
 
 #include <unistd.h>
@@ -37,14 +34,6 @@ using namespace deskpar;
 namespace {
 
 namespace fs = std::filesystem;
-
-double
-envFloor(const char *name, double fallback)
-{
-    if (const char *value = std::getenv(name))
-        return std::atof(value);
-    return fallback;
-}
 
 /**
  * A trace big enough that its ingest dominates a request: ~400k
@@ -200,21 +189,7 @@ main()
                 clients, perClient, burst,
                 clients * perClient / burst);
 
-    bench::appendBenchRecord("micro_serve_cold", cold);
-    bench::appendBenchRecord("micro_serve_warm", warm);
-
     fs::remove(tracePath);
     fs::remove(analysis::indexCachePath(tracePath.string()));
-
-    double floor =
-        envFloor("DESKPAR_SERVE_MIN_WARM_SPEEDUP", 5.0);
-    if (speedup < floor) {
-        std::fprintf(stderr,
-                     "bench_serve: FAIL warm speedup %.1fx under "
-                     "floor %.1fx\n",
-                     speedup, floor);
-        return 1;
-    }
-    std::printf("\nserve gate OK (floor %.1fx)\n", floor);
     return 0;
 }

@@ -11,8 +11,8 @@
  * byte-identical (cheap here, and a bench that measures a broken
  * engine would be worse than useless).
  *
- * Records the bench_sweep record and, when DESKPAR_SWEEP_MIN_RATE
- * is set, fails if parallel scenarios/sec lands below that floor.
+ * When DESKPAR_SWEEP_MIN_RATE is set, it fails if parallel
+ * scenarios/sec lands below that floor.
  */
 
 #include <cstdint>
@@ -64,8 +64,6 @@ main()
     bench::banner("Sweep engine - corpus scenarios per second",
                   "corpus-scale extension of the Table II protocol");
 
-    bench::SuiteTimer timer("bench_sweep");
-
     std::uint32_t count = 96;
     double seconds = 1.0;
     if (const char *fast = std::getenv("DESKPAR_FAST");
@@ -109,8 +107,6 @@ main()
                 rateSerial, wallSerial);
     std::printf("default jobs: %7.1f scenarios/s (%.3f s)\n",
                 rateParallel, wallParallel);
-
-    bench::appendBenchRecord("bench_sweep_serial", wallSerial);
 
     std::filesystem::remove_all(base);
 

@@ -36,8 +36,6 @@ main()
     bench::banner("Table I - benchmarking system",
                   "Section III-A, Table I");
 
-    bench::SuiteTimer timer("bench_table1_system");
-
     sim::MachineConfig config = sim::MachineConfig::paperDefault();
     const sim::CpuSpec &cpu = config.cpu;
 

@@ -23,7 +23,6 @@ main()
     bench::banner("Table II - application TLP and GPU utilization",
                   "Section V-A, Table II");
 
-    bench::SuiteTimer timer("bench_table2_suite");
     apps::RunOptions options = bench::paperRunOptions();
 
     // All 30 applications x 3 iterations fan out across the

@@ -21,8 +21,6 @@ main()
     bench::banner("Table III - WinX with and without CUDA/NVENC",
                   "Section V-D-1, Table III");
 
-    bench::SuiteTimer timer("bench_table3_winx_cuda");
-
     report::TextTable table({"Logical cores", "Rate no-GPU (FPS)",
                              "Rate GPU (FPS)", "TLP no-GPU",
                              "TLP GPU", "GPU util no-GPU (%)",

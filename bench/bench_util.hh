@@ -11,11 +11,9 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <limits>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "analysis/session.hh"
@@ -81,41 +79,12 @@ fusedTlp(const apps::AppRunResult &result)
 }
 
 /**
- * Append one wall-time JSON record (bench name, wall seconds, runner
- * thread count) to BENCH_suite.json — or $DESKPAR_BENCH_JSON — so the
- * perf trajectory of the suite benches is captured run over run.
- * Callers that aggregate their own samples (e.g. min-of-N A/B passes)
- * use this directly; scope timing goes through SuiteTimer.
- */
-inline void
-appendBenchRecord(const std::string &name, double wall_seconds)
-{
-    unsigned jobs = apps::SuiteRunner::defaultThreads();
-    unsigned fast = 0;
-    if (const char *env = std::getenv("DESKPAR_FAST");
-        env && env[0] == '1') {
-        fast = 1;
-    }
-    const char *path = std::getenv("DESKPAR_BENCH_JSON");
-    std::ofstream out(path ? path : "BENCH_suite.json",
-                      std::ios::app);
-    char line[256];
-    std::snprintf(line, sizeof(line),
-                  "{\"bench\":\"%s\",\"wall_seconds\":%.3f,"
-                  "\"jobs\":%u,\"fast\":%u}",
-                  name.c_str(), wall_seconds, jobs, fast);
-    out << line << "\n";
-    std::printf("\n[%s] wall %.3f s, %u runner thread(s)\n",
-                name.c_str(), wall_seconds, jobs);
-}
-
-/**
- * Wall seconds of the fastest of @p repeats runs of @p fn. The
- * micro_* records feed bench_compare's last-vs-previous gate, and a
- * single-shot sample flaps with scheduler noise: the minimum of a
- * few repeats is the standard stable estimator of the true cost
- * (noise only ever adds time). Keep repeats small (3-5) — the point
- * is de-flaking, not statistics.
+ * Wall seconds of the fastest of @p repeats runs of @p fn, for the
+ * times a bench prints. A single-shot sample swings with scheduler
+ * noise: the minimum of a few repeats is the standard stable
+ * estimator of the true cost (noise only ever adds time). Keep
+ * repeats small (3-5) — the point is a steady printout, not
+ * statistics.
  */
 template <typename Fn>
 inline double
@@ -132,34 +101,6 @@ minWallSeconds(unsigned repeats, Fn &&fn)
     }
     return best;
 }
-
-/**
- * Wall-clock scope timer for a bench binary: appendBenchRecord on
- * destruction.
- */
-class SuiteTimer
-{
-  public:
-    explicit SuiteTimer(std::string name)
-        : name_(std::move(name)),
-          start_(std::chrono::steady_clock::now())
-    {
-    }
-
-    SuiteTimer(const SuiteTimer &) = delete;
-    SuiteTimer &operator=(const SuiteTimer &) = delete;
-
-    ~SuiteTimer()
-    {
-        std::chrono::duration<double> wall =
-            std::chrono::steady_clock::now() - start_;
-        appendBenchRecord(name_, wall.count());
-    }
-
-  private:
-    std::string name_;
-    std::chrono::steady_clock::time_point start_;
-};
 
 /** "x.x +- y.y" cell for avg/sigma pairs. */
 inline std::string

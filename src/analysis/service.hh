@@ -56,10 +56,11 @@ struct ServiceTraceRequest
     std::string appPrefix;
     bool lenient = false;
     /**
-     * Worker threads for the metric computation (not the ingest).
-     * Server requests keep the default 1 so each request stays on
-     * its own worker and per-request diagnostics stay exact; the
-     * CLI passes its --jobs through (0 = DESKPAR_JOBS / hardware).
+     * Worker threads for a query's plan (not the ingest); the other
+     * requests compute serially. Served queries use the server's
+     * requestJobs (default 1) so each request stays on its own worker
+     * and per-request diagnostics stay exact; `deskpar query` passes
+     * its --jobs through (0 = DESKPAR_JOBS / hardware).
      */
     unsigned jobs = 1;
 };

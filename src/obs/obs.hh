@@ -336,8 +336,7 @@ std::vector<SpanStat> aggregate(const Snapshot &snapshot);
 
 /**
  * Machine-readable stats report: one JSON object with per-span-name
- * aggregates and counter totals (`deskpar stats`; consumable by
- * tools/bench_compare-style line scanners).
+ * aggregates and counter totals (`deskpar stats`).
  */
 void writeStatsJson(std::ostream &out, const Snapshot &snapshot);
 

@@ -113,10 +113,6 @@ parseRequest(const std::string &line, Request &out, std::string &error)
     out.trace.path = trace->string();
     out.trace.appPrefix = root.stringOr("app", "");
     out.trace.lenient = root.boolOr("lenient", false);
-    std::uint64_t jobs = out.trace.jobs;
-    if (!getCount(root, "jobs", jobs, error))
-        return false;
-    out.trace.jobs = static_cast<unsigned>(jobs);
 
     if (out.op == RequestOp::Query) {
         const JsonValue *specs = root.find("specs");

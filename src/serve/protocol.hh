@@ -9,7 +9,7 @@
  *
  * ops: "ping", "stats", "shutdown", "analyze", "query",
  * "bottlenecks", "series", "frames". Trace-bearing ops share the
- * fields trace (required), app, lenient, jobs; query adds specs
+ * fields trace (required), app, lenient; query adds specs
  * (array of parseQuerySpec strings) and explain; bottlenecks adds
  * top; series adds kind ("tlp"|"concurrency"|"gpu_util"|
  * "frame_rate") and window_ns.

@@ -306,9 +306,9 @@ Server::handleJob(const Job &job)
     }
 
     // Capture this request's pipeline diagnostics on this thread
-    // (requests run their analysis at jobs=requestJobs, default 1,
-    // so the whole request stays here) and span it for the server's
-    // own stats/self-trace.
+    // (a query plans at jobs=requestJobs, default 1, and the other
+    // ops compute serially, so the whole request stays here) and
+    // span it for the server's own stats/self-trace.
     trace::CollectingDiagnosticSink sink;
     trace::ScopedThreadDiagnosticSink scope(sink);
     obs::Span span("serve.request", obs::SpanKind::Serve,
@@ -340,7 +340,6 @@ Server::handleJob(const Job &job)
             break;
           }
           case RequestOp::Analyze: {
-            request.trace.jobs = options_.requestJobs;
             analysis::ServiceAnalyzeResult result =
                 service_.analyze(request.trace);
             head();
@@ -362,7 +361,6 @@ Server::handleJob(const Job &job)
           case RequestOp::Bottlenecks: {
             analysis::ServiceBottlenecksRequest sreq;
             sreq.trace = request.trace;
-            sreq.trace.jobs = options_.requestJobs;
             sreq.top = request.top;
             analysis::ServiceBottlenecksResult result =
                 service_.bottlenecks(sreq);
@@ -373,7 +371,6 @@ Server::handleJob(const Job &job)
           case RequestOp::Series: {
             analysis::ServiceSeriesRequest sreq;
             sreq.trace = request.trace;
-            sreq.trace.jobs = options_.requestJobs;
             sreq.kind = request.seriesKind;
             sreq.window = request.window;
             analysis::ServiceSeriesResult result =
@@ -385,7 +382,6 @@ Server::handleJob(const Job &job)
           case RequestOp::Frames: {
             analysis::ServiceFramesRequest sreq;
             sreq.trace = request.trace;
-            sreq.trace.jobs = options_.requestJobs;
             analysis::ServiceFramesResult result =
                 service_.frames(sreq);
             head();

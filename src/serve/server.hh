@@ -24,7 +24,7 @@
  *
  * Each request executes under an obs::Span(SpanKind::Serve) and a
  * thread-scoped diagnostic sink, so the response envelope carries
- * exactly the diagnostics that request produced (requests default to
+ * exactly the diagnostics that request produced (queries default to
  * jobs=1, keeping the whole request on one thread) and the server
  * can report its *own* TLP: the stats op feeds the drained span
  * snapshot through obs::toTraceBundle and the ordinary analysis
@@ -63,9 +63,10 @@ struct ServerOptions
     /** Resident session-cache budget. */
     std::uint64_t cacheBytes = 256ull << 20;
     /**
-     * Analysis threads per request. The default 1 keeps each request
-     * on its own pool worker: concurrency comes from serving many
-     * requests, and per-request diagnostics stay exact.
+     * Query-planner threads per query request; the other ops compute
+     * serially. The default 1 keeps each request on its own pool
+     * worker: concurrency comes from serving many requests, and
+     * per-request diagnostics stay exact.
      */
     unsigned requestJobs = 1;
     /** Reject a connection whose pending line exceeds this. */

@@ -127,10 +127,4 @@ mergeBundlesChecked(const TraceBundle &a, const TraceBundle &b)
     return out;
 }
 
-TraceBundle
-mergeBundles(const TraceBundle &a, const TraceBundle &b)
-{
-    return mergeBundlesChecked(a, b).take();
-}
-
 } // namespace deskpar::trace

@@ -28,12 +28,6 @@ ParseResult<TraceBundle> mergeBundlesChecked(const TraceBundle &a,
                                              const TraceBundle &b);
 
 /**
- * Legacy wrapper: throws TraceParseError (a FatalError) when the
- * inputs are incompatible.
- */
-TraceBundle mergeBundles(const TraceBundle &a, const TraceBundle &b);
-
-/**
  * Stable-sort every event stream of @p bundle by timestamp (GPU
  * packets by start), in place. A stream already in order costs one
  * scan and is not touched.

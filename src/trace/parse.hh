@@ -7,10 +7,8 @@
  * defect (source, section, field, line/column for text, byte offset
  * for binary, record index). Two modes:
  *
- *  - Strict: the first malformed record fails the *file*. The
- *    report-returning entry points record the error and stop; the
- *    legacy void/value entry points throw TraceParseError (a
- *    FatalError subclass) carrying the same structured payload.
+ *  - Strict: the first malformed record fails the *file*: the
+ *    decoder records the error in its report and stops.
  *  - Lenient: malformed records are skipped and counted, and
  *    parsing continues; the caller gets everything that decoded
  *    cleanly plus a per-file IngestReport of what was dropped.
@@ -71,8 +69,9 @@ struct ParseError
 };
 
 /**
- * Thrown by the legacy strict entry points (and writeEtl validation)
- * so existing FatalError-based callers keep working while new code
+ * A ParseError raised as an exception: thrown by the writers'
+ * validation, by replayPids and by the session layer for a refused
+ * ingest, so FatalError-based callers keep working while new code
  * can catch the structured diagnostic.
  */
 class TraceParseError : public FatalError
@@ -116,14 +115,6 @@ class ParseResult
 
     /** Valid only when !ok(). */
     const ParseError &error() const { return *std::get_if<1>(&state_); }
-
-    /** Return the value or throw the error as TraceParseError. */
-    T &&take()
-    {
-        if (!ok())
-            throw TraceParseError(error());
-        return std::move(value());
-    }
 
   private:
     /** The value or the error, never both: a success builds no error. */

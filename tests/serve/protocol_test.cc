@@ -64,13 +64,12 @@ TEST(Protocol, DecodesTraceFieldsAndDefaults)
 {
     Request r = requestOk(
         R"({"op":"query","id":42,"trace":"a.etl","app":"hand",)"
-        R"("lenient":true,"jobs":3,"specs":["tlp","gpu.util"],)"
+        R"("lenient":true,"specs":["tlp","gpu.util"],)"
         R"("explain":true})");
     EXPECT_EQ(r.id, 42u);
     EXPECT_EQ(r.trace.path, "a.etl");
     EXPECT_EQ(r.trace.appPrefix, "hand");
     EXPECT_TRUE(r.trace.lenient);
-    EXPECT_EQ(r.trace.jobs, 3u);
     ASSERT_EQ(r.specs.size(), 2u);
     EXPECT_EQ(r.specs[1], "gpu.util");
     EXPECT_TRUE(r.explain);

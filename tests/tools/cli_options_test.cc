@@ -417,6 +417,16 @@ TEST_F(CliReplay, MissingFileFailsOnlyItsOwnEntry)
     EXPECT_EQ(countLines(out, "\"status\":\"ok\""), 1u) << out;
 }
 
+// The bottleneck analysis is one sequential pass, so `bottlenecks`
+// has no --jobs: a readable trace with the flag is a usage error.
+TEST_F(CliReplay, BottlenecksRejectsJobs)
+{
+    std::string out;
+    EXPECT_EQ(deskparOutput("bottlenecks " + good, out), 0) << out;
+    EXPECT_EQ(deskparOutput("bottlenecks --jobs 2 " + good, out), 2)
+        << out;
+}
+
 // A lenient replay that had to drop records analyzes what survived
 // but exits 1 in both forms, with the shared degraded-ingest line.
 TEST_F(CliReplay, DegradedLenientReplayExitsOne)

@@ -8,7 +8,6 @@
 #include <utility>
 #include <vector>
 
-#include "sim/logging.hh"
 #include "trace/merge.hh"
 
 namespace {
@@ -61,7 +60,10 @@ bundleB()
 
 TEST(Merge, WindowIsUnionAndStreamsConcatenateSorted)
 {
-    TraceBundle merged = mergeBundles(bundleA(), bundleB());
+    ParseResult<TraceBundle> result =
+        mergeBundlesChecked(bundleA(), bundleB());
+    ASSERT_TRUE(result.ok()) << result.error().str();
+    const TraceBundle &merged = *result;
     EXPECT_EQ(merged.startTime, 0u);
     EXPECT_EQ(merged.stopTime, 2000u);
     ASSERT_EQ(merged.cswitches.size(), 2u);
@@ -78,7 +80,11 @@ TEST(Merge, CpuCountMismatchFatal)
 {
     TraceBundle b = bundleB();
     b.numLogicalCpus = 4;
-    EXPECT_THROW(mergeBundles(bundleA(), b), FatalError);
+    ParseResult<TraceBundle> result = mergeBundlesChecked(bundleA(), b);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.error().section, "merge");
+    EXPECT_EQ(result.error().reason,
+              "logical-CPU counts differ (12 vs 4)");
 }
 
 TEST(Merge, PidNameConflictFatal)
@@ -86,7 +92,11 @@ TEST(Merge, PidNameConflictFatal)
     TraceBundle a = bundleA();
     TraceBundle b = bundleB();
     b.processNames[5] = "not-alpha";
-    EXPECT_THROW(mergeBundles(a, b), FatalError);
+    ParseResult<TraceBundle> result = mergeBundlesChecked(a, b);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.error().section, "merge");
+    EXPECT_EQ(result.error().reason,
+              "pid 5 names conflict ('alpha' vs 'not-alpha')");
 }
 
 TEST(Merge, SamePidSameNameIsFine)
@@ -94,8 +104,9 @@ TEST(Merge, SamePidSameNameIsFine)
     TraceBundle a = bundleA();
     TraceBundle b = bundleB();
     b.processNames[5] = "alpha";
-    TraceBundle merged = mergeBundles(a, b);
-    EXPECT_EQ(merged.processNames.size(), 2u);
+    ParseResult<TraceBundle> result = mergeBundlesChecked(a, b);
+    ASSERT_TRUE(result.ok()) << result.error().str();
+    EXPECT_EQ(result->processNames.size(), 2u);
 }
 
 TEST(Merge, SortBundleOrdersEveryStream)

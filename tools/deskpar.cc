@@ -80,7 +80,7 @@
  *       versioned query document (schema 1).
  *
  *   deskpar bottlenecks <file> [--json] [--app PREFIX] [--top N]
- *           [--jobs N] [--lenient-traces]
+ *           [--lenient-traces]
  *       Wakeup-chain serialization-bottleneck report
  *       (analysis/blocking.hh): per-thread ready-queue waits
  *       (victims), time others spent blocked behind each thread
@@ -236,7 +236,7 @@ constexpr CommandHelp kCommands[] = {
      "fused batch metric queries over a saved trace"},
     {"bottlenecks",
      "bottlenecks <file> [--json] [--app PREFIX] [--top N] "
-     "[--jobs N] [--lenient-traces]",
+     "[--lenient-traces]",
      "wakeup-chain serialization-bottleneck report (ready-queue "
      "waits, culprits, critical path)"},
     {"serve",
@@ -994,8 +994,8 @@ cmdBottlenecks(int argc, char **argv, int first)
     std::vector<std::string> args;
     cli::Parser parser("bottlenecks");
     cli::addCommonOptions(parser, common,
-                          cli::kOptJobs | cli::kOptJson |
-                              cli::kOptLenient | cli::kOptApp);
+                          cli::kOptJson | cli::kOptLenient |
+                              cli::kOptApp);
     parser.option("--top", "N", &top);
     parser.positionals(&args, 1, 1, "trace file");
     if (!parser.parse(argc, argv, first))
@@ -1005,7 +1005,6 @@ cmdBottlenecks(int argc, char **argv, int first)
     request.trace.path = args[0];
     request.trace.appPrefix = common.appPrefix;
     request.trace.lenient = common.lenient;
-    request.trace.jobs = common.jobs;
     request.top = top;
 
     analysis::Service service;
