@@ -8,7 +8,7 @@
 
 #include "obs/obs.hh"
 #include "sim/logging.hh"
-#include "trace/etl.hh"
+#include "trace/container.hh"
 #include "trace/etlc.hh"
 #include "trace/ingest.hh"
 #include "trace/io.hh"

@@ -9,7 +9,7 @@
 #include "analysis/intervals.hh"
 #include "obs/obs.hh"
 #include "sim/logging.hh"
-#include "trace/etl.hh"
+#include "trace/container.hh"
 
 namespace deskpar::analysis {
 

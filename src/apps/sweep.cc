@@ -18,7 +18,7 @@
 #include "sim/machine.hh"
 #include "sim/parallel.hh"
 #include "sim/rng.hh"
-#include "trace/etl.hh"
+#include "trace/container.hh"
 #include "trace/etlc.hh"
 
 namespace deskpar::apps {
@@ -342,12 +342,12 @@ decodeCheckpoint(const std::string &bytes,
     std::uint64_t version = 0, seed = 0, count = 0, shardSize = 0;
     std::uint64_t duration = 0, shards = 0;
     trace::ParseError err;
-    if (!trace::tryGetVarint(body, pos, version, err) ||
-        !trace::tryGetVarint(body, pos, seed, err) ||
-        !trace::tryGetVarint(body, pos, count, err) ||
-        !trace::tryGetVarint(body, pos, shardSize, err) ||
-        !trace::tryGetVarint(body, pos, duration, err) ||
-        !trace::tryGetVarint(body, pos, shards, err))
+    if (!trace::getBounded(body, pos, body.size(), version, err) ||
+        !trace::getBounded(body, pos, body.size(), seed, err) ||
+        !trace::getBounded(body, pos, body.size(), count, err) ||
+        !trace::getBounded(body, pos, body.size(), shardSize, err) ||
+        !trace::getBounded(body, pos, body.size(), duration, err) ||
+        !trace::getBounded(body, pos, body.size(), shards, err))
         return false;
     if (version != kCheckpointVersion)
         return false;

@@ -2,13 +2,16 @@
  * @file
  * Binary trace container: the .etl-equivalent on-disk format.
  *
- * Layout (version 3): an 8-byte magic ("DPETL\x01\x00\x00"), a header
- * (version, window, CPU count), then one section per event stream,
- * each framed as `tag byte, varint payload length, payload`, closed
- * by an End tag. Integers use LEB128 varints; timestamps within a
- * section are delta-encoded, which keeps multi-minute traces compact.
- * The per-section length framing lets a lenient reader skip a corrupt
- * or unknown section and keep decoding the rest of the file.
+ * Version 3 keeps the skeleton it shares with .etlc in
+ * trace/container.hh: the magic "DPETL\x01\x00\x00", a varint header
+ * (version, window, CPU count), one `tag byte, varint payload length,
+ * payload` section per event stream and an End tag, so a lenient
+ * reader can skip a corrupt or unknown section and keep decoding the
+ * rest of the file. The name, lifecycle and marker sections use the
+ * shared record-major codecs too. etl.cc holds only the payloads of
+ * the CSwitch, GpuPackets and Frames sections: `varint count,
+ * records`, with timestamps delta-encoded within the section, which
+ * keeps multi-minute traces compact.
  *
  * Reading is recoverable (parse.hh): decodeEtl never throws on
  * malformed content; strict mode stops at the first defect, lenient
@@ -31,7 +34,6 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "trace/io.hh"
@@ -45,11 +47,13 @@ inline constexpr std::uint32_t kEtlVersion = 3;
 
 /**
  * Serialize @p bundle to @p path.
- * Throws FatalError on I/O failure, TraceParseError (naming the
- * offending section and record index) when an event stream is not
- * sorted by timestamp or a GPU packet has queued > start or
- * finish < start — the unsigned delta encoding would otherwise
- * round-trip wrapped values silently.
+ * Throws FatalError on I/O failure, TraceParseError (naming @p path,
+ * the offending section and record index) when the window is
+ * inverted, an event stream is not sorted by timestamp or a GPU
+ * packet has queued > start or finish < start — the unsigned delta
+ * encoding would otherwise round-trip wrapped values silently. The
+ * image is encoded before the file is created, so a refused or failed
+ * write leaves no file behind.
  */
 void writeEtl(const TraceBundle &bundle, const std::string &path);
 
@@ -68,20 +72,6 @@ void writeEtl(const TraceBundle &bundle, std::ostream &out);
  */
 TraceBundle decodeEtl(io::ByteSpan data, const ParseOptions &options,
                       IngestReport &report);
-
-/** @{ Low-level encoding helpers (exposed for tests). */
-
-/** Append a LEB128-encoded unsigned integer to @p out. */
-void putVarint(std::string &out, std::uint64_t value);
-
-/**
- * Decode a LEB128 varint from @p data starting at @p pos; advances
- * @p pos. False (with @p err located at the failing byte offset) on
- * truncated or overlong input.
- */
-bool tryGetVarint(std::string_view data, std::size_t &pos,
-                  std::uint64_t &value, ParseError &err);
-/** @} */
 
 } // namespace deskpar::trace
 

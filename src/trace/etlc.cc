@@ -4,124 +4,21 @@
 #include <array>
 #include <atomic>
 #include <cstring>
-#include <fstream>
 #include <unordered_map>
 #include <utility>
 
 #include "obs/obs.hh"
-#include "sim/logging.hh"
 #include "sim/parallel.hh"
-#include "trace/etl.hh"
-#include "trace/merge.hh"
+#include "trace/container.hh"
 
 namespace deskpar::trace {
 
 namespace {
 
-const char kMagic[8] = {'D', 'P', 'E', 'T', 'L', 'C', '\x01',
-                        '\x00'};
-
-/** Section tags — same vocabulary as .etl v3. */
-enum class Section : std::uint8_t {
-    ProcessNames = 1,
-    CSwitch = 2,
-    GpuPackets = 3,
-    Frames = 4,
-    ThreadLife = 5,
-    ProcessLife = 6,
-    Markers = 7,
-    End = 0xff,
-};
-
-const char *
-sectionName(Section tag)
-{
-    switch (tag) {
-      case Section::ProcessNames:
-        return "ProcessNames";
-      case Section::CSwitch:
-        return "CSwitch";
-      case Section::GpuPackets:
-        return "GpuPackets";
-      case Section::Frames:
-        return "Frames";
-      case Section::ThreadLife:
-        return "ThreadLife";
-      case Section::ProcessLife:
-        return "ProcessLife";
-      case Section::Markers:
-        return "Markers";
-      case Section::End:
-        return "End";
-    }
-    return "Unknown";
-}
+const char kMagic[kMagicBytes + 1] = "DPETLC\x01\0";
 
 /** Shortest match the block compressor encodes. */
 constexpr std::size_t kMinMatch = 4;
-
-void
-putString(std::string &out, const std::string &s)
-{
-    putVarint(out, s.size());
-    out.append(s);
-}
-
-/** Append one `tag, varint length, payload` section frame. */
-void
-putSection(std::string &out, Section tag, const std::string &payload)
-{
-    out.push_back(static_cast<char>(tag));
-    putVarint(out, payload.size());
-    out.append(payload);
-}
-
-/** Bounded no-throw varint decode (same semantics as etl.cc's). */
-bool
-getBounded(io::ByteSpan data, std::size_t &pos, std::size_t limit,
-           std::uint64_t &value, ParseError &err)
-{
-    value = 0;
-    unsigned shift = 0;
-    std::size_t start = pos;
-    while (true) {
-        if (pos >= limit) {
-            err.offset = pos;
-            err.reason = "truncated varint";
-            return false;
-        }
-        if (shift >= 64) {
-            err.offset = start;
-            err.reason = "varint overflow (more than 64 bits)";
-            return false;
-        }
-        auto byte = static_cast<std::uint8_t>(data[pos++]);
-        value |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
-        if (!(byte & 0x80))
-            return true;
-        shift += 7;
-    }
-}
-
-/** Bounded no-throw string decode (varint length + bytes). */
-bool
-getBoundedString(io::ByteSpan data, std::size_t &pos,
-                 std::size_t limit, std::string &s, ParseError &err)
-{
-    std::uint64_t len = 0;
-    if (!getBounded(data, pos, limit, len, err))
-        return false;
-    if (len > limit - pos) {
-        err.offset = pos;
-        err.reason = "truncated string (length " +
-                     std::to_string(len) + ", " +
-                     std::to_string(limit - pos) + " bytes left)";
-        return false;
-    }
-    s.assign(data.data() + pos, static_cast<std::size_t>(len));
-    pos += static_cast<std::size_t>(len);
-    return true;
-}
 
 std::string
 hex32(std::uint32_t v)
@@ -187,18 +84,17 @@ struct BlockSink
         payload.append(bytes);
         ++blocks;
     }
-};
 
-/** Assemble `varint total, varint blocks, block...` section payload. */
-std::string
-sectionPayload(std::uint64_t total, BlockSink &sink)
-{
-    std::string payload;
-    putVarint(payload, total);
-    putVarint(payload, sink.blocks);
-    payload.append(sink.payload);
-    return payload;
-}
+    /** Append the frame `varint total, varint blocks, block...`. */
+    void
+    putTo(std::string &image, Section tag, std::uint64_t total) const
+    {
+        std::string head;
+        putVarint(head, total);
+        putVarint(head, blocks);
+        putSection(image, tag, head + payload);
+    }
+};
 
 /**
  * Column buffers of one in-progress CSwitch block.
@@ -362,75 +258,32 @@ struct FrameCols
 };
 
 /**
- * Block-chunk a record-major stream (the small string-bearing
+ * Block-chunk a record-major section (the small string-bearing
  * sections keep the v3 record encoding, just framed into checksummed
- * compressed blocks).
+ * compressed blocks) and append its frame to @p image.
  */
-template <typename It, typename RecordFn>
 void
-putRecordBlocks(BlockSink &sink, It begin, It end, RecordFn &&record)
+putRecordBlocks(std::string &image, const TraceBundle &bundle,
+                Section tag)
 {
+    BlockSink sink;
     std::string raw;
     std::uint64_t n = 0;
-    for (It it = begin; it != end; ++it) {
-        record(raw, *it);
+    std::uint64_t total = putRecords(bundle, tag, raw, [&] {
         ++n;
         if (raw.size() >= kEtlcBlockBytes) {
             sink.flush(raw, n);
             raw.clear();
             n = 0;
         }
-    }
+    });
     sink.flush(raw, n);
+    sink.putTo(image, tag, total);
 }
 
 // --------------------------------------------------------------------
 // Reader
 // --------------------------------------------------------------------
-
-/** Decoding state of one .etlc image (mirrors etl.cc's EtlReader). */
-struct EtlcReader
-{
-    io::ByteSpan data;
-    const ParseOptions &options;
-    IngestReport &report;
-
-    std::size_t pos = 0;
-
-    std::uint64_t fileOffset(std::size_t p) const
-    {
-        return p + sizeof(kMagic);
-    }
-
-    ParseError
-    located(ParseError err, const char *section,
-            std::uint64_t record) const
-    {
-        err.source = report.source;
-        err.section = section;
-        err.record = record;
-        if (err.offset != ParseError::kNoPosition)
-            err.offset =
-                fileOffset(static_cast<std::size_t>(err.offset));
-        return err;
-    }
-
-    ParseError
-    makeError(const char *section, std::uint64_t record,
-              std::size_t bodyPos, std::string reason) const
-    {
-        ParseError err;
-        err.offset = bodyPos;
-        err.reason = std::move(reason);
-        return located(std::move(err), section, record);
-    }
-
-    void
-    note(ParseError err)
-    {
-        report.note(std::move(err), options.maxStoredErrors);
-    }
-};
 
 /** One parsed block frame header. */
 struct BlockFrame
@@ -512,6 +365,16 @@ readBlockFrame(io::ByteSpan data, std::size_t &pos, std::size_t limit,
     return true;
 }
 
+/** True when the columns consumed exactly the block's @p lim bytes. */
+bool
+endOfBlock(std::size_t p, std::size_t lim, ParseError &e)
+{
+    if (p == lim)
+        return true;
+    e.reason = std::to_string(lim - p) + " trailing bytes in block";
+    return false;
+}
+
 /**
  * Per-block sorted-unique dictionary column decode: the inverse of
  * putDictColumn. The @p n values go to store(i, value) in order.
@@ -571,14 +434,8 @@ decodeInto(io::ByteSpan raw, std::uint64_t n, CSwitchEvent *out,
     const std::size_t lim = raw.size();
     SimTime prev = 0;
     for (std::uint64_t i = 0; i < n; ++i) {
-        std::uint64_t d = 0;
-        if (!getBounded(raw, p, lim, d, e))
+        if (!getDelta(raw, p, lim, prev, "timestamp", e))
             return false;
-        if (d > sim::kNoTime - prev) {
-            e.reason = "timestamp delta overflows 64 bits";
-            return false;
-        }
-        prev += d;
         out[i].timestamp = prev;
     }
     for (std::uint64_t i = 0; i < n; ++i) {
@@ -658,11 +515,8 @@ decodeInto(io::ByteSpan raw, std::uint64_t n, CSwitchEvent *out,
                        },
                        e))
         return false;
-    if (p != lim) {
-        e.reason = std::to_string(lim - p) +
-                   " trailing bytes in block";
+    if (!endOfBlock(p, lim, e))
         return false;
-    }
     std::unordered_map<std::uint64_t, const CSwitchEvent *> lastNew;
     std::size_t m = 0;
     for (std::size_t i = 0; i < static_cast<std::size_t>(n); ++i) {
@@ -698,14 +552,8 @@ decodeInto(io::ByteSpan raw, std::uint64_t n, GpuPacketEvent *out,
     const std::size_t lim = raw.size();
     SimTime prev = 0;
     for (std::uint64_t i = 0; i < n; ++i) {
-        std::uint64_t d = 0;
-        if (!getBounded(raw, p, lim, d, e))
+        if (!getDelta(raw, p, lim, prev, "start", e))
             return false;
-        if (d > sim::kNoTime - prev) {
-            e.reason = "start delta overflows 64 bits";
-            return false;
-        }
-        prev += d;
         out[i].start = prev;
     }
     for (std::uint64_t i = 0; i < n; ++i) {
@@ -721,15 +569,9 @@ decodeInto(io::ByteSpan raw, std::uint64_t n, GpuPacketEvent *out,
         out[i].queued = s - d;
     }
     for (std::uint64_t i = 0; i < n; ++i) {
-        std::uint64_t d = 0;
-        if (!getBounded(raw, p, lim, d, e))
+        out[i].finish = out[i].start;
+        if (!getDelta(raw, p, lim, out[i].finish, "finish", e))
             return false;
-        SimTime s = out[i].start;
-        if (d > sim::kNoTime - s) {
-            e.reason = "finish delta overflows 64 bits";
-            return false;
-        }
-        out[i].finish = s + d;
     }
     if (!getDictColumn(raw, p, lim, n,
                        [&](std::size_t i, std::uint64_t v) {
@@ -759,12 +601,7 @@ decodeInto(io::ByteSpan raw, std::uint64_t n, GpuPacketEvent *out,
             return false;
         out[i].queueSlot = static_cast<std::uint8_t>(v);
     }
-    if (p != lim) {
-        e.reason = std::to_string(lim - p) +
-                   " trailing bytes in block";
-        return false;
-    }
-    return true;
+    return endOfBlock(p, lim, e);
 }
 
 bool
@@ -775,14 +612,8 @@ decodeInto(io::ByteSpan raw, std::uint64_t n, FrameEvent *out,
     const std::size_t lim = raw.size();
     SimTime prev = 0;
     for (std::uint64_t i = 0; i < n; ++i) {
-        std::uint64_t d = 0;
-        if (!getBounded(raw, p, lim, d, e))
+        if (!getDelta(raw, p, lim, prev, "timestamp", e))
             return false;
-        if (d > sim::kNoTime - prev) {
-            e.reason = "timestamp delta overflows 64 bits";
-            return false;
-        }
-        prev += d;
         out[i].timestamp = prev;
     }
     if (!getDictColumn(raw, p, lim, n,
@@ -803,12 +634,7 @@ decodeInto(io::ByteSpan raw, std::uint64_t n, FrameEvent *out,
             return false;
         out[i].synthesized = v != 0;
     }
-    if (p != lim) {
-        e.reason = std::to_string(lim - p) +
-                   " trailing bytes in block";
-        return false;
-    }
-    return true;
+    return endOfBlock(p, lim, e);
 }
 
 /**
@@ -823,68 +649,10 @@ decodeRecordColumns(Section tag, io::ByteSpan raw, std::uint64_t n,
     std::size_t p = 0;
     const std::size_t lim = raw.size();
     for (std::uint64_t i = 0; i < n; ++i) {
-        std::uint64_t v = 0;
-        switch (tag) {
-          case Section::ProcessNames: {
-            std::uint64_t pid = 0;
-            std::string name;
-            if (!getBounded(raw, p, lim, pid, e) ||
-                !getBoundedString(raw, p, lim, name, e))
-                return false;
-            part.processNames[static_cast<Pid>(pid)] =
-                std::move(name);
-            break;
-          }
-          case Section::ThreadLife: {
-            ThreadLifeEvent ev;
-            if (!getBounded(raw, p, lim, ev.timestamp, e) ||
-                !getBounded(raw, p, lim, v, e))
-                return false;
-            ev.pid = static_cast<Pid>(v);
-            if (!getBounded(raw, p, lim, v, e))
-                return false;
-            ev.tid = static_cast<Tid>(v);
-            if (!getBounded(raw, p, lim, v, e))
-                return false;
-            ev.created = v != 0;
-            if (!getBoundedString(raw, p, lim, ev.name, e))
-                return false;
-            part.threadEvents.push_back(std::move(ev));
-            break;
-          }
-          case Section::ProcessLife: {
-            ProcessLifeEvent ev;
-            if (!getBounded(raw, p, lim, ev.timestamp, e) ||
-                !getBounded(raw, p, lim, v, e))
-                return false;
-            ev.pid = static_cast<Pid>(v);
-            if (!getBounded(raw, p, lim, v, e))
-                return false;
-            ev.created = v != 0;
-            if (!getBoundedString(raw, p, lim, ev.name, e))
-                return false;
-            part.processEvents.push_back(std::move(ev));
-            break;
-          }
-          case Section::Markers: {
-            MarkerEvent ev;
-            if (!getBounded(raw, p, lim, ev.timestamp, e) ||
-                !getBoundedString(raw, p, lim, ev.label, e))
-                return false;
-            part.markers.push_back(std::move(ev));
-            break;
-          }
-          default:
-            e.reason = "record-major decode of a columnar section";
+        if (!getRecord(tag, raw, p, lim, part, e))
             return false;
-        }
     }
-    if (p != lim) {
-        e.reason = std::to_string(lim - p) +
-                   " trailing bytes in block";
-        return false;
-    }
-    return true;
+    return endOfBlock(p, lim, e);
 }
 
 /** CSwitch, GpuPackets and Frames: the sections decoded in place. */
@@ -972,7 +740,7 @@ openBlock(io::ByteSpan data, const BlockFrame &f, std::string &rawBuf,
  * index — and returns false with @p bundle as it was.
  */
 bool
-decodeBlockContent(EtlcReader &r, Section tag, const char *name,
+decodeBlockContent(ContainerReader &r, Section tag, const char *name,
                    const BlockFrame &f, std::size_t framePos,
                    std::uint64_t firstRecord, TraceBundle &bundle)
 {
@@ -1014,7 +782,7 @@ decodeBlockContent(EtlcReader &r, Section tag, const char *name,
  * Strict mode returns false at the first defect of any kind.
  */
 bool
-decodeEtlcSectionBody(EtlcReader &r, Section tag, const char *name,
+decodeEtlcSectionBody(ContainerReader &r, Section tag, const char *name,
                       std::size_t tagPos, std::size_t limit,
                       TraceBundle &bundle)
 {
@@ -1117,7 +885,7 @@ constexpr std::uint64_t kMaxPresizePerByte = 64;
  * the exact diagnostics.
  */
 bool
-tryDecodeInPlace(EtlcReader &r, unsigned jobs, TraceBundle &bundle)
+tryDecodeInPlace(ContainerReader &r, unsigned jobs, TraceBundle &bundle)
 {
     std::vector<BlockTask> tasks;
     std::array<bool, 256> seen{};
@@ -1220,126 +988,69 @@ tryDecodeInPlace(EtlcReader &r, unsigned jobs, TraceBundle &bundle)
     return true;
 }
 
-/** Decode a version-1 body (the bytes past the magic). */
-TraceBundle
-decodeEtlcBody(io::ByteSpan data, const ParseOptions &options,
-               IngestReport &report)
+/**
+ * The sections of a version-1 body: in place and block-parallel when
+ * the pre-scan allows it, else the serial frame walk.
+ */
+void
+decodeEtlcSections(ContainerReader &r, TraceBundle &bundle)
 {
-    obs::Span ingestSpan("ingest.etlc", obs::SpanKind::Ingest,
-                         data.size());
-    obs::counterAdd("ingest.etlc.bytes",
-                    static_cast<std::int64_t>(data.size()));
-    TraceBundle bundle;
-    EtlcReader r{data, options, report};
-
-    std::uint64_t version = 0, value = 0;
-    auto headerField = [&](const char *field, std::uint64_t &out) {
-        ParseError err;
-        if (getBounded(data, r.pos, data.size(), out, err))
-            return true;
-        err.field = field;
-        r.note(r.located(std::move(err), "header",
-                         ParseError::kNoPosition));
-        return false;
-    };
-    if (!headerField("version", version))
-        return bundle;
-    if (version != kEtlcVersion) {
-        r.note(r.makeError("header", ParseError::kNoPosition, 0,
-                           "unsupported version " +
-                               std::to_string(version) + " (want " +
-                               std::to_string(kEtlcVersion) + ")"));
-        return bundle;
-    }
-    if (!headerField("startTime", bundle.startTime) ||
-        !headerField("stopTime", value))
-        return bundle;
-    bundle.stopTime = value;
-    std::size_t cpusPos = r.pos;
-    if (!headerField("numLogicalCpus", value))
-        return bundle;
-    if (value > kMaxLogicalCpus) {
-        ParseError err = r.makeError(
-            "header", ParseError::kNoPosition, cpusPos,
-            "CPU count " + std::to_string(value) + " exceeds " +
-                std::to_string(kMaxLogicalCpus));
-        err.field = "numLogicalCpus";
-        r.note(std::move(err));
-        return bundle;
-    }
-    bundle.numLogicalCpus = static_cast<std::uint32_t>(value);
-
-    bool lenient = options.mode == ParseMode::Lenient;
-
-    unsigned jobs = options.threads;
+    unsigned jobs = r.options.threads;
     if (jobs == 0) {
-        jobs = data.size() >= kMinParallelBytes ? sim::resolveJobs()
-                                                : 1;
+        jobs = r.data.size() >= kMinParallelBytes ? sim::resolveJobs()
+                                                  : 1;
     }
     bool inPlace = tryDecodeInPlace(r, jobs, bundle);
     obs::counterAdd("ingest.etlc.serial_redecode", inPlace ? 0 : 1);
     if (inPlace)
-        return bundle;
+        return;
+    walkSections(r, [&](Section tag, const char *name,
+                        std::size_t tagPos, std::size_t limit) {
+        return decodeEtlcSectionBody(r, tag, name, tagPos, limit,
+                                     bundle);
+    });
+}
 
-    // Section frames, serially. A defect inside a frame fails only
-    // that frame: lenient mode hops to the next frame via the length
-    // prefix.
-    while (true) {
-        if (r.pos >= data.size()) {
-            r.note(r.makeError("trailer", ParseError::kNoPosition,
-                               r.pos, "missing end section"));
-            report.salvaged = lenient;
-            return bundle;
-        }
-        auto tagPos = r.pos;
-        auto tag = static_cast<Section>(
-            static_cast<std::uint8_t>(data[r.pos++]));
-        if (tag == Section::End)
-            break;
-
-        ParseError ferr;
-        std::uint64_t length = 0;
-        if (!getBounded(data, r.pos, data.size(), length, ferr)) {
-            r.note(r.located(std::move(ferr), "frame",
-                             ParseError::kNoPosition));
-            report.salvaged = lenient;
-            return bundle;
-        }
-        if (length > data.size() - r.pos) {
-            r.note(r.makeError(sectionName(tag),
-                               ParseError::kNoPosition, r.pos,
-                               "section length " +
-                                   std::to_string(length) +
-                                   " exceeds remaining input"));
-            report.salvaged = lenient;
-            return bundle;
-        }
-        std::size_t limit = r.pos + static_cast<std::size_t>(length);
-        const char *name = sectionName(tag);
-
-        bool good;
-        if (std::strcmp(name, "Unknown") == 0) {
-            r.note(r.makeError(
-                name, ParseError::kNoPosition, tagPos,
-                "unknown section tag " +
-                    std::to_string(static_cast<unsigned>(tag))));
-            good = false;
-        } else {
-            obs::Span sectionSpan("ingest.etlc.section",
-                                  obs::SpanKind::Ingest,
-                                  limit - r.pos);
-            good = decodeEtlcSectionBody(r, tag, name, tagPos, limit,
-                                         bundle);
-        }
-
-        if (!good) {
-            if (!lenient)
-                return bundle;
-            r.pos = limit;
+/** Columnar sections: CSwitch, GpuPackets, Frames. */
+template <typename Cols, typename Events>
+void
+putColumnBlocks(std::string &image, Section tag, const Events &events)
+{
+    BlockSink sink;
+    Cols cols;
+    for (const auto &e : events) {
+        cols.add(e);
+        if (cols.bytes() >= kEtlcBlockBytes) {
+            sink.flush(cols.encode(), cols.n);
+            cols = Cols{};
         }
     }
-    return bundle;
+    sink.flush(cols.encode(), cols.n);
+    sink.putTo(image, tag, events.size());
 }
+
+void
+putEtlcSections(const TraceBundle &bundle, std::string &image)
+{
+    putRecordBlocks(image, bundle, Section::ProcessNames);
+    putColumnBlocks<CSwitchCols>(image, Section::CSwitch,
+                                 bundle.cswitches);
+    putColumnBlocks<GpuCols>(image, Section::GpuPackets,
+                             bundle.gpuPackets);
+    putColumnBlocks<FrameCols>(image, Section::Frames, bundle.frames);
+    putRecordBlocks(image, bundle, Section::ThreadLife);
+    putRecordBlocks(image, bundle, Section::ProcessLife);
+    putRecordBlocks(image, bundle, Section::Markers);
+}
+
+const ContainerFormat kEtlc{kMagic,
+                            kEtlcVersion,
+                            "ingest.etlc",
+                            "ingest.etlc.bytes",
+                            "ingest.etlc.section",
+                            "writeEtlc",
+                            putEtlcSections,
+                            decodeEtlcSections};
 
 } // namespace
 
@@ -1607,236 +1318,26 @@ etlcDecompress(io::ByteSpan compressed, std::size_t rawLen,
 bool
 isEtlcData(io::ByteSpan data)
 {
-    return data.size() >= sizeof(kMagic) &&
-           data.compare(0, sizeof(kMagic),
-                        std::string_view(kMagic,
-                                         sizeof(kMagic))) == 0;
+    return hasMagic(data, kEtlc);
 }
 
 void
 writeEtlc(const TraceBundle &bundle, std::ostream &out)
 {
-    auto defects = bundle.validateEncoding();
-    if (!defects.empty())
-        throw TraceParseError(defects.front());
-
-    std::string body;
-    putVarint(body, kEtlcVersion);
-    putVarint(body, bundle.startTime);
-    putVarint(body, bundle.stopTime);
-    putVarint(body, bundle.numLogicalCpus);
-
-    {
-        // Sort pids so the encoding is deterministic.
-        std::vector<Pid> pids;
-        pids.reserve(bundle.processNames.size());
-        for (const auto &[pid, name] : bundle.processNames)
-            pids.push_back(pid);
-        std::sort(pids.begin(), pids.end());
-        BlockSink sink;
-        putRecordBlocks(sink, pids.begin(), pids.end(),
-                        [&](std::string &raw, Pid pid) {
-                            putVarint(raw, pid);
-                            putString(raw,
-                                      bundle.processNames.at(pid));
-                        });
-        putSection(body, Section::ProcessNames,
-                   sectionPayload(pids.size(), sink));
-    }
-
-    {
-        BlockSink sink;
-        CSwitchCols cols;
-        for (const auto &e : bundle.cswitches) {
-            cols.add(e);
-            if (cols.bytes() >= kEtlcBlockBytes) {
-                sink.flush(cols.encode(), cols.n);
-                cols = CSwitchCols{};
-            }
-        }
-        sink.flush(cols.encode(), cols.n);
-        putSection(body, Section::CSwitch,
-                   sectionPayload(bundle.cswitches.size(), sink));
-    }
-
-    {
-        BlockSink sink;
-        GpuCols cols;
-        for (const auto &e : bundle.gpuPackets) {
-            cols.add(e);
-            if (cols.bytes() >= kEtlcBlockBytes) {
-                sink.flush(cols.encode(), cols.n);
-                cols = GpuCols{};
-            }
-        }
-        sink.flush(cols.encode(), cols.n);
-        putSection(body, Section::GpuPackets,
-                   sectionPayload(bundle.gpuPackets.size(), sink));
-    }
-
-    {
-        BlockSink sink;
-        FrameCols cols;
-        for (const auto &e : bundle.frames) {
-            cols.add(e);
-            if (cols.bytes() >= kEtlcBlockBytes) {
-                sink.flush(cols.encode(), cols.n);
-                cols = FrameCols{};
-            }
-        }
-        sink.flush(cols.encode(), cols.n);
-        putSection(body, Section::Frames,
-                   sectionPayload(bundle.frames.size(), sink));
-    }
-
-    {
-        BlockSink sink;
-        putRecordBlocks(sink, bundle.threadEvents.begin(),
-                        bundle.threadEvents.end(),
-                        [](std::string &raw,
-                           const ThreadLifeEvent &e) {
-                            putVarint(raw, e.timestamp);
-                            putVarint(raw, e.pid);
-                            putVarint(raw, e.tid);
-                            putVarint(raw, e.created ? 1 : 0);
-                            putString(raw, e.name);
-                        });
-        putSection(body, Section::ThreadLife,
-                   sectionPayload(bundle.threadEvents.size(), sink));
-    }
-
-    {
-        BlockSink sink;
-        putRecordBlocks(sink, bundle.processEvents.begin(),
-                        bundle.processEvents.end(),
-                        [](std::string &raw,
-                           const ProcessLifeEvent &e) {
-                            putVarint(raw, e.timestamp);
-                            putVarint(raw, e.pid);
-                            putVarint(raw, e.created ? 1 : 0);
-                            putString(raw, e.name);
-                        });
-        putSection(body, Section::ProcessLife,
-                   sectionPayload(bundle.processEvents.size(),
-                                  sink));
-    }
-
-    {
-        BlockSink sink;
-        putRecordBlocks(sink, bundle.markers.begin(),
-                        bundle.markers.end(),
-                        [](std::string &raw, const MarkerEvent &e) {
-                            putVarint(raw, e.timestamp);
-                            putString(raw, e.label);
-                        });
-        putSection(body, Section::Markers,
-                   sectionPayload(bundle.markers.size(), sink));
-    }
-
-    body.push_back(static_cast<char>(Section::End));
-
-    out.write(kMagic, sizeof(kMagic));
-    out.write(body.data(), static_cast<std::streamsize>(body.size()));
-    if (!out)
-        fatal("writeEtlc: stream write failed");
+    writeContainer(kEtlc, bundle, out);
 }
 
 void
 writeEtlc(const TraceBundle &bundle, const std::string &path)
 {
-    std::ofstream out(path, std::ios::binary);
-    if (!out)
-        fatal("writeEtlc: cannot open " + path);
-    writeEtlc(bundle, out);
+    writeContainer(kEtlc, bundle, path);
 }
 
 TraceBundle
 decodeEtlc(io::ByteSpan data, const ParseOptions &options,
            IngestReport &report)
 {
-    report = IngestReport{};
-    report.source =
-        options.source.empty() ? "<stream>" : options.source;
-    report.mode = options.mode;
-
-    if (!isEtlcData(data)) {
-        ParseError err;
-        err.source = report.source;
-        err.section = "header";
-        err.offset = 0;
-        err.reason = data.size() < sizeof(kMagic) ? "truncated magic"
-                                                  : "bad magic";
-        report.note(std::move(err), options.maxStoredErrors);
-        return TraceBundle{};
-    }
-    TraceBundle bundle =
-        decodeEtlcBody(data.substr(sizeof(kMagic)), options, report);
-    canonicalize(bundle);
-    return bundle;
-}
-
-std::vector<EtlcBlockRef>
-etlcScanBlocks(io::ByteSpan data)
-{
-    std::vector<EtlcBlockRef> refs;
-    if (!isEtlcData(data))
-        return {};
-    io::ByteSpan body = data.substr(sizeof(kMagic));
-    std::size_t pos = 0;
-    ParseError err;
-    std::uint64_t v = 0;
-    // Header: version, startTime, stopTime, numLogicalCpus.
-    for (int i = 0; i < 4; ++i) {
-        if (!getBounded(body, pos, body.size(), v, err))
-            return {};
-    }
-    bool sawEnd = false;
-    while (pos < body.size()) {
-        auto tag = static_cast<std::uint8_t>(body[pos++]);
-        if (tag == static_cast<std::uint8_t>(Section::End)) {
-            sawEnd = true;
-            break;
-        }
-        std::uint64_t length = 0;
-        if (!getBounded(body, pos, body.size(), length, err))
-            return {};
-        if (length > body.size() - pos)
-            return {};
-        std::size_t limit = pos + static_cast<std::size_t>(length);
-        std::uint64_t total = 0, blockCount = 0;
-        if (!getBounded(body, pos, limit, total, err) ||
-            !getBounded(body, pos, limit, blockCount, err))
-            return {};
-        std::uint64_t running = 0;
-        for (std::uint64_t b = 0; b < blockCount; ++b) {
-            EtlcBlockRef ref;
-            ref.section = tag;
-            ref.framePos = pos + sizeof(kMagic);
-            BlockFrame f;
-            // Field offsets: re-walk the varints individually so the
-            // ref can point mutations at each piece of the frame.
-            std::size_t scan = pos;
-            if (!getBounded(body, scan, limit, f.records, err))
-                return {};
-            ref.rawLenPos = scan + sizeof(kMagic);
-            std::size_t probe = pos;
-            if (!readBlockFrame(body, probe, limit, f, err))
-                return {};
-            ref.records = f.records;
-            ref.rawLen = f.rawLen;
-            ref.crcPos = f.dataPos - 4 + sizeof(kMagic);
-            ref.dataPos = f.dataPos + sizeof(kMagic);
-            ref.dataLen = f.dataLen;
-            refs.push_back(ref);
-            pos = probe;
-            running += f.records;
-        }
-        if (running != total || pos != limit)
-            return {};
-    }
-    if (!sawEnd)
-        return {};
-    return refs;
+    return decodeContainer(kEtlc, data, options, report);
 }
 
 } // namespace deskpar::trace

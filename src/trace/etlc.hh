@@ -7,9 +7,9 @@
  * traces pays for it twice — absolute ready-time varints dominate the
  * bytes, and a section is the smallest unit of parallel decode and of
  * lenient recovery. .etlc keeps the outer v3 skeleton (8-byte magic,
- * varint header, `tag, varint length, payload` sections, End tag) and
- * replaces every section payload with a sequence of independently
- * decodable blocks:
+ * varint header, `tag, varint length, payload` sections, End tag) —
+ * the very code, trace/container.hh, not a copy — and replaces every
+ * section payload with a sequence of independently decodable blocks:
  *
  *   payload := varint record-count, varint block-count, block...
  *   block   := varint records, varint raw-length, varint
@@ -42,7 +42,6 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
-#include <vector>
 
 #include "trace/io.hh"
 #include "trace/parse.hh"
@@ -71,7 +70,8 @@ bool isEtlcData(io::ByteSpan data);
  * FatalError on I/O failure and TraceParseError (naming the section
  * and record) when the bundle fails validateEncoding() — disordered
  * streams or inverted GPU/ready times would corrupt the unsigned
- * delta encoding.
+ * delta encoding. The path overload encodes before it creates the
+ * file, so a refused or failed write leaves no file behind.
  */
 void writeEtlc(const TraceBundle &bundle, std::ostream &out);
 void writeEtlc(const TraceBundle &bundle, const std::string &path);
@@ -112,38 +112,6 @@ std::string etlcCompress(io::ByteSpan raw);
  */
 bool etlcDecompress(io::ByteSpan compressed, std::size_t rawLen,
                     std::string &out, std::string &reason);
-
-/**
- * One block frame located by a structural scan of an .etlc image —
- * the fault corpus and the tests use this to aim mutations at block
- * anatomy (checksums, length fields, final-block bytes). Offsets are
- * absolute file offsets.
- */
-struct EtlcBlockRef
-{
-    /** Section tag byte the block belongs to. */
-    std::uint8_t section = 0;
-    /** Offset of the block frame (the records varint). */
-    std::size_t framePos = 0;
-    /** Offset of the raw-length varint. */
-    std::size_t rawLenPos = 0;
-    /** Offset of the 4-byte CRC32C field. */
-    std::size_t crcPos = 0;
-    /** Offset and length of the stored (possibly compressed) bytes. */
-    std::size_t dataPos = 0;
-    std::size_t dataLen = 0;
-    /** Declared record count and uncompressed length. */
-    std::uint64_t records = 0;
-    std::uint64_t rawLen = 0;
-};
-
-/**
- * Walk the section and block framing of an .etlc image. Returns the
- * blocks in file order, or an empty vector when the framing is not
- * perfectly regular (the scan validates structure only, not block
- * contents).
- */
-std::vector<EtlcBlockRef> etlcScanBlocks(io::ByteSpan data);
 /** @} */
 
 } // namespace deskpar::trace

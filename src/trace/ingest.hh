@@ -12,7 +12,7 @@
  *     the bytes (a CSV export has no magic of its own);
  *  2. the .etlc magic selects the block-compressed columnar reader;
  *  3. anything else goes to the .etl v3 reader, which rejects a
- *     foreign file with its structured "bad magic" error.
+ *     foreign file with its structured bad-magic error.
  */
 
 #ifndef DESKPAR_TRACE_INGEST_HH

@@ -13,6 +13,10 @@
  *    parsing continues; the caller gets everything that decoded
  *    cleanly plus a per-file IngestReport of what was dropped.
  *
+ * The two binary containers (.etl v3, .etlc) locate, word and recover
+ * their header and framing defects in one place, the shared skeleton
+ * of trace/container.hh, so a given defect reads the same in both.
+ *
  * fatal() remains in use only for I/O failures (cannot open / write)
  * and caller API misuse; panic() for internal invariants. Malformed
  * trace *content* always becomes a ParseError.

@@ -25,6 +25,7 @@
 #include "sim/cpu.hh"
 #include "sim/gpu.hh"
 #include "sim/logging.hh"
+#include "trace/container.hh"
 #include "trace/etl.hh"
 #include "trace/etlc.hh"
 

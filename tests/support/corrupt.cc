@@ -4,7 +4,8 @@
 #include <utility>
 #include <vector>
 
-#include "trace/etl.hh"
+#include "support/etlc_scan.hh"
+#include "trace/container.hh"
 #include "trace/etlc.hh"
 
 namespace deskpar::trace {
@@ -407,7 +408,7 @@ FaultInjector::apply(const std::string &data, const Mutation &m,
         ParseError err;
         bool ok = true;
         for (int i = 0; ok && i < 6; ++i)
-            ok = tryGetVarint(out, at, ignored, err);
+            ok = getBounded(out, at, out.size(), ignored, err);
         if (!ok || at >= out.size())
             break;
         std::size_t bitmapLen = out.size() - at;
@@ -439,10 +440,10 @@ FaultInjector::apply(const std::string &data, const Mutation &m,
         std::size_t at = 12;
         std::uint64_t version = 0, sweepSeed = 0;
         ParseError err;
-        if (!tryGetVarint(out, at, version, err))
+        if (!getBounded(out, at, out.size(), version, err))
             break;
         std::size_t seedPos = at;
-        if (!tryGetVarint(out, at, sweepSeed, err))
+        if (!getBounded(out, at, out.size(), sweepSeed, err))
             break;
         std::string replacement;
         putVarint(replacement, sweepSeed + 1);

@@ -19,8 +19,10 @@
 #include <vector>
 
 #include "support/corrupt.hh"
+#include "support/etlc_scan.hh"
 #include "trace/csv.hh"
 #include "trace/diagnostic.hh"
+#include "trace/container.hh"
 #include "trace/etl.hh"
 #include "trace/etlc.hh"
 #include "trace/session.hh"

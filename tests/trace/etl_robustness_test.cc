@@ -11,6 +11,7 @@
 #include <random>
 #include <sstream>
 
+#include "trace/container.hh"
 #include "trace/etl.hh"
 
 namespace {

@@ -5,9 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <sstream>
 
+#include "trace/container.hh"
 #include "trace/etl.hh"
+#include "trace/etlc.hh"
 #include "trace/ingest.hh"
 
 namespace {
@@ -113,7 +118,7 @@ TEST(Etl, VarintRoundTrip)
     for (auto v : values) {
         std::uint64_t got = 0;
         ParseError err;
-        ASSERT_TRUE(tryGetVarint(buf, pos, got, err)) << err.reason;
+        ASSERT_TRUE(getBounded(buf, pos, buf.size(), got, err)) << err.reason;
         EXPECT_EQ(got, v);
     }
     EXPECT_EQ(pos, buf.size());
@@ -127,7 +132,7 @@ TEST(Etl, VarintTruncatedFatal)
     std::size_t pos = 0;
     std::uint64_t value = 0;
     ParseError err;
-    EXPECT_FALSE(tryGetVarint(buf, pos, value, err));
+    EXPECT_FALSE(getBounded(buf, pos, buf.size(), value, err));
     EXPECT_EQ(err.reason, "truncated varint");
 }
 
@@ -191,6 +196,52 @@ TEST(Etl, FileRoundTrip)
     ASSERT_TRUE(decoded.report.ok()) << decoded.report.summary();
     EXPECT_EQ(decoded.bundle.cswitches.size(), in.cswitches.size());
     EXPECT_EQ(decoded.bundle.processNames, in.processNames);
+}
+
+/** Whole contents of @p path. */
+std::string
+slurp(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+TEST(Etl, RefusedPathWriteLeavesNoFile)
+{
+    // An inverted window fails validateEncoding(). Both writers encode
+    // before they create the file: a new path never appears, an
+    // existing file keeps its bytes, and the refusal names the path.
+    TraceBundle bad;
+    bad.startTime = 100;
+    bad.stopTime = 50;
+    bad.numLogicalCpus = 4;
+    using Writer = void (*)(const TraceBundle &, const std::string &);
+    for (auto [name, write] :
+         {std::pair<const char *, Writer>{"etl", writeEtl},
+          std::pair<const char *, Writer>{"etlc", writeEtlc}}) {
+        SCOPED_TRACE(name);
+        std::string dir =
+            ::testing::TempDir() + "/deskpar_refused_" + name;
+        std::filesystem::remove_all(dir);
+        std::filesystem::create_directories(dir);
+        std::string fresh = dir + "/fresh." + name;
+        std::string kept = dir + "/kept." + name;
+        std::ofstream(kept, std::ios::binary) << "previous bytes";
+
+        for (const std::string &path : {fresh, kept}) {
+            try {
+                write(bad, path);
+                ADD_FAILURE() << "expected a refusal for " << path;
+            } catch (const TraceParseError &e) {
+                EXPECT_EQ(e.error().str(),
+                          path + ": [header] stopTime 50 precedes "
+                                 "startTime 100");
+            }
+        }
+        EXPECT_FALSE(std::filesystem::exists(fresh));
+        EXPECT_EQ(slurp(kept), "previous bytes");
+        std::filesystem::remove_all(dir);
+    }
 }
 
 TEST(Etl, EmptyBundleRoundTrip)

@@ -21,6 +21,8 @@
 
 #include "obs/obs.hh"
 #include "support/corrupt.hh"
+#include "support/etlc_scan.hh"
+#include "trace/container.hh"
 #include "trace/etl.hh"
 #include "trace/etlc.hh"
 #include "trace/session.hh"

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "sim/logging.hh"
+#include "trace/container.hh"
 #include "trace/csv.hh"
 #include "trace/etl.hh"
 #include "trace/etlc.hh"
@@ -231,6 +232,95 @@ TEST(TraceOpen, HeaderCpuCountAboveTheBoundFailsTheFile)
             bundle = decodeBinary(top.str(), etlc, mode, report);
             EXPECT_TRUE(report.ok()) << report.summary();
             EXPECT_EQ(bundle.numLogicalCpus, kMaxLogicalCpus);
+        }
+    }
+}
+
+TEST(TraceOpen, SkeletonDefectsDiagnoseAlikeInBothContainers)
+{
+    // .etl and .etlc share one skeleton: each defect of the magic, the
+    // header or the section framing, built by hand around either
+    // container's own magic and version, yields the same diagnostic
+    // in both formats and both modes. Only the wanted version differs.
+    std::ostringstream etl, etlc;
+    writeEtl(TraceBundle{}, etl);
+    writeEtlc(TraceBundle{}, etlc);
+    struct Container
+    {
+        bool etlc;
+        std::string magic;
+        std::uint32_t version;
+    };
+    for (const Container &c :
+         {Container{false, etl.str().substr(0, 8), kEtlVersion},
+          Container{true, etlc.str().substr(0, 8), kEtlcVersion}}) {
+        auto header = [&](std::uint64_t version, std::uint64_t cpus) {
+            std::string bytes = c.magic;
+            putVarint(bytes, version);
+            putVarint(bytes, 0);   // startTime
+            putVarint(bytes, 100); // stopTime
+            putVarint(bytes, cpus);
+            return bytes;
+        };
+        const std::string good = header(c.version, 4); // 12 bytes
+        std::string badMagic = good;
+        badMagic[0] ^= 0x40;
+        std::string unknown = good + "\x63\x03" "abc";
+        unknown.push_back('\xff');
+        std::string tooManyCpus = header(c.version, kMaxLogicalCpus + 1);
+        tooManyCpus.push_back('\xff');
+        const std::string want = std::to_string(c.version);
+        const std::string next = std::to_string(c.version + 1);
+
+        struct Case
+        {
+            const char *what;
+            std::string bytes;
+            const char *section;
+            const char *field;
+            std::uint64_t offset;
+            std::string reason;
+            /** Whether lenient mode marks the report salvaged. */
+            bool salvages;
+        };
+        const Case cases[] = {
+            {"truncated magic", c.magic.substr(0, 5), "header", "", 0,
+             "truncated magic", false},
+            {"bad magic", badMagic, "header", "", 0, "bad magic", false},
+            {"wrong version", header(c.version + 1, 4), "header", "", 8,
+             "unsupported version " + next + " (want " + want + ")",
+             false},
+            {"too many CPUs", tooManyCpus, "header", "numLogicalCpus",
+             11, "CPU count 1025 exceeds 1024", false},
+            {"missing End", good, "trailer", "", 12,
+             "missing end section", true},
+            {"unreadable frame length", good + "\x02\x80", "frame", "",
+             14, "truncated varint", true},
+            {"section past the input", good + "\x02\x64" "abc",
+             "CSwitch", "", 14,
+             "section length 100 exceeds remaining input", true},
+            {"unknown tag", unknown, "Unknown", "", 12,
+             "unknown section tag 99", false},
+        };
+        for (const Case &k : cases) {
+            for (ParseMode mode : {ParseMode::Strict, ParseMode::Lenient}) {
+                SCOPED_TRACE(std::string(c.etlc ? ".etlc " : ".etl ") +
+                             k.what +
+                             (mode == ParseMode::Strict ? " strict"
+                                                        : " lenient"));
+                IngestReport report;
+                decodeBinary(k.bytes, c.etlc, mode, report);
+                EXPECT_FALSE(report.ok());
+                ASSERT_EQ(report.errors.size(), 1u);
+                const ParseError &err = report.errors[0];
+                EXPECT_EQ(err.source, "claim");
+                EXPECT_EQ(err.section, k.section);
+                EXPECT_EQ(err.field, k.field);
+                EXPECT_EQ(err.offset, k.offset);
+                EXPECT_EQ(err.reason, k.reason);
+                EXPECT_EQ(report.salvaged,
+                          k.salvages && mode == ParseMode::Lenient);
+            }
         }
     }
 }

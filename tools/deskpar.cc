@@ -409,25 +409,15 @@ cmdList()
  * Save a simulated trace as .etl the way `deskpar pack` saves .etlc:
  * trace::sortBundle first (the simulator records GPU packets as they
  * complete, not in start order, and the writer refuses an unsorted
- * stream), then the whole image is encoded in memory before the file
- * is created, so a refused or failed write leaves no file behind.
+ * stream). writeEtl encodes the whole image before it creates the
+ * file, so a refused or failed write leaves no file behind.
  */
 void
 writeRunEtl(const trace::TraceBundle &bundle, const std::string &path)
 {
     trace::TraceBundle sorted = bundle;
     trace::sortBundle(sorted);
-    std::ostringstream image;
-    trace::writeEtl(sorted, image);
-    const std::string bytes = image.str();
-    std::ofstream out(path, std::ios::binary);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    out.close();
-    if (out)
-        return;
-    std::error_code ec;
-    std::filesystem::remove(path, ec);
-    fatal("run: cannot write " + path);
+    trace::writeEtl(sorted, path);
 }
 
 int
